@@ -32,7 +32,7 @@ func runCompileBench(b *testing.B, planned bool) {
 	budget := perfBenchBudget()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ans, err := query.EnumerationAnswer(presburger.Domain{}, presburger.Decider(), st, f, budget)
+		ans, err := query.EnumerationAnswerSinkCtx(context.Background(), presburger.Domain{}, presburger.Decider(), st, f, budget, nil)
 		if err != nil || !ans.Complete || ans.Rows.Len() != perfBenchRows {
 			b.Fatalf("bad answer: %v %v", ans, err)
 		}
@@ -80,7 +80,7 @@ func TestWriteBenchCompile(t *testing.T) {
 	ctx, tally := plan.WithTally(context.Background())
 	const steadyRuns = 16
 	for i := 0; i < steadyRuns; i++ {
-		if _, err := query.EnumerationAnswerCtx(ctx, presburger.Domain{}, presburger.Decider(), st, f, budget); err != nil {
+		if _, err := query.EnumerationAnswerSinkCtx(ctx, presburger.Domain{}, presburger.Decider(), st, f, budget, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -93,7 +93,7 @@ func TestWriteBenchCompile(t *testing.T) {
 
 	speedup := float64(ns["interpreted"]) / float64(ns["compiled"])
 	out := map[string]any{
-		"benchmark":                       fmt.Sprintf("query.EnumerationAnswer, E1 workload (%d rows over N with Presburger QE), plan compiler vs interpreter", perfBenchRows),
+		"benchmark":                       fmt.Sprintf("query.EnumerationAnswerSinkCtx, E1 workload (%d rows over N with Presburger QE), plan compiler vs interpreter", perfBenchRows),
 		"rows":                            perfBenchRows,
 		"rounds":                          rounds,
 		"plan_tier":                       string(tally.Tier()),

@@ -6,6 +6,7 @@
 package finq
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"testing"
@@ -48,7 +49,7 @@ func BenchmarkE1Enumeration(b *testing.B) {
 			budget := query.EnumerationBudget{Rows: int(n) + 10, Probe: 1 << 16}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ans, err := query.EnumerationAnswer(presburger.Domain{}, presburger.Decider(), st, f, budget)
+				ans, err := query.EnumerationAnswerSinkCtx(context.Background(), presburger.Domain{}, presburger.Decider(), st, f, budget, nil)
 				if err != nil || !ans.Complete || ans.Rows.Len() != int(n) {
 					b.Fatalf("bad answer: %v %v", ans, err)
 				}
@@ -410,10 +411,10 @@ func BenchmarkAblationCooperDedup(b *testing.B) {
 }
 
 // BenchmarkEvalParallel compares serial and fanned-out active-domain
-// evaluation on a 3-variable join. On a single-CPU machine (like the
-// development box, nproc=1) the fan-out cannot pay and the bench shows
-// parity; with real cores the outer-variable split scales near-linearly
-// since workers share nothing but the read-only state.
+// evaluation on a 3-variable join. The join is safe-range, so the serial
+// path runs the compiled algebra plan, while the workers interpret (the
+// parallel evaluator never consults the planner): serial wins by well
+// over an order of magnitude. See EXPERIMENTS.md, parallel evaluation note.
 func BenchmarkEvalParallel(b *testing.B) {
 	st := db.NewState(db.MustScheme(map[string]int{"F": 2}))
 	for i := 0; i < 24; i++ {
@@ -427,7 +428,7 @@ func BenchmarkEvalParallel(b *testing.B) {
 	d := presburger.Domain{}
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := query.EvalActive(d, st, f); err != nil {
+			if _, err := query.EvalActiveCtx(context.Background(), d, st, f); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -435,7 +436,7 @@ func BenchmarkEvalParallel(b *testing.B) {
 	for _, workers := range []int{2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := query.EvalActiveParallel(d, st, f, workers); err != nil {
+				if _, err := query.EvalActiveParallelCtx(context.Background(), d, st, f, workers); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -492,7 +493,7 @@ func BenchmarkEvalActive(b *testing.B) {
 			d := presburger.Domain{}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ans, err := query.EvalActive(d, st, f)
+				ans, err := query.EvalActiveCtx(context.Background(), d, st, f)
 				if err != nil || ans.Rows.Len() != n-1 {
 					b.Fatalf("bad answer: %v %v", ans.Rows.Len(), err)
 				}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	d := finq.MustLookup("presburger")
 	scheme := finq.MustScheme(map[string]int{"Born": 1})
 	st := finq.NewState(scheme)
@@ -37,11 +39,11 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("relative safety (Theorem 2.5 decider):", v)
-	ans, err := finq.Enumerate(d, st, fact21, finq.DefaultBudget)
+	res, err := finq.Eval(ctx, finq.Request{Domain: d.Name, State: st, Formula: fact21, Mode: finq.ModeEnumerate})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("answer by §1.1 enumeration: %v (complete=%v) — outside the active domain {2,5},\n", ans.Rows.Tuples(), ans.Complete)
+	fmt.Printf("answer by §1.1 enumeration: %v (complete=%v) — outside the active domain {2,5},\n", res.Answer.Rows.Tuples(), res.Answer.Complete)
 	fmt.Println("so the query is finite but not domain-independent")
 
 	// Theorem 2.2: the finitization of an unsafe query is finite.
@@ -68,15 +70,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ans, err = finq.Enumerate(d, st, early, finq.DefaultBudget)
+	res, err = finq.Eval(ctx, finq.Request{Domain: d.Name, State: st, Formula: early, Mode: finq.ModeEnumerate})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nyears before the latest birth: %v\n", ans.Rows.Tuples())
-	ansFin, err := finq.Enumerate(d, st, finq.Finitize(early), finq.DefaultBudget)
+	fmt.Printf("\nyears before the latest birth: %v\n", res.Answer.Rows.Tuples())
+	resFin, err := finq.Eval(ctx, finq.Request{Domain: d.Name, State: st, Formula: finq.Finitize(early), Mode: finq.ModeEnumerate})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("same query finitized:          %v (identical — the finitization of a finite query is equivalent to it)\n",
-		ansFin.Rows.Tuples())
+		resFin.Answer.Rows.Tuples())
 }

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -64,11 +65,11 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nearly-arrival query: relative safety %v\n", v)
-	ans, err := finq.Enumerate(d, st, early, finq.DefaultBudget)
+	res, err := finq.Eval(context.Background(), finq.Request{Domain: d.Name, State: st, Formula: early, Mode: finq.ModeEnumerate})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("answer: %v (complete=%v)\n", ans.Rows.Tuples(), ans.Complete)
+	fmt.Printf("answer: %v (complete=%v)\n", res.Answer.Rows.Tuples(), res.Answer.Complete)
 
 	// The successor domain answers anchored queries without order
 	// (Section 2.2): predecessors of shift starts.
@@ -81,10 +82,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ans, err = finq.Enumerate(ns, st, pred, finq.DefaultBudget)
+	res, err = finq.Eval(context.Background(), finq.Request{Domain: ns.Name, State: st, Formula: pred, Mode: finq.ModeEnumerate})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nN' (no order): hour-before-shift query: safety %v, answer %v\n",
-		v, ans.Rows.Tuples())
+		v, res.Answer.Rows.Tuples())
 }

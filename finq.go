@@ -25,7 +25,7 @@
 //	st := finq.NewState(scheme)
 //	st.Insert("F", finq.Word("adam"), finq.Word("abel"))
 //	f, _ := d.Parse("exists y. F(x, y)")
-//	ans, _ := finq.EvalActive(d, st, f)
+//	res, _ := finq.Eval(context.Background(), finq.Request{Domain: d.Name, State: st, Formula: f})
 package finq
 
 import (
@@ -255,7 +255,9 @@ type Request struct {
 	Mode EvalMode
 	// Workers fans active-domain evaluation out over a worker pool when
 	// > 1; ≤ 1 evaluates serially. Ignored under ModeEnumerate and when
-	// Profile is set (profiling is serial by construction).
+	// Profile is set (profiling is serial by construction). The workers
+	// run the interpreter and never consult the planner, so on a query
+	// the planner compiles, the serial path can be far faster.
 	Workers int
 	// Budget bounds ModeEnumerate; nil means DefaultBudget. Ignored under
 	// ModeActive.
@@ -492,59 +494,16 @@ func packResult(ans *Answer, prof *Profile, err error) (*Result, error) {
 	return res, nil
 }
 
-// EvalActive evaluates a query under active-domain semantics.
-//
-// Deprecated: use Eval, the options-struct entrypoint, which additionally
-// honors a request context. EvalActive is Eval with a background context
-// and default options.
-func EvalActive(d DomainInfo, st *State, f *Formula) (*Answer, error) {
-	res, err := Eval(context.Background(), Request{Domain: d.Name, State: st, Formula: f})
-	if err != nil {
-		return nil, err
-	}
-	return res.Answer, nil
-}
-
 // Profile is a per-query EXPLAIN report: a tree mirroring the formula with
 // per-node eval counts, row cardinalities, quantifier range sizes, and
 // wall time, rendered by its Text and JSON methods.
 type Profile = query.Profile
 
-// Explain evaluates a query under active-domain semantics with per-node
-// profiling and returns the answer plus its EXPLAIN profile. Profiling
-// adds per-node timers, so this is slower than EvalActive — use it to
-// understand a query, not to serve it.
-//
-// Deprecated: use Eval with Request.Profile set, which additionally honors
-// a request context.
-func Explain(d DomainInfo, st *State, f *Formula) (*Answer, *Profile, error) {
-	res, err := Eval(context.Background(), Request{Domain: d.Name, State: st, Formula: f, Profile: true})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Answer, res.Profile, nil
-}
-
-// EnumerationBudget bounds Enumerate.
+// EnumerationBudget bounds ModeEnumerate.
 type EnumerationBudget = query.EnumerationBudget
 
 // DefaultBudget is a budget suitable for interactive use.
 var DefaultBudget = query.DefaultBudget
-
-// Enumerate runs the paper's §1.1 query-answering algorithm: complete on
-// finite (safe) queries, budget-capped on infinite ones.
-//
-// Deprecated: use Eval with Request.Mode set to ModeEnumerate, which
-// additionally honors a request context.
-func Enumerate(d DomainInfo, st *State, f *Formula, budget EnumerationBudget) (*Answer, error) {
-	res, err := Eval(context.Background(), Request{
-		Domain: d.Name, State: st, Formula: f, Mode: ModeEnumerate, Budget: &budget,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Answer, nil
-}
 
 // Decide decides a pure-domain sentence.
 func Decide(d DomainInfo, sentence *Formula) (bool, error) {

@@ -1,6 +1,7 @@
 package algebra_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -213,9 +214,9 @@ func compileAndCompare(t *testing.T, ctx *algebra.Ctx, src string) {
 	if err != nil {
 		t.Fatalf("Eval(%s): %v", src, err)
 	}
-	want, err := query.EvalActive(ctx.Dom, ctx.St, f)
+	want, err := query.EvalActiveCtx(context.Background(), ctx.Dom, ctx.St, f)
 	if err != nil {
-		t.Fatalf("EvalActive(%s): %v", src, err)
+		t.Fatalf("EvalActiveCtx(%s): %v", src, err)
 	}
 	freeVars := f.FreeVars()
 	if !sameColSet(got.Cols, freeVars) {
@@ -321,9 +322,9 @@ func TestCompileForallSentence(t *testing.T) {
 		if got := tab.Len() > 0; got != tc.want {
 			t.Errorf("%s = %v, want %v\nplan: %s", tc.src, got, tc.want, plan.String())
 		}
-		ans, err := query.EvalActive(ctx.Dom, ctx.St, f)
+		ans, err := query.EvalActiveCtx(context.Background(), ctx.Dom, ctx.St, f)
 		if err != nil {
-			t.Fatalf("EvalActive(%s): %v", tc.src, err)
+			t.Fatalf("EvalActiveCtx(%s): %v", tc.src, err)
 		}
 		if calc := ans.Rows.Len() > 0; calc != tc.want {
 			t.Errorf("calculus disagrees on %s: %v", tc.src, calc)
@@ -365,9 +366,9 @@ func TestCompileAgainstCalculusRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Eval of compiled %v: %v", f, err)
 		}
-		want, err := query.EvalActive(ctx.Dom, ctx.St, f)
+		want, err := query.EvalActiveCtx(context.Background(), ctx.Dom, ctx.St, f)
 		if err != nil {
-			t.Fatalf("EvalActive(%v): %v", f, err)
+			t.Fatalf("EvalActiveCtx(%v): %v", f, err)
 		}
 		if got.Len() != want.Rows.Len() {
 			t.Fatalf("row count mismatch on %v: algebra %d, calculus %d (plan %s)",

@@ -1,6 +1,7 @@
 package algebra_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -65,7 +66,7 @@ func TestCompileRANFWidensFragment(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Eval(%s): %v", src, err)
 		}
-		want, err := query.EvalActive(ctx.Dom, ctx.St, f)
+		want, err := query.EvalActiveCtx(context.Background(), ctx.Dom, ctx.St, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,11 +83,11 @@ func TestToRANFPreservesSemantics(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		f := randSafeCandidate(rng, 3)
 		g := algebra.ToRANF(f)
-		a, err := query.EvalActive(ctx.Dom, ctx.St, f)
+		a, err := query.EvalActiveCtx(context.Background(), ctx.Dom, ctx.St, f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := query.EvalActive(ctx.Dom, ctx.St, g)
+		b, err := query.EvalActiveCtx(context.Background(), ctx.Dom, ctx.St, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +122,7 @@ func TestCompileRANFCoverage(t *testing.T) {
 			if err != nil {
 				t.Fatalf("eval of widened plan for %v: %v", f, err)
 			}
-			want, err := query.EvalActive(ctx.Dom, ctx.St, f)
+			want, err := query.EvalActiveCtx(context.Background(), ctx.Dom, ctx.St, f)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -51,9 +52,9 @@ func TestFact21(t *testing.T) {
 
 	// (2) Its answer in R = {2, 5} is {6} — one element, outside the active
 	// domain, hence not domain-independent.
-	ans, err := query.EnumerationAnswer(presburger.Domain{}, presburger.Decider(), st, phi, query.DefaultBudget)
+	ans, err := query.EnumerationAnswerSinkCtx(context.Background(), presburger.Domain{}, presburger.Decider(), st, phi, query.DefaultBudget, nil)
 	if err != nil {
-		t.Fatalf("EnumerationAnswer: %v", err)
+		t.Fatalf("EnumerationAnswerSinkCtx: %v", err)
 	}
 	if !ans.Complete || ans.Rows.Len() != 1 || !ans.Rows.Has(db.Tuple{domain.Int(6)}) {
 		t.Fatalf("answer = %v (complete %v), want {6}", ans.Rows.Tuples(), ans.Complete)
@@ -69,7 +70,7 @@ func TestFact21(t *testing.T) {
 	// (3) In a different state the answer differs — the witness of
 	// domain-dependence.
 	st2 := natState(t, "R", 10)
-	ans2, err := query.EnumerationAnswer(presburger.Domain{}, presburger.Decider(), st2, phi, query.DefaultBudget)
+	ans2, err := query.EnumerationAnswerSinkCtx(context.Background(), presburger.Domain{}, presburger.Decider(), st2, phi, query.DefaultBudget, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +231,8 @@ func TestTheorem25AgainstEnumeration(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decider: %v (%v)", err, f)
 		}
-		ans, err := query.EnumerationAnswer(presburger.Domain{}, presburger.Decider(), st, f,
-			query.EnumerationBudget{Rows: 40, Probe: 4000})
+		ans, err := query.EnumerationAnswerSinkCtx(context.Background(), presburger.Domain{}, presburger.Decider(), st, f,
+			query.EnumerationBudget{Rows: 40, Probe: 4000}, nil)
 		if err != nil {
 			t.Fatalf("enumeration: %v (%v)", err, f)
 		}

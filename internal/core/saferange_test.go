@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/db"
@@ -112,7 +113,7 @@ func TestSafeRangeImpliesDomainIndependent(t *testing.T) {
 	}
 	for _, s := range samples {
 		f := parser.MustParse(s)
-		base, err := query.EvalActive(eqdom.Domain{}, st, f)
+		base, err := query.EvalActiveCtx(context.Background(), eqdom.Domain{}, st, f)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/db"
@@ -134,11 +135,11 @@ func TestActiveDomainSyntaxEquivalenceOnFiniteQueries(t *testing.T) {
 		logic.And(logic.Atom("F", logic.Var("x"), logic.Var("y")), logic.Neq(logic.Var("x"), logic.Var("y"))),
 	}
 	for _, f := range finiteQueries {
-		base, err := query.EvalActive(eqdom.Domain{}, st, f)
+		base, err := query.EvalActiveCtx(context.Background(), eqdom.Domain{}, st, f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		restricted, err := query.EvalActive(eqdom.Domain{}, st, Restrict(f, delta))
+		restricted, err := query.EvalActiveCtx(context.Background(), eqdom.Domain{}, st, Restrict(f, delta))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,11 +292,11 @@ func TestNsuccRestrictor(t *testing.T) {
 		t.Errorf("restricted finite query reported infinite")
 	}
 	// Compare answers via enumeration.
-	import1, err := query.EnumerationAnswer(nsucc.Domain{}, nsucc.Decider(), st, f, query.DefaultBudget)
+	import1, err := query.EnumerationAnswerSinkCtx(context.Background(), nsucc.Domain{}, nsucc.Decider(), st, f, query.DefaultBudget, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	import2, err := query.EnumerationAnswer(nsucc.Domain{}, nsucc.Decider(), st, rf, query.DefaultBudget)
+	import2, err := query.EnumerationAnswerSinkCtx(context.Background(), nsucc.Domain{}, nsucc.Decider(), st, rf, query.DefaultBudget, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/db"
 	"repro/internal/domain"
-	"repro/internal/logic"
 )
 
 // ErrFallback reports that a plan cannot serve the requested evaluation
@@ -45,34 +44,40 @@ func (p *Plan) EvalActive(ctx context.Context, dom domain.Domain, st *db.State, 
 		if len(rng) == 0 {
 			return nil, ErrFallback
 		}
-		tab, err := p.alg.Eval(&algebra.Ctx{St: st, Dom: dom})
-		if err != nil {
-			return nil, err
-		}
-		return p.resultFromTable(ctx, tab)
+		return p.evalAlgebra(ctx, dom, st)
 	case TierClosure:
 		return p.prog.run(ctx, dom, st, rng)
 	}
 	return nil, ErrFallback
 }
 
-// AnswerTable materializes the plan's full answer as an algebra table —
-// the natural-semantics answer, which for the compiled safe-range
-// fragment is exactly the §1.1 enumeration answer. Only algebra-tier
-// plans with at least one free variable can serve it (a sentence's
-// enumeration verdict comes from the domain decider, not the database).
-func (p *Plan) AnswerTable(dom domain.Domain, st *db.State) (*algebra.Table, error) {
+// Answer materializes the plan's full answer as a relation over the
+// sorted free variables — the natural-semantics answer, which for the
+// compiled safe-range fragment is exactly the §1.1 enumeration answer.
+// Only algebra-tier plans with at least one free variable can serve it (a
+// sentence's enumeration verdict comes from the domain decider, not the
+// database); others return ErrFallback. On cancellation the rows copied
+// so far come back alongside the context's error.
+func (p *Plan) Answer(ctx context.Context, dom domain.Domain, st *db.State) (*db.Relation, error) {
 	if p.tier != TierAlgebra || len(p.vars) == 0 {
 		return nil, ErrFallback
 	}
-	return p.alg.Eval(&algebra.Ctx{St: st, Dom: dom})
+	res, err := p.evalAlgebra(ctx, dom, st)
+	if res == nil {
+		return nil, err
+	}
+	return res.Rows, err
 }
 
-// resultFromTable converts an algebra answer table into a Result, mapping
-// table columns to the plan's sorted variable order. The context is
-// polled between rows so a cancelled request still surfaces a partial
-// answer, matching the generic evaluator's contract.
-func (p *Plan) resultFromTable(ctx context.Context, tab *algebra.Table) (*Result, error) {
+// evalAlgebra evaluates the algebra expression and converts the answer
+// table into a Result, mapping table columns to the plan's sorted variable
+// order. The context is polled between rows so a cancelled request still
+// surfaces a partial answer, matching the generic evaluator's contract.
+func (p *Plan) evalAlgebra(ctx context.Context, dom domain.Domain, st *db.State) (*Result, error) {
+	tab, err := p.alg.Eval(&algebra.Ctx{St: st, Dom: dom})
+	if err != nil {
+		return nil, err
+	}
 	if len(p.vars) == 0 {
 		return &Result{Vars: p.vars, Truth: tab.Len() > 0, Complete: true}, nil
 	}
@@ -91,6 +96,8 @@ func (p *Plan) resultFromTable(ctx context.Context, tab *algebra.Table) (*Result
 		}
 	}
 	res := &Result{Vars: p.vars, Rows: db.NewRelation(len(p.vars)), Complete: true}
+	// Add stores a copy, so one buffer serves every row.
+	t := make(db.Tuple, len(perm))
 	for _, row := range tab.Rows() {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
@@ -98,7 +105,6 @@ func (p *Plan) resultFromTable(ctx context.Context, tab *algebra.Table) (*Result
 				return res, err
 			}
 		}
-		t := make(db.Tuple, len(perm))
 		for i, j := range perm {
 			t[i] = row[j]
 		}
@@ -171,10 +177,4 @@ func (p *prog) run(ctx context.Context, dom domain.Domain, st *db.State, rng []d
 		return nil, err
 	}
 	return res, nil
-}
-
-// ForFormula is For with the key computed from the formula; convenience
-// for callers without a precomputed canonical key.
-func ForFormula(ctx context.Context, scheme *db.Scheme, domainName string, f *logic.Formula) *Plan {
-	return For(ctx, scheme, domainName, "", f)
 }

@@ -39,8 +39,8 @@ func TestEnumerationCtxCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	t0 := time.Now()
-	ans, err := EnumerationAnswerCtx(ctx, presburger.Domain{}, dec, st, f,
-		EnumerationBudget{Rows: 1 << 20, Probe: 1 << 20})
+	ans, err := EnumerationAnswerSinkCtx(ctx, presburger.Domain{}, dec, st, f,
+		EnumerationBudget{Rows: 1 << 20, Probe: 1 << 20}, nil)
 	elapsed := time.Since(t0)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
@@ -69,7 +69,7 @@ func TestEnumerationCtxAlreadyCancelled(t *testing.T) {
 	f := logic.Not(logic.Atom("R", logic.Var("x")))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ans, err := EnumerationAnswerCtx(ctx, presburger.Domain{}, presburger.Decider(), st, f, DefaultBudget)
+	ans, err := EnumerationAnswerSinkCtx(ctx, presburger.Domain{}, presburger.Decider(), st, f, DefaultBudget, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want Canceled, got %v", err)
 	}
@@ -96,34 +96,6 @@ func TestEvalActiveCtxCancel(t *testing.T) {
 	}
 	if ans == nil || ans.Complete {
 		t.Fatalf("cancelled eval: want partial answer, got %+v", ans)
-	}
-}
-
-// TestEvalActiveCtxBackgroundMatchesDeprecated: with no cancellation the
-// ctx evaluator and the deprecated wrapper agree exactly.
-func TestEvalActiveCtxBackgroundMatchesDeprecated(t *testing.T) {
-	st := db.NewState(db.MustScheme(map[string]int{"F": 2}))
-	for i := 0; i < 8; i++ {
-		if err := st.Insert("F", domain.Int(int64(i)), domain.Int(int64(i+1))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f := logic.Exists("y", logic.Atom("F", logic.Var("x"), logic.Var("y")))
-	a, err := EvalActive(eqDomainOverInts{}, st, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := EvalActiveCtx(context.Background(), eqDomainOverInts{}, st, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Rows.Len() != b.Rows.Len() || !a.Complete || !b.Complete {
-		t.Fatalf("wrapper and ctx evaluator disagree: %d vs %d rows", a.Rows.Len(), b.Rows.Len())
-	}
-	for _, row := range a.Rows.Tuples() {
-		if !b.Rows.Has(row) {
-			t.Errorf("row %v missing from ctx evaluator", row)
-		}
 	}
 }
 

@@ -61,9 +61,9 @@ func deliverRow(sink RowSink, vars []string, row db.Tuple) error {
 	return nil
 }
 
-// EnumerationAnswer runs the query-answering algorithm of §1.1 of the
-// paper. The query is first translated into a pure domain formula φ'(x̄)
-// over the state. Then, repeatedly:
+// EnumerationAnswerSinkCtx runs the query-answering algorithm of §1.1 of
+// the paper. The query is first translated into a pure domain formula
+// φ'(x̄) over the state. Then, repeatedly:
 //
 //   - the sentence ∃x̄ (φ'(x̄) ∧ x̄ ∉ found) is decided; if false, the answer
 //     is complete;
@@ -74,82 +74,62 @@ func deliverRow(sink RowSink, vars []string, row db.Tuple) error {
 // unsafe queries in unlucky states it would not, so the budget caps it and
 // Complete is reported false.
 //
-// Two cost structures of the naive transcription are avoided: the
-// exclusion conjunction ⋀ x̄ ∉ found is extended by one clause per found
-// row instead of being rebuilt from φ' each iteration (the resulting
-// formula is node-for-node the same, since formulas are immutable and
-// share structure), and the probe scan grounds φ' itself — already-found
-// rows are skipped by a membership check rather than re-asked through the
-// decider — so with a memoized decider (internal/deccache) the re-scanned
-// prefix of each row's probe sequence costs map lookups, not quantifier
-// eliminations.
-func EnumerationAnswer(dom Enumerable, dec domain.Decider, st *db.State,
-	f *logic.Formula, budget EnumerationBudget) (*Answer, error) {
-	return EnumerationAnswerCtx(context.Background(), dom, dec, st, f, budget)
-}
-
-// EnumerationAnswerCtx is the §1.1 algorithm under a context: the context
-// is polled before every existential decision, handed to context-aware
-// deciders (so a cancellation can also abandon a quantifier elimination in
-// flight), and polled between probe candidates. On cancellation the rows
-// found so far are returned with Complete=false alongside the context's
-// error — one request's deadline yields a partial answer, not a wasted
-// computation.
-func EnumerationAnswerCtx(ctx context.Context, dom Enumerable, dec domain.Decider, st *db.State,
-	f *logic.Formula, budget EnumerationBudget) (*Answer, error) {
-	return EnumerationAnswerSinkCtx(ctx, dom, dec, st, f, budget, nil)
-}
-
-// EnumerationAnswerSinkCtx is EnumerationAnswerCtx with per-row delivery:
-// a non-nil sink receives each answer row as it is found, before the next
-// existential decision — the streaming endpoint flushes rows to the
-// client from here. Row order, budget accounting, and partial-answer
-// behavior are identical with and without a sink.
+// When the planner has an algebra-tier plan for the query, the plan's
+// materialized answer answers the loop's two questions in place of the
+// decider, by count and by membership: same rows, order, and budget
+// accounting, with no decision procedure per probe (see rowSource).
+//
+// The context is polled before every existential decision, handed to
+// context-aware deciders (so a cancellation can also abandon a quantifier
+// elimination in flight), and polled between probe candidates. On
+// cancellation the rows found so far are returned with Complete=false
+// alongside the context's error — one request's deadline yields a partial
+// answer, not a wasted computation.
+//
+// A non-nil sink receives each answer row as it is found, before the next
+// existential decision — the streaming endpoint flushes rows to the client
+// from here. Row order, budget accounting, and partial-answer behavior are
+// identical with and without a sink.
 func EnumerationAnswerSinkCtx(ctx context.Context, dom Enumerable, dec domain.Decider, st *db.State,
 	f *logic.Formula, budget EnumerationBudget, sink RowSink) (*Answer, error) {
 
 	ctx, sp := obs.StartSpanCtx(ctx, "query.enumerate")
 	defer sp.End()
 	mEnumCalls.Inc()
-	// Compiled-plan fast path: an algebra-tier plan materializes the
-	// answer once and the probe loop replays against it — identical rows,
-	// order, and budget accounting, no per-probe decision procedure.
-	if ans, err, ok := planEnumerationAnswer(ctx, sp, dom, st, f, budget, sink); ok {
-		return ans, err
-	}
-	pure, err := Translate(dom, st, f)
-	if err != nil {
-		return nil, err
-	}
-	vars := pure.FreeVars()
-	if len(vars) == 0 {
-		// Boolean query: a single decision.
-		mEnumDecisions.Inc()
-		v, err := domain.DecideCtx(ctx, dec, pure)
+	var vars []string
+	var src rowSource
+	if p, tab := planAnswer(ctx, sp, dom, st, f); tab != nil {
+		vars, src = p.Vars(), tableSource{rows: tab}
+	} else {
+		pure, err := Translate(dom, st, f)
 		if err != nil {
 			return nil, err
 		}
-		return NewBoolAnswer(v), nil
+		vars = pure.FreeVars()
+		if len(vars) == 0 {
+			// Boolean query: a single decision.
+			mEnumDecisions.Inc()
+			v, err := domain.DecideCtx(ctx, dec, pure)
+			if err != nil {
+				return nil, err
+			}
+			return NewBoolAnswer(v), nil
+		}
+		src = &decideSource{dom: dom, dec: dec, vars: vars, pure: pure, remaining: pure}
 	}
 
 	ans := &Answer{Vars: vars, Rows: db.NewRelation(len(vars)), Complete: false}
-	// remaining carries φ' ∧ ⋀_rows ¬(x̄ = row) across iterations, growing
-	// by one conjunct per row; foundKeys mirrors the exclusion as a set so
-	// the probe scan can skip found rows without a decision.
-	remaining := pure
+	// foundKeys mirrors the rows found so far as a set, so the probe scan
+	// skips them without asking the source.
 	foundKeys := map[string]bool{}
 	rows := 0
 	for rows < budget.Rows {
-		// Each iteration (one existential decision plus the probe scan for
+		// Each iteration (one "more rows?" question plus the probe scan for
 		// the next row) is a child span: in an exported trace the successive
 		// "row" spans make the per-row cost growth of E1 directly visible.
 		rsp := sp.Child("row")
 		rsp.Arg("row_index", int64(rows))
-		if rsp.Traced() {
-			rsp.Arg("formula_size", int64(remaining.Size()))
-		}
-		mEnumDecisions.Inc()
-		more, err := domain.DecideCtx(ctx, dec, logic.ExistsAll(vars, remaining))
+		more, err := src.more(ctx, rsp, rows)
 		if err != nil {
 			rsp.End()
 			if canceledErr(err) {
@@ -165,7 +145,7 @@ func EnumerationAnswerSinkCtx(ctx context.Context, dom Enumerable, dec domain.De
 			sp.Arg("rows", int64(ans.Rows.Len()))
 			return ans, nil
 		}
-		row, probes, err := nextRow(ctx, dom, dec, pure, foundKeys, vars, budget.Probe)
+		row, probes, err := nextRow(ctx, dom, src, foundKeys, len(vars), budget.Probe)
 		rsp.Arg("probes", int64(probes))
 		rsp.End()
 		if err != nil {
@@ -181,12 +161,7 @@ func EnumerationAnswerSinkCtx(ctx context.Context, dom Enumerable, dec domain.De
 			sp.Arg("rows", int64(ans.Rows.Len()))
 			return ans, nil // probe budget exhausted
 		}
-		// ∃x̄ (φ' ∧ ⋀_rows ¬(x̄ = row)): one more exclusion conjunct.
-		var eqs []*logic.Formula
-		for i, name := range vars {
-			eqs = append(eqs, logic.Eq(logic.Var(name), logic.Const(dom.ConstName(row[i]))))
-		}
-		remaining = logic.And(remaining, logic.Not(logic.And(eqs...)))
+		src.found(row)
 		foundKeys[row.Key()] = true
 		rows++
 		if err := ans.Rows.Add(row); err != nil {
@@ -201,6 +176,63 @@ func EnumerationAnswerSinkCtx(ctx context.Context, dom Enumerable, dec domain.De
 	mEnumRows.Add(int64(ans.Rows.Len()))
 	sp.Arg("rows", int64(ans.Rows.Len()))
 	return ans, nil
+}
+
+// rowSource answers the two questions the §1.1 loop asks — is there a row
+// beyond the n found so far, and is this candidate a row? — and is told
+// of each row found.
+type rowSource interface {
+	more(ctx context.Context, rsp *obs.Span, n int) (bool, error)
+	member(ctx context.Context, tuple db.Tuple) (bool, error)
+	found(row db.Tuple)
+}
+
+// decideSource asks the domain's decision procedure about φ', the
+// algorithm as the paper states it. Two cost structures of the naive
+// transcription are avoided. The exclusion conjunction ⋀ x̄ ∉ found in
+// remaining is extended by one clause per found row instead of being
+// rebuilt from φ' each iteration (the resulting formula is node-for-node
+// the same, since formulas are immutable and share structure). And
+// membership grounds φ' itself — the loop skips already-found rows by a
+// set lookup rather than re-asking the decider — so the same ground
+// sentence is asked for a candidate on every row that re-scans past it,
+// and with a memoized decider (internal/deccache) the re-scanned prefix of
+// each row's probe sequence costs map lookups, not quantifier
+// eliminations.
+type decideSource struct {
+	dom             Enumerable
+	dec             domain.Decider
+	vars            []string
+	pure, remaining *logic.Formula
+}
+
+func (s *decideSource) more(ctx context.Context, rsp *obs.Span, _ int) (bool, error) {
+	if rsp.Traced() {
+		rsp.Arg("formula_size", int64(s.remaining.Size()))
+	}
+	mEnumDecisions.Inc()
+	return domain.DecideCtx(ctx, s.dec, logic.ExistsAll(s.vars, s.remaining))
+}
+
+func (s *decideSource) member(ctx context.Context, tuple db.Tuple) (bool, error) {
+	ground := s.pure
+	for j, name := range s.vars {
+		ground = logic.Subst(ground, name, logic.Const(s.dom.ConstName(tuple[j])))
+	}
+	ok, err := domain.DecideCtx(ctx, s.dec, ground)
+	if err != nil && !canceledErr(err) {
+		return false, fmt.Errorf("query: deciding ground instance: %w", err)
+	}
+	return ok, err
+}
+
+// found adds the exclusion conjunct ¬(x̄ = row).
+func (s *decideSource) found(row db.Tuple) {
+	var eqs []*logic.Formula
+	for i, name := range s.vars {
+		eqs = append(eqs, logic.Eq(logic.Var(name), logic.Const(s.dom.ConstName(row[i]))))
+	}
+	s.remaining = logic.And(s.remaining, logic.Not(logic.And(eqs...)))
 }
 
 // NaturalMember decides whether a tuple belongs to a query's answer under
@@ -240,19 +272,14 @@ func NewBoolAnswer(truth bool) *Answer {
 }
 
 // nextRow enumerates candidate tuples ("let us order all tuples of elements
-// of the domain of the size of x̄") and returns the first satisfying one
-// plus the number of probes spent, or nil when the probe budget runs out.
-//
-// Candidates already in found consume a probe — exactly as they did when
-// the exclusion conjunction was grounded and decided for them — but are
-// skipped by the set lookup instead of a decision. The remaining
-// candidates ground φ' itself, so the same ground sentence is asked for a
-// candidate on every row that re-scans past it, which is what makes the
-// decision cache effective on this path.
-func nextRow(ctx context.Context, dom Enumerable, dec domain.Decider, pure *logic.Formula,
-	found map[string]bool, vars []string, probe int) (db.Tuple, int, error) {
+// of the domain of the size of x̄") and returns the first one the source
+// accepts plus the number of probes spent, or nil when the probe budget
+// runs out. Candidates already in found consume a probe — exactly as they
+// did when the exclusion conjunction was grounded and decided for them —
+// but are skipped by the set lookup instead of being asked.
+func nextRow(ctx context.Context, dom Enumerable, src rowSource,
+	found map[string]bool, k, probe int) (db.Tuple, int, error) {
 
-	k := len(vars)
 	gen := newTupleGen(k)
 	for i := 0; i < probe; i++ {
 		if ctx != nil {
@@ -269,16 +296,9 @@ func nextRow(ctx context.Context, dom Enumerable, dec domain.Decider, pure *logi
 		if found[tuple.Key()] {
 			continue
 		}
-		ground := pure
-		for j, name := range vars {
-			ground = logic.Subst(ground, name, logic.Const(dom.ConstName(tuple[j])))
-		}
-		ok, err := domain.DecideCtx(ctx, dec, ground)
+		ok, err := src.member(ctx, tuple)
 		if err != nil {
-			if canceledErr(err) {
-				return nil, i + 1, err
-			}
-			return nil, i + 1, fmt.Errorf("query: deciding ground instance: %w", err)
+			return nil, i + 1, err
 		}
 		if ok {
 			return tuple, i + 1, nil

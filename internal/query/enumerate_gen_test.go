@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -103,8 +104,8 @@ func TestEnumerationProbeBudgetExhausted(t *testing.T) {
 	// φ(x): 10 < x — satisfiable (the existential keeps succeeding) but the
 	// first witness is index 11, out of reach for Probe: 5.
 	f := logic.Atom(presburger.PredLt, logic.Const("10"), logic.Var("x"))
-	ans, err := EnumerationAnswer(presburger.Domain{}, presburger.Decider(), st, f,
-		EnumerationBudget{Rows: 10, Probe: 5})
+	ans, err := EnumerationAnswerSinkCtx(context.Background(), presburger.Domain{}, presburger.Decider(), st, f,
+		EnumerationBudget{Rows: 10, Probe: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +123,8 @@ func TestEnumerationRowBudgetExhausted(t *testing.T) {
 	st := db.NewState(db.MustScheme(map[string]int{}))
 	// φ(x): 0 ≤ x, true of every natural — infinitely many rows.
 	f := logic.Atom(presburger.PredLe, logic.Const("0"), logic.Var("x"))
-	ans, err := EnumerationAnswer(presburger.Domain{}, presburger.Decider(), st, f,
-		EnumerationBudget{Rows: 4, Probe: 1000})
+	ans, err := EnumerationAnswerSinkCtx(context.Background(), presburger.Domain{}, presburger.Decider(), st, f,
+		EnumerationBudget{Rows: 4, Probe: 1000}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@ package query
 
 import "repro/internal/obs"
 
-// Package metrics. Counters are batched where a loop is hot: EvalActive
+// Package metrics. Counters are batched where a loop is hot: EvalActiveCtx
 // counts leaf assignments locally and adds once per call, so the inner
 // recursion carries no atomic traffic.
 var (

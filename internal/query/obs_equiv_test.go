@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"testing"
@@ -54,17 +55,17 @@ func TestEvalActiveUnchangedByInstrumentation(t *testing.T) {
 	defer obs.SetEnabled(prev)
 	for i, f := range queries {
 		obs.Enable()
-		on, err := EvalActive(dom, st, f)
+		on, err := EvalActiveCtx(context.Background(), dom, st, f)
 		if err != nil {
 			t.Fatalf("query %d (obs on): %v", i, err)
 		}
 		obs.Disable()
-		off, err := EvalActive(dom, st, f)
+		off, err := EvalActiveCtx(context.Background(), dom, st, f)
 		if err != nil {
 			t.Fatalf("query %d (obs off): %v", i, err)
 		}
 		obs.Enable()
-		par, err := EvalActiveParallel(dom, st, f, 4)
+		par, err := EvalActiveParallelCtx(context.Background(), dom, st, f, 4)
 		if err != nil {
 			t.Fatalf("query %d (parallel): %v", i, err)
 		}
@@ -113,12 +114,12 @@ func TestParallelSerialAgreementTraced(t *testing.T) {
 	}
 	dom := eqdom.Domain{}
 	for i, f := range queries {
-		serial, err := EvalActive(dom, st, f)
+		serial, err := EvalActiveCtx(context.Background(), dom, st, f)
 		if err != nil {
 			t.Fatalf("query %d serial: %v", i, err)
 		}
 		for _, workers := range []int{1, 2, 8} {
-			par, err := EvalActiveParallel(dom, st, f, workers)
+			par, err := EvalActiveParallelCtx(context.Background(), dom, st, f, workers)
 			if err != nil {
 				t.Fatalf("query %d parallel(%d): %v", i, workers, err)
 			}
@@ -149,7 +150,7 @@ func TestEvalActiveMetrics(t *testing.T) {
 	}
 	f := logic.Atom("R", logic.Var("x"))
 	calls0, rows0, leaves0 := mEvalCalls.Value(), mEvalRows.Value(), mEvalAssigns.Value()
-	ans, err := EvalActive(eqdom.Domain{}, st, f)
+	ans, err := EvalActiveCtx(context.Background(), eqdom.Domain{}, st, f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 	"repro/internal/obs"
 )
 
-// EvalActiveParallel is EvalActive with the outermost free-variable
+// EvalActiveParallelCtx is EvalActiveCtx with the outermost free-variable
 // assignments fanned out over a worker pool. Results are identical to the
 // serial evaluator; the speedup is near-linear for queries whose cost is
 // dominated by quantifier nesting (each worker runs the full inner
@@ -20,16 +20,9 @@ import (
 //
 // Workers ≤ 0 selects GOMAXPROCS.
 //
-// Deprecated: use EvalActiveParallelCtx (or the finq.Eval facade), which
-// honors a request context.
-func EvalActiveParallel(dom domain.Domain, st *db.State, f *logic.Formula, workers int) (*Answer, error) {
-	return EvalActiveParallelCtx(context.Background(), dom, st, f, workers)
-}
-
-// EvalActiveParallelCtx is EvalActiveParallel under a context. Workers
-// poll the context (strided) inside their evaluation loops and between
-// jobs; a cancellation surfaces through the normal error path, so the
-// feeder aborts, every worker exits before the call returns, and the
+// Workers poll the context (strided) inside their evaluation loops and
+// between jobs; a cancellation surfaces through the normal error path, so
+// the feeder aborts, every worker exits before the call returns, and the
 // context's error is returned. Unlike the serial evaluator no partial
 // answer is reported: rows are scattered across workers when the request
 // dies.
@@ -53,7 +46,6 @@ func EvalActiveParallelCtx(ctx context.Context, dom domain.Domain, st *db.State,
 	hEvalDomain.Observe(int64(len(rng)))
 	sp.Arg("workers", int64(workers))
 	sp.Arg("jobs", int64(len(rng)))
-	si := stateInterp{dom: dom, st: st}
 
 	type result struct {
 		rows []db.Tuple
@@ -71,22 +63,22 @@ func EvalActiveParallelCtx(ctx context.Context, dom domain.Domain, st *db.State,
 	for w := 0; w < workers; w++ {
 		go func() {
 			var out []db.Tuple
-			env := domain.Env{}
-			check := &stopCheck{ctx: ctx}
+			a := newAssignment(ctx, dom, st, f, vars, rng, nil, func(t db.Tuple) error {
+				out = append(out, t)
+				return nil
+			})
 			for v := range jobs {
-				if err := check.hit(); err != nil {
-					stopOnce.Do(func() { close(stop) })
-					results <- result{err: err}
-					return
+				err := a.stop.hit()
+				if err == nil {
+					// The job binds the outermost variable; the loop binds the rest.
+					a.env[vars[0]] = v
+					err = a.assign(1)
 				}
-				env[vars[0]] = v
-				rows, err := assignRest(si, env, vars, rng, f, check)
 				if err != nil {
 					stopOnce.Do(func() { close(stop) })
 					results <- result{err: err}
 					return
 				}
-				out = append(out, rows...)
 			}
 			results <- result{rows: out}
 		}()
@@ -149,39 +141,4 @@ func ctxDone(ctx context.Context) <-chan struct{} {
 		return nil
 	}
 	return ctx.Done()
-}
-
-// assignRest enumerates assignments for vars[1:] with vars[0] already bound
-// in env, returning the satisfying rows.
-func assignRest(si stateInterp, env domain.Env, vars []string, rng []domain.Value, f *logic.Formula, stop *stopCheck) ([]db.Tuple, error) {
-	var out []db.Tuple
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == len(vars) {
-			v, err := evalIn(si, env, f, rng, stop)
-			if err != nil {
-				return err
-			}
-			if v {
-				tuple := make(db.Tuple, len(vars))
-				for j, name := range vars {
-					tuple[j] = env[name]
-				}
-				out = append(out, tuple)
-			}
-			return nil
-		}
-		for _, v := range rng {
-			env[vars[i]] = v
-			if err := rec(i + 1); err != nil {
-				return err
-			}
-		}
-		delete(env, vars[i])
-		return nil
-	}
-	if err := rec(1); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -36,7 +37,7 @@ func TestEvalActiveParallelAllWorkersError(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		done := make(chan error, 1)
 		go func() {
-			_, err := EvalActiveParallel(eqDomainOverInts{}, st, f, workers)
+			_, err := EvalActiveParallelCtx(context.Background(), eqDomainOverInts{}, st, f, workers)
 			done <- err
 		}()
 		select {
@@ -45,7 +46,7 @@ func TestEvalActiveParallelAllWorkersError(t *testing.T) {
 				t.Fatalf("workers=%d: all workers fail, expected an error", workers)
 			}
 		case <-time.After(30 * time.Second):
-			t.Fatalf("workers=%d: EvalActiveParallel deadlocked with all workers erroring", workers)
+			t.Fatalf("workers=%d: EvalActiveParallelCtx deadlocked with all workers erroring", workers)
 		}
 	}
 }
@@ -61,7 +62,7 @@ func TestEvalActiveParallelPartialErrors(t *testing.T) {
 	f := logic.Or(logic.Atom("F", logic.Var("x"), logic.Var("y")), logic.Atom("P", logic.Var("x")))
 	done := make(chan error, 1)
 	go func() {
-		_, err := EvalActiveParallel(eqDomainOverInts{}, st, f, 4)
+		_, err := EvalActiveParallelCtx(context.Background(), eqDomainOverInts{}, st, f, 4)
 		done <- err
 	}()
 	select {
@@ -70,7 +71,7 @@ func TestEvalActiveParallelPartialErrors(t *testing.T) {
 			t.Fatal("expected the domain predicate error to surface")
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("EvalActiveParallel deadlocked on mixed success/error workers")
+		t.Fatal("EvalActiveParallelCtx deadlocked on mixed success/error workers")
 	}
 }
 
@@ -84,10 +85,10 @@ func TestEvalActiveParallelNoGoroutineLeak(t *testing.T) {
 	bad := logic.Atom("P", logic.Var("x"))
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
-		if _, err := EvalActiveParallel(eqDomainOverInts{}, st, ok, 4); err != nil {
+		if _, err := EvalActiveParallelCtx(context.Background(), eqDomainOverInts{}, st, ok, 4); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := EvalActiveParallel(eqDomainOverInts{}, st, bad, 4); err == nil {
+		if _, err := EvalActiveParallelCtx(context.Background(), eqDomainOverInts{}, st, bad, 4); err == nil {
 			t.Fatal("error path unexpectedly succeeded")
 		}
 	}

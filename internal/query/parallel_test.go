@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -23,12 +24,12 @@ func TestEvalActiveParallelAgreesWithSerial(t *testing.T) {
 	}
 	for _, src := range queries {
 		f := parser.MustParse(src)
-		serial, err := EvalActive(eqdom.Domain{}, st, f)
+		serial, err := EvalActiveCtx(context.Background(), eqdom.Domain{}, st, f)
 		if err != nil {
 			t.Fatalf("serial %s: %v", src, err)
 		}
 		for _, workers := range []int{0, 1, 4} {
-			par, err := EvalActiveParallel(eqdom.Domain{}, st, f, workers)
+			par, err := EvalActiveParallelCtx(context.Background(), eqdom.Domain{}, st, f, workers)
 			if err != nil {
 				t.Fatalf("parallel(%d) %s: %v", workers, src, err)
 			}
@@ -79,11 +80,11 @@ func TestEvalActiveParallelRandom(t *testing.T) {
 	d := eqDomainOverInts{}
 	for i := 0; i < 50; i++ {
 		f := gen(3)
-		serial, err := EvalActive(d, st, f)
+		serial, err := EvalActiveCtx(context.Background(), d, st, f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := EvalActiveParallel(d, st, f, 3)
+		par, err := EvalActiveParallelCtx(context.Background(), d, st, f, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,13 +10,16 @@ package query
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/db"
 	"repro/internal/domain"
 	"repro/internal/domains/eqdom"
 	"repro/internal/logic"
+	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/plan"
 	"repro/internal/presburger"
@@ -56,12 +59,12 @@ func evalBothActive(t *testing.T, st *db.State, f *logic.Formula) (on, off *Answ
 	t.Helper()
 	prev := plan.SetEnabled(true)
 	defer plan.SetEnabled(prev)
-	on, err := EvalActive(eqdom.Domain{}, st, f)
+	on, err := EvalActiveCtx(context.Background(), eqdom.Domain{}, st, f)
 	if err != nil {
 		t.Fatalf("planner on: %v", err)
 	}
 	plan.SetEnabled(false)
-	off, err = EvalActive(eqdom.Domain{}, st, f)
+	off, err = EvalActiveCtx(context.Background(), eqdom.Domain{}, st, f)
 	if err != nil {
 		t.Fatalf("planner off: %v", err)
 	}
@@ -114,132 +117,164 @@ func TestPlanDifferentialActiveEmptyRelation(t *testing.T) {
 	}
 }
 
-// enumState is the arithmetic fixture of the enumeration tests: R = {3, 7}
+// enumState is the fixture of the enumeration tests: a binary relation E
 // over Presburger arithmetic.
 func enumState(t *testing.T) *db.State {
 	t.Helper()
-	st := db.NewState(db.MustScheme(map[string]int{"R": 1}))
-	for _, n := range []int64{3, 7} {
-		if err := st.Insert("R", domain.Int(n)); err != nil {
+	st := db.NewState(db.MustScheme(map[string]int{"E": 2}))
+	for _, pair := range [][2]int64{{0, 2}, {1, 1}, {2, 0}, {1, 3}, {3, 0}} {
+		if err := st.Insert("E", domain.Int(pair[0]), domain.Int(pair[1])); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return st
 }
 
-// belowSomeR is ∃y (R(y) ∧ x < y): finite ({0..6}), safe-range, so the
-// planner serves it from the algebra tier on the enumeration path.
-func belowSomeR() *logic.Formula {
-	return logic.Exists("y", logic.And(
-		logic.Atom("R", logic.Var("y")),
-		logic.Atom(presburger.PredLt, logic.Var("x"), logic.Var("y"))))
+// twoSteps is ∃z (E(x, z) ∧ E(z, y)): finite and safe-range, so the
+// planner serves it from the algebra tier on the enumeration path. Over
+// enumState its six rows arrive in the enumeration order of ℕ² (by
+// maximum component), which is not the sorted order Tuples() returns.
+func twoSteps() *logic.Formula {
+	return logic.Exists("z", logic.And(
+		logic.Atom("E", logic.Var("x"), logic.Var("z")),
+		logic.Atom("E", logic.Var("z"), logic.Var("y"))))
 }
 
-// evalBothEnum runs the §1.1 algorithm with the planner on and off.
-func evalBothEnum(t *testing.T, st *db.State, f *logic.Formula, budget EnumerationBudget) (on, off *Answer) {
+// enumRun is one §1.1 run: the answer, the row keys in the order the row
+// sink received them, and the run's probe and decision counter deltas.
+type enumRun struct {
+	ans               *Answer
+	seq               []string
+	probes, decisions int64
+}
+
+// runEnum runs the §1.1 algorithm over Presburger arithmetic with the
+// planner on or off, recording the delivery order through the row sink.
+func runEnum(t *testing.T, planned bool, st *db.State, f *logic.Formula, budget EnumerationBudget) enumRun {
 	t.Helper()
-	prev := plan.SetEnabled(true)
+	prevObs := obs.SetEnabled(true)
+	defer obs.SetEnabled(prevObs)
+	prev := plan.SetEnabled(planned)
 	defer plan.SetEnabled(prev)
-	on, err := EnumerationAnswer(presburger.Domain{}, presburger.Decider(), st, f, budget)
-	if err != nil {
-		t.Fatalf("planner on: %v", err)
+	var r enumRun
+	sink := func(_ []string, row db.Tuple) error {
+		r.seq = append(r.seq, row.Key())
+		return nil
 	}
-	plan.SetEnabled(false)
-	off, err = EnumerationAnswer(presburger.Domain{}, presburger.Decider(), st, f, budget)
+	p0, d0 := mEnumProbes.Value(), mEnumDecisions.Value()
+	ans, err := EnumerationAnswerSinkCtx(context.Background(), presburger.Domain{}, presburger.Decider(), st, f, budget, sink)
 	if err != nil {
-		t.Fatalf("planner off: %v", err)
+		t.Fatalf("planner=%v: %v", planned, err)
+	}
+	r.ans, r.probes, r.decisions = ans, mEnumProbes.Value()-p0, mEnumDecisions.Value()-d0
+	return r
+}
+
+// evalBothEnum runs the §1.1 algorithm with the planner on (the algebra
+// plan's table answers) and off (the decider answers) and checks that the
+// two runs are indistinguishable: same Complete flag, same rows delivered
+// in the same order, same probe count. The table path decides nothing,
+// which also proves it is the path that ran.
+func evalBothEnum(t *testing.T, st *db.State, f *logic.Formula, budget EnumerationBudget) (on, off enumRun) {
+	t.Helper()
+	on = runEnum(t, true, st, f, budget)
+	off = runEnum(t, false, st, f, budget)
+	if on.ans.Complete != off.ans.Complete {
+		t.Errorf("%v: Complete differs: plan %v, interp %v", f, on.ans.Complete, off.ans.Complete)
+	}
+	if strings.Join(on.seq, ";") != strings.Join(off.seq, ";") {
+		t.Errorf("%v: delivered row sequences differ:\nplan:   %v\ninterp: %v", f, on.seq, off.seq)
+	}
+	if len(on.seq) != on.ans.Rows.Len() {
+		t.Errorf("%v: sink saw %d rows, answer has %d", f, len(on.seq), on.ans.Rows.Len())
+	}
+	if on.probes != off.probes {
+		t.Errorf("%v: probes differ: plan %d, interp %d", f, on.probes, off.probes)
+	}
+	if on.decisions != 0 {
+		t.Errorf("%v: table path made %d decisions, want 0", f, on.decisions)
+	}
+	if off.decisions == 0 {
+		t.Errorf("%v: decider path made no decisions", f)
 	}
 	return on, off
 }
 
-// sameRowSeq compares answers row for row: the enumeration path promises
-// not just the same set but the same enumeration order.
-func sameRowSeq(a, b *Answer) bool {
-	ta, tb := a.Rows.Tuples(), b.Rows.Tuples()
-	if len(ta) != len(tb) {
-		return false
-	}
-	for i := range ta {
-		if ta[i].Key() != tb[i].Key() {
-			return false
-		}
-	}
-	return true
-}
-
 func TestPlanDifferentialEnumerate(t *testing.T) {
-	st := enumState(t)
-	on, off := evalBothEnum(t, st, belowSomeR(), DefaultBudget)
-	if on.Complete != off.Complete {
-		t.Errorf("Complete differs: plan %v, interp %v", on.Complete, off.Complete)
+	on, _ := evalBothEnum(t, enumState(t), twoSteps(), DefaultBudget)
+	var want []string
+	for _, row := range [][2]int64{{0, 0}, {1, 0}, {1, 1}, {2, 2}, {1, 3}, {3, 2}} {
+		want = append(want, db.Tuple{domain.Int(row[0]), domain.Int(row[1])}.Key())
 	}
-	if !sameRowSeq(on, off) {
-		t.Errorf("row sequences differ:\nplan:   %v\ninterp: %v", on.Rows.Tuples(), off.Rows.Tuples())
+	if strings.Join(on.seq, ";") != strings.Join(want, ";") {
+		t.Errorf("delivery order %v, want %v", on.seq, want)
 	}
-	if !on.Complete || on.Rows.Len() != 7 {
-		t.Errorf("want 7 complete rows, got %d complete=%v", on.Rows.Len(), on.Complete)
+	if !on.ans.Complete {
+		t.Error("finite answer reported incomplete")
 	}
 }
 
 // TestPlanDifferentialEnumerateRowBudget: a row budget below the answer
 // size stops both paths at the same partial prefix.
 func TestPlanDifferentialEnumerateRowBudget(t *testing.T) {
-	st := enumState(t)
-	on, off := evalBothEnum(t, st, belowSomeR(), EnumerationBudget{Rows: 3, Probe: 1 << 12})
-	if on.Complete || off.Complete {
-		t.Errorf("row-budget run reported complete: plan %v, interp %v", on.Complete, off.Complete)
+	on, off := evalBothEnum(t, enumState(t), twoSteps(), EnumerationBudget{Rows: 3, Probe: 1 << 12})
+	if on.ans.Complete || off.ans.Complete {
+		t.Errorf("row-budget run reported complete: plan %v, interp %v", on.ans.Complete, off.ans.Complete)
 	}
-	if !sameRowSeq(on, off) {
-		t.Errorf("partial row sequences differ:\nplan:   %v\ninterp: %v", on.Rows.Tuples(), off.Rows.Tuples())
-	}
-	if on.Rows.Len() != 3 {
-		t.Errorf("want 3 rows under the budget, got %d", on.Rows.Len())
+	if on.ans.Rows.Len() != 3 {
+		t.Errorf("want 3 rows under the budget, got %d", on.ans.Rows.Len())
 	}
 }
 
 // TestPlanDifferentialEnumerateProbeBudget: a probe budget too small to
 // reach the next row stops both paths identically.
 func TestPlanDifferentialEnumerateProbeBudget(t *testing.T) {
-	st := enumState(t)
-	on, off := evalBothEnum(t, st, belowSomeR(), EnumerationBudget{Rows: 100, Probe: 4})
-	if on.Complete != off.Complete {
-		t.Errorf("Complete differs: plan %v, interp %v", on.Complete, off.Complete)
-	}
-	if !sameRowSeq(on, off) {
-		t.Errorf("probe-budget row sequences differ:\nplan:   %v\ninterp: %v", on.Rows.Tuples(), off.Rows.Tuples())
+	on, _ := evalBothEnum(t, enumState(t), twoSteps(), EnumerationBudget{Rows: 100, Probe: 4})
+	if on.ans.Complete || on.ans.Rows.Len() != 3 {
+		t.Errorf("want 3 rows before the probe budget runs out, got %d complete=%v", on.ans.Rows.Len(), on.ans.Complete)
 	}
 }
 
 // TestPlanDifferentialCancelled: a context dead on arrival yields the same
-// partial answer (no rows, Complete=false) and a context error both ways.
+// partial answer (the query's variables, no rows, Complete=false) and the
+// context's error on every path, and a profiled run's profile is marked
+// incomplete too.
 func TestPlanDifferentialCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	st := fathersState(t)
+	st, est := fathersState(t), enumState(t)
 	f := parser.MustParse("exists y. F(x, y)")
+	enum := func() (*Answer, error) {
+		return EnumerationAnswerSinkCtx(ctx, presburger.Domain{}, presburger.Decider(), est, twoSteps(), DefaultBudget, nil)
+	}
 
 	prev := plan.SetEnabled(true)
 	defer plan.SetEnabled(prev)
-	for _, planned := range []bool{true, false} {
-		plan.SetEnabled(planned)
-		ans, err := EvalActiveCtx(ctx, eqdom.Domain{}, st, f)
-		if err == nil || !canceledErr(err) {
-			t.Fatalf("planner=%v: want context error, got %v", planned, err)
+	for _, c := range []struct {
+		name    string
+		planned bool
+		vars    []string
+		run     func() (*Answer, error)
+	}{
+		{"active/plan", true, []string{"x"}, func() (*Answer, error) { return EvalActiveCtx(ctx, eqdom.Domain{}, st, f) }},
+		{"active/interp", false, []string{"x"}, func() (*Answer, error) { return EvalActiveCtx(ctx, eqdom.Domain{}, st, f) }},
+		{"active/profiled", true, []string{"x"}, func() (*Answer, error) {
+			ans, prof, err := EvalActiveProfiledCtx(ctx, eqdom.Domain{}, st, f)
+			if prof == nil || prof.Complete || prof.Rows != 0 {
+				t.Errorf("active/profiled: want an empty incomplete profile, got %+v", prof)
+			}
+			return ans, err
+		}},
+		{"enum/plan", true, []string{"x", "y"}, enum},
+		{"enum/interp", false, []string{"x", "y"}, enum},
+	} {
+		plan.SetEnabled(c.planned)
+		ans, err := c.run()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: want context.Canceled, got %v", c.name, err)
 		}
-		if ans == nil || ans.Complete || ans.Rows.Len() != 0 {
-			t.Errorf("planner=%v: want empty partial answer, got %+v", planned, ans)
-		}
-	}
-
-	est := enumState(t)
-	for _, planned := range []bool{true, false} {
-		plan.SetEnabled(planned)
-		ans, err := EnumerationAnswerCtx(ctx, presburger.Domain{}, presburger.Decider(), est, belowSomeR(), DefaultBudget)
-		if err == nil || !canceledErr(err) {
-			t.Fatalf("planner=%v (enum): want context error, got %v", planned, err)
-		}
-		if ans == nil || ans.Complete || ans.Rows.Len() != 0 {
-			t.Errorf("planner=%v (enum): want empty partial answer, got %+v", planned, ans)
+		if ans == nil || ans.Complete || ans.Rows.Len() != 0 || !sameVars(ans.Vars, c.vars) {
+			t.Errorf("%s: want empty partial answer over %v, got %+v", c.name, c.vars, ans)
 		}
 	}
 }

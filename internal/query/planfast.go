@@ -12,11 +12,10 @@ import (
 
 // The planner fast paths. Both evaluators consult the plan cache before
 // interpreting: active-domain evaluation runs the compiled plan directly,
-// and §1.1 enumeration materializes the answer table of an algebra-tier
-// plan once and replays the probe loop against it — same rows, same
-// order, same budget accounting, without a decision procedure per probe.
-// Every fast path falls back to the generic interpreter rather than
-// failing: plans are an optimization, never a semantic commitment.
+// and §1.1 enumeration asks an algebra-tier plan's materialized answer
+// instead of the decider. Every fast path falls back to the generic
+// interpreter rather than failing: plans are an optimization, never a
+// semantic commitment.
 
 // planActiveAnswer tries a compiled plan for active-domain evaluation.
 // ok=false means the caller should interpret (planner off, interp tier,
@@ -53,138 +52,53 @@ func planActiveAnswer(ctx context.Context, sp *obs.Span, dom domain.Domain, st *
 	return ans, err, true
 }
 
-// planEnumerationAnswer tries the enumeration fast path: an algebra-tier
-// plan's answer table is the §1.1 answer for the compiled (safe-range)
-// fragment, so the probe loop can test candidate tuples by table
-// membership instead of grounding and deciding. Budget accounting, probe
-// order, row order, and partial-answer behavior replicate the generic
-// loop exactly.
-func planEnumerationAnswer(ctx context.Context, sp *obs.Span, dom Enumerable, st *db.State,
-	f *logic.Formula, budget EnumerationBudget, sink RowSink) (*Answer, error, bool) {
+// planAnswer returns an algebra-tier plan and its materialized answer, a
+// relation over the plan's sorted variables, when the planner has one for
+// the §1.1 loop; a nil relation means the decider answers. The answer
+// table is the natural-semantics answer, which for the compiled
+// safe-range fragment is exactly the §1.1 answer.
+func planAnswer(ctx context.Context, sp *obs.Span, dom domain.Domain, st *db.State,
+	f *logic.Formula) (*plan.Plan, *db.Relation) {
 
 	if !plan.Enabled() {
-		return nil, nil, false
+		return nil, nil
 	}
-	vars := f.FreeVars()
 	// A sentence's verdict comes from the domain decider; and a variable
 	// occurring only in empty-relation atoms would vanish from the
 	// translated formula, changing the answer shape — both go the generic
 	// way.
-	if len(vars) == 0 || mentionsEmptyRelation(st, f) {
-		return nil, nil, false
+	if len(f.FreeVars()) == 0 || mentionsEmptyRelation(st, f) {
+		return nil, nil
 	}
 	p := plan.For(ctx, st.Scheme(), dom.Name(), "", f)
-	tab, err := p.AnswerTable(dom, st)
-	if err != nil {
-		return nil, nil, false
+	tab, err := p.Answer(ctx, dom, st)
+	// A cancellation while the table is copied leaves it partial, but the
+	// loop's first question polls the context and stops before using it.
+	if err != nil && !canceledErr(err) {
+		return nil, nil
 	}
 	sp.ArgStr("plan_tier", string(p.Tier()))
-
-	// Answer-tuple keys in sorted-variable order, for probe membership.
-	perm := make([]int, len(vars))
-	for i, v := range vars {
-		perm[i] = -1
-		for j, c := range tab.Cols {
-			if c == v {
-				perm[i] = j
-				break
-			}
-		}
-		if perm[i] < 0 {
-			return nil, nil, false
-		}
-	}
-	members := make(map[string]bool, tab.Len())
-	for _, row := range tab.Rows() {
-		t := make(db.Tuple, len(perm))
-		for i, j := range perm {
-			t[i] = row[j]
-		}
-		members[t.Key()] = true
-	}
-
-	ans := &Answer{Vars: vars, Rows: db.NewRelation(len(vars)), Complete: false}
-	foundKeys := map[string]bool{}
-	rows := 0
-	for rows < budget.Rows {
-		rsp := sp.Child("row")
-		rsp.Arg("row_index", int64(rows))
-		// The "more rows?" decision is a cardinality check against the
-		// materialized answer instead of an existential sentence.
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				rsp.End()
-				sp.Arg("rows", int64(ans.Rows.Len()))
-				return ans, err, true
-			}
-		}
-		if rows == len(members) {
-			rsp.End()
-			ans.Complete = true
-			mEnumRows.Add(int64(ans.Rows.Len()))
-			sp.Arg("rows", int64(ans.Rows.Len()))
-			return ans, nil, true
-		}
-		row, probes, err := nextRowFromTable(ctx, dom, members, foundKeys, len(vars), budget.Probe)
-		rsp.Arg("probes", int64(probes))
-		rsp.End()
-		if err != nil {
-			if canceledErr(err) {
-				sp.Arg("rows", int64(ans.Rows.Len()))
-				return ans, err, true
-			}
-			return nil, err, true
-		}
-		if row == nil {
-			mEnumExhausted.Inc()
-			mEnumRows.Add(int64(ans.Rows.Len()))
-			sp.Arg("rows", int64(ans.Rows.Len()))
-			return ans, nil, true // probe budget exhausted
-		}
-		foundKeys[row.Key()] = true
-		rows++
-		if err := ans.Rows.Add(row); err != nil {
-			return nil, err, true
-		}
-		if err := deliverRow(sink, vars, row); err != nil {
-			sp.Arg("rows", int64(ans.Rows.Len()))
-			return ans, err, true
-		}
-	}
-	mEnumExhausted.Inc()
-	mEnumRows.Add(int64(ans.Rows.Len()))
-	sp.Arg("rows", int64(ans.Rows.Len()))
-	return ans, nil, true
+	return p, tab
 }
 
-// nextRowFromTable is nextRow with table membership in place of ground
-// decisions: same candidate order, same probe accounting, same found-row
-// skip behavior.
-func nextRowFromTable(ctx context.Context, dom Enumerable, members, found map[string]bool,
-	k, probe int) (db.Tuple, int, error) {
+// tableSource answers the §1.1 loop's questions from a plan's
+// materialized answer: by count and by membership, deciding nothing.
+type tableSource struct{ rows *db.Relation }
 
-	gen := newTupleGen(k)
-	for i := 0; i < probe; i++ {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, i, err
-			}
-		}
-		mEnumProbes.Inc()
-		idx := gen.next()
-		tuple := make(db.Tuple, k)
-		for j := range idx {
-			tuple[j] = dom.Element(idx[j])
-		}
-		if found[tuple.Key()] {
-			continue
-		}
-		if members[tuple.Key()] {
-			return tuple, i + 1, nil
+func (s tableSource) more(ctx context.Context, _ *obs.Span, n int) (bool, error) {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return false, err
 		}
 	}
-	return nil, probe, nil
+	return n < s.rows.Len(), nil
 }
+
+func (s tableSource) member(_ context.Context, tuple db.Tuple) (bool, error) {
+	return s.rows.Has(tuple), nil
+}
+
+func (tableSource) found(db.Tuple) {}
 
 // mentionsEmptyRelation reports whether any database atom of the formula
 // scans an empty relation in this state.

@@ -30,7 +30,7 @@ type ProfileNode struct {
 }
 
 // Profile is a per-query EXPLAIN report: the execution tree of one
-// EvalActiveProfiled run plus run-level totals.
+// EvalActiveProfiledCtx run plus run-level totals.
 type Profile struct {
 	Query        string   `json:"query"`
 	Vars         []string `json:"vars"`
@@ -162,23 +162,33 @@ func buildProfileTree(f *logic.Formula) *ProfileNode {
 	return n
 }
 
-// EvalActiveProfiled is EvalActive with per-node execution profiling: it
-// returns the same answer plus a Profile tree mirroring the formula, with
-// eval counts, true counts (row cardinalities), quantifier range sizes,
-// and inclusive wall time per node. Short-circuiting is identical to
-// EvalActive, so the counts describe exactly what the plain evaluator
-// would have done; the per-node timers make profiled runs slower, which
-// is why this is a separate opt-in entry point (REPL :explain, Explain).
-//
-// Deprecated: use EvalActiveProfiledCtx (or the finq.Eval facade with
-// Profile set), which honors a request context.
-func EvalActiveProfiled(dom domain.Domain, st *db.State, f *logic.Formula) (*Answer, *Profile, error) {
-	return EvalActiveProfiledCtx(context.Background(), dom, st, f)
+// child is the profile node of the i-th subformula, or nil on the
+// unprofiled path.
+func (n *ProfileNode) child(i int) *ProfileNode {
+	if n == nil {
+		return nil
+	}
+	return n.Children[i]
 }
 
-// EvalActiveProfiledCtx is EvalActiveProfiled under a context, polled
-// between free-variable rows and (strided) inside quantifier loops like
-// EvalActiveCtx. On cancellation the answer and profile cover the work
+// record closes one profiled evaluation of the node begun at t0: its
+// inclusive wall time, and its outcome when it came out true.
+func (n *ProfileNode) record(t0 time.Time, truth *bool, err *error) {
+	n.WallNS += time.Since(t0).Nanoseconds()
+	if *err == nil && *truth {
+		n.True++
+	}
+}
+
+// EvalActiveProfiledCtx is EvalActiveCtx with per-node execution
+// profiling: it returns the same answer plus a Profile tree mirroring the
+// formula, with eval counts, true counts (row cardinalities), quantifier
+// range sizes, and inclusive wall time per node. The profile and the
+// plain interpreter are one code path (evalIn with a profile node), so
+// the counts describe exactly what the plain evaluator does; the per-node
+// timers make profiled runs slower, which is why profiling is opt-in
+// (finq.Request.Profile, REPL :explain). The context is polled like
+// EvalActiveCtx's; on cancellation the answer and profile cover the work
 // done so far (Complete=false) and the context's error is returned.
 func EvalActiveProfiledCtx(ctx context.Context, dom domain.Domain, st *db.State, f *logic.Formula) (*Answer, *Profile, error) {
 	ctx, sp := obs.StartSpanCtx(ctx, "query.explain")
@@ -197,47 +207,12 @@ func EvalActiveProfiledCtx(ctx context.Context, dom domain.Domain, st *db.State,
 		Root:         buildProfileTree(f),
 	}
 	ans := &Answer{Vars: vars, Rows: db.NewRelation(maxInt(len(vars), 1)), Complete: true}
-	si := stateInterp{dom: dom, st: st}
-	env := domain.Env{}
-	stop := &stopCheck{ctx: ctx}
-	var assign func(i int) error
-	assign = func(i int) error {
-		if i == len(vars) {
-			prof.Assignments++
-			v, err := evalProfiled(si, env, f, prof.Root, rng, stop)
-			if err != nil {
-				return err
-			}
-			if v {
-				tuple := make(db.Tuple, maxInt(len(vars), 1))
-				if len(vars) == 0 {
-					tuple[0] = markerTrue{}
-				} else {
-					for j, name := range vars {
-						tuple[j] = env[name]
-					}
-				}
-				return ans.Rows.Add(tuple)
-			}
-			return nil
-		}
-		for _, v := range rng {
-			if i == 0 {
-				if err := stop.hit(); err != nil {
-					return err
-				}
-			}
-			env[vars[i]] = v
-			if err := assign(i + 1); err != nil {
-				return err
-			}
-		}
-		delete(env, vars[i])
-		return nil
-	}
-	if err := assign(0); err != nil {
-		prof.Rows = ans.Rows.Len()
-		prof.WallNS = time.Since(t0).Nanoseconds()
+	a := newAssignment(ctx, dom, st, f, vars, rng, prof.Root, ans.Rows.Add)
+	err = a.assign(0)
+	prof.Assignments = a.leaves
+	prof.Rows = ans.Rows.Len()
+	prof.WallNS = time.Since(t0).Nanoseconds()
+	if err != nil {
 		if canceledErr(err) {
 			ans.Complete = false
 			prof.Complete = false
@@ -245,104 +220,7 @@ func EvalActiveProfiledCtx(ctx context.Context, dom domain.Domain, st *db.State,
 		}
 		return nil, nil, err
 	}
-	prof.Rows = ans.Rows.Len()
-	prof.WallNS = time.Since(t0).Nanoseconds()
 	sp.Arg("rows", int64(prof.Rows))
 	sp.Arg("assignments", prof.Assignments)
 	return ans, prof, nil
-}
-
-// Explain runs EvalActiveProfiled and returns just the profile.
-func Explain(dom domain.Domain, st *db.State, f *logic.Formula) (*Profile, error) {
-	_, prof, err := EvalActiveProfiled(dom, st, f)
-	return prof, err
-}
-
-// evalProfiled is evalIn with per-node accounting. The recursion walks the
-// formula and the profile tree in lockstep; the branching and
-// short-circuit order must stay identical to evalIn's.
-func evalProfiled(si stateInterp, env domain.Env, f *logic.Formula, node *ProfileNode, rng []domain.Value, stop *stopCheck) (bool, error) {
-	node.Evals++
-	t0 := time.Now()
-	v, err := evalProfiledKind(si, env, f, node, rng, stop)
-	node.WallNS += time.Since(t0).Nanoseconds()
-	if err != nil {
-		return false, err
-	}
-	if v {
-		node.True++
-	}
-	return v, nil
-}
-
-func evalProfiledKind(si stateInterp, env domain.Env, f *logic.Formula, node *ProfileNode, rng []domain.Value, stop *stopCheck) (bool, error) {
-	switch f.Kind {
-	case logic.FExists, logic.FForall:
-		node.Range = len(rng)
-		saved, had := env[f.Var]
-		defer func() {
-			if had {
-				env[f.Var] = saved
-			} else {
-				delete(env, f.Var)
-			}
-		}()
-		for _, v := range rng {
-			if err := stop.strided(); err != nil {
-				return false, err
-			}
-			env[f.Var] = v
-			r, err := evalProfiled(si, env, f.Sub[0], node.Children[0], rng, stop)
-			if err != nil {
-				return false, err
-			}
-			if f.Kind == logic.FExists && r {
-				return true, nil
-			}
-			if f.Kind == logic.FForall && !r {
-				return false, nil
-			}
-		}
-		return f.Kind == logic.FForall, nil
-	case logic.FNot:
-		v, err := evalProfiled(si, env, f.Sub[0], node.Children[0], rng, stop)
-		return !v, err
-	case logic.FAnd:
-		for i, s := range f.Sub {
-			v, err := evalProfiled(si, env, s, node.Children[i], rng, stop)
-			if err != nil || !v {
-				return false, err
-			}
-		}
-		return true, nil
-	case logic.FOr:
-		for i, s := range f.Sub {
-			v, err := evalProfiled(si, env, s, node.Children[i], rng, stop)
-			if err != nil {
-				return false, err
-			}
-			if v {
-				return true, nil
-			}
-		}
-		return false, nil
-	case logic.FImplies:
-		a, err := evalProfiled(si, env, f.Sub[0], node.Children[0], rng, stop)
-		if err != nil {
-			return false, err
-		}
-		if !a {
-			return true, nil
-		}
-		return evalProfiled(si, env, f.Sub[1], node.Children[1], rng, stop)
-	case logic.FIff:
-		a, err := evalProfiled(si, env, f.Sub[0], node.Children[0], rng, stop)
-		if err != nil {
-			return false, err
-		}
-		b, err := evalProfiled(si, env, f.Sub[1], node.Children[1], rng, stop)
-		return a == b, err
-	default:
-		return domain.EvalQF(si, env, f)
-	}
 }

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -24,7 +25,7 @@ func familyState(t *testing.T) *db.State {
 }
 
 // TestProfileMatchesEvalActive: the profiled evaluator returns exactly the
-// rows of EvalActive, and the profile's accounting is internally
+// rows of EvalActiveCtx, and the profile's accounting is internally
 // consistent on a nested-quantifier query: the root's True count equals
 // the answer cardinality-wise (one true evaluation per emitted row), each
 // node's True never exceeds its Evals, and quantifier nodes record the
@@ -39,16 +40,16 @@ func TestProfileMatchesEvalActive(t *testing.T) {
 			logic.Atom("F", logic.Var("z"), logic.Var("x")),
 			logic.Not(logic.Eq(logic.Var("z"), logic.Var("x"))))),
 	)
-	plain, err := EvalActive(dom, st, f)
+	plain, err := EvalActiveCtx(context.Background(), dom, st, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, prof, err := EvalActiveProfiled(dom, st, f)
+	ans, prof, err := EvalActiveProfiledCtx(context.Background(), dom, st, f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := rowsKey(t, ans), rowsKey(t, plain); got != want {
-		t.Fatalf("profiled rows differ from EvalActive:\n%s\n%s", got, want)
+		t.Fatalf("profiled rows differ from EvalActiveCtx:\n%s\n%s", got, want)
 	}
 	if prof.Rows != ans.Rows.Len() {
 		t.Errorf("profile rows %d, answer has %d", prof.Rows, ans.Rows.Len())
@@ -99,7 +100,7 @@ func TestProfileMatchesEvalActive(t *testing.T) {
 func TestProfileRenderings(t *testing.T) {
 	st := familyState(t)
 	f := logic.Exists("y", logic.Atom("F", logic.Var("x"), logic.Var("y")))
-	prof, err := Explain(eqdom.Domain{}, st, f)
+	_, prof, err := EvalActiveProfiledCtx(context.Background(), eqdom.Domain{}, st, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestProfileRenderings(t *testing.T) {
 func TestProfileSentence(t *testing.T) {
 	st := familyState(t)
 	f := logic.Exists("x", logic.Exists("y", logic.Atom("F", logic.Var("x"), logic.Var("y"))))
-	ans, prof, err := EvalActiveProfiled(eqdom.Domain{}, st, f)
+	ans, prof, err := EvalActiveProfiledCtx(context.Background(), eqdom.Domain{}, st, f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/db"
 	"repro/internal/domain"
@@ -170,22 +171,14 @@ type Answer struct {
 	Complete bool // false when a budget stopped the computation
 }
 
-// EvalActive evaluates a query under active-domain semantics: quantifiers
-// and free variables range over the state's active domain plus the query's
-// constants. For domain-independent queries this agrees with the natural
-// semantics; for others it is the classical engine approximation.
-//
-// Deprecated: use EvalActiveCtx (or the finq.Eval facade), which honors a
-// request context. EvalActive is EvalActiveCtx with no cancellation.
-func EvalActive(dom domain.Domain, st *db.State, f *logic.Formula) (*Answer, error) {
-	return EvalActiveCtx(context.Background(), dom, st, f)
-}
-
-// EvalActiveCtx is active-domain evaluation under a context: the context
-// is polled between free-variable rows and (strided) inside quantifier
-// loops. On cancellation the rows found so far are returned with
-// Complete=false alongside the context's error, so callers can serve a
-// partial answer.
+// EvalActiveCtx evaluates a query under active-domain semantics:
+// quantifiers and free variables range over the state's active domain plus
+// the query's constants. For domain-independent queries this agrees with
+// the natural semantics; for others it is the classical engine
+// approximation. The context is polled between free-variable rows and
+// (strided) inside quantifier loops. On cancellation the rows found so far
+// are returned with Complete=false alongside the context's error, so
+// callers can serve a partial answer.
 func EvalActiveCtx(ctx context.Context, dom domain.Domain, st *db.State, f *logic.Formula) (*Answer, error) {
 	ctx, sp := obs.StartSpanCtx(ctx, "query.eval_active")
 	defer sp.End()
@@ -207,52 +200,9 @@ func EvalActiveCtx(ctx context.Context, dom domain.Domain, st *db.State, f *logi
 	}
 	vars := f.FreeVars()
 	ans := &Answer{Vars: vars, Rows: db.NewRelation(maxInt(len(vars), 1)), Complete: true}
-	si := stateInterp{dom: dom, st: st}
-	env := domain.Env{}
-	stop := &stopCheck{ctx: ctx}
-	// Leaf assignments are counted locally and flushed once: the recursion
-	// is the evaluator's hot loop and must carry no atomic traffic.
-	leaves := int64(0)
-	var assign func(i int) error
-	assign = func(i int) error {
-		if i == len(vars) {
-			leaves++
-			v, err := evalIn(si, env, f, rng, stop)
-			if err != nil {
-				return err
-			}
-			if v {
-				tuple := make(db.Tuple, maxInt(len(vars), 1))
-				if len(vars) == 0 {
-					// A boolean query: record a single marker row when true.
-					tuple[0] = markerTrue{}
-				} else {
-					for j, name := range vars {
-						tuple[j] = env[name]
-					}
-				}
-				return ans.Rows.Add(tuple)
-			}
-			return nil
-		}
-		for _, v := range rng {
-			if i == 0 {
-				// Between outer rows the poll is unstrided: a cancelled
-				// request stops within one row granule.
-				if err := stop.hit(); err != nil {
-					return err
-				}
-			}
-			env[vars[i]] = v
-			if err := assign(i + 1); err != nil {
-				return err
-			}
-		}
-		delete(env, vars[i])
-		return nil
-	}
-	err = assign(0)
-	mEvalAssigns.Add(leaves)
+	a := newAssignment(ctx, dom, st, f, vars, rng, nil, ans.Rows.Add)
+	err = a.assign(0)
+	mEvalAssigns.Add(a.leaves)
 	if err != nil {
 		if canceledErr(err) {
 			ans.Complete = false
@@ -262,9 +212,74 @@ func EvalActiveCtx(ctx context.Context, dom domain.Domain, st *db.State, f *logi
 		return nil, err
 	}
 	mEvalRows.Add(int64(ans.Rows.Len()))
-	sp.Arg("assignments", leaves)
+	sp.Arg("assignments", a.leaves)
 	sp.Arg("rows", int64(ans.Rows.Len()))
 	return ans, nil
+}
+
+// assignment is the free-variable loop of one active-domain evaluation:
+// f is evaluated under every assignment of vars over rng, and each
+// satisfying assignment is handed to emit as a fresh row. The serial,
+// profiled and parallel evaluators all run it.
+type assignment struct {
+	si   stateInterp
+	env  domain.Env
+	f    *logic.Formula
+	vars []string
+	rng  []domain.Value
+	stop *stopCheck
+	// node is the profile root mirroring f, or nil when unprofiled.
+	node *ProfileNode
+	emit func(db.Tuple) error
+	// leaves counts the assignments evaluated. It is kept locally and
+	// flushed once by the caller: the recursion is the evaluator's hot
+	// loop and must carry no atomic traffic.
+	leaves int64
+}
+
+func newAssignment(ctx context.Context, dom domain.Domain, st *db.State, f *logic.Formula,
+	vars []string, rng []domain.Value, node *ProfileNode, emit func(db.Tuple) error) *assignment {
+	return &assignment{
+		si: stateInterp{dom: dom, st: st}, env: domain.Env{}, f: f, vars: vars, rng: rng,
+		stop: &stopCheck{ctx: ctx}, node: node, emit: emit,
+	}
+}
+
+// assign binds vars[i:] in turn, vars[:i] being already bound in env. A
+// sentence has no variables to bind: it is evaluated once, and its answer
+// is a single marker row when true.
+func (a *assignment) assign(i int) error {
+	if i == len(a.vars) {
+		a.leaves++
+		v, err := evalIn(a.si, a.env, a.f, a.rng, a.stop, a.node)
+		if err != nil || !v {
+			return err
+		}
+		tuple := make(db.Tuple, maxInt(len(a.vars), 1))
+		if len(a.vars) == 0 {
+			tuple[0] = markerTrue{}
+		} else {
+			for j, name := range a.vars {
+				tuple[j] = a.env[name]
+			}
+		}
+		return a.emit(tuple)
+	}
+	for _, v := range a.rng {
+		if i == 0 {
+			// Between outer rows the poll is unstrided: a cancelled
+			// request stops within one row granule.
+			if err := a.stop.hit(); err != nil {
+				return err
+			}
+		}
+		a.env[a.vars[i]] = v
+		if err := a.assign(i + 1); err != nil {
+			return err
+		}
+	}
+	delete(a.env, a.vars[i])
+	return nil
 }
 
 // markerTrue is the single row of a true boolean query.
@@ -303,10 +318,22 @@ func activeRange(dom domain.Domain, st *db.State, f *logic.Formula) ([]domain.Va
 }
 
 // evalIn evaluates a formula with quantifiers ranging over rng, polling
-// stop (strided) on each quantifier iteration.
-func evalIn(si stateInterp, env domain.Env, f *logic.Formula, rng []domain.Value, stop *stopCheck) (bool, error) {
+// stop (strided) on each quantifier iteration. A non-nil node is f's
+// EXPLAIN profile node (buildProfileTree mirrors the formula): the
+// recursion walks the two trees in lockstep, counting each node's
+// evaluations, true outcomes, quantifier range and inclusive wall time.
+// The plain path passes nil and takes no time readings, so a profile
+// describes exactly the short-circuiting the plain evaluator does.
+func evalIn(si stateInterp, env domain.Env, f *logic.Formula, rng []domain.Value, stop *stopCheck, node *ProfileNode) (truth bool, err error) {
+	if node != nil {
+		node.Evals++
+		defer node.record(time.Now(), &truth, &err)
+	}
 	switch f.Kind {
 	case logic.FExists, logic.FForall:
+		if node != nil {
+			node.Range = len(rng)
+		}
 		saved, had := env[f.Var]
 		defer func() {
 			if had {
@@ -320,7 +347,7 @@ func evalIn(si stateInterp, env domain.Env, f *logic.Formula, rng []domain.Value
 				return false, err
 			}
 			env[f.Var] = v
-			r, err := evalIn(si, env, f.Sub[0], rng, stop)
+			r, err := evalIn(si, env, f.Sub[0], rng, stop, node.child(0))
 			if err != nil {
 				return false, err
 			}
@@ -333,19 +360,19 @@ func evalIn(si stateInterp, env domain.Env, f *logic.Formula, rng []domain.Value
 		}
 		return f.Kind == logic.FForall, nil
 	case logic.FNot:
-		v, err := evalIn(si, env, f.Sub[0], rng, stop)
+		v, err := evalIn(si, env, f.Sub[0], rng, stop, node.child(0))
 		return !v, err
 	case logic.FAnd:
-		for _, s := range f.Sub {
-			v, err := evalIn(si, env, s, rng, stop)
+		for i, s := range f.Sub {
+			v, err := evalIn(si, env, s, rng, stop, node.child(i))
 			if err != nil || !v {
 				return false, err
 			}
 		}
 		return true, nil
 	case logic.FOr:
-		for _, s := range f.Sub {
-			v, err := evalIn(si, env, s, rng, stop)
+		for i, s := range f.Sub {
+			v, err := evalIn(si, env, s, rng, stop, node.child(i))
 			if err != nil {
 				return false, err
 			}
@@ -355,20 +382,20 @@ func evalIn(si stateInterp, env domain.Env, f *logic.Formula, rng []domain.Value
 		}
 		return false, nil
 	case logic.FImplies:
-		a, err := evalIn(si, env, f.Sub[0], rng, stop)
+		a, err := evalIn(si, env, f.Sub[0], rng, stop, node.child(0))
 		if err != nil {
 			return false, err
 		}
 		if !a {
 			return true, nil
 		}
-		return evalIn(si, env, f.Sub[1], rng, stop)
+		return evalIn(si, env, f.Sub[1], rng, stop, node.child(1))
 	case logic.FIff:
-		a, err := evalIn(si, env, f.Sub[0], rng, stop)
+		a, err := evalIn(si, env, f.Sub[0], rng, stop, node.child(0))
 		if err != nil {
 			return false, err
 		}
-		b, err := evalIn(si, env, f.Sub[1], rng, stop)
+		b, err := evalIn(si, env, f.Sub[1], rng, stop, node.child(1))
 		return a == b, err
 	default:
 		return domain.EvalQF(si, env, f)

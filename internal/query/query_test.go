@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/db"
@@ -102,18 +103,18 @@ func TestEvalActiveFathers(t *testing.T) {
 	st := fathersState(t)
 	// M(x): fathers of at least two sons (the introduction's example).
 	m := parser.MustParse("exists y. (exists z. (y != z & F(x, y) & F(x, z)))")
-	ans, err := EvalActive(eqdom.Domain{}, st, m)
+	ans, err := EvalActiveCtx(context.Background(), eqdom.Domain{}, st, m)
 	if err != nil {
-		t.Fatalf("EvalActive: %v", err)
+		t.Fatalf("EvalActiveCtx: %v", err)
 	}
 	if ans.Rows.Len() != 1 || !ans.Rows.Has(db.Tuple{domain.Word("adam")}) {
 		t.Errorf("M(x) = %v, want {adam}", ans.Rows.Tuples())
 	}
 	// G(x, z): grandfather pairs.
 	g := parser.MustParse("exists y. (F(x, y) & F(y, z))")
-	ans, err = EvalActive(eqdom.Domain{}, st, g)
+	ans, err = EvalActiveCtx(context.Background(), eqdom.Domain{}, st, g)
 	if err != nil {
-		t.Fatalf("EvalActive: %v", err)
+		t.Fatalf("EvalActiveCtx: %v", err)
 	}
 	if ans.Rows.Len() != 1 || !ans.Rows.Has(db.Tuple{domain.Word("adam"), domain.Word("enoch")}) {
 		t.Errorf("G = %v, want {(adam, enoch)}", ans.Rows.Tuples())
@@ -122,16 +123,16 @@ func TestEvalActiveFathers(t *testing.T) {
 
 func TestEvalActiveBoolean(t *testing.T) {
 	st := fathersState(t)
-	ans, err := EvalActive(eqdom.Domain{}, st, parser.MustParse(`exists x. F("adam", x)`))
+	ans, err := EvalActiveCtx(context.Background(), eqdom.Domain{}, st, parser.MustParse(`exists x. F("adam", x)`))
 	if err != nil {
-		t.Fatalf("EvalActive: %v", err)
+		t.Fatalf("EvalActiveCtx: %v", err)
 	}
 	if ans.Rows.Len() != 1 {
 		t.Errorf("true boolean query should have one marker row")
 	}
-	ans, err = EvalActive(eqdom.Domain{}, st, parser.MustParse(`exists x. F("enoch", x)`))
+	ans, err = EvalActiveCtx(context.Background(), eqdom.Domain{}, st, parser.MustParse(`exists x. F("enoch", x)`))
 	if err != nil {
-		t.Fatalf("EvalActive: %v", err)
+		t.Fatalf("EvalActiveCtx: %v", err)
 	}
 	if ans.Rows.Len() != 0 {
 		t.Errorf("false boolean query should be empty")
@@ -142,9 +143,9 @@ func TestEvalActiveQueryConstants(t *testing.T) {
 	// A constant outside the active domain extends the range.
 	st := fathersState(t)
 	f := parser.MustParse(`x = "seth"`)
-	ans, err := EvalActive(eqdom.Domain{}, st, f)
+	ans, err := EvalActiveCtx(context.Background(), eqdom.Domain{}, st, f)
 	if err != nil {
-		t.Fatalf("EvalActive: %v", err)
+		t.Fatalf("EvalActiveCtx: %v", err)
 	}
 	if ans.Rows.Len() != 1 || !ans.Rows.Has(db.Tuple{domain.Word("seth")}) {
 		t.Errorf("constant row missing: %v", ans.Rows.Tuples())
@@ -197,9 +198,9 @@ func TestEnumerationFinite(t *testing.T) {
 	f := logic.Exists("y", logic.And(
 		logic.Atom("R", logic.Var("y")),
 		logic.Atom(presburger.PredLt, logic.Var("x"), logic.Var("y"))))
-	ans, err := EnumerationAnswer(presburger.Domain{}, presburger.Decider(), st, f, DefaultBudget)
+	ans, err := EnumerationAnswerSinkCtx(context.Background(), presburger.Domain{}, presburger.Decider(), st, f, DefaultBudget, nil)
 	if err != nil {
-		t.Fatalf("EnumerationAnswer: %v", err)
+		t.Fatalf("EnumerationAnswerSinkCtx: %v", err)
 	}
 	if !ans.Complete {
 		t.Fatalf("finite query reported incomplete")
@@ -223,10 +224,10 @@ func TestEnumerationInfinite(t *testing.T) {
 	}
 	// φ(x): ¬R(x) — infinite.
 	f := logic.Not(logic.Atom("R", logic.Var("x")))
-	ans, err := EnumerationAnswer(presburger.Domain{}, presburger.Decider(), st, f,
-		EnumerationBudget{Rows: 10, Probe: 1000})
+	ans, err := EnumerationAnswerSinkCtx(context.Background(), presburger.Domain{}, presburger.Decider(), st, f,
+		EnumerationBudget{Rows: 10, Probe: 1000}, nil)
 	if err != nil {
-		t.Fatalf("EnumerationAnswer: %v", err)
+		t.Fatalf("EnumerationAnswerSinkCtx: %v", err)
 	}
 	if ans.Complete {
 		t.Fatalf("infinite query reported complete")
@@ -246,9 +247,9 @@ func TestEnumerationTwoVariables(t *testing.T) {
 	f := logic.Eq(
 		logic.App(presburger.FuncAdd, logic.Var("x"), logic.Var("y")),
 		logic.Const("4"))
-	ans, err := EnumerationAnswer(presburger.Domain{}, presburger.Decider(), st, f, DefaultBudget)
+	ans, err := EnumerationAnswerSinkCtx(context.Background(), presburger.Domain{}, presburger.Decider(), st, f, DefaultBudget, nil)
 	if err != nil {
-		t.Fatalf("EnumerationAnswer: %v", err)
+		t.Fatalf("EnumerationAnswerSinkCtx: %v", err)
 	}
 	if !ans.Complete || ans.Rows.Len() != 5 {
 		t.Fatalf("want 5 complete rows, got %d (complete %v)", ans.Rows.Len(), ans.Complete)
@@ -267,9 +268,9 @@ func TestEnumerationBoolean(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := logic.Exists("x", logic.Atom("R", logic.Var("x")))
-	ans, err := EnumerationAnswer(presburger.Domain{}, presburger.Decider(), st, f, DefaultBudget)
+	ans, err := EnumerationAnswerSinkCtx(context.Background(), presburger.Domain{}, presburger.Decider(), st, f, DefaultBudget, nil)
 	if err != nil {
-		t.Fatalf("EnumerationAnswer: %v", err)
+		t.Fatalf("EnumerationAnswerSinkCtx: %v", err)
 	}
 	if !ans.Complete || ans.Rows.Len() != 1 {
 		t.Errorf("true boolean: %v", ans.Rows.Len())
@@ -280,9 +281,9 @@ func TestEnumerationBoolean(t *testing.T) {
 func TestEnumerationOverNsucc(t *testing.T) {
 	st := db.NewState(db.MustScheme(map[string]int{}))
 	f := logic.Eq(logic.App(nsucc.FuncS, logic.Var("x")), logic.Const("4"))
-	ans, err := EnumerationAnswer(nsucc.Domain{}, nsucc.Decider(), st, f, DefaultBudget)
+	ans, err := EnumerationAnswerSinkCtx(context.Background(), nsucc.Domain{}, nsucc.Decider(), st, f, DefaultBudget, nil)
 	if err != nil {
-		t.Fatalf("EnumerationAnswer: %v", err)
+		t.Fatalf("EnumerationAnswerSinkCtx: %v", err)
 	}
 	if !ans.Complete || ans.Rows.Len() != 1 || !ans.Rows.Has(db.Tuple{domain.Int(3)}) {
 		t.Errorf("x' = 4 should have answer {3}: %v", ans.Rows.Tuples())
@@ -303,11 +304,11 @@ func TestAgreementActiveVsEnumeration(t *testing.T) {
 		}
 	}
 	f := parser.MustParse("R(x) & S(x)") // intersection
-	active, err := EvalActive(presburger.Domain{}, st, f)
+	active, err := EvalActiveCtx(context.Background(), presburger.Domain{}, st, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enum, err := EnumerationAnswer(presburger.Domain{}, presburger.Decider(), st, f, DefaultBudget)
+	enum, err := EnumerationAnswerSinkCtx(context.Background(), presburger.Domain{}, presburger.Decider(), st, f, DefaultBudget, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,12 +357,12 @@ func TestEvalActiveConnectives(t *testing.T) {
 	}
 	for _, c := range cases {
 		f := parser.MustParse(c.src)
-		ans, err := EvalActive(eqdom.Domain{}, st, f)
+		ans, err := EvalActiveCtx(context.Background(), eqdom.Domain{}, st, f)
 		if err != nil {
-			t.Fatalf("EvalActive(%s): %v", c.src, err)
+			t.Fatalf("EvalActiveCtx(context.Background(), %s): %v", c.src, err)
 		}
 		if ans.Rows.Len() != c.rows {
-			t.Errorf("EvalActive(%s) = %d rows, want %d: %v", c.src, ans.Rows.Len(), c.rows, ans.Rows.Tuples())
+			t.Errorf("EvalActiveCtx(context.Background(), %s) = %d rows, want %d: %v", c.src, ans.Rows.Len(), c.rows, ans.Rows.Tuples())
 		}
 	}
 }
@@ -374,9 +375,9 @@ func TestStateInterpFunctions(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := logic.Atom("R", logic.App(nsucc.FuncS, logic.Var("x")))
-	ans, err := EvalActive(nsucc.Domain{}, st, f)
+	ans, err := EvalActiveCtx(context.Background(), nsucc.Domain{}, st, f)
 	if err != nil {
-		t.Fatalf("EvalActive: %v", err)
+		t.Fatalf("EvalActiveCtx: %v", err)
 	}
 	// Over the active domain {3}: s(3) = 4 ∉ R → empty.
 	if ans.Rows.Len() != 0 {

@@ -1,4 +1,4 @@
-// Observability-overhead benchmark: the same EvalActive workload with
+// Observability-overhead benchmark: the same EvalActiveCtx workload with
 // metric collection off, on, and on with the flight recorder armed under
 // a distributed-trace position (so every span also mints a W3C span ID
 // and records identity-carrying events). `make bench-obs` runs

@@ -7,6 +7,7 @@
 package finq
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -75,7 +76,7 @@ func runPerfBench(b *testing.B, dec func() domain.Decider,
 }
 
 func evalCurrent(dec domain.Decider, st *db.State, f *logic.Formula) (*query.Answer, error) {
-	return query.EnumerationAnswer(presburger.Domain{}, dec, st, f, perfBenchBudget())
+	return query.EnumerationAnswerSinkCtx(context.Background(), presburger.Domain{}, dec, st, f, perfBenchBudget(), nil)
 }
 
 func BenchmarkEnumPerfLegacy(b *testing.B) {
@@ -178,7 +179,7 @@ func TestWriteBenchPerf(t *testing.T) {
 	speedupCached := float64(ns["nocache"]) / float64(ns["cached"])
 	speedupTotal := float64(ns["legacy"]) / float64(ns["cached"])
 	out := map[string]any{
-		"benchmark":                 fmt.Sprintf("query.EnumerationAnswer, E1 workload (%d rows over N with Presburger QE)", perfBenchRows),
+		"benchmark":                 fmt.Sprintf("query.EnumerationAnswerSinkCtx, E1 workload (%d rows over N with Presburger QE)", perfBenchRows),
 		"rows":                      perfBenchRows,
 		"rounds":                    rounds,
 		"ns_per_op_legacy":          ns["legacy"],

@@ -2,6 +2,7 @@ package finq
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -28,11 +29,11 @@ func TestTracedEnumerationExportsValidChrome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := Enumerate(d, st, f, DefaultBudget)
+	res, err := Eval(context.Background(), Request{Domain: d.Name, State: st, Formula: f, Mode: ModeEnumerate})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ans.Complete || ans.Rows.Len() != 3 {
+	if ans := res.Answer; !ans.Complete || ans.Rows.Len() != 3 {
 		t.Fatalf("enumeration: %d rows, complete=%v", ans.Rows.Len(), ans.Complete)
 	}
 	eq := MustLookup("eq")
@@ -44,7 +45,7 @@ func TestTracedEnumerationExportsValidChrome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Explain(eq, est, ef); err != nil {
+	if _, err := Eval(context.Background(), Request{Domain: eq.Name, State: est, Formula: ef, Profile: true}); err != nil {
 		t.Fatal(err)
 	}
 	trace.Disarm()
@@ -105,7 +106,7 @@ func TestCLISetupTraceOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EvalActive(d, st, f); err != nil {
+	if _, err := Eval(context.Background(), Request{Domain: d.Name, State: st, Formula: f}); err != nil {
 		t.Fatal(err)
 	}
 	finish()

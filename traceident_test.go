@@ -11,7 +11,7 @@ import (
 
 // TestConcurrentEvalSpanIdentityUnique hammers span-identity minting from
 // many goroutines sharing ONE parent trace position — serial evaluations,
-// EvalActiveParallel worker fan-out, and enumerations with per-row child
+// EvalActiveParallelCtx worker fan-out, and enumerations with per-row child
 // spans, all concurrently — and demands that every recorded span carries
 // the shared trace ID with a globally unique span ID. Run under -race
 // this is also the data-race check for the ctx→child minting path.
@@ -57,7 +57,7 @@ func TestConcurrentEvalSpanIdentityUnique(t *testing.T) {
 				reqs := []Request{
 					// Serial active-domain evaluation.
 					{Domain: eq.Name, State: est, Formula: ef, Mode: ModeActive},
-					// EvalActiveParallel: worker fan-out under one span.
+					// EvalActiveParallelCtx: worker fan-out under one span.
 					{Domain: eq.Name, State: est, Formula: ef, Mode: ModeActive, Workers: 4},
 					// Enumeration: per-row Child spans mint grandchildren.
 					{Domain: pres.Name, State: pst, Formula: pf, Mode: ModeEnumerate, Budget: &DefaultBudget},
