@@ -21,8 +21,11 @@ staticcheck:
 		$(GO) vet ./...; \
 	fi
 
+# race runs the suite in shuffled order, so a test that only passes after
+# (or before) another one fails here; go test prints the seed to rerun it
+# with -shuffle=<seed>.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -shuffle=on ./...
 
 # bench-obs measures the observability layer's overhead on EvalActiveCtx
 # in four postures: uninstrumented, instrumented (recorder disarmed),

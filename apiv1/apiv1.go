@@ -41,8 +41,6 @@ type EvalRequest struct {
 	State json.RawMessage `json:"state,omitempty"`
 	// Mode is "active" (default) or "enumerate".
 	Mode string `json:"mode,omitempty"`
-	// Workers > 1 fans active-domain evaluation over a worker pool.
-	Workers int `json:"workers,omitempty"`
 	// Budget bounds enumerate mode; omitted means the default budget.
 	Budget *Budget `json:"budget,omitempty"`
 	// Profile asks for a per-node EXPLAIN profile in the response.
@@ -85,8 +83,6 @@ type BatchItem struct {
 	Formula string `json:"formula"`
 	// Mode is "active" (default) or "enumerate".
 	Mode string `json:"mode,omitempty"`
-	// Workers > 1 fans active-domain evaluation over a worker pool.
-	Workers int `json:"workers,omitempty"`
 	// Budget bounds enumerate mode; omitted means the default budget.
 	Budget *Budget `json:"budget,omitempty"`
 	// Profile asks for a per-node EXPLAIN profile on this item.

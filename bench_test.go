@@ -410,40 +410,6 @@ func BenchmarkAblationCooperDedup(b *testing.B) {
 	}
 }
 
-// BenchmarkEvalParallel compares serial and fanned-out active-domain
-// evaluation on a 3-variable join. The join is safe-range, so the serial
-// path runs the compiled algebra plan, while the workers interpret (the
-// parallel evaluator never consults the planner): serial wins by well
-// over an order of magnitude. See EXPERIMENTS.md, parallel evaluation note.
-func BenchmarkEvalParallel(b *testing.B) {
-	st := db.NewState(db.MustScheme(map[string]int{"F": 2}))
-	for i := 0; i < 24; i++ {
-		if err := st.Insert("F", domain.Int(int64(i)), domain.Int(int64(i+1))); err != nil {
-			b.Fatal(err)
-		}
-	}
-	f := logic.Exists("y", logic.And(
-		logic.Atom("F", logic.Var("x"), logic.Var("y")),
-		logic.Atom("F", logic.Var("y"), logic.Var("z"))))
-	d := presburger.Domain{}
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := query.EvalActiveCtx(context.Background(), d, st, f); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, workers := range []int{2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := query.EvalActiveParallelCtx(context.Background(), d, st, f, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkTuringSimulation measures raw machine stepping.
 func BenchmarkTuringSimulation(b *testing.B) {
 	m := turing.LoopForever()

@@ -253,12 +253,6 @@ type Request struct {
 	Formula *Formula
 	// Mode selects the algorithm; empty means ModeActive.
 	Mode EvalMode
-	// Workers fans active-domain evaluation out over a worker pool when
-	// > 1; ≤ 1 evaluates serially. Ignored under ModeEnumerate and when
-	// Profile is set (profiling is serial by construction). The workers
-	// run the interpreter and never consult the planner, so on a query
-	// the planner compiles, the serial path can be far faster.
-	Workers int
 	// Budget bounds ModeEnumerate; nil means DefaultBudget. Ignored under
 	// ModeActive.
 	Budget *EnumerationBudget
@@ -390,10 +384,6 @@ func evalMode(ctx context.Context, d DomainInfo, st *State, mode EvalMode, req R
 		if req.Profile {
 			ans, prof, err := query.EvalActiveProfiledCtx(ctx, d.Domain, st, req.Formula)
 			return packResult(ans, prof, err)
-		}
-		if req.Workers > 1 {
-			ans, err := query.EvalActiveParallelCtx(ctx, d.Domain, st, req.Formula, req.Workers)
-			return packResult(ans, nil, err)
 		}
 		ans, err := query.EvalActiveCtx(ctx, d.Domain, st, req.Formula)
 		return packResult(ans, nil, err)

@@ -2,8 +2,14 @@ package finq
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/obs"
+	"repro/internal/obs/qstats"
+	"repro/internal/plan"
 )
 
 func TestLookup(t *testing.T) {
@@ -72,6 +78,73 @@ func TestFacadeEnumerate(t *testing.T) {
 	}
 	if ans := res.Answer; !ans.Complete || ans.Rows.Len() != 3 {
 		t.Errorf("enumeration: %d rows, complete=%v", ans.Rows.Len(), ans.Complete)
+	}
+}
+
+// TestEnumerateDoesNotCompileClosure: the §1.1 loop can only use an
+// algebra-tier plan, so enumerating a formula outside that tier must not
+// compile its closure program. The first active-domain evaluation compiles
+// it, once, and the query's stats row names the tier that served: none
+// while the decider answered, closure after the plan ran.
+func TestEnumerateDoesNotCompileClosure(t *testing.T) {
+	prevObs := obs.SetEnabled(true)
+	defer obs.SetEnabled(prevObs)
+	prevPlan := plan.SetEnabled(true)
+	defer plan.SetEnabled(prevPlan)
+	prevStats := qstats.SetEnabled(true)
+	defer qstats.SetEnabled(prevStats)
+
+	d := MustLookup("presburger")
+	// A relation name no other run has used keeps the formula's plan out
+	// of the process-wide cache, also under -count.
+	rel := fmt.Sprintf("Lazy%d", time.Now().UnixNano())
+	st := NewState(MustScheme(map[string]int{rel: 1}))
+	if err := st.Insert(rel, Nat(5)); err != nil {
+		t.Fatal(err)
+	}
+	f, err := d.Parse("~" + rel + "(x)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := f.CanonicalKey()
+	planColumn := func() string {
+		t.Helper()
+		for _, e := range qstats.Default().Take().Entries {
+			if e.Key == key {
+				return e.Plan
+			}
+		}
+		t.Fatal("no stats row for the query")
+		return ""
+	}
+	closures := obs.NewCounter("plan.compile.closure")
+	before := closures.Value()
+
+	res, err := Eval(context.Background(), Request{Domain: d.Name, State: st, Formula: f,
+		Mode: ModeEnumerate, Budget: &EnumerationBudget{Rows: 2, Probe: 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Answer.Rows.Len() != 2 {
+		t.Fatalf("enumeration: %d rows, want the 2 the budget allows", res.Answer.Rows.Len())
+	}
+	if got := closures.Value() - before; got != 0 {
+		t.Fatalf("enumeration compiled %d closure programs, want 0", got)
+	}
+	if got := planColumn(); got != "" {
+		t.Fatalf("stats plan column %q after a decider-served enumeration, want empty", got)
+	}
+
+	for i := 0; i < 2; i++ {
+		if _, err := Eval(context.Background(), Request{Domain: d.Name, State: st, Formula: f}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := closures.Value() - before; got != 1 {
+		t.Fatalf("two active-domain evaluations compiled %d closure programs, want 1", got)
+	}
+	if got := planColumn(); got != string(plan.TierClosure) {
+		t.Fatalf("stats plan column %q after active-domain evaluation, want closure", got)
 	}
 }
 

@@ -1,7 +1,6 @@
 package autarith
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -151,9 +150,4 @@ func Equivalent(f, g *logic.Formula) (bool, error) {
 		return false, err
 	}
 	return Isomorphic(Minimize(cf), Minimize(cg)), nil
-}
-
-// statesString renders state counts for diagnostics.
-func statesString(d *DFA) string {
-	return fmt.Sprintf("%d states / %d tracks", d.NumStates(), len(d.Vars))
 }

@@ -1,6 +1,7 @@
 package autarith
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -134,4 +135,9 @@ func randOpenFormula(rng *rand.Rand) *logic.Formula {
 		}
 	}
 	return rec(2)
+}
+
+// statesString renders state counts for diagnostics.
+func statesString(d *DFA) string {
+	return fmt.Sprintf("%d states / %d tracks", d.NumStates(), len(d.Vars))
 }

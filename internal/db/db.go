@@ -217,7 +217,7 @@ func (st *State) Version() uint64 {
 // Memo returns the cached derived view under key if it was built at the
 // given version, building and caching it otherwise. The build result must
 // be treated as read-only by every consumer: it is shared across queries
-// (and across goroutines — parallel evaluation workers share a state).
+// (and across goroutines, when several evaluate over one state).
 func (st *State) Memo(key string, version uint64, build func() any) any {
 	st.memoMu.Lock()
 	defer st.memoMu.Unlock()

@@ -117,7 +117,7 @@ func (c *Counter) Inc() { c.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a last-value (or running-maximum) measurement.
+// Gauge is a last-value measurement.
 type Gauge struct {
 	v atomic.Int64
 }
@@ -140,19 +140,6 @@ func (g *Gauge) Set(n int64) {
 		return
 	}
 	g.v.Store(n)
-}
-
-// SetMax raises the gauge to n if n exceeds the current value.
-func (g *Gauge) SetMax(n int64) {
-	if !enabled.Load() {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if n <= cur || g.v.CompareAndSwap(cur, n) {
-			return
-		}
-	}
 }
 
 // Value returns the current value.

@@ -30,7 +30,7 @@ func TestConcurrentHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
-				g.SetMax(int64(w*perWorker + i))
+				g.Set(int64(i))
 				h.Observe(int64(i))
 				sp := StartSpan("test.hammer.span")
 				sp.Child("inner").End()
@@ -45,8 +45,8 @@ func TestConcurrentHammer(t *testing.T) {
 	if got := h.Count() - hStart; got != workers*perWorker {
 		t.Errorf("histogram count: got %d, want %d", got, workers*perWorker)
 	}
-	if want := int64(workers*perWorker - 1); g.Value() != want {
-		t.Errorf("gauge max: got %d, want %d", g.Value(), want)
+	if v := g.Value(); v < 0 || v >= perWorker {
+		t.Errorf("gauge: got %d, want a value some worker set (0..%d)", v, perWorker-1)
 	}
 	snap := Take()
 	sv, ok := snap.Spans["test.hammer.span"]

@@ -73,9 +73,9 @@ func QueryKeyLabel(key string) string {
 }
 
 // Do runs fn with the given pprof labels (alternating key, value) added
-// to the calling goroutine — and to any goroutine it spawns, so parallel
-// evaluation workers inherit the request's labels. When attribution is
-// disabled, fn runs directly. An odd trailing key is dropped.
+// to the calling goroutine — and to any goroutine it spawns, which
+// inherits the request's labels. When attribution is disabled, fn runs
+// directly. An odd trailing key is dropped.
 func Do(ctx context.Context, fn func(context.Context), kv ...string) {
 	if !enabled.Load() || len(kv) < 2 {
 		fn(ctx)

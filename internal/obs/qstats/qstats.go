@@ -10,10 +10,9 @@
 // endpoint-level RED metrics average away. This registry keeps the
 // per-formula shape: a hot pathological formula shows up as one entry with
 // a heavy latency histogram and low selectivity, and the per-node range
-// aggregates are exactly the statistics a plan-level optimizer
-// (quantifier-range narrowing) needs as input. Snapshots are
+// aggregates show where quantifier-range narrowing pays. Snapshots are
 // deterministic JSON, exportable and re-importable (finq stats
-// -export/-import), so stats survive a process and can seed a planner.
+// -export/-import), so stats survive a process.
 //
 // Memory is bounded by weight: every entry is charged for its key, display
 // string, and node aggregates, and when a shard exceeds its share of the
@@ -131,8 +130,9 @@ type Sample struct {
 	// CacheHits and CacheMisses attribute decision-cache traffic to this
 	// evaluation (deccache.Tally).
 	CacheHits, CacheMisses int64
-	// Plan is the tier of the compiled plan the evaluation ran at
-	// ("algebra", "closure", "interp"; empty when the planner was off).
+	// Plan is the tier of the compiled plan that produced the answer
+	// ("algebra" or "closure"); empty when no plan did — the planner was
+	// off, or the interpreter or the §1.1 decider answered.
 	Plan string
 	// PlanHits and PlanMisses attribute plan-cache traffic to this
 	// evaluation (plan.Tally).
@@ -291,36 +291,6 @@ func Record(s Sample) {
 		return
 	}
 	Default().Record(s)
-}
-
-// NodeSelectivities returns the measured per-node selectivities (true
-// fraction per evaluation) for a query key, keyed by the node's EXPLAIN
-// profile path ("0", "0.1", …). Nil when the key has no profiled runs.
-// The planner orders conjuncts and disjuncts by these when available.
-func (r *Registry) NodeSelectivities(key string) map[string]float64 {
-	sh := r.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e := sh.entries[key]
-	if e == nil || len(e.nodes) == 0 {
-		return nil
-	}
-	out := make(map[string]float64, len(e.nodes))
-	for path, n := range e.nodes {
-		if n.evals > 0 {
-			out[path] = float64(n.trueN) / float64(n.evals)
-		}
-	}
-	return out
-}
-
-// NodeSelectivities reads measured node selectivities from the default
-// registry; nil when collection is off or the key is unseen.
-func NodeSelectivities(key string) map[string]float64 {
-	if !enabled.Load() {
-		return nil
-	}
-	return Default().NodeSelectivities(key)
 }
 
 func (r *Registry) shardFor(key string) *shard {

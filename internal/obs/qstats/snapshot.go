@@ -49,8 +49,9 @@ type EntryView struct {
 	Stopped       map[string]int64 `json:"stopped,omitempty"`
 	CacheHits     int64            `json:"cache_hits"`
 	CacheMisses   int64            `json:"cache_misses"`
-	// Plan is the execution tier the query's compiled plan runs at;
-	// PlanHits/PlanMisses count plan-cache traffic for the key.
+	// Plan is the tier of the compiled plan that last served the query
+	// (empty while none has); PlanHits/PlanMisses count plan-cache traffic
+	// for the key.
 	Plan       string `json:"plan,omitempty"`
 	PlanHits   int64  `json:"plan_hits,omitempty"`
 	PlanMisses int64  `json:"plan_misses,omitempty"`

@@ -133,7 +133,7 @@ func startSpan(rec *trace.Recorder, ident trace.Ident, path string, beginArgs []
 // Child opens a sub-span whose path extends the receiver's. When the
 // receiver has a trace identity, the child gets a freshly minted span ID
 // with the receiver as parent, keeping the recorded tree honest for
-// fan-out that doesn't thread a context (per-row spans, workers). On a nil
+// fan-out that doesn't thread a context (per-row spans). On a nil
 // receiver (observation off) it returns nil.
 func (s *Span) Child(name string, labels ...string) *Span {
 	if s == nil {

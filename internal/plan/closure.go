@@ -3,12 +3,10 @@ package plan
 import (
 	"context"
 	"fmt"
-	"strconv"
 
 	"repro/internal/db"
 	"repro/internal/domain"
 	"repro/internal/logic"
-	"repro/internal/obs/qstats"
 )
 
 // The closure tier compiles a formula into a tree of Go closures over a
@@ -182,15 +180,13 @@ func (p *prog) newEnv(ctx context.Context, dom domain.Domain, st *db.State, rng 
 // ccomp is the closure compiler's state.
 type ccomp struct {
 	scheme *db.Scheme
-	sel    map[string]float64 // profile path → measured selectivity
 	p      *prog
 	scope  []scopeBinding // innermost last
 	consts map[string]int
 	rels   map[string]int
 
-	usedMeasured bool
-	narrowed     int
-	reordered    int
+	narrowed  int
+	reordered int
 }
 
 type scopeBinding struct {
@@ -198,13 +194,10 @@ type scopeBinding struct {
 	slot int
 }
 
-// compileClosure lowers a formula to a closure program. key is the
-// formula's canonical key, used to look up measured node selectivities
-// from per-query stats for conjunct ordering.
-func compileClosure(scheme *db.Scheme, key string, f *logic.Formula) (*prog, error) {
+// compileClosure lowers a formula to a closure program.
+func compileClosure(scheme *db.Scheme, f *logic.Formula) (*prog, error) {
 	c := &ccomp{
 		scheme: scheme,
-		sel:    qstats.NodeSelectivities(key),
 		p:      &prog{vars: f.FreeVars()},
 		consts: map[string]int{},
 		rels:   map[string]int{},
@@ -214,7 +207,7 @@ func compileClosure(scheme *db.Scheme, key string, f *logic.Formula) (*prog, err
 	}
 	c.p.nslots = len(c.p.vars)
 
-	root, err := c.compile(f, "0")
+	root, err := c.compile(f)
 	if err != nil {
 		return nil, err
 	}
@@ -232,11 +225,7 @@ func compileClosure(scheme *db.Scheme, key string, f *logic.Formula) (*prog, err
 		c.p.notes = append(c.p.notes, fmt.Sprintf("range narrowing ×%d", c.narrowed))
 	}
 	if c.reordered > 0 {
-		src := "heuristic"
-		if c.usedMeasured {
-			src = "measured selectivity"
-		}
-		c.p.notes = append(c.p.notes, fmt.Sprintf("conjunct ordering ×%d (%s)", c.reordered, src))
+		c.p.notes = append(c.p.notes, fmt.Sprintf("conjunct ordering ×%d", c.reordered))
 	}
 	return c.p, nil
 }
@@ -317,8 +306,8 @@ func (c *ccomp) compileTerm(t logic.Term) (termFn, error) {
 	return nil, fmt.Errorf("plan: unknown term kind %d", t.Kind)
 }
 
-// compile lowers a formula node at the given EXPLAIN-profile path.
-func (c *ccomp) compile(f *logic.Formula, path string) (boolFn, error) {
+// compile lowers a formula node.
+func (c *ccomp) compile(f *logic.Formula) (boolFn, error) {
 	switch f.Kind {
 	case logic.FTrue:
 		return func(*env) (bool, error) { return true, nil }, nil
@@ -329,7 +318,7 @@ func (c *ccomp) compile(f *logic.Formula, path string) (boolFn, error) {
 		return c.compileAtom(f)
 
 	case logic.FNot:
-		sub, err := c.compile(f.Sub[0], childPath(path, 0))
+		sub, err := c.compile(f.Sub[0])
 		if err != nil {
 			return nil, err
 		}
@@ -339,10 +328,10 @@ func (c *ccomp) compile(f *logic.Formula, path string) (boolFn, error) {
 		}, nil
 
 	case logic.FAnd, logic.FOr:
-		order := c.orderChildren(f, path)
+		order := c.orderChildren(f)
 		subs := make([]boolFn, len(order))
 		for i, idx := range order {
-			fn, err := c.compile(f.Sub[idx], childPath(path, idx))
+			fn, err := c.compile(f.Sub[idx])
 			if err != nil {
 				return nil, err
 			}
@@ -373,11 +362,11 @@ func (c *ccomp) compile(f *logic.Formula, path string) (boolFn, error) {
 		}, nil
 
 	case logic.FImplies:
-		a, err := c.compile(f.Sub[0], childPath(path, 0))
+		a, err := c.compile(f.Sub[0])
 		if err != nil {
 			return nil, err
 		}
-		b, err := c.compile(f.Sub[1], childPath(path, 1))
+		b, err := c.compile(f.Sub[1])
 		if err != nil {
 			return nil, err
 		}
@@ -393,11 +382,11 @@ func (c *ccomp) compile(f *logic.Formula, path string) (boolFn, error) {
 		}, nil
 
 	case logic.FIff:
-		a, err := c.compile(f.Sub[0], childPath(path, 0))
+		a, err := c.compile(f.Sub[0])
 		if err != nil {
 			return nil, err
 		}
-		b, err := c.compile(f.Sub[1], childPath(path, 1))
+		b, err := c.compile(f.Sub[1])
 		if err != nil {
 			return nil, err
 		}
@@ -414,7 +403,7 @@ func (c *ccomp) compile(f *logic.Formula, path string) (boolFn, error) {
 		slot := c.p.nslots
 		c.p.nslots++
 		c.scope = append(c.scope, scopeBinding{name: f.Var, slot: slot})
-		body, err := c.compile(f.Sub[0], childPath(path, 0))
+		body, err := c.compile(f.Sub[0])
 		c.scope = c.scope[:len(c.scope)-1]
 		if err != nil {
 			return nil, err
@@ -527,13 +516,6 @@ func (c *ccomp) compileAtom(f *logic.Formula) (boolFn, error) {
 	}, nil
 }
 
-// childPath extends an EXPLAIN-profile path ("0" → "0.2") using the
-// child's position in the original formula, so measured selectivities
-// recorded by the profiled evaluator line up regardless of reordering.
-func childPath(path string, i int) string {
-	return path + "." + strconv.Itoa(i)
-}
-
 // conjunctsOf views a formula as its top-level conjuncts.
 func conjunctsOf(f *logic.Formula) []*logic.Formula {
 	if f.Kind == logic.FAnd {
@@ -572,14 +554,11 @@ func (c *ccomp) narrowFor(conjuncts []*logic.Formula, v string) int {
 	return -1
 }
 
-// orderChildren returns the evaluation order for And/Or children: cheap
-// and decisive subformulas first. Decisiveness uses the measured
-// selectivity at the child's profile path when per-query stats have seen
-// a profiled run (And wants likely-false first, Or likely-true first),
-// falling back to a static cost estimate. Short-circuit results are
-// order-independent on error-free formulas, so reordering preserves
-// answers.
-func (c *ccomp) orderChildren(f *logic.Formula, path string) []int {
+// orderChildren returns the evaluation order for And/Or children:
+// quantifier-free subformulas first, then by static cost estimate.
+// Short-circuit results are order-independent on error-free formulas, so
+// reordering preserves answers.
+func (c *ccomp) orderChildren(f *logic.Formula) []int {
 	n := len(f.Sub)
 	order := make([]int, n)
 	for i := range order {
@@ -589,33 +568,16 @@ func (c *ccomp) orderChildren(f *logic.Formula, path string) []int {
 		return order
 	}
 	costs := make([]int64, n)
-	score := make([]float64, n)
 	for i, s := range f.Sub {
 		costs[i] = staticCost(s)
-		if sel, ok := c.sel[childPath(path, i)]; ok {
-			c.usedMeasured = true
-			if f.Kind == logic.FAnd {
-				score[i] = sel // low selectivity → fails fast → first
-			} else {
-				score[i] = 1 - sel // high selectivity → succeeds fast → first
-			}
-		} else {
-			score[i] = 0.5
-		}
 	}
-	// Stable sort by (quantifier-free first, score, cost).
+	// Stable sort by (quantifier-free first, cost).
 	for i := 1; i < n; i++ {
 		for j := i; j > 0; j-- {
 			a, b := order[j-1], order[j]
-			qa, qb := hasQuantifier(f.Sub[a]), hasQuantifier(f.Sub[b])
-			swap := false
-			switch {
-			case qa != qb:
+			swap := costs[a] > costs[b]
+			if qa, qb := hasQuantifier(f.Sub[a]), hasQuantifier(f.Sub[b]); qa != qb {
 				swap = qa
-			case score[a] != score[b]:
-				swap = score[a] > score[b]
-			default:
-				swap = costs[a] > costs[b]
 			}
 			if !swap {
 				break

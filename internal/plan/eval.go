@@ -33,22 +33,29 @@ func canceled(err error) bool {
 // EvalActive evaluates the plan under active-domain semantics: free
 // variables and quantifiers range over rng (the state's active domain
 // plus the query's constants, as computed by the caller). Returns
-// ErrFallback when this plan cannot answer for the given state.
+// ErrFallback when this plan cannot answer for the given state. A result,
+// complete or cut short by cancellation, marks the plan's tier on the
+// context's Tally as the one that served the request.
 func (p *Plan) EvalActive(ctx context.Context, dom domain.Domain, st *db.State, rng []domain.Value) (*Result, error) {
-	switch p.tier {
-	case TierAlgebra:
-		// Natural semantics agrees with active-domain semantics for the
-		// compiled (safe-range) fragment except over an empty range, where
-		// active semantics can make an existential vacuously false; hand
-		// that edge to an evaluator with exact semantics.
-		if len(rng) == 0 {
-			return nil, ErrFallback
-		}
-		return p.evalAlgebra(ctx, dom, st)
-	case TierClosure:
-		return p.prog.run(ctx, dom, st, rng)
+	p.resolve(ctx)
+	var res *Result
+	var err error
+	switch {
+	// Natural semantics agrees with active-domain semantics for the
+	// compiled (safe-range) fragment except over an empty range, where
+	// active semantics can make an existential vacuously false; that edge
+	// falls back to an evaluator with exact semantics.
+	case p.tier == TierAlgebra && len(rng) > 0:
+		res, err = p.evalAlgebra(ctx, dom, st)
+	case p.tier == TierClosure:
+		res, err = p.prog.run(ctx, dom, st, rng)
+	default:
+		return nil, ErrFallback
 	}
-	return nil, ErrFallback
+	if res != nil {
+		markServed(ctx, p.tier)
+	}
+	return res, err
 }
 
 // Answer materializes the plan's full answer as a relation over the
@@ -57,15 +64,17 @@ func (p *Plan) EvalActive(ctx context.Context, dom domain.Domain, st *db.State, 
 // Only algebra-tier plans with at least one free variable can serve it (a
 // sentence's enumeration verdict comes from the domain decider, not the
 // database); others return ErrFallback. On cancellation the rows copied
-// so far come back alongside the context's error.
+// so far come back alongside the context's error. Answer never compiles a
+// closure program.
 func (p *Plan) Answer(ctx context.Context, dom domain.Domain, st *db.State) (*db.Relation, error) {
-	if p.tier != TierAlgebra || len(p.vars) == 0 {
+	if p.alg == nil || len(p.vars) == 0 {
 		return nil, ErrFallback
 	}
 	res, err := p.evalAlgebra(ctx, dom, st)
 	if res == nil {
 		return nil, err
 	}
+	markServed(ctx, TierAlgebra)
 	return res.Rows, err
 }
 

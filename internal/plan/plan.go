@@ -25,11 +25,14 @@
 // same injective key the decision cache uses — extended with a scheme
 // signature and the domain name.
 //
+// The closure program is compiled on the plan's first active-domain
+// evaluation (or Tier or Text call), not at lookup: the §1.1 enumeration
+// can only use algebra-tier plans, so an enumeration never compiles a
+// program it would discard, and one cache entry still serves both modes.
+//
 // Plan-level optimizations: selection pushdown and join-leaf ordering on
-// the algebra tier; conjunct/disjunct ordering (EXPLAIN-measured
-// selectivity when qstats has seen the query profiled, a static cost
-// heuristic otherwise) and existential quantifier-range narrowing on the
-// closure tier.
+// the algebra tier; conjunct/disjunct ordering by a static cost estimate
+// and existential quantifier-range narrowing on the closure tier.
 package plan
 
 import (
@@ -101,15 +104,23 @@ const (
 	TierInterp Tier = "interp"
 )
 
-// Plan is one compiled query. Plans are immutable after compilation and
-// safe for concurrent evaluation.
+// Plan is one compiled query. Plans are safe for concurrent evaluation:
+// an algebra-tier plan is immutable after For, and any other plan changes
+// once, under closureOnce, when its closure program is compiled.
 type Plan struct {
+	// tier is TierAlgebra from For on, and "" for any other plan until
+	// closureOnce sets TierClosure or TierInterp.
 	tier Tier
 	// vars are the formula's free variables, sorted (the row order of
 	// every evaluation result).
 	vars []string
 	// alg is the optimized algebra expression (TierAlgebra only).
 	alg algebra.Expr
+	// closureOnce guards resolve, which compiles the closure program from
+	// scheme and f and then drops them.
+	closureOnce sync.Once
+	scheme      *db.Scheme
+	f           *logic.Formula
 	// prog is the closure program (TierClosure only).
 	prog *prog
 	// reason says why the plan fell back a tier, for EXPLAIN text.
@@ -118,8 +129,12 @@ type Plan struct {
 	notes []string
 }
 
-// Tier returns the plan's execution tier.
-func (p *Plan) Tier() Tier { return p.tier }
+// Tier returns the plan's execution tier, compiling the closure program
+// first if the plan is outside the algebra tier and nothing has yet.
+func (p *Plan) Tier() Tier {
+	p.resolve(context.TODO())
+	return p.tier
+}
 
 // Vars returns the free variables (sorted) the plan's rows are ordered by.
 func (p *Plan) Vars() []string { return p.vars }
@@ -127,6 +142,7 @@ func (p *Plan) Vars() []string { return p.vars }
 // Text renders the plan for EXPLAIN surfaces: one "plan:" header line
 // with the tier, then the compiled form and the optimization notes.
 func (p *Plan) Text() string {
+	p.resolve(context.TODO())
 	var b strings.Builder
 	fmt.Fprintf(&b, "plan: tier=%s vars=[%s]", p.tier, strings.Join(p.vars, ","))
 	if p.reason != "" {
@@ -197,12 +213,12 @@ func schemeSig(scheme *db.Scheme) string {
 	return strings.Join(rels, ",") + "|" + strings.Join(consts, ",")
 }
 
-// For returns the plan for a formula over a scheme and domain, compiling
-// and caching on first sight. The key parameter is the formula's
+// For returns the plan for a formula over a scheme and domain, trying the
+// algebra tier and caching on first sight. The key is the formula's
 // CanonicalKey when the caller has already computed one ("" recomputes) —
 // the same key deccache and qstats use, so one identifier names the query
 // across every subsystem. For never fails: formulas outside every
-// compilable fragment return a TierInterp plan.
+// compilable fragment get a TierInterp plan.
 func For(ctx context.Context, scheme *db.Scheme, domainName, key string, f *logic.Formula) *Plan {
 	if key == "" {
 		key = f.CanonicalKey()
@@ -217,7 +233,6 @@ func For(ctx context.Context, scheme *db.Scheme, domainName, key string, f *logi
 		mCacheHits.Inc()
 		if t := TallyFrom(ctx); t != nil {
 			t.Hits.Add(1)
-			t.setTier(p.tier)
 		}
 		return p
 	}
@@ -226,21 +241,15 @@ func For(ctx context.Context, scheme *db.Scheme, domainName, key string, f *logi
 
 	_, sp := obs.StartSpanCtx(ctx, "plan.compile")
 	t0 := time.Now()
-	p := compile(scheme, key, f)
+	p := compile(scheme, f)
 	hCompileUS.Observe(time.Since(t0).Microseconds())
-	sp.ArgStr("tier", string(p.tier))
-	sp.End()
-	switch p.tier {
-	case TierAlgebra:
+	if p.tier == TierAlgebra {
 		mTierAlgebra.Inc()
-	case TierClosure:
-		mTierClosure.Inc()
-	default:
-		mTierInterp.Inc()
+		sp.ArgStr("tier", string(p.tier))
 	}
+	sp.End()
 	if t := TallyFrom(ctx); t != nil {
 		t.Misses.Add(1)
-		t.setTier(p.tier)
 	}
 
 	cache.mu.Lock()
@@ -257,8 +266,9 @@ func For(ctx context.Context, scheme *db.Scheme, domainName, key string, f *logi
 	return p
 }
 
-// compile lowers a formula into the best available tier.
-func compile(scheme *db.Scheme, key string, f *logic.Formula) *Plan {
+// compile lowers a formula into the algebra tier when it can; any other
+// formula gets a plan whose closure program resolve compiles later.
+func compile(scheme *db.Scheme, f *logic.Formula) *Plan {
 	vars := f.FreeVars()
 	p := &Plan{vars: vars}
 
@@ -280,18 +290,35 @@ func compile(scheme *db.Scheme, key string, f *logic.Formula) *Plan {
 			p.reason = "compiled columns differ from free variables"
 		}
 	}
-
-	// Closure tier: compiles every formula the generic evaluator accepts.
-	pr, err := compileClosure(scheme, key, f)
-	if err == nil {
-		p.tier = TierClosure
-		p.prog = pr
-		p.notes = pr.notes
-		return p
-	}
-	p.tier = TierInterp
-	p.reason = trimReason(err.Error())
+	p.scheme, p.f = scheme, f
 	return p
+}
+
+// resolve compiles the closure program of a plan outside the algebra
+// tier, once, and records it like For records a compile: the plan.compile
+// span and histogram, and the tier counter. The closure tier compiles
+// every formula the generic evaluator accepts; the rest fall to
+// TierInterp.
+func (p *Plan) resolve(ctx context.Context) {
+	if p.alg != nil {
+		return
+	}
+	p.closureOnce.Do(func() {
+		_, sp := obs.StartSpanCtx(ctx, "plan.compile")
+		t0 := time.Now()
+		pr, err := compileClosure(p.scheme, p.f)
+		hCompileUS.Observe(time.Since(t0).Microseconds())
+		if err == nil {
+			p.tier, p.prog, p.notes = TierClosure, pr, pr.notes
+			mTierClosure.Inc()
+		} else {
+			p.tier, p.reason = TierInterp, trimReason(err.Error())
+			mTierInterp.Inc()
+		}
+		p.scheme, p.f = nil, nil
+		sp.ArgStr("tier", string(p.tier))
+		sp.End()
+	})
 }
 
 // trimReason bounds a fallback reason for display.

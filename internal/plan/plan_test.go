@@ -2,8 +2,10 @@ package plan
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/algebra"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/domain"
 	"repro/internal/domains/eqdom"
 	"repro/internal/logic"
+	"repro/internal/obs"
 	"repro/internal/parser"
 )
 
@@ -91,7 +94,7 @@ func TestClosureMatchesAlgebra(t *testing.T) {
 		}
 		want := evalPlan(t, p, st)
 
-		pr, err := compileClosure(st.Scheme(), "", f)
+		pr, err := compileClosure(st.Scheme(), f)
 		if err != nil {
 			t.Fatalf("compileClosure(%s): %v", src, err)
 		}
@@ -155,7 +158,7 @@ func TestClosureShadowing(t *testing.T) {
 	if p.Tier() != TierClosure {
 		// The RANF rewrite may widen this into the algebra tier; both are
 		// correct, but this test targets the closure runtime.
-		pr, err := compileClosure(st.Scheme(), "", parser.MustParse("x = x & (exists x. F(x, y))"))
+		pr, err := compileClosure(st.Scheme(), parser.MustParse("x = x & (exists x. F(x, y))"))
 		if err != nil {
 			t.Fatalf("compileClosure: %v", err)
 		}
@@ -182,7 +185,7 @@ func checkShadowRows(t *testing.T, res *Result) {
 func TestNarrowingSoundness(t *testing.T) {
 	st := fathersState(t)
 	f := parser.MustParse("exists y. (F(y, x) & y = y)")
-	pr, err := compileClosure(st.Scheme(), "", f)
+	pr, err := compileClosure(st.Scheme(), f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +209,8 @@ func TestNarrowingSoundness(t *testing.T) {
 }
 
 // TestCacheHitsAndTally: the second For of the same key is a cache hit,
-// attributed to the context's tally.
+// attributed to the context's tally; the tally's tier is the tier of the
+// plan that served, recorded when the plan runs rather than at lookup.
 func TestCacheHitsAndTally(t *testing.T) {
 	st := fathersState(t)
 	resetCache()
@@ -219,6 +223,12 @@ func TestCacheHitsAndTally(t *testing.T) {
 	}
 	if tally.Hits.Load() != 1 || tally.Misses.Load() != 1 {
 		t.Fatalf("tally hits=%d misses=%d, want 1/1", tally.Hits.Load(), tally.Misses.Load())
+	}
+	if tally.Tier() != "" {
+		t.Fatalf("tally tier %q before any plan ran, want empty", tally.Tier())
+	}
+	if _, err := p1.EvalActive(ctx, eqdom.Domain{}, st, rangeOf(st)); err != nil {
+		t.Fatal(err)
 	}
 	if tally.Tier() != TierAlgebra {
 		t.Fatalf("tally tier %q, want algebra", tally.Tier())
@@ -233,6 +243,49 @@ func TestCacheHitsAndTally(t *testing.T) {
 	p4 := For(ctx, st.Scheme(), "nless", "", f)
 	if p4 == p1 {
 		t.Fatal("plan shared across domains")
+	}
+}
+
+// TestClosureCompiledOnceConcurrently: goroutines sharing one plan
+// outside the algebra tier race to compile its closure program. Exactly
+// one compile is recorded, every active-domain evaluation gets the same
+// rows, and Answer keeps falling back without compiling.
+func TestClosureCompiledOnceConcurrently(t *testing.T) {
+	prev := obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+	st := fathersState(t)
+	p := planFor(t, st, "~F(x, y)")
+	before := mTierClosure.Value()
+	const goroutines = 8
+	var wg sync.WaitGroup
+	rows := make([]int, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if _, err := p.Answer(context.Background(), eqdom.Domain{}, st); !errors.Is(err, ErrFallback) {
+				t.Errorf("Answer on a closure plan: %v, want ErrFallback", err)
+			}
+			res, err := p.EvalActive(context.Background(), eqdom.Domain{}, st, rangeOf(st))
+			if err != nil {
+				t.Errorf("EvalActive: %v", err)
+				return
+			}
+			rows[g] = res.Rows.Len()
+			if !strings.Contains(p.Text(), "tier=closure") {
+				t.Errorf("plan text misses the closure tier:\n%s", p.Text())
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := mTierClosure.Value() - before; got != 1 {
+		t.Fatalf("%d closure compiles, want 1", got)
+	}
+	// 4 active-domain values, 3 of the 16 pairs in F.
+	for g, n := range rows {
+		if n != 13 {
+			t.Fatalf("goroutine %d: %d rows, want 13", g, n)
+		}
 	}
 }
 
@@ -269,7 +322,7 @@ func TestPlanText(t *testing.T) {
 func TestClosureCancellation(t *testing.T) {
 	st := fathersState(t)
 	f := parser.MustParse("~F(x, y)")
-	pr, err := compileClosure(st.Scheme(), "", f)
+	pr, err := compileClosure(st.Scheme(), f)
 	if err != nil {
 		t.Fatal(err)
 	}

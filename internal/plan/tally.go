@@ -6,22 +6,30 @@ import (
 )
 
 // Tally counts plan-cache traffic for one request, so per-query stats can
-// attribute hits and misses (and the tier the plan ran at) to the query
-// that caused them. Carried through context like deccache's tally.
+// attribute hits and misses (and the tier of the plan that served it) to
+// the query that caused them. Carried through context like deccache's
+// tally.
 type Tally struct {
 	// Hits counts plan-cache hits attributed to this request.
 	Hits atomic.Int64
 	// Misses counts compilations attributed to this request.
 	Misses atomic.Int64
-	// tier holds the tier of the most recent plan lookup, stored as an
-	// atomic pointer so concurrent workers stay race-free.
+	// tier holds the tier of the last plan that served this request,
+	// stored as an atomic pointer so concurrent evaluations sharing the
+	// context stay race-free.
 	tier atomic.Pointer[Tier]
 }
 
-func (t *Tally) setTier(tier Tier) { t.tier.Store(&tier) }
+// markServed records on the context's Tally, if any, that a plan of the
+// given tier produced the request's answer.
+func markServed(ctx context.Context, tier Tier) {
+	if t := TallyFrom(ctx); t != nil {
+		t.tier.Store(&tier)
+	}
+}
 
-// Tier returns the tier of the last plan this request resolved
-// ("" before any lookup).
+// Tier returns the tier of the last plan that served this request: ""
+// when none did (the interpreter or the §1.1 decider answered).
 func (t *Tally) Tier() Tier {
 	if p := t.tier.Load(); p != nil {
 		return *p

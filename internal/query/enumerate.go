@@ -2,7 +2,6 @@ package query
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/db"
@@ -307,14 +306,14 @@ func nextRow(ctx context.Context, dom Enumerable, src rowSource,
 	return nil, probe, nil
 }
 
-// tupleGen yields the bijective enumeration of ℕ^k incrementally: call
-// next() repeatedly to receive tupleIndices(k, 0), tupleIndices(k, 1), ….
-// Where tupleIndices re-scans every block from m = 0 and linearly searches
-// the final block on each call (quadratic in the probe count), the
-// generator keeps the current block and code and advances in O(1)
-// amortized per tuple: walking block m enumerates (m+1)^k base-(m+1)
-// codes, which is also the total number of tuples yielded through that
-// block.
+// tupleGen yields a bijective enumeration of ℕ^k incrementally: tuples
+// are ordered by maximum component (block m holds the tuples whose largest
+// component is m), so every tuple has a finite index. Rather than
+// recomputing the block decomposition for each index (quadratic in the
+// probe count), the generator keeps the current block and code and
+// advances in O(1) amortized per tuple: walking block m enumerates
+// (m+1)^k base-(m+1) codes, which is also the total number of tuples
+// yielded through that block.
 type tupleGen struct {
 	k int
 	// n is the plain counter for k = 1, where the enumeration is identity.
@@ -383,92 +382,4 @@ func (g *tupleGen) inc() bool {
 		g.maxCount++
 	}
 	return true
-}
-
-// ErrEnumerationWidth reports that a tuple-enumeration index computation
-// would exceed the int range: the block decomposition of ℕ^k needs (m+1)^k,
-// which wraps for wide tuples (large k) or deep indexes (large m). Callers
-// see this explicit error instead of a silently skipped block or the
-// misleading "out of range" panic the wrapped arithmetic used to produce.
-var ErrEnumerationWidth = errors.New("query: enumeration width exceeds int range")
-
-// tupleIndices is a bijective enumeration of ℕ^k: tuples are ordered by
-// maximum component, so every tuple has a finite index. It recomputes the
-// block decomposition from scratch on every call; the enumeration loop
-// uses tupleGen instead, and this function remains as the independent
-// oracle the generator is tested against. All arithmetic is
-// overflow-checked: an index whose block decomposition leaves int returns
-// ErrEnumerationWidth.
-func tupleIndices(k, n int) ([]int, error) {
-	if k == 1 {
-		return []int{n}, nil
-	}
-	// Tuples with max component exactly m: (m+1)^k − m^k of them. Find the
-	// block, then the offset within it.
-	m := 0
-	block := 1 // (m+1)^k − m^k with m = 0
-	rem := n
-	for rem >= block {
-		rem -= block
-		m++
-		hi, err := pow(m+1, k)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := pow(m, k)
-		if err != nil {
-			return nil, err
-		}
-		block = hi - lo
-	}
-	// Enumerate the block: all tuples over [0..m] containing at least one m,
-	// indexed by counting in base m+1 and skipping those without an m.
-	count := -1
-	total, err := pow(m+1, k)
-	if err != nil {
-		return nil, err
-	}
-	for code := 0; code < total; code++ {
-		t := decode(code, k, m+1)
-		hasMax := false
-		for _, x := range t {
-			if x == m {
-				hasMax = true
-				break
-			}
-		}
-		if !hasMax {
-			continue
-		}
-		count++
-		if count == rem {
-			return t, nil
-		}
-	}
-	// Unreachable when the checked arithmetic holds: rem < block == the
-	// number of max-containing codes below total.
-	return nil, fmt.Errorf("query: tuple index %d not found in block m=%d k=%d", n, m, k)
-}
-
-// pow is overflow-checked integer exponentiation: b^e, or
-// ErrEnumerationWidth when the product leaves the int range.
-func pow(b, e int) (int, error) {
-	out := 1
-	for i := 0; i < e; i++ {
-		next := out * b
-		if b != 0 && (next/b != out || next < 0) {
-			return 0, ErrEnumerationWidth
-		}
-		out = next
-	}
-	return out, nil
-}
-
-func decode(code, k, base int) []int {
-	out := make([]int, k)
-	for i := k - 1; i >= 0; i-- {
-		out[i] = code % base
-		code /= base
-	}
-	return out
 }

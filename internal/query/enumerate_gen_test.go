@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/db"
@@ -41,7 +42,7 @@ func TestTupleGenMatchesOracle(t *testing.T) {
 
 // TestPowOverflowChecked pins the overflow-checked arithmetic at its
 // boundaries: results that fit an int are exact, results that wrap return
-// ErrEnumerationWidth instead of a silently negative value.
+// errEnumerationWidth instead of a silently negative value.
 func TestPowOverflowChecked(t *testing.T) {
 	ok := []struct{ b, e, want int }{
 		{0, 0, 1}, {0, 5, 0}, {1, 63, 1}, {2, 62, 1 << 62},
@@ -58,9 +59,9 @@ func TestPowOverflowChecked(t *testing.T) {
 	}
 	for _, c := range over {
 		if got, err := pow(c.b, c.e); err == nil {
-			t.Errorf("pow(%d, %d) = %d, want ErrEnumerationWidth", c.b, c.e, got)
-		} else if !errors.Is(err, ErrEnumerationWidth) {
-			t.Errorf("pow(%d, %d): error %v, want ErrEnumerationWidth", c.b, c.e, err)
+			t.Errorf("pow(%d, %d) = %d, want errEnumerationWidth", c.b, c.e, got)
+		} else if !errors.Is(err, errEnumerationWidth) {
+			t.Errorf("pow(%d, %d): error %v, want errEnumerationWidth", c.b, c.e, err)
 		}
 	}
 }
@@ -75,8 +76,8 @@ func TestTupleIndicesWidthError(t *testing.T) {
 		t.Fatalf("tupleIndices(64, 0) = %v, %v", got, err)
 	}
 	// Index 1 forces the m = 1 block size (2^64 − 1^64): overflow.
-	if _, err := tupleIndices(64, 1); !errors.Is(err, ErrEnumerationWidth) {
-		t.Fatalf("tupleIndices(64, 1): error %v, want ErrEnumerationWidth", err)
+	if _, err := tupleIndices(64, 1); !errors.Is(err, errEnumerationWidth) {
+		t.Fatalf("tupleIndices(64, 1): error %v, want errEnumerationWidth", err)
 	}
 	// Narrower boundary: k = 2 stays exact deep into the enumeration.
 	if got, err := tupleIndices(2, 3000); err != nil || len(got) != 2 {
@@ -139,4 +140,88 @@ func TestEnumerationRowBudgetExhausted(t *testing.T) {
 			t.Errorf("row cap should keep the first 4 naturals; missing %d", i)
 		}
 	}
+}
+
+// errEnumerationWidth reports that tupleIndices' arithmetic would leave
+// the int range: the block decomposition of ℕ^k needs (m+1)^k, which wraps
+// for wide tuples (large k) or deep indexes (large m).
+var errEnumerationWidth = errors.New("query: enumeration width exceeds int range")
+
+// tupleIndices is tupleGen's enumeration of ℕ^k computed from scratch for
+// one index: it recomputes the block decomposition on every call, which
+// makes it the independent oracle the generator is tested against. All
+// arithmetic is overflow-checked: an index whose block decomposition
+// leaves int returns errEnumerationWidth.
+func tupleIndices(k, n int) ([]int, error) {
+	if k == 1 {
+		return []int{n}, nil
+	}
+	// Tuples with max component exactly m: (m+1)^k − m^k of them. Find the
+	// block, then the offset within it.
+	m := 0
+	block := 1 // (m+1)^k − m^k with m = 0
+	rem := n
+	for rem >= block {
+		rem -= block
+		m++
+		hi, err := pow(m+1, k)
+		if err != nil {
+			return nil, err
+		}
+		lo, err := pow(m, k)
+		if err != nil {
+			return nil, err
+		}
+		block = hi - lo
+	}
+	// Enumerate the block: all tuples over [0..m] containing at least one m,
+	// indexed by counting in base m+1 and skipping those without an m.
+	count := -1
+	total, err := pow(m+1, k)
+	if err != nil {
+		return nil, err
+	}
+	for code := 0; code < total; code++ {
+		t := decode(code, k, m+1)
+		hasMax := false
+		for _, x := range t {
+			if x == m {
+				hasMax = true
+				break
+			}
+		}
+		if !hasMax {
+			continue
+		}
+		count++
+		if count == rem {
+			return t, nil
+		}
+	}
+	// Unreachable when the checked arithmetic holds: rem < block == the
+	// number of max-containing codes below total.
+	return nil, fmt.Errorf("query: tuple index %d not found in block m=%d k=%d", n, m, k)
+}
+
+// pow is overflow-checked integer exponentiation: b^e, or
+// errEnumerationWidth when the product leaves the int range.
+func pow(b, e int) (int, error) {
+	out := 1
+	for i := 0; i < e; i++ {
+		next := out * b
+		if b != 0 && (next/b != out || next < 0) {
+			return 0, errEnumerationWidth
+		}
+		out = next
+	}
+	return out, nil
+}
+
+func decode(code, k, base int) []int {
+	out := make([]int, k)
+	for i := k - 1; i >= 0; i-- {
+		out[i] = code % base
+		code /= base
+	}
+	return out
 }

@@ -19,7 +19,4 @@ var (
 	mEnumDecisions = obs.NewCounter("query.enumerate.decisions")
 	mEnumProbes    = obs.NewCounter("query.enumerate.probes")
 	mEnumExhausted = obs.NewCounter("query.enumerate.budget_exhausted")
-
-	mParJobs    = obs.NewCounter("query.parallel.jobs")
-	gParWorkers = obs.NewGauge("query.parallel.workers")
 )

@@ -28,12 +28,10 @@ func planActiveAnswer(ctx context.Context, sp *obs.Span, dom domain.Domain, st *
 		return nil, nil, false
 	}
 	p := plan.For(ctx, st.Scheme(), dom.Name(), "", f)
-	if p.Tier() == plan.TierInterp {
-		return nil, nil, false
-	}
 	res, err := p.EvalActive(ctx, dom, st, rng)
 	if err != nil && !canceledErr(err) {
-		// ErrFallback and real errors alike: let the interpreter decide.
+		// ErrFallback (interp tier, or a plan not applicable to this
+		// state) and real errors alike: let the interpreter decide.
 		return nil, nil, false
 	}
 	sp.ArgStr("plan_tier", string(p.Tier()))

@@ -219,8 +219,8 @@ func EvalActiveCtx(ctx context.Context, dom domain.Domain, st *db.State, f *logi
 
 // assignment is the free-variable loop of one active-domain evaluation:
 // f is evaluated under every assignment of vars over rng, and each
-// satisfying assignment is handed to emit as a fresh row. The serial,
-// profiled and parallel evaluators all run it.
+// satisfying assignment is handed to emit as a fresh row. The plain and
+// profiled evaluators both run it.
 type assignment struct {
 	si   stateInterp
 	env  domain.Env

@@ -10,11 +10,12 @@ import (
 )
 
 // TestConcurrentEvalSpanIdentityUnique hammers span-identity minting from
-// many goroutines sharing ONE parent trace position — serial evaluations,
-// EvalActiveParallelCtx worker fan-out, and enumerations with per-row child
-// spans, all concurrently — and demands that every recorded span carries
-// the shared trace ID with a globally unique span ID. Run under -race
-// this is also the data-race check for the ctx→child minting path.
+// many goroutines sharing ONE parent trace position — planned and profiled
+// active-domain evaluations, and enumerations with per-row child spans,
+// all concurrently — and demands that every recorded span carries the
+// shared trace ID with a globally unique span ID. Run under -race this is
+// also the data-race check for the ctx→child minting path and for
+// concurrent emits into one armed recorder.
 func TestConcurrentEvalSpanIdentityUnique(t *testing.T) {
 	rec := trace.NewRecorder()
 	rec.Arm(1 << 16)
@@ -55,10 +56,11 @@ func TestConcurrentEvalSpanIdentityUnique(t *testing.T) {
 			ctx = tracectx.With(ctx, root)
 			for i := 0; i < rounds; i++ {
 				reqs := []Request{
-					// Serial active-domain evaluation.
+					// Active-domain evaluation served by the plan.
 					{Domain: eq.Name, State: est, Formula: ef, Mode: ModeActive},
-					// EvalActiveParallelCtx: worker fan-out under one span.
-					{Domain: eq.Name, State: est, Formula: ef, Mode: ModeActive, Workers: 4},
+					// Profiled: the instrumented interpreter opens its own
+					// query.explain span.
+					{Domain: eq.Name, State: est, Formula: ef, Mode: ModeActive, Profile: true},
 					// Enumeration: per-row Child spans mint grandchildren.
 					{Domain: pres.Name, State: pst, Formula: pf, Mode: ModeEnumerate, Budget: &DefaultBudget},
 				}
@@ -95,7 +97,7 @@ func TestConcurrentEvalSpanIdentityUnique(t *testing.T) {
 		}
 		seen[e.Span] = e.Name
 	}
-	// Every goroutine ran serial + parallel + enumerate rounds; each mints
+	// Every goroutine ran planned + profiled + enumerate rounds; each mints
 	// at least one identified span, so the floor is goroutines*rounds*3.
 	if identified < goroutines*rounds*3 {
 		t.Fatalf("only %d identified spans recorded, want >= %d (ring dropped %d)",
