@@ -41,16 +41,18 @@ bench: bench-obs
 # bench-perf measures the E1 enumeration through three evaluators (the
 # pre-optimization loop, the incremental loop with the decision cache off,
 # and with it on) and writes BENCH_perf.json with rows/sec and the cache
-# hit rate. Fails if cache + incremental enumeration is not at least 2x
-# the uncached rows/sec.
+# hit rate. The three run over nless, whose §1.1 loop asks the Cooper
+# decider (over presburger the automaton answers and decides nothing).
+# Fails if cache + incremental enumeration is not at least 2x the uncached
+# rows/sec, or if the default presburger path passes its allocs/op budget.
 bench-perf:
 	BENCH_PERF=1 $(GO) test -run TestWriteBenchPerf -count=1 -v .
 
 # bench-compile measures the E1 enumeration through the interpreter
-# (planner off, decision cache on) and through the plan-caching compiler
-# (the default) and writes BENCH_compile.json with rows/sec for both and
-# the plan-cache hit rate. Fails if compiled is not at least 10x the
-# interpreted rows/sec.
+# (planner off, decision cache on, over nless so the decider answers) and
+# through the plan-caching compiler (the default, over presburger) and
+# writes BENCH_compile.json with rows/sec for both and the plan-cache hit
+# rate. Fails if compiled is not at least 10x the interpreted rows/sec.
 bench-compile:
 	BENCH_COMPILE=1 $(GO) test -run TestWriteBenchCompile -count=1 -v .
 

@@ -2,8 +2,10 @@ package autarith
 
 import (
 	"fmt"
+	"math"
 	"math/big"
-	"strconv"
+	"math/bits"
+	"sort"
 
 	"repro/internal/presburger"
 )
@@ -20,38 +22,102 @@ import (
 // all-zero continuation satisfies 0 ≤ s). The reachable bounds stay within
 // [−‖a‖₁, max(b, 0)], so the automaton is finite.
 //
+// For a·x = b the residuals are exact: a·β + 2·a·x' = s needs s − a·β
+// even, and then a·x' = (s − a·β)/2; an odd residual enters a rejecting
+// sink. A state accepts iff s = 0.
+//
 // For d | a·x + c the state tracks (r, p): r the partial value mod d and p
 // the weight 2^j mod d of the next bit position. Reading β updates
 // r ← (r + p·(a·β)) mod d, p ← 2p mod d; acceptance is r ≡ 0.
 
-// LeqAtom builds the automaton of Σ coeffs[v]·v ≤ bound over the given
-// tracks. Variables of the track list with zero coefficient are allowed.
-func LeqAtom(vars []string, coeffs map[string]int64, bound int64) *DFA {
-	b := newBuilder(vars)
-	key := func(s int64) string { return strconv.FormatInt(s, 10) }
-	start := b.state(key(bound), bound >= 0)
-	for i := 0; i < len(b.pending); i++ {
-		cur := b.pending[i]
-		s, _ := strconv.ParseInt(cur, 10, 64)
-		si := b.index[cur]
-		for sym := 0; sym < 1<<len(vars); sym++ {
-			dot := int64(0)
-			for j, v := range vars {
-				if sym>>j&1 == 1 {
-					dot += coeffs[v]
-				}
-			}
+// maxMagnitude bounds ‖a‖₁ and |b| of a linear atom, so that residual
+// arithmetic (s − a·β over residuals within ±(‖a‖₁ + |b|)) cannot overflow
+// int64.
+const maxMagnitude = 1 << 60
+
+var bigMagnitude = big.NewInt(maxMagnitude)
+
+// maxModulus bounds a divisibility modulus, so that p·(a·β mod d) < d²
+// cannot overflow int64.
+const maxModulus = 1 << 31
+
+// linear is a linear atom's left-hand side over the tracks it constrains:
+// Σ coefs[i]·vars[i], with vars sorted and every coefficient non-zero.
+type linear struct {
+	vars  []string
+	coefs []int64
+}
+
+// dots returns a·β for every symbol β over the atom's tracks.
+func (l linear) dots() []int64 {
+	out := make([]int64, 1<<len(l.vars))
+	for sym := 1; sym < len(out); sym++ {
+		low := sym & -sym
+		out[sym] = out[sym^low] + l.coefs[bits.TrailingZeros(uint(low))]
+	}
+	return out
+}
+
+// linearAtom builds the automaton of a·x ≤ bound, or a·x = bound when eq
+// is set.
+func (b *budget) linearAtom(l linear, bound int64, eq bool) (*DFA, error) {
+	bl, err := b.newBuilder(l.vars)
+	if err != nil {
+		return nil, err
+	}
+	dots := l.dots()
+	// dead is the rejecting sink of equalities; residuals stay within
+	// ±2^61, so the key cannot collide with one.
+	const dead = math.MinInt64
+	accepts := func(s int64) bool {
+		if eq {
+			return s == 0
+		}
+		return s >= 0
+	}
+	index := map[int64]int{}
+	var residual []int64
+	state := func(s int64) (int, error) {
+		if i, ok := index[s]; ok {
+			return i, nil
+		}
+		i, err := bl.add(s != dead && accepts(s))
+		if err != nil {
+			return 0, err
+		}
+		index[s] = i
+		residual = append(residual, s)
+		return i, nil
+	}
+	start, err := state(bound)
+	if err != nil {
+		return nil, err
+	}
+	syms := len(dots)
+	for i := 0; i < len(residual); i++ {
+		s := residual[i]
+		for sym, dot := range dots {
 			// No clamping is needed for finiteness: with N = ‖a‖₁, any
 			// residual above N+1 strictly decreases and any residual below
 			// −N−1 strictly increases under s ↦ ⌊(s−a·β)/2⌋, so the
 			// reachable set is contained in the interval spanned by the
 			// initial bound and ±(N+1).
-			next := floorDiv(s-dot, 2)
-			ni := b.state(key(next), next >= 0)
-			b.trans[si][sym] = ni
+			next := int64(dead)
+			switch {
+			case s == dead:
+			case !eq:
+				next = floorDiv(s-dot, 2)
+			case (s-dot)%2 == 0:
+				next = (s - dot) / 2
+			}
+			ni, err := state(next)
+			if err != nil {
+				return nil, err
+			}
+			bl.trans[i*syms+sym] = ni
 		}
 	}
-	return b.build(start)
+	return bl.build(start), nil
 }
 
 func floorDiv(a, d int64) int64 {
@@ -62,54 +128,92 @@ func floorDiv(a, d int64) int64 {
 	return q
 }
 
-// DvdAtom builds the automaton of d | (Σ coeffs[v]·v + c).
-func DvdAtom(vars []string, coeffs map[string]int64, c, d int64) *DFA {
-	if d <= 0 {
-		panic("autarith: divisor must be positive")
+// dvdAtom builds the automaton of d | (a·x + c), for 0 < d ≤ maxModulus.
+func (b *budget) dvdAtom(l linear, c, d int64) (*DFA, error) {
+	bl, err := b.newBuilder(l.vars)
+	if err != nil {
+		return nil, err
 	}
-	b := newBuilder(vars)
 	mod := func(x int64) int64 { return ((x % d) + d) % d }
-	key := func(r, p int64) string {
-		return strconv.FormatInt(r, 10) + "," + strconv.FormatInt(p, 10)
+	dots := l.dots()
+	for i, dot := range dots {
+		dots[i] = mod(dot)
 	}
-	r0, p0 := mod(c), mod(1)
-	start := b.state(key(r0, p0), r0 == 0)
-	for i := 0; i < len(b.pending); i++ {
-		cur := b.pending[i]
-		var r, p int64
-		fmt.Sscanf(cur, "%d,%d", &r, &p)
-		si := b.index[cur]
-		for sym := 0; sym < 1<<len(vars); sym++ {
-			dot := int64(0)
-			for j, v := range vars {
-				if sym>>j&1 == 1 {
-					dot += coeffs[v]
-				}
+	type rp struct{ r, p int64 }
+	index := map[rp]int{}
+	var pending []rp
+	state := func(k rp) (int, error) {
+		if i, ok := index[k]; ok {
+			return i, nil
+		}
+		i, err := bl.add(k.r == 0)
+		if err != nil {
+			return 0, err
+		}
+		index[k] = i
+		pending = append(pending, k)
+		return i, nil
+	}
+	start, err := state(rp{mod(c), mod(1)})
+	if err != nil {
+		return nil, err
+	}
+	syms := len(dots)
+	for i := 0; i < len(pending); i++ {
+		cur := pending[i]
+		np := mod(2 * cur.p)
+		for sym, dot := range dots {
+			ni, err := state(rp{mod(cur.r + cur.p*dot), np})
+			if err != nil {
+				return nil, err
 			}
-			nr := mod(r + p*mod(dot))
-			np := mod(2 * p)
-			ni := b.state(key(nr, np), nr == 0)
-			b.trans[si][sym] = ni
+			bl.trans[i*syms+sym] = ni
 		}
 	}
-	return b.build(start)
+	return bl.build(start), nil
 }
 
-// FromLinear converts a presburger.LinearTerm to a coefficient map plus
-// constant, rejecting coefficients outside int64 (they cannot occur with
-// the formulas this package is used on).
-func FromLinear(t presburger.LinearTerm) (map[string]int64, int64, error) {
-	coeffs := map[string]int64{}
+// fromLinear converts a presburger.LinearTerm to the constrained tracks
+// and the constant. Magnitudes the residual arithmetic cannot hold are
+// refused with ErrTooLarge, leaving such formulas to Cooper's big-integer
+// arithmetic.
+func fromLinear(t presburger.LinearTerm) (linear, int64, error) {
+	var l linear
 	for v, c := range t.Coeffs {
-		if !c.IsInt64() {
-			return nil, 0, fmt.Errorf("autarith: coefficient %v too large", c)
+		if c.Sign() != 0 {
+			l.vars = append(l.vars, v)
 		}
-		coeffs[v] = c.Int64()
 	}
-	if !t.Const.IsInt64() {
-		return nil, 0, fmt.Errorf("autarith: constant %v too large", t.Const)
+	sort.Strings(l.vars)
+	norm := int64(0)
+	for _, v := range l.vars {
+		c := t.Coeffs[v]
+		if c.CmpAbs(bigMagnitude) > 0 {
+			return linear{}, 0, fmt.Errorf("%w: coefficient %v", ErrTooLarge, c)
+		}
+		l.coefs = append(l.coefs, c.Int64())
+		if norm += abs(c.Int64()); norm > maxMagnitude {
+			return linear{}, 0, fmt.Errorf("%w: coefficients of %v", ErrTooLarge, t)
+		}
 	}
-	return coeffs, t.Const.Int64(), nil
+	if t.Const.CmpAbs(bigMagnitude) > 0 {
+		return linear{}, 0, fmt.Errorf("%w: constant %v", ErrTooLarge, t.Const)
+	}
+	return l, t.Const.Int64(), nil
 }
 
-var _ = big.NewInt // keep the import for FromLinear's documentation context
+func abs(x int64) int64 {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
+
+// negate returns −a·x.
+func (l linear) negate() linear {
+	out := linear{vars: l.vars, coefs: make([]int64, len(l.coefs))}
+	for i, c := range l.coefs {
+		out.coefs[i] = -c
+	}
+	return out
+}

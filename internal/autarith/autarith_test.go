@@ -1,6 +1,7 @@
 package autarith
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -28,12 +29,32 @@ func itoa(n int64) string {
 	return string(buf)
 }
 
+// leqAtom builds Σ coefs[i]·vars[i] ≤ bound under a fresh budget.
+func leqAtom(t *testing.T, vars []string, coefs []int64, bound int64) *DFA {
+	t.Helper()
+	d, err := (&budget{}).linearAtom(linear{vars: vars, coefs: coefs}, bound, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// dvdAtom builds d | Σ coefs[i]·vars[i] + c under a fresh budget.
+func dvdAtom(t *testing.T, vars []string, coefs []int64, c, d int64) *DFA {
+	t.Helper()
+	out, err := (&budget{}).dvdAtom(linear{vars: vars, coefs: coefs}, c, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestLeqAtomMembership(t *testing.T) {
 	// x − y ≤ 2.
-	d := LeqAtom([]string{"x", "y"}, map[string]int64{"x": 1, "y": -1}, 2)
+	d := leqAtom(t, []string{"x", "y"}, []int64{1, -1}, 2)
 	for x := int64(0); x <= 8; x++ {
 		for y := int64(0); y <= 8; y++ {
-			got, err := d.Runs(map[string]int64{"x": x, "y": y})
+			got, err := d.Runs([]int64{x, y})
 			if err != nil {
 				t.Fatalf("Runs: %v", err)
 			}
@@ -47,9 +68,9 @@ func TestLeqAtomMembership(t *testing.T) {
 func TestLeqAtomLargeBound(t *testing.T) {
 	// x ≤ 100: residuals start far above the coefficient norm and must
 	// converge without clamping errors.
-	d := LeqAtom([]string{"x"}, map[string]int64{"x": 1}, 100)
+	d := leqAtom(t, []string{"x"}, []int64{1}, 100)
 	for x := int64(90); x <= 110; x++ {
-		got, err := d.Runs(map[string]int64{"x": x})
+		got, err := d.Runs([]int64{x})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,10 +82,10 @@ func TestLeqAtomLargeBound(t *testing.T) {
 
 func TestDvdAtomMembership(t *testing.T) {
 	// 3 | 2x + y + 1.
-	d := DvdAtom([]string{"x", "y"}, map[string]int64{"x": 2, "y": 1}, 1, 3)
+	d := dvdAtom(t, []string{"x", "y"}, []int64{2, 1}, 1, 3)
 	for x := int64(0); x <= 9; x++ {
 		for y := int64(0); y <= 9; y++ {
-			got, err := d.Runs(map[string]int64{"x": x, "y": y})
+			got, err := d.Runs([]int64{x, y})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,14 +98,14 @@ func TestDvdAtomMembership(t *testing.T) {
 
 func TestComplementAndProduct(t *testing.T) {
 	// ¬(x ≤ 3) ∧ (x ≤ 5) ⟺ x ∈ {4, 5}.
-	le3 := LeqAtom([]string{"x"}, map[string]int64{"x": 1}, 3)
-	le5 := LeqAtom([]string{"x"}, map[string]int64{"x": 1}, 5)
-	d, err := And(Complement(le3), le5)
+	le3 := leqAtom(t, []string{"x"}, []int64{1}, 3)
+	le5 := leqAtom(t, []string{"x"}, []int64{1}, 5)
+	d, err := (&budget{}).aligned(complement(le3), le5, and)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for x := int64(0); x <= 8; x++ {
-		got, err := d.Runs(map[string]int64{"x": x})
+		got, err := d.Runs([]int64{x})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,15 +117,15 @@ func TestComplementAndProduct(t *testing.T) {
 
 func TestCylindrifyAlignment(t *testing.T) {
 	// (x ≤ 2) ∧ (y ≤ 1) over merged tracks.
-	dx := LeqAtom([]string{"x"}, map[string]int64{"x": 1}, 2)
-	dy := LeqAtom([]string{"y"}, map[string]int64{"y": 1}, 1)
-	d, err := And(dx, dy)
+	dx := leqAtom(t, []string{"x"}, []int64{1}, 2)
+	dy := leqAtom(t, []string{"y"}, []int64{1}, 1)
+	d, err := (&budget{}).aligned(dx, dy, and)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for x := int64(0); x <= 4; x++ {
 		for y := int64(0); y <= 4; y++ {
-			got, err := d.Runs(map[string]int64{"x": x, "y": y})
+			got, err := d.Runs([]int64{x, y})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,12 +141,12 @@ func TestExistsProjection(t *testing.T) {
 	f := logic.Exists("y", logic.Eq(
 		logic.Var("x"),
 		logic.App(presburger.FuncMul, logic.Const("2"), logic.Var("y"))))
-	d, err := Compile(f)
+	d, err := Compile(context.Background(), f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for x := int64(0); x <= 12; x++ {
-		got, err := d.Runs(map[string]int64{"x": x})
+		got, err := d.Runs([]int64{x})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,12 +160,12 @@ func TestExistsNeedsPadding(t *testing.T) {
 	// ∃y (x < y): always true over ℕ, but the witness y needs more bits
 	// than x — exactly the case padding closure exists for.
 	f := logic.Exists("y", lt(logic.Var("x"), logic.Var("y")))
-	d, err := Compile(f)
+	d, err := Compile(context.Background(), f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for x := int64(0); x <= 10; x++ {
-		got, err := d.Runs(map[string]int64{"x": x})
+		got, err := d.Runs([]int64{x})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,13 +332,13 @@ func TestCompileMembershipAgainstSemantics(t *testing.T) {
 	f := logic.And(
 		logic.Atom(presburger.PredLe, add(x, y), num(9)),
 		logic.Atom(presburger.PredDvd, num(3), add(x, add(y, num(1)))))
-	d, err := Compile(f)
+	d, err := Compile(context.Background(), f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for xv := int64(0); xv <= 12; xv++ {
 		for yv := int64(0); yv <= 12; yv++ {
-			got, err := d.Runs(map[string]int64{"x": xv, "y": yv})
+			got, err := d.Runs([]int64{xv, yv})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -330,11 +351,11 @@ func TestCompileMembershipAgainstSemantics(t *testing.T) {
 }
 
 func TestRunsErrors(t *testing.T) {
-	d := LeqAtom([]string{"x"}, map[string]int64{"x": 1}, 1)
-	if _, err := d.Runs(map[string]int64{}); err == nil {
+	d := leqAtom(t, []string{"x"}, []int64{1}, 1)
+	if _, err := d.Runs(nil); err == nil {
 		t.Errorf("missing value accepted")
 	}
-	if _, err := d.Runs(map[string]int64{"x": -1}); err == nil {
+	if _, err := d.Runs([]int64{-1}); err == nil {
 		t.Errorf("negative value accepted")
 	}
 }
@@ -346,7 +367,7 @@ func TestCompileErrors(t *testing.T) {
 		logic.Eq(logic.App(presburger.FuncMul, logic.Var("x"), logic.Var("y")), logic.Const("1")),
 	}
 	for _, f := range bad {
-		if _, err := Compile(f); err == nil {
+		if _, err := Compile(context.Background(), f); err == nil {
 			t.Errorf("Compile(%v) accepted", f)
 		}
 	}

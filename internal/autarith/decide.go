@@ -1,6 +1,8 @@
 package autarith
 
 import (
+	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/logic"
@@ -8,124 +10,141 @@ import (
 	"repro/internal/presburger"
 )
 
+// Serving metrics. Compile is the entry of the Presburger §1.1
+// enumeration, which answers from the automaton or, on any error, from
+// Cooper's elimination: hits count the automata served, refusals the
+// constructions the MaxCells cap refused.
+var (
+	mTierHits     = obs.NewCounter("autarith.tier.hits")
+	mTierRefusals = obs.NewCounter("autarith.tier.refusals")
+)
+
 // Compile translates a Presburger formula (the same surface syntax the
 // Cooper engine accepts: lt/le/gt/ge/=, dvd, add/sub/mul/neg terms) into an
-// automaton whose tracks are the formula's free variables and whose
-// relation is the formula's satisfaction set over ℕ.
-func Compile(f *logic.Formula) (*DFA, error) {
+// automaton whose tracks are the formula's free variables, in sorted
+// order, and whose relation is the formula's satisfaction set over ℕ.
+//
+// The construction is bounded: it fails with ErrTooLarge once the
+// automata it builds pass MaxCells transition cells, and with the
+// context's error (a nil ctx never cancels) once ctx is done.
+func Compile(ctx context.Context, f *logic.Formula) (*DFA, error) {
+	ctx, sp := obs.StartSpanCtx(ctx, "autarith.compile")
+	defer sp.End()
+	b := &budget{ctx: ctx}
+	d, err := b.compile(f)
+	if err == nil {
+		d, err = b.cylindrify(d, f.FreeVars())
+	}
+	sp.Arg("cells", int64(b.cells))
+	switch {
+	case err == nil:
+		mTierHits.Inc()
+		sp.Arg("states", int64(d.NumStates()))
+	case errors.Is(err, ErrTooLarge):
+		mTierRefusals.Inc()
+	}
+	return d, err
+}
+
+func (b *budget) compile(f *logic.Formula) (*DFA, error) {
 	switch f.Kind {
-	case logic.FTrue:
-		return trivial(true), nil
-	case logic.FFalse:
-		return trivial(false), nil
+	case logic.FTrue, logic.FFalse:
+		return b.trivial(f.Kind == logic.FTrue)
 	case logic.FAtom:
-		return compileAtom(f)
+		return b.compileAtom(f)
 	case logic.FNot:
-		inner, err := Compile(f.Sub[0])
+		inner, err := b.compile(f.Sub[0])
 		if err != nil {
 			return nil, err
 		}
-		return Complement(inner), nil
+		return complement(inner), nil
 	case logic.FAnd, logic.FOr:
-		out := trivial(f.Kind == logic.FAnd)
-		for _, s := range f.Sub {
-			d, err := Compile(s)
+		if len(f.Sub) == 0 {
+			return b.trivial(f.Kind == logic.FAnd)
+		}
+		combine := and
+		if f.Kind == logic.FOr {
+			combine = or
+		}
+		out, err := b.compile(f.Sub[0])
+		for _, s := range f.Sub[1:] {
 			if err != nil {
-				return nil, err
+				break
 			}
-			if f.Kind == logic.FAnd {
-				out, err = And(out, d)
-			} else {
-				out, err = Or(out, d)
-			}
-			if err != nil {
-				return nil, err
+			var d *DFA
+			if d, err = b.compile(s); err == nil {
+				out, err = b.aligned(out, d, combine)
 			}
 		}
-		return out, nil
-	case logic.FImplies:
-		a, err := Compile(f.Sub[0])
+		return out, err
+	case logic.FImplies, logic.FIff:
+		x, err := b.compile(f.Sub[0])
 		if err != nil {
 			return nil, err
 		}
-		b, err := Compile(f.Sub[1])
+		y, err := b.compile(f.Sub[1])
 		if err != nil {
 			return nil, err
 		}
-		return Or(Complement(a), b)
-	case logic.FIff:
-		a, err := Compile(f.Sub[0])
+		if f.Kind == logic.FIff {
+			return b.aligned(x, y, iff)
+		}
+		return b.aligned(complement(x), y, or)
+	case logic.FExists, logic.FForall:
+		inner, err := b.compile(f.Sub[0])
 		if err != nil {
 			return nil, err
 		}
-		b, err := Compile(f.Sub[1])
-		if err != nil {
-			return nil, err
+		if f.Kind == logic.FExists {
+			return b.exists(inner, f.Var)
 		}
-		return aligned(a, b, func(x, y bool) bool { return x == y })
-	case logic.FExists:
-		inner, err := Compile(f.Sub[0])
-		if err != nil {
-			return nil, err
-		}
-		return Exists(inner, f.Var)
-	case logic.FForall:
-		inner, err := Compile(f.Sub[0])
-		if err != nil {
-			return nil, err
-		}
-		return Forall(inner, f.Var)
+		return b.forall(inner, f.Var)
 	}
 	return nil, fmt.Errorf("autarith: cannot compile %v", f)
 }
 
 // trivial is the 0-track automaton of the always/never relation.
-func trivial(accept bool) *DFA {
-	return &DFA{Vars: nil, Trans: [][]int{{0}}, Accept: []bool{accept}, Initial: 0}
+func (b *budget) trivial(accept bool) (*DFA, error) {
+	bl, err := b.newBuilder(nil)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := bl.add(accept); err != nil {
+		return nil, err
+	}
+	return bl.build(0), nil
 }
 
-func compileAtom(f *logic.Formula) (*DFA, error) {
+func (b *budget) compileAtom(f *logic.Formula) (*DFA, error) {
 	switch f.Pred {
 	case logic.EqPred, presburger.PredLt, presburger.PredLe, presburger.PredGt, presburger.PredGe:
 		if len(f.Args) != 2 {
 			return nil, fmt.Errorf("autarith: %s expects 2 arguments", f.Pred)
 		}
-		a, err := presburger.ParseLinear(f.Args[0])
+		x, err := presburger.ParseLinear(f.Args[0])
 		if err != nil {
 			return nil, err
 		}
-		b, err := presburger.ParseLinear(f.Args[1])
+		y, err := presburger.ParseLinear(f.Args[1])
 		if err != nil {
 			return nil, err
 		}
-		diff := a.Sub(b) // a − b
-		coeffs, c, err := FromLinear(diff)
+		// x − y = a·v + c.
+		a, c, err := fromLinear(x.Sub(y))
 		if err != nil {
 			return nil, err
-		}
-		vars := varsOf(coeffs)
-		leq := func(coeffs map[string]int64, bound int64) *DFA {
-			return LeqAtom(vars, coeffs, bound)
-		}
-		negate := func(m map[string]int64) map[string]int64 {
-			out := map[string]int64{}
-			for k, v := range m {
-				out[k] = -v
-			}
-			return out
 		}
 		switch f.Pred {
-		case presburger.PredLt: // a − b < 0 ⟺ a − b ≤ −1
-			return leq(coeffs, -c-1), nil
+		case presburger.PredLt: // a·v + c < 0 ⟺ a·v ≤ −c−1
+			return b.linearAtom(a, -c-1, false)
 		case presburger.PredLe:
-			return leq(coeffs, -c), nil
-		case presburger.PredGt: // b − a < 0
-			return leq(negate(coeffs), c-1), nil
+			return b.linearAtom(a, -c, false)
+		case presburger.PredGt: // −a·v − c < 0
+			return b.linearAtom(a.negate(), c-1, false)
 		case presburger.PredGe:
-			return leq(negate(coeffs), c), nil
-		default: // equality: both directions
-			return Product(leq(coeffs, -c), leq(negate(coeffs), c),
-				func(x, y bool) bool { return x && y })
+			return b.linearAtom(a.negate(), c, false)
+		default:
+			return b.linearAtom(a, -c, true)
 		}
 	case presburger.PredDvd:
 		if len(f.Args) != 2 {
@@ -138,30 +157,26 @@ func compileAtom(f *logic.Formula) (*DFA, error) {
 		if !k.IsConst() || k.Const.Sign() <= 0 {
 			return nil, fmt.Errorf("autarith: dvd modulus must be a positive numeral")
 		}
+		// A modulus past maxModulus would overflow the residue arithmetic
+		// (and its automaton would pass the cap anyway).
+		if !k.Const.IsInt64() || k.Const.Int64() > maxModulus {
+			return nil, fmt.Errorf("%w: dvd modulus %v", ErrTooLarge, k.Const)
+		}
 		t, err := presburger.ParseLinear(f.Args[1])
 		if err != nil {
 			return nil, err
 		}
-		coeffs, c, err := FromLinear(t)
+		a, c, err := fromLinear(t)
 		if err != nil {
 			return nil, err
 		}
-		return DvdAtom(varsOf(coeffs), coeffs, c, k.Const.Int64()), nil
+		return b.dvdAtom(a, c, k.Const.Int64())
 	}
 	return nil, fmt.Errorf("autarith: unknown predicate %q", f.Pred)
 }
 
-func varsOf(coeffs map[string]int64) []string {
-	var out []string
-	for v, c := range coeffs {
-		if c != 0 {
-			out = append(out, v)
-		}
-	}
-	return MergeVars(out, nil)
-}
-
-// Decide decides a Presburger sentence over ℕ automata-theoretically.
+// Decide decides a Presburger sentence over ℕ automata-theoretically,
+// within the same MaxCells cap as Compile.
 func Decide(sentence *logic.Formula) (bool, error) {
 	sp := obs.StartSpan("autarith.decide")
 	defer sp.End()
@@ -169,7 +184,7 @@ func Decide(sentence *logic.Formula) (bool, error) {
 	if fv := sentence.FreeVars(); len(fv) != 0 {
 		return false, fmt.Errorf("autarith: Decide on open formula (free vars %v)", fv)
 	}
-	d, err := Compile(sentence)
+	d, err := (&budget{}).compile(sentence)
 	if err != nil {
 		return false, err
 	}

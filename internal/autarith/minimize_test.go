@@ -1,28 +1,175 @@
 package autarith
 
+// Formula equivalence by minimize-and-compare, independent of Cooper's
+// ∀x̄ (φ ↔ ψ) sentence: a test oracle for both engines, with no production
+// caller.
+
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/logic"
 	"repro/internal/presburger"
 )
 
+// Minimize returns the canonical minimal automaton of the same relation:
+// unreachable states dropped, then Moore's partition refinement. Two
+// formulas define the same relation iff their compiled automata minimize to
+// isomorphic DFAs, which Equivalent exploits as a decision procedure for
+// formula equivalence independent of Cooper's.
+func Minimize(d *DFA) *DFA {
+	// Reachable restriction.
+	reach := []int{d.Initial}
+	seen := map[int]bool{d.Initial: true}
+	for i := 0; i < len(reach); i++ {
+		for _, t := range d.row(reach[i]) {
+			if !seen[t] {
+				seen[t] = true
+				reach = append(reach, t)
+			}
+		}
+	}
+	renum := map[int]int{}
+	for i, s := range reach {
+		renum[s] = i
+	}
+
+	// Moore refinement: start from the accept/reject split.
+	class := make([]int, len(reach))
+	for i, s := range reach {
+		if d.Accept[s] {
+			class[i] = 1
+		}
+	}
+	numClasses := 2
+	for {
+		sig := map[string][]int{}
+		order := []string{}
+		for i, s := range reach {
+			var b strings.Builder
+			b.WriteString(strconv.Itoa(class[i]))
+			for _, t := range d.row(s) {
+				b.WriteByte(':')
+				b.WriteString(strconv.Itoa(class[renum[t]]))
+			}
+			key := b.String()
+			if _, ok := sig[key]; !ok {
+				order = append(order, key)
+			}
+			sig[key] = append(sig[key], i)
+		}
+		if len(sig) == numClasses {
+			break
+		}
+		numClasses = len(sig)
+		for ci, key := range order {
+			for _, i := range sig[key] {
+				class[i] = ci
+			}
+		}
+	}
+
+	// Build the quotient.
+	out := &DFA{Vars: d.Vars, Initial: class[renum[d.Initial]]}
+	out.Trans = make([]int, numClasses*d.symbols())
+	out.Accept = make([]bool, numClasses)
+	filled := make([]bool, numClasses)
+	for i, s := range reach {
+		c := class[i]
+		if !filled[c] {
+			filled[c] = true
+			row := out.row(c)
+			for sym, t := range d.row(s) {
+				row[sym] = class[renum[t]]
+			}
+			out.Accept[c] = d.Accept[s]
+		}
+	}
+	return out
+}
+
+// Isomorphic reports whether two DFAs over the same tracks are isomorphic
+// (after minimization this is relation equality). The check walks both in
+// lockstep from the initial states.
+func Isomorphic(a, b *DFA) bool {
+	if len(a.Vars) != len(b.Vars) {
+		return false
+	}
+	for i := range a.Vars {
+		if a.Vars[i] != b.Vars[i] {
+			return false
+		}
+	}
+	if a.NumStates() != b.NumStates() {
+		return false
+	}
+	match := map[int]int{a.Initial: b.Initial}
+	stack := []int{a.Initial}
+	for len(stack) > 0 {
+		s := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		t := match[s]
+		if a.Accept[s] != b.Accept[t] {
+			return false
+		}
+		for sym, as := range a.row(s) {
+			bs := b.row(t)[sym]
+			if prev, ok := match[as]; ok {
+				if prev != bs {
+					return false
+				}
+				continue
+			}
+			match[as] = bs
+			stack = append(stack, as)
+		}
+	}
+	return true
+}
+
+// Equivalent decides whether two Presburger formulas agree on every
+// assignment over ℕ, by compiling, aligning tracks, minimizing, and
+// checking isomorphism. The two constructions share one MaxCells cap.
+func Equivalent(f, g *logic.Formula) (bool, error) {
+	b := &budget{}
+	df, err := b.compile(f)
+	if err != nil {
+		return false, err
+	}
+	dg, err := b.compile(g)
+	if err != nil {
+		return false, err
+	}
+	vars := MergeVars(df.Vars, dg.Vars)
+	cf, err := b.cylindrify(df, vars)
+	if err != nil {
+		return false, err
+	}
+	cg, err := b.cylindrify(dg, vars)
+	if err != nil {
+		return false, err
+	}
+	return Isomorphic(Minimize(cf), Minimize(cg)), nil
+}
+
 func TestMinimizePreservesRelation(t *testing.T) {
 	// x − y ≤ 2 before and after minimization.
-	d := LeqAtom([]string{"x", "y"}, map[string]int64{"x": 1, "y": -1}, 2)
+	d := leqAtom(t, []string{"x", "y"}, []int64{1, -1}, 2)
 	m := Minimize(d)
 	if m.NumStates() > d.NumStates() {
 		t.Fatalf("minimization grew: %s -> %s", statesString(d), statesString(m))
 	}
 	for x := int64(0); x <= 6; x++ {
 		for y := int64(0); y <= 6; y++ {
-			a, err := d.Runs(map[string]int64{"x": x, "y": y})
+			a, err := d.Runs([]int64{x, y})
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := m.Runs(map[string]int64{"x": x, "y": y})
+			b, err := m.Runs([]int64{x, y})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -36,8 +183,8 @@ func TestMinimizePreservesRelation(t *testing.T) {
 func TestMinimizeCanonical(t *testing.T) {
 	// Two syntactically different automata for the same relation minimize
 	// to isomorphic DFAs: x ≤ 3 vs x < 4.
-	a := LeqAtom([]string{"x"}, map[string]int64{"x": 1}, 3)
-	b, err := Compile(logic.Atom(presburger.PredLt, logic.Var("x"), logic.Const("4")))
+	a := leqAtom(t, []string{"x"}, []int64{1}, 3)
+	b, err := Compile(context.Background(), logic.Atom(presburger.PredLt, logic.Var("x"), logic.Const("4")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +192,7 @@ func TestMinimizeCanonical(t *testing.T) {
 		t.Errorf("x≤3 and x<4 should minimize identically")
 	}
 	// And a different relation does not.
-	c := LeqAtom([]string{"x"}, map[string]int64{"x": 1}, 4)
+	c := leqAtom(t, []string{"x"}, []int64{1}, 4)
 	if Isomorphic(Minimize(a), Minimize(c)) {
 		t.Errorf("x≤3 and x≤4 differ")
 	}

@@ -2,15 +2,18 @@ package autarith
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
 )
 
-// Complement flips acceptance. Because the package maintains zero-stability
-// (every encoding of a tuple is accepted or every one rejected), language
-// complement is relation complement.
-func Complement(d *DFA) *DFA {
+// The automaton constructions. Each one that builds states is a method of
+// the construction's budget, so every intermediate automaton is charged
+// against MaxCells and the context is polled as it grows.
+
+// complement flips acceptance. Because the package maintains
+// zero-stability (every encoding of a tuple is accepted or every one
+// rejected), language complement is relation complement. The transition
+// table is shared, not copied.
+func complement(d *DFA) *DFA {
 	accept := make([]bool, len(d.Accept))
 	for i, a := range d.Accept {
 		accept[i] = !a
@@ -18,201 +21,242 @@ func Complement(d *DFA) *DFA {
 	return &DFA{Vars: d.Vars, Trans: d.Trans, Accept: accept, Initial: d.Initial}
 }
 
-// Cylindrify extends the automaton to a superset of tracks: new tracks are
+// cylindrify extends the automaton to a superset of tracks: new tracks are
 // unconstrained (transitions ignore their bits).
-func Cylindrify(d *DFA, vars []string) (*DFA, error) {
-	pos := map[string]int{}
-	for i, v := range vars {
-		pos[v] = i
+func (b *budget) cylindrify(d *DFA, vars []string) (*DFA, error) {
+	if slices.Equal(d.Vars, vars) {
+		return d, nil
 	}
-	old := make([]int, len(d.Vars)) // old track -> new track position
+	bl, err := b.newBuilder(vars)
+	if err != nil {
+		return nil, err
+	}
+	// oldSym[sym] is the symbol over d's tracks that sym projects to.
+	oldSym := make([]int, 1<<len(vars))
 	for i, v := range d.Vars {
-		p, ok := pos[v]
-		if !ok {
+		p := slices.Index(vars, v)
+		if p < 0 {
 			return nil, fmt.Errorf("autarith: cylindrification drops track %q", v)
 		}
-		old[i] = p
-	}
-	out := &DFA{Vars: vars, Initial: d.Initial, Accept: append([]bool(nil), d.Accept...)}
-	out.Trans = make([][]int, len(d.Trans))
-	for s := range d.Trans {
-		out.Trans[s] = make([]int, 1<<len(vars))
-		for sym := 0; sym < 1<<len(vars); sym++ {
-			oldSym := 0
-			for i := range d.Vars {
-				if sym>>old[i]&1 == 1 {
-					oldSym |= 1 << i
-				}
-			}
-			out.Trans[s][sym] = d.Trans[s][oldSym]
+		for sym := range oldSym {
+			oldSym[sym] |= (sym >> p & 1) << i
 		}
 	}
-	return out, nil
+	syms := len(oldSym)
+	for s := 0; s < d.NumStates(); s++ {
+		if _, err := bl.add(d.Accept[s]); err != nil {
+			return nil, err
+		}
+		row := d.row(s)
+		for sym, old := range oldSym {
+			bl.trans[s*syms+sym] = row[old]
+		}
+	}
+	return bl.build(d.Initial), nil
 }
 
-// Product combines two automata over the SAME track list with a boolean
+// product combines two automata over the same track list with a boolean
 // connective on acceptance.
-func Product(a, b *DFA, combine func(bool, bool) bool) (*DFA, error) {
-	if len(a.Vars) != len(b.Vars) {
-		return nil, fmt.Errorf("autarith: product of mismatched tracks %v vs %v", a.Vars, b.Vars)
+func (b *budget) product(x, y *DFA, combine func(bool, bool) bool) (*DFA, error) {
+	if !slices.Equal(x.Vars, y.Vars) {
+		return nil, fmt.Errorf("autarith: product of mismatched tracks %v vs %v", x.Vars, y.Vars)
 	}
-	for i := range a.Vars {
-		if a.Vars[i] != b.Vars[i] {
-			return nil, fmt.Errorf("autarith: product of mismatched tracks %v vs %v", a.Vars, b.Vars)
-		}
-	}
-	type pair struct{ x, y int }
-	index := map[pair]int{}
-	var states []pair
-	get := func(p pair) int {
-		if i, ok := index[p]; ok {
-			return i
-		}
-		i := len(states)
-		index[p] = i
-		states = append(states, p)
-		return i
-	}
-	init := get(pair{a.Initial, b.Initial})
-	out := &DFA{Vars: a.Vars, Initial: init}
-	for i := 0; i < len(states); i++ {
-		p := states[i]
-		out.Trans = append(out.Trans, make([]int, 1<<len(a.Vars)))
-		out.Accept = append(out.Accept, combine(a.Accept[p.x], b.Accept[p.y]))
-		for sym := 0; sym < 1<<len(a.Vars); sym++ {
-			out.Trans[i][sym] = get(pair{a.Trans[p.x][sym], b.Trans[p.y][sym]})
-		}
-	}
-	return out, nil
-}
-
-// And intersects two relations, aligning tracks first.
-func And(a, b *DFA) (*DFA, error) { return aligned(a, b, func(x, y bool) bool { return x && y }) }
-
-// Or unions two relations, aligning tracks first.
-func Or(a, b *DFA) (*DFA, error) { return aligned(a, b, func(x, y bool) bool { return x || y }) }
-
-func aligned(a, b *DFA, combine func(bool, bool) bool) (*DFA, error) {
-	vars := MergeVars(a.Vars, b.Vars)
-	ca, err := Cylindrify(a, vars)
+	bl, err := b.newBuilder(x.Vars)
 	if err != nil {
 		return nil, err
 	}
-	cb, err := Cylindrify(b, vars)
+	k := len(x.Vars)
+	index := map[uint64]int{}
+	var pairs []uint64
+	state := func(p, q int) (int, error) {
+		key := uint64(p)<<32 | uint64(q)
+		if i, ok := index[key]; ok {
+			return i, nil
+		}
+		i, err := bl.add(combine(x.Accept[p], y.Accept[q]))
+		if err != nil {
+			return 0, err
+		}
+		index[key] = i
+		pairs = append(pairs, key)
+		return i, nil
+	}
+	init, err := state(x.Initial, y.Initial)
 	if err != nil {
 		return nil, err
 	}
-	return Product(ca, cb, combine)
-}
-
-// Exists projects a track away: the variable's bits become nondeterministic
-// guesses, the NFA is determinized by subset construction, and acceptance
-// is padding-closed — a state set accepts if it can reach an accepting set
-// by reading only all-zero symbols, because the witness value may need more
-// significant bits than the remaining tracks show.
-func Exists(d *DFA, v string) (*DFA, error) {
-	track := -1
-	for i, name := range d.Vars {
-		if name == v {
-			track = i
+	syms := 1 << k
+	for i := 0; i < len(pairs); i++ {
+		p, q := int(pairs[i]>>32), int(uint32(pairs[i]))
+		for sym := 0; sym < syms; sym++ {
+			ni, err := state(x.Trans[p<<k|sym], y.Trans[q<<k|sym])
+			if err != nil {
+				return nil, err
+			}
+			bl.trans[i*syms+sym] = ni
 		}
 	}
+	return bl.build(init), nil
+}
+
+func and(x, y bool) bool { return x && y }
+func or(x, y bool) bool  { return x || y }
+func iff(x, y bool) bool { return x == y }
+
+// aligned combines two relations with a connective, cylindrifying both to
+// the union of their tracks first.
+func (b *budget) aligned(x, y *DFA, combine func(bool, bool) bool) (*DFA, error) {
+	vars := x.Vars
+	if !slices.Equal(x.Vars, y.Vars) {
+		vars = MergeVars(x.Vars, y.Vars)
+	}
+	cx, err := b.cylindrify(x, vars)
+	if err != nil {
+		return nil, err
+	}
+	cy, err := b.cylindrify(y, vars)
+	if err != nil {
+		return nil, err
+	}
+	return b.product(cx, cy, combine)
+}
+
+// exists projects a track away: the variable's bits become
+// nondeterministic guesses, the NFA is determinized by subset
+// construction, and acceptance is padding-closed — a state set accepts if
+// it can reach an accepting set by reading only all-zero symbols, because
+// the witness value may need more significant bits than the remaining
+// tracks show.
+func (b *budget) exists(d *DFA, v string) (*DFA, error) {
+	track := slices.Index(d.Vars, v)
 	if track < 0 {
 		// The variable is not a track: ∃v is vacuous over a nonempty
 		// domain.
 		return d, nil
 	}
-	rest := make([]string, 0, len(d.Vars)-1)
-	for i, name := range d.Vars {
-		if i != track {
-			rest = append(rest, name)
-		}
-	}
-
-	// Subset construction over the reduced alphabet.
-	expand := func(sym int) (int, int) {
-		// Insert a 0 or 1 bit at position track.
-		low := sym & ((1 << track) - 1)
-		high := sym >> track
-		base := low | high<<(track+1)
-		return base, base | 1<<track
-	}
-	type setKey = string
-	keyOf := func(set []int) setKey {
-		parts := make([]string, len(set))
-		for i, s := range set {
-			parts[i] = strconv.Itoa(s)
-		}
-		return strings.Join(parts, ",")
-	}
-	normalize := func(set map[int]bool) ([]int, setKey) {
-		out := make([]int, 0, len(set))
-		for s := range set {
-			out = append(out, s)
-		}
-		sort.Ints(out)
-		return out, keyOf(out)
-	}
-
-	index := map[setKey]int{}
-	var sets [][]int
-	get := func(set map[int]bool) int {
-		norm, key := normalize(set)
-		if i, ok := index[key]; ok {
-			return i
-		}
-		i := len(sets)
-		index[key] = i
-		sets = append(sets, norm)
-		return i
-	}
-	init := get(map[int]bool{d.Initial: true})
-	out := &DFA{Vars: rest, Initial: init}
-	for i := 0; i < len(sets); i++ {
-		cur := sets[i]
-		out.Trans = append(out.Trans, make([]int, 1<<len(rest)))
-		out.Accept = append(out.Accept, false) // fixed below by padding closure
-		for sym := 0; sym < 1<<len(rest); sym++ {
-			next := map[int]bool{}
-			s0, s1 := expand(sym)
-			for _, s := range cur {
-				next[d.Trans[s][s0]] = true
-				next[d.Trans[s][s1]] = true
-			}
-			out.Trans[i][sym] = get(next)
-		}
-	}
-
-	// Padding closure: out-state accepts iff, reading only the all-zero
-	// reduced symbol, it can reach a subset containing an accepting
-	// original state.
-	good := make([]bool, len(sets))
-	for i, set := range sets {
-		for _, s := range set {
-			if d.Accept[s] {
-				good[i] = true
-			}
-		}
-	}
-	changed := true
-	for changed {
-		changed = false
-		for i := range sets {
-			if !good[i] && good[out.Trans[i][0]] {
-				good[i] = true
-				changed = true
-			}
-		}
-	}
-	out.Accept = good
-	return out, nil
-}
-
-// Forall is ¬∃¬.
-func Forall(d *DFA, v string) (*DFA, error) {
-	inner, err := Exists(Complement(d), v)
+	rest := slices.Delete(slices.Clone(d.Vars), track, track+1)
+	bl, err := b.newBuilder(rest)
 	if err != nil {
 		return nil, err
 	}
-	return Complement(inner), nil
+	k := len(d.Vars)
+
+	// Each subset of d's states is kept sorted and encoded as its members'
+	// little-endian uint32 bytes; that string is both the subset's index
+	// key and its storage.
+	index := map[string]int{}
+	var sets []string
+	var key []byte
+	intern := func(members []int32) (int, error) {
+		slices.Sort(members)
+		key = key[:0]
+		for _, m := range members {
+			key = append(key, byte(m), byte(m>>8), byte(m>>16), byte(m>>24))
+		}
+		if i, ok := index[string(key)]; ok {
+			return i, nil
+		}
+		// A new subset is charged its members too, which bounds the
+		// memory the subsets take along with the table.
+		if err := b.charge(len(members)); err != nil {
+			return 0, err
+		}
+		i, err := bl.add(false) // acceptance is set by the padding closure
+		if err != nil {
+			return 0, err
+		}
+		set := string(key)
+		index[set] = i
+		sets = append(sets, set)
+		return i, nil
+	}
+	init, err := intern([]int32{int32(d.Initial)})
+	if err != nil {
+		return nil, err
+	}
+	// stamp[s] == gen marks s as already in the subset being built.
+	stamp := make([]int, d.NumStates())
+	gen := 0
+	var members []int32
+	syms := 1 << len(rest)
+	low := 1<<track - 1
+	for i := 0; i < len(sets); i++ {
+		set := sets[i]
+		for sym := 0; sym < syms; sym++ {
+			// Insert a 0 or a 1 bit for the projected track.
+			s0 := sym&low | (sym&^low)<<1
+			s1 := s0 | 1<<track
+			gen++
+			members = members[:0]
+			for j := 0; j < len(set); j += 4 {
+				s := member(set, j)
+				for _, t := range [2]int{d.Trans[s<<k|s0], d.Trans[s<<k|s1]} {
+					if stamp[t] != gen {
+						stamp[t] = gen
+						members = append(members, int32(t))
+					}
+				}
+			}
+			ni, err := intern(members)
+			if err != nil {
+				return nil, err
+			}
+			bl.trans[i*syms+sym] = ni
+		}
+	}
+
+	// Padding closure: a subset accepts iff the chain of its all-zero
+	// successors reaches a subset holding an accepting state of d. Each
+	// chain is walked once; a chain that closes on itself without such a
+	// subset rejects.
+	const (
+		unknown = iota
+		yes
+		no
+		walking
+	)
+	verdict := make([]uint8, len(sets))
+	for i, set := range sets {
+		for j := 0; j < len(set); j += 4 {
+			if d.Accept[member(set, j)] {
+				verdict[i] = yes
+				break
+			}
+		}
+	}
+	var path []int
+	for i := range sets {
+		s := i
+		path = path[:0]
+		for verdict[s] == unknown {
+			verdict[s] = walking
+			path = append(path, s)
+			s = bl.trans[s*syms]
+		}
+		v := verdict[s]
+		if v == walking {
+			v = no
+		}
+		for _, p := range path {
+			verdict[p] = v
+		}
+	}
+	for i, v := range verdict {
+		bl.accept[i] = v == yes
+	}
+	return bl.build(init), nil
+}
+
+// member decodes the state at byte offset j of an encoded subset.
+func member(set string, j int) int {
+	return int(uint32(set[j]) | uint32(set[j+1])<<8 | uint32(set[j+2])<<16 | uint32(set[j+3])<<24)
+}
+
+// forall is ¬∃¬.
+func (b *budget) forall(d *DFA, v string) (*DFA, error) {
+	inner, err := b.exists(complement(d), v)
+	if err != nil {
+		return nil, err
+	}
+	return complement(inner), nil
 }

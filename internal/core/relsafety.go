@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/autarith"
 	"repro/internal/db"
 	"repro/internal/domain"
 	"repro/internal/domains/eqdom"
@@ -65,19 +64,6 @@ func RelativeSafetyPresburger(st *db.State, f *logic.Formula) (bool, error) {
 		return false, err
 	}
 	return observeSafety(presburger.Eliminator{}.Equivalent(pure, Finitize(pure)))
-}
-
-// RelativeSafetyPresburgerAutomata is RelativeSafetyPresburger with the
-// Theorem 2.5 equivalence decided by the automata-theoretic engine instead
-// of Cooper's elimination — an independent implementation of the same
-// decider, kept for differential testing.
-func RelativeSafetyPresburgerAutomata(st *db.State, f *logic.Formula) (bool, error) {
-	defer obs.StartSpan("safety.relative", "domain=presburger-automata").End()
-	pure, err := query.Translate(presburger.Domain{}, st, f)
-	if err != nil {
-		return false, err
-	}
-	return observeSafety(autarith.Equivalent(pure, Finitize(pure)))
 }
 
 // RelativeSafetyEq decides relative safety over the pure-equality domain by

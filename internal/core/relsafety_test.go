@@ -1,13 +1,19 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"math/rand"
 	"testing"
 
+	"repro/internal/autarith"
 	"repro/internal/db"
 	"repro/internal/domain"
 	"repro/internal/domains/nsucc"
 	"repro/internal/logic"
 	"repro/internal/parser"
+	"repro/internal/presburger"
+	"repro/internal/query"
 	"repro/internal/traces"
 	"repro/internal/turing"
 )
@@ -242,40 +248,119 @@ func TestTheorem33Semantics(t *testing.T) {
 	}
 }
 
-// TestRelativeSafetyEnginesAgree: the Cooper-based and automata-based
-// Theorem 2.5 deciders agree on random queries and states.
+// TestRelativeSafetyEnginesAgree: the served Theorem 2.5 decider
+// (Cooper's elimination) and the automaton of φ′ (finite iff its tuple
+// count is, internal/autarith) agree on seeded random queries over a unary
+// R and a binary S, in random states. Cooper's size guard may bail on a
+// pathological instance; those are skipped and must stay rare, as in
+// autarith's TestDifferentialAgainstCooper, and so must the automaton's
+// cap refusals.
 func TestRelativeSafetyEnginesAgree(t *testing.T) {
-	st := db.NewState(db.MustScheme(map[string]int{"R": 1}))
-	for _, n := range []int64{1, 4} {
-		if err := st.Insert("R", domain.Int(n)); err != nil {
-			t.Fatal(err)
+	rng := rand.New(rand.NewSource(25))
+	const n = 200
+	skipped, refused, finite := 0, 0, 0
+	for i := 0; i < n; i++ {
+		st := randSafetyState(t, rng)
+		f := randSafetyQuery(rng)
+		got, err := RelativeSafetyPresburger(st, f)
+		if err != nil {
+			skipped++
+			continue
 		}
-	}
-	queries := []string{
-		"R(x)",
-		"~R(x)",
-		"R(x) & lt(x, 3)",
-		"lt(x, 4)",
-		"lt(2, x)",
-		"R(x) | x = 9",
-		"exists y. (R(y) & lt(x, y))",
-		"exists y. (R(y) & lt(y, x))",
-	}
-	for _, src := range queries {
-		f, err := parser.ParseWith(src, parser.Options{})
+		pure, err := query.Translate(presburger.Domain{}, st, f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := RelativeSafetyPresburger(st, f)
+		d, err := autarith.Compile(context.Background(), pure)
 		if err != nil {
-			t.Fatalf("cooper %s: %v", src, err)
+			refused++
+			continue
 		}
-		b, err := RelativeSafetyPresburgerAutomata(st, f)
-		if err != nil {
-			t.Fatalf("automata %s: %v", src, err)
+		if _, infinite := d.Count(); got == infinite {
+			t.Fatalf("%v in %v: served finite=%v, automaton infinite=%v", f, st, got, infinite)
 		}
-		if a != b {
-			t.Errorf("deciders disagree on %s: cooper=%v automata=%v", src, a, b)
+		if got {
+			finite++
 		}
 	}
+	if skipped > n/10 {
+		t.Fatalf("too many Cooper bailouts: %d of %d", skipped, n)
+	}
+	if refused > n/10 {
+		t.Fatalf("too many automaton refusals: %d of %d", refused, n)
+	}
+	if finite < n/10 || finite > n*9/10 {
+		t.Fatalf("unbalanced draw: %d of %d finite", finite, n)
+	}
+	t.Logf("%d agreed (%d finite), %d Cooper bailouts, %d automaton refusals", n-skipped-refused, finite, skipped, refused)
+}
+
+// randSafetyState draws R (unary) and S (binary) over small numbers.
+func randSafetyState(t *testing.T, rng *rand.Rand) *db.State {
+	st := db.NewState(db.MustScheme(map[string]int{"R": 1, "S": 2}))
+	for i := 0; i < 1+rng.Intn(4); i++ {
+		if err := st.Insert("R", domain.Int(int64(rng.Intn(10)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 1+rng.Intn(3); i++ {
+		if err := st.Insert("S", domain.Int(int64(rng.Intn(10))), domain.Int(int64(rng.Intn(10)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return st
+}
+
+// randSafetyQuery draws a query over free x and y (either may vanish) and
+// bound z: lt/le/=/dvd/add atoms, R and S atoms, ¬, ∧, ∨ and ∃.
+func randSafetyQuery(rng *rand.Rand) *logic.Formula {
+	vars := []string{"x", "y", "z"}
+	v := func() logic.Term { return logic.Var(vars[rng.Intn(3)]) }
+	c := func() logic.Term { return logic.Const(fmt.Sprint(rng.Intn(10))) }
+	term := func() logic.Term {
+		switch rng.Intn(4) {
+		case 0:
+			return c()
+		case 1:
+			return logic.App(presburger.FuncAdd, v(), c())
+		case 2:
+			return logic.App(presburger.FuncAdd, v(), v())
+		}
+		return v()
+	}
+	atom := func() *logic.Formula {
+		switch rng.Intn(7) {
+		case 0:
+			return logic.Atom("R", v())
+		case 1:
+			return logic.Atom("S", v(), v())
+		case 2:
+			return logic.Atom(presburger.PredLt, term(), term())
+		case 3:
+			return logic.Atom(presburger.PredLe, term(), term())
+		case 4:
+			return logic.Eq(term(), term())
+		case 5:
+			return logic.Atom(presburger.PredDvd, logic.Const(fmt.Sprint(2+rng.Intn(2))), term())
+		}
+		return logic.And(logic.Atom("R", v()), logic.Atom(presburger.PredLt, v(), v()))
+	}
+	var rec func(d int) *logic.Formula
+	rec = func(d int) *logic.Formula {
+		if d == 0 {
+			return atom()
+		}
+		switch rng.Intn(6) {
+		case 0:
+			return atom()
+		case 1:
+			return logic.Not(rec(d - 1))
+		case 2:
+			return logic.Or(rec(d-1), rec(d-1))
+		case 3:
+			return logic.Exists("z", rec(d-1))
+		}
+		return logic.And(rec(d-1), rec(d-1))
+	}
+	return rec(3)
 }

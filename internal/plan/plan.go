@@ -180,14 +180,6 @@ type cacheEntry struct {
 	plan *Plan
 }
 
-// CacheStats returns the current plan-cache size (the obs counters carry
-// hits/misses/evictions).
-func CacheStats() (size int) {
-	cache.mu.Lock()
-	defer cache.mu.Unlock()
-	return cache.order.Len()
-}
-
 // resetCache empties the plan cache; tests use it to force recompiles.
 func resetCache() {
 	cache.mu.Lock()

@@ -297,7 +297,10 @@ func TestCacheEviction(t *testing.T) {
 		f := logic.Eq(logic.Var("x"), logic.Const(fmt.Sprintf("c%d", i)))
 		For(context.Background(), scheme, "eq", "", f)
 	}
-	if n := CacheStats(); n != DefaultCacheCapacity {
+	cache.mu.Lock()
+	n := cache.order.Len()
+	cache.mu.Unlock()
+	if n != DefaultCacheCapacity {
 		t.Fatalf("cache size %d, want %d", n, DefaultCacheCapacity)
 	}
 	resetCache()

@@ -9,6 +9,7 @@ import (
 	"repro/internal/db"
 	"repro/internal/domain"
 	"repro/internal/domains/eqdom"
+	"repro/internal/domains/nless"
 	"repro/internal/logic"
 	"repro/internal/presburger"
 )
@@ -27,7 +28,8 @@ func (s slowDecider) Decide(f *logic.Formula) (bool, error) {
 
 // TestEnumerationCtxCancelMidRun cancels the context while the §1.1 loop
 // is between rows: the partial answer found so far must come back with
-// Complete=false and the context's error.
+// Complete=false and the context's error — from the automaton over
+// Presburger arithmetic and from a slow decider over N<.
 func TestEnumerationCtxCancelMidRun(t *testing.T) {
 	st := db.NewState(db.MustScheme(map[string]int{"R": 1}))
 	if err := st.Insert("R", domain.Int(5)); err != nil {
@@ -35,27 +37,34 @@ func TestEnumerationCtxCancelMidRun(t *testing.T) {
 	}
 	// ¬R(x) is infinite: without a deadline the budget is the only stop.
 	f := logic.Not(logic.Atom("R", logic.Var("x")))
-	dec := slowDecider{inner: presburger.Decider(), delay: 2 * time.Millisecond}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	t0 := time.Now()
-	ans, err := EnumerationAnswerSinkCtx(ctx, presburger.Domain{}, dec, st, f,
-		EnumerationBudget{Rows: 1 << 20, Probe: 1 << 20}, nil)
-	elapsed := time.Since(t0)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want DeadlineExceeded, got %v", err)
-	}
-	if ans == nil {
-		t.Fatal("cancelled enumeration must return the partial answer")
-	}
-	if ans.Complete {
-		t.Fatal("cancelled enumeration reported complete")
-	}
-	// Promptness: the loop checks between rows and probes, so the return
-	// should come within one probe granule (a slow decision) of the
-	// deadline, not after the huge budget.
-	if elapsed > 2*time.Second {
-		t.Fatalf("cancelled enumeration took %v", elapsed)
+	for _, c := range []struct {
+		dom Enumerable
+		dec domain.Decider
+	}{
+		{presburger.Domain{}, presburger.Decider()},
+		{nless.Domain{}, slowDecider{inner: nless.Decider(), delay: 2 * time.Millisecond}},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+		t0 := time.Now()
+		ans, err := EnumerationAnswerSinkCtx(ctx, c.dom, c.dec, st, f,
+			EnumerationBudget{Rows: 1 << 20, Probe: 1 << 20}, nil)
+		elapsed := time.Since(t0)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: want DeadlineExceeded, got %v", c.dom.Name(), err)
+		}
+		if ans == nil {
+			t.Fatalf("%s: cancelled enumeration must return the partial answer", c.dom.Name())
+		}
+		if ans.Complete {
+			t.Fatalf("%s: cancelled enumeration reported complete", c.dom.Name())
+		}
+		// Promptness: the loop checks between rows and probes, so the
+		// return should come within one probe granule (a slow decision) of
+		// the deadline, not after the huge budget.
+		if elapsed > 2*time.Second {
+			t.Fatalf("%s: cancelled enumeration took %v", c.dom.Name(), elapsed)
+		}
 	}
 }
 

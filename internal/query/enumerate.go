@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/autarith"
 	"repro/internal/db"
 	"repro/internal/domain"
 	"repro/internal/logic"
 	"repro/internal/obs"
+	"repro/internal/presburger"
 )
 
 // EnumerationBudget bounds the §1.1 algorithm: Rows caps the number of
@@ -73,17 +75,20 @@ func deliverRow(sink RowSink, vars []string, row db.Tuple) error {
 // unsafe queries in unlucky states it would not, so the budget caps it and
 // Complete is reported false.
 //
-// When the planner has an algebra-tier plan for the query, the plan's
-// materialized answer answers the loop's two questions in place of the
-// decider, by count and by membership: same rows, order, and budget
-// accounting, with no decision procedure per probe (see rowSource).
+// The loop's two questions are answered by a rowSource, tried in order:
+// an algebra-tier plan's materialized answer when the planner has one
+// (tableSource), then for Presburger arithmetic the automaton of φ'
+// (dfaSource), then the domain's decider (decideSource). The table and the
+// automaton answer by count and by membership, deciding nothing; all three
+// give the same rows, order, and budget accounting.
 //
 // The context is polled before every existential decision, handed to
-// context-aware deciders (so a cancellation can also abandon a quantifier
-// elimination in flight), and polled between probe candidates. On
-// cancellation the rows found so far are returned with Complete=false
-// alongside the context's error — one request's deadline yields a partial
-// answer, not a wasted computation.
+// context-aware deciders and to the automaton's construction (so a
+// cancellation can also abandon a quantifier elimination or a compile in
+// flight), and polled between probe candidates. On cancellation the rows
+// found so far are returned with Complete=false alongside the context's
+// error — one request's deadline yields a partial answer, not a wasted
+// computation.
 //
 // A non-nil sink receives each answer row as it is found, before the next
 // existential decision — the streaming endpoint flushes rows to the client
@@ -114,8 +119,37 @@ func EnumerationAnswerSinkCtx(ctx context.Context, dom Enumerable, dec domain.De
 			}
 			return NewBoolAnswer(v), nil
 		}
-		src = &decideSource{dom: dom, dec: dec, vars: vars, pure: pure, remaining: pure}
+		src, err = pureSource(ctx, dom, dec, vars, pure)
+		if err != nil {
+			return &Answer{Vars: vars, Rows: db.NewRelation(len(vars))}, err
+		}
 	}
+	sp.ArgStr("source", src.name())
+	return enumerate(ctx, sp, dom, src, vars, budget, sink)
+}
+
+// pureSource picks the source for φ' when no plan table applies: the
+// automaton for Presburger arithmetic, unless its construction fails (the
+// size cap refused it, or φ' is outside what it compiles), and the decider
+// otherwise. Only a cancellation is an error.
+func pureSource(ctx context.Context, dom Enumerable, dec domain.Decider, vars []string,
+	pure *logic.Formula) (rowSource, error) {
+
+	if _, ok := dom.(presburger.Domain); ok {
+		d, err := autarith.Compile(ctx, pure)
+		if err == nil {
+			return newDFASource(d), nil
+		}
+		if canceledErr(err) {
+			return nil, err
+		}
+	}
+	return &decideSource{dom: dom, dec: dec, vars: vars, pure: pure, remaining: pure}, nil
+}
+
+// enumerate is the §1.1 loop over a source of φ' over vars.
+func enumerate(ctx context.Context, sp *obs.Span, dom Enumerable, src rowSource, vars []string,
+	budget EnumerationBudget, sink RowSink) (*Answer, error) {
 
 	ans := &Answer{Vars: vars, Rows: db.NewRelation(len(vars)), Complete: false}
 	// foundKeys mirrors the rows found so far as a set, so the probe scan
@@ -184,6 +218,8 @@ type rowSource interface {
 	more(ctx context.Context, rsp *obs.Span, n int) (bool, error)
 	member(ctx context.Context, tuple db.Tuple) (bool, error)
 	found(row db.Tuple)
+	// name is the source's trace label: table, automaton or decider.
+	name() string
 }
 
 // decideSource asks the domain's decision procedure about φ', the
@@ -225,6 +261,8 @@ func (s *decideSource) member(ctx context.Context, tuple db.Tuple) (bool, error)
 	return ok, err
 }
 
+func (*decideSource) name() string { return "decider" }
+
 // found adds the exclusion conjunct ¬(x̄ = row).
 func (s *decideSource) found(row db.Tuple) {
 	var eqs []*logic.Formula
@@ -233,6 +271,49 @@ func (s *decideSource) found(row db.Tuple) {
 	}
 	s.remaining = logic.And(s.remaining, logic.Not(logic.And(eqs...)))
 }
+
+// dfaSource answers the loop's questions from one automaton for φ'
+// (internal/autarith), built once per enumeration: membership is a walk
+// over the candidate's bits, and there is a row beyond the n found iff
+// the automaton's tuple count exceeds n — every found row is a member, so
+// that is the decider's ∃x̄ (φ'(x̄) ∧ x̄ ∉ found). It decides nothing.
+type dfaSource struct {
+	dfa      *autarith.DFA
+	count    int64
+	infinite bool
+	// vals is the candidate's scratch, in track order (the sorted free
+	// variables, which are the loop's vars).
+	vals []int64
+}
+
+func newDFASource(d *autarith.DFA) *dfaSource {
+	n, inf := d.Count()
+	return &dfaSource{dfa: d, count: n, infinite: inf, vals: make([]int64, len(d.Vars))}
+}
+
+func (s *dfaSource) more(ctx context.Context, _ *obs.Span, n int) (bool, error) {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return false, err
+		}
+	}
+	return s.infinite || int64(n) < s.count, nil
+}
+
+func (s *dfaSource) member(_ context.Context, tuple db.Tuple) (bool, error) {
+	for i, v := range tuple {
+		n, ok := v.(domain.Int)
+		if !ok {
+			return false, fmt.Errorf("query: non-integer candidate %v", v)
+		}
+		s.vals[i] = int64(n)
+	}
+	return s.dfa.Runs(s.vals)
+}
+
+func (*dfaSource) found(db.Tuple) {}
+
+func (*dfaSource) name() string { return "automaton" }
 
 // NaturalMember decides whether a tuple belongs to a query's answer under
 // the natural (unrestricted) semantics: the query is translated to a pure

@@ -11,10 +11,13 @@ package query
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/autarith"
 	"repro/internal/db"
 	"repro/internal/domain"
 	"repro/internal/domains/eqdom"
@@ -140,99 +143,181 @@ func twoSteps() *logic.Formula {
 		logic.Atom("E", logic.Var("z"), logic.Var("y"))))
 }
 
-// enumRun is one §1.1 run: the answer, the row keys in the order the row
-// sink received them, and the run's probe and decision counter deltas.
+// enumRun is one §1.1 run: the answer and error, the row keys in the
+// order the row sink received them, and the run's probe and decision
+// counter deltas.
 type enumRun struct {
 	ans               *Answer
+	err               error
 	seq               []string
 	probes, decisions int64
 }
 
-// runEnum runs the §1.1 algorithm over Presburger arithmetic with the
-// planner on or off, recording the delivery order through the row sink.
-func runEnum(t *testing.T, planned bool, st *db.State, f *logic.Formula, budget EnumerationBudget) enumRun {
+// enumSources are the §1.1 loop's row sources, in the order the served
+// path tries them.
+var enumSources = []string{"table", "automaton", "decider"}
+
+// newEnumSource builds one row source for f over Presburger arithmetic in
+// st, as the served path would, and its variables; ok is false when the
+// source does not apply (no algebra-tier table for f).
+func newEnumSource(t *testing.T, kind string, st *db.State, f *logic.Formula) (src rowSource, vars []string, ok bool) {
+	t.Helper()
+	ctx, dom := context.Background(), presburger.Domain{}
+	if kind == "table" {
+		prev := plan.SetEnabled(true)
+		defer plan.SetEnabled(prev)
+		p, tab := planAnswer(ctx, nil, dom, st, f)
+		if tab == nil {
+			return nil, nil, false
+		}
+		return tableSource{rows: tab}, p.Vars(), true
+	}
+	pure, err := Translate(dom, st, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vars = pure.FreeVars()
+	if kind == "automaton" {
+		d, err := autarith.Compile(ctx, pure)
+		if err != nil {
+			t.Fatalf("%v: compile: %v", f, err)
+		}
+		return newDFASource(d), vars, true
+	}
+	return &decideSource{dom: dom, dec: presburger.Decider(), vars: vars, pure: pure, remaining: pure}, vars, true
+}
+
+// recordEnum runs an enumeration, recording its outcome, the delivery
+// order through the row sink and the probe and decision counters.
+func recordEnum(t *testing.T, run func(sink RowSink) (*Answer, error)) enumRun {
 	t.Helper()
 	prevObs := obs.SetEnabled(true)
 	defer obs.SetEnabled(prevObs)
-	prev := plan.SetEnabled(planned)
-	defer plan.SetEnabled(prev)
 	var r enumRun
 	sink := func(_ []string, row db.Tuple) error {
 		r.seq = append(r.seq, row.Key())
 		return nil
 	}
 	p0, d0 := mEnumProbes.Value(), mEnumDecisions.Value()
-	ans, err := EnumerationAnswerSinkCtx(context.Background(), presburger.Domain{}, presburger.Decider(), st, f, budget, sink)
-	if err != nil {
-		t.Fatalf("planner=%v: %v", planned, err)
-	}
-	r.ans, r.probes, r.decisions = ans, mEnumProbes.Value()-p0, mEnumDecisions.Value()-d0
+	r.ans, r.err = run(sink)
+	r.probes, r.decisions = mEnumProbes.Value()-p0, mEnumDecisions.Value()-d0
 	return r
 }
 
-// evalBothEnum runs the §1.1 algorithm with the planner on (the algebra
-// plan's table answers) and off (the decider answers) and checks that the
-// two runs are indistinguishable: same Complete flag, same rows delivered
-// in the same order, same probe count. The table path decides nothing,
-// which also proves it is the path that ran.
-func evalBothEnum(t *testing.T, st *db.State, f *logic.Formula, budget EnumerationBudget) (on, off enumRun) {
+// evalAllEnum runs the §1.1 loop on f with every row source that applies,
+// and the served path with the planner on and off, and checks that the
+// runs are indistinguishable from the decider's — the algorithm as the
+// paper states it: same Complete flag, same rows delivered in the same
+// order, same probe count. The table and the automaton decide nothing,
+// which also proves they are the sources that ran. It returns the
+// decider's run and which sources applied.
+func evalAllEnum(t *testing.T, st *db.State, f *logic.Formula, budget EnumerationBudget) (ref enumRun, ran []string) {
 	t.Helper()
-	on = runEnum(t, true, st, f, budget)
-	off = runEnum(t, false, st, f, budget)
-	if on.ans.Complete != off.ans.Complete {
-		t.Errorf("%v: Complete differs: plan %v, interp %v", f, on.ans.Complete, off.ans.Complete)
+	runs := map[string]enumRun{}
+	for _, kind := range enumSources {
+		src, vars, ok := newEnumSource(t, kind, st, f)
+		if !ok {
+			continue
+		}
+		ran = append(ran, kind)
+		runs[kind] = recordEnum(t, func(sink RowSink) (*Answer, error) {
+			return enumerate(context.Background(), nil, presburger.Domain{}, src, vars, budget, sink)
+		})
 	}
-	if strings.Join(on.seq, ";") != strings.Join(off.seq, ";") {
-		t.Errorf("%v: delivered row sequences differ:\nplan:   %v\ninterp: %v", f, on.seq, off.seq)
+	for _, planned := range []bool{true, false} {
+		runs[fmt.Sprintf("served/plan=%v", planned)] = recordEnum(t, func(sink RowSink) (*Answer, error) {
+			prev := plan.SetEnabled(planned)
+			defer plan.SetEnabled(prev)
+			return EnumerationAnswerSinkCtx(context.Background(), presburger.Domain{}, presburger.Decider(), st, f, budget, sink)
+		})
 	}
-	if len(on.seq) != on.ans.Rows.Len() {
-		t.Errorf("%v: sink saw %d rows, answer has %d", f, len(on.seq), on.ans.Rows.Len())
+	ref = runs["decider"]
+	if ref.decisions == 0 {
+		t.Errorf("%v: decider made no decisions", f)
 	}
-	if on.probes != off.probes {
-		t.Errorf("%v: probes differ: plan %d, interp %d", f, on.probes, off.probes)
+	for name, r := range runs {
+		if r.err != nil {
+			t.Fatalf("%v: %s: %v", f, name, r.err)
+		}
+		if r.ans.Complete != ref.ans.Complete {
+			t.Errorf("%v: %s Complete %v, decider %v", f, name, r.ans.Complete, ref.ans.Complete)
+		}
+		if strings.Join(r.seq, ";") != strings.Join(ref.seq, ";") {
+			t.Errorf("%v: %s delivered %v, decider %v", f, name, r.seq, ref.seq)
+		}
+		if len(r.seq) != r.ans.Rows.Len() {
+			t.Errorf("%v: %s sink saw %d rows, answer has %d", f, name, len(r.seq), r.ans.Rows.Len())
+		}
+		if r.probes != ref.probes {
+			t.Errorf("%v: %s made %d probes, decider %d", f, name, r.probes, ref.probes)
+		}
+		if name != "decider" && r.decisions != 0 {
+			t.Errorf("%v: %s made %d decisions, want 0", f, name, r.decisions)
+		}
 	}
-	if on.decisions != 0 {
-		t.Errorf("%v: table path made %d decisions, want 0", f, on.decisions)
-	}
-	if off.decisions == 0 {
-		t.Errorf("%v: decider path made no decisions", f)
-	}
-	return on, off
+	return ref, ran
 }
 
 func TestPlanDifferentialEnumerate(t *testing.T) {
-	on, _ := evalBothEnum(t, enumState(t), twoSteps(), DefaultBudget)
+	ref, ran := evalAllEnum(t, enumState(t), twoSteps(), DefaultBudget)
+	if len(ran) != 3 {
+		t.Errorf("sources run: %v, want all three", ran)
+	}
 	var want []string
 	for _, row := range [][2]int64{{0, 0}, {1, 0}, {1, 1}, {2, 2}, {1, 3}, {3, 2}} {
 		want = append(want, db.Tuple{domain.Int(row[0]), domain.Int(row[1])}.Key())
 	}
-	if strings.Join(on.seq, ";") != strings.Join(want, ";") {
-		t.Errorf("delivery order %v, want %v", on.seq, want)
+	if strings.Join(ref.seq, ";") != strings.Join(want, ";") {
+		t.Errorf("delivery order %v, want %v", ref.seq, want)
 	}
-	if !on.ans.Complete {
+	if !ref.ans.Complete {
 		t.Error("finite answer reported incomplete")
 	}
 }
 
 // TestPlanDifferentialEnumerateRowBudget: a row budget below the answer
-// size stops both paths at the same partial prefix.
+// size stops every source at the same partial prefix.
 func TestPlanDifferentialEnumerateRowBudget(t *testing.T) {
-	on, off := evalBothEnum(t, enumState(t), twoSteps(), EnumerationBudget{Rows: 3, Probe: 1 << 12})
-	if on.ans.Complete || off.ans.Complete {
-		t.Errorf("row-budget run reported complete: plan %v, interp %v", on.ans.Complete, off.ans.Complete)
-	}
-	if on.ans.Rows.Len() != 3 {
-		t.Errorf("want 3 rows under the budget, got %d", on.ans.Rows.Len())
+	ref, _ := evalAllEnum(t, enumState(t), twoSteps(), EnumerationBudget{Rows: 3, Probe: 1 << 12})
+	if ref.ans.Complete || ref.ans.Rows.Len() != 3 {
+		t.Errorf("want 3 rows under the budget, incomplete; got %d, complete=%v", ref.ans.Rows.Len(), ref.ans.Complete)
 	}
 }
 
 // TestPlanDifferentialEnumerateProbeBudget: a probe budget too small to
-// reach the next row stops both paths identically.
+// reach the next row stops every source identically.
 func TestPlanDifferentialEnumerateProbeBudget(t *testing.T) {
-	on, _ := evalBothEnum(t, enumState(t), twoSteps(), EnumerationBudget{Rows: 100, Probe: 4})
-	if on.ans.Complete || on.ans.Rows.Len() != 3 {
-		t.Errorf("want 3 rows before the probe budget runs out, got %d complete=%v", on.ans.Rows.Len(), on.ans.Complete)
+	ref, _ := evalAllEnum(t, enumState(t), twoSteps(), EnumerationBudget{Rows: 100, Probe: 4})
+	if ref.ans.Complete || ref.ans.Rows.Len() != 3 {
+		t.Errorf("want 3 rows before the probe budget runs out, got %d complete=%v", ref.ans.Rows.Len(), ref.ans.Complete)
 	}
+}
+
+// TestPlanDifferentialEnumerateClosureTier: the shape of finqbench's
+// enum-stream requests, ∃y (R(y) ∧ x < y) ∧ x < k, is finite but not
+// safe-range, so no table applies; the automaton and the decider agree on
+// it, complete and under a row budget, and the served path takes the
+// automaton.
+func TestPlanDifferentialEnumerateClosureTier(t *testing.T) {
+	st := db.NewState(db.MustScheme(map[string]int{"R": 1}))
+	for _, n := range []int64{6, 1, 4, 2} {
+		if err := st.Insert("R", domain.Int(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := parser.MustParse("(exists y. (R(y) & lt(x, y))) & lt(x, 536870917)")
+	for _, budget := range []EnumerationBudget{DefaultBudget, {Rows: 4, Probe: 1 << 10}, {Rows: 10, Probe: 3}} {
+		ref, ran := evalAllEnum(t, st, f, budget)
+		if strings.Join(ran, ",") != "automaton,decider" {
+			t.Errorf("sources run: %v, want automaton and decider", ran)
+		}
+		if budget == DefaultBudget && (!ref.ans.Complete || ref.ans.Rows.Len() != 6) {
+			t.Errorf("want the 6 rows {0..5} complete, got %d complete=%v", ref.ans.Rows.Len(), ref.ans.Complete)
+		}
+	}
+	// An infinite answer: the automaton's count says so, and the budget
+	// stops every source at the same rows.
+	evalAllEnum(t, st, parser.MustParse("~R(x) & ~lt(x, 3)"), EnumerationBudget{Rows: 5, Probe: 1 << 10})
 }
 
 // TestPlanDifferentialCancelled: a context dead on arrival yields the same
@@ -319,4 +404,166 @@ func TestPlanDifferentialRandom(t *testing.T) {
 			t.Errorf("%v: Complete differs", f)
 		}
 	}
+}
+
+// TestEnumerateCapRefusalFallsBack pins the two inputs whose automata the
+// size cap refuses: the served enumeration falls back to the decider and
+// answers exactly as a decider-only run does — the same rows, order and
+// Complete flag, or the same error.
+func TestEnumerateCapRefusalFallsBack(t *testing.T) {
+	st := db.NewState(db.MustScheme(map[string]int{"R": 1}))
+	for _, n := range []int64{1, 4, 9, 16} {
+		if err := st.Insert("R", domain.Int(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts := parser.Options{Functions: map[string]bool{presburger.FuncAdd: true, presburger.FuncMul: true}}
+	// Each ground decision of the fallback eliminates z under a divisor of
+	// 997, so a few probes keep the test short.
+	budget := EnumerationBudget{Rows: 2, Probe: 6}
+	for _, src := range []string{
+		"exists z. (R(z) & dvd(997, add(x, z)))",
+		"exists z. (R(z) & mul(1000003, x) = z)",
+	} {
+		f, err := parser.ParseWith(src, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pure, err := Translate(presburger.Domain{}, st, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		if _, err := autarith.Compile(context.Background(), pure); !errors.Is(err, autarith.ErrTooLarge) {
+			t.Fatalf("%s: compile: want ErrTooLarge, got %v", src, err)
+		}
+		if took := time.Since(start); took > 2*time.Second {
+			t.Errorf("%s: refusal took %v", src, took)
+		}
+		served, servedErr := EnumerationAnswerSinkCtx(context.Background(), presburger.Domain{}, presburger.Decider(), st, f, budget, nil)
+		dec, vars, _ := newEnumSource(t, "decider", st, f)
+		want, wantErr := enumerate(context.Background(), nil, presburger.Domain{}, dec, vars, budget, nil)
+		switch {
+		case servedErr != nil || wantErr != nil:
+			if fmt.Sprint(servedErr) != fmt.Sprint(wantErr) {
+				t.Errorf("%s: served error %v, decider-only %v", src, servedErr, wantErr)
+			}
+		case rowsKey(t, served) != rowsKey(t, want) || served.Complete != want.Complete:
+			t.Errorf("%s: served %s (complete %v), decider-only %s (complete %v)",
+				src, rowsKey(t, served), served.Complete, rowsKey(t, want), want.Complete)
+		}
+		t.Logf("%s: served %v / %v", src, served != nil, servedErr)
+	}
+}
+
+// TestPlanDifferentialEnumerateRandom: on seeded random queries over a
+// unary R and a binary S in random states, the automaton and the decider
+// enumerate the same rows in the same order, with the same Complete flag
+// and probe count. Queries the decider cannot finish (Cooper's size
+// guard) are skipped and must stay rare.
+func TestPlanDifferentialEnumerateRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const n = 120
+	budget := EnumerationBudget{Rows: 6, Probe: 64}
+	compared, skipped, complete := 0, 0, 0
+	for i := 0; i < n; i++ {
+		st := db.NewState(db.MustScheme(map[string]int{"R": 1, "S": 2}))
+		for j := 0; j < 1+rng.Intn(4); j++ {
+			if err := st.Insert("R", domain.Int(int64(rng.Intn(12)))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for j := 0; j < 1+rng.Intn(3); j++ {
+			if err := st.Insert("S", domain.Int(int64(rng.Intn(12))), domain.Int(int64(rng.Intn(12)))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f := randEnumQuery(rng)
+		dfa, vars, _ := newEnumSource(t, "automaton", st, f)
+		if len(vars) == 0 {
+			continue // a sentence takes its single decision on every path
+		}
+		dec, _, _ := newEnumSource(t, "decider", st, f)
+		var runs [2]enumRun
+		for k, src := range []rowSource{dfa, dec} {
+			runs[k] = recordEnum(t, func(sink RowSink) (*Answer, error) {
+				return enumerate(context.Background(), nil, presburger.Domain{}, src, vars, budget, sink)
+			})
+		}
+		a, d := runs[0], runs[1]
+		if a.err != nil {
+			t.Fatalf("%v: automaton: %v", f, a.err)
+		}
+		if d.err != nil {
+			skipped++
+			continue
+		}
+		compared++
+		if a.ans.Complete != d.ans.Complete || strings.Join(a.seq, ";") != strings.Join(d.seq, ";") || a.probes != d.probes {
+			t.Fatalf("%v in %v: automaton %v complete=%v probes=%d; decider %v complete=%v probes=%d",
+				f, st, a.seq, a.ans.Complete, a.probes, d.seq, d.ans.Complete, d.probes)
+		}
+		if a.ans.Complete {
+			complete++
+		}
+	}
+	if skipped > compared/10 {
+		t.Fatalf("too many decider bailouts: %d against %d compared", skipped, compared)
+	}
+	if complete == 0 || complete == compared {
+		t.Fatalf("unbalanced draw: %d of %d complete", complete, compared)
+	}
+	t.Logf("%d compared (%d complete), %d decider bailouts", compared, complete, skipped)
+}
+
+// randEnumQuery draws a query over free x and y (either may vanish) and
+// bound z: lt/le/=/dvd/add atoms, R and S atoms, ¬, ∧, ∨ and ∃.
+func randEnumQuery(rng *rand.Rand) *logic.Formula {
+	vars := []string{"x", "y", "z"}
+	v := func() logic.Term { return logic.Var(vars[rng.Intn(3)]) }
+	c := func() logic.Term { return logic.Const(fmt.Sprint(rng.Intn(12))) }
+	term := func() logic.Term {
+		switch rng.Intn(4) {
+		case 0:
+			return c()
+		case 1:
+			return logic.App(presburger.FuncAdd, v(), c())
+		case 2:
+			return logic.App(presburger.FuncAdd, v(), v())
+		}
+		return v()
+	}
+	atom := func() *logic.Formula {
+		switch rng.Intn(6) {
+		case 0:
+			return logic.Atom("R", v())
+		case 1:
+			return logic.Atom("S", v(), v())
+		case 2:
+			return logic.Atom(presburger.PredLt, term(), term())
+		case 3:
+			return logic.Atom(presburger.PredLe, term(), term())
+		case 4:
+			return logic.Eq(term(), term())
+		}
+		return logic.Atom(presburger.PredDvd, logic.Const(fmt.Sprint(2+rng.Intn(2))), term())
+	}
+	var rec func(d int) *logic.Formula
+	rec = func(d int) *logic.Formula {
+		if d == 0 {
+			return atom()
+		}
+		switch rng.Intn(6) {
+		case 0:
+			return atom()
+		case 1:
+			return logic.Not(rec(d - 1))
+		case 2:
+			return logic.Or(rec(d-1), rec(d-1))
+		case 3:
+			return logic.Exists("z", rec(d-1))
+		}
+		return logic.And(rec(d-1), rec(d-1))
+	}
+	return rec(3)
 }

@@ -98,6 +98,8 @@ func (s tableSource) member(_ context.Context, tuple db.Tuple) (bool, error) {
 
 func (tableSource) found(db.Tuple) {}
 
+func (tableSource) name() string { return "table" }
+
 // mentionsEmptyRelation reports whether any database atom of the formula
 // scans an empty relation in this state.
 func mentionsEmptyRelation(st *db.State, f *logic.Formula) bool {

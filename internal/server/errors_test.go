@@ -57,6 +57,12 @@ func TestErrorEnvelopeEverywhere(t *testing.T) {
 			`{"domain": "eq", "formula": "` + strings.Repeat("x = x & ", 200) + `x = x"}`,
 			413, apiv1.CodePayloadTooLarge},
 		{"eval failure", http.MethodPost, "/v1/decide", `{"domain": "eq", "sentence": "R(x)"}`, 422, apiv1.CodeEvalFailed},
+		// A dvd modulus past int64: Cooper's divisor guard answers both;
+		// the enumeration's automaton refuses the modulus first.
+		{"safety modulus beyond int64", http.MethodPost, "/v1/safety",
+			`{"domain": "presburger", "formula": "dvd(9223372036854775808, x)"}`, 422, apiv1.CodeEvalFailed},
+		{"enumerate modulus beyond int64", http.MethodPost, "/v1/eval",
+			`{"domain": "presburger", "mode": "enumerate", "formula": "dvd(9223372036854775808, x)"}`, 422, apiv1.CodeEvalFailed},
 		{"missing capture", http.MethodGet, "/debug/profiles?id=nope", "", 404, apiv1.CodeNotFound},
 		{"bad stats key", http.MethodGet, "/v1/stats/queries?by=bogus", "", 400, apiv1.CodeBadRequest},
 		{"stream on active", http.MethodPost, "/v1/eval?stream=1", `{"domain": "eq", "formula": "x = x"}`, 400, apiv1.CodeBadRequest},
