@@ -10,6 +10,7 @@
 package algebra
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -23,6 +24,39 @@ import (
 type Ctx struct {
 	St  *db.State
 	Dom domain.Domain
+	// Context, when non-nil, cancels the evaluation: it is checked before
+	// and after each operator input evaluates, so a plan that would run
+	// past its request's deadline stops there with the context's error.
+	Context context.Context
+	// seeds holds the guard tables of the Guarded nodes under evaluation,
+	// innermost last.
+	seeds []*Table
+}
+
+// eval evaluates an operator's input and checks for cancellation before
+// and after. The checks before all run on the way down, ahead of any
+// work; the checks after bound the work between two checks to one
+// operator's.
+func (c *Ctx) eval(e Expr) (*Table, error) {
+	if err := c.err(); err != nil {
+		return nil, err
+	}
+	t, err := e.Eval(c)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.err(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// err reports the evaluation's cancellation.
+func (c *Ctx) err() error {
+	if c.Context == nil {
+		return nil
+	}
+	return c.Context.Err()
 }
 
 // constValue resolves a constant name: database constants through the
@@ -51,7 +85,9 @@ func NewTable(cols []string) *Table {
 	return &Table{Cols: append([]string(nil), cols...), rows: map[string][]domain.Value{}}
 }
 
-// Add inserts a row (copied).
+// Add inserts a row. The row itself is stored, not a copy: the operators
+// add rows they built or rows of their inputs, and no table ever mutates
+// a stored row, so callers must not mutate row afterwards either.
 func (t *Table) Add(row []domain.Value) error {
 	if len(row) != len(t.Cols) {
 		return fmt.Errorf("algebra: row width %d, table width %d", len(row), len(t.Cols))
@@ -65,7 +101,7 @@ func (t *Table) Add(row []domain.Value) error {
 		t.shared = false
 	}
 	t.sorted = nil
-	t.rows[db.Tuple(row).Key()] = append([]domain.Value(nil), row...)
+	t.rows[db.Tuple(row).Key()] = row
 	return nil
 }
 
@@ -92,7 +128,8 @@ func (t *Table) Rows() [][]domain.Value {
 
 // Has reports row membership.
 func (t *Table) Has(row []domain.Value) bool {
-	_, ok := t.rows[db.Tuple(row).Key()]
+	var buf [64]byte
+	_, ok := t.rows[string(db.Tuple(row).AppendKey(buf[:0]))]
 	return ok
 }
 
@@ -158,15 +195,16 @@ func (b *Base) Eval(ctx *Ctx) (*Table, error) {
 		return nil, err
 	}
 	snap := ctx.St.Memo("algebra.base:"+b.Rel, rel.Version(), func() any {
-		tuples := rel.Tuples()
+		// The relation's rows and keys are shared, not copied: neither
+		// the relation nor any table mutates a stored row.
+		keys, tuples := rel.KeyedTuples()
 		s := &baseSnapshot{
 			rows:   make(map[string][]domain.Value, len(tuples)),
-			sorted: make([][]domain.Value, 0, len(tuples)),
+			sorted: make([][]domain.Value, len(tuples)),
 		}
-		for _, t := range tuples {
-			row := append([]domain.Value(nil), t...)
-			s.rows[db.Tuple(row).Key()] = row
-			s.sorted = append(s.sorted, row)
+		for i, t := range tuples {
+			s.rows[keys[i]] = t
+			s.sorted[i] = t
 		}
 		return s
 	}).(*baseSnapshot)
@@ -234,7 +272,7 @@ func (s *Select) Columns() []string { return s.In.Columns() }
 
 // Eval implements Expr.
 func (s *Select) Eval(ctx *Ctx) (*Table, error) {
-	in, err := s.In.Eval(ctx)
+	in, err := ctx.eval(s.In)
 	if err != nil {
 		return nil, err
 	}
@@ -270,7 +308,7 @@ func (p *Project) Columns() []string { return p.Cols }
 
 // Eval implements Expr.
 func (p *Project) Eval(ctx *Ctx) (*Table, error) {
-	in, err := p.In.Eval(ctx)
+	in, err := ctx.eval(p.In)
 	if err != nil {
 		return nil, err
 	}
@@ -320,7 +358,7 @@ func (r *Rename) Columns() []string {
 
 // Eval implements Expr.
 func (r *Rename) Eval(ctx *Ctx) (*Table, error) {
-	in, err := r.In.Eval(ctx)
+	in, err := ctx.eval(r.In)
 	if err != nil {
 		return nil, err
 	}
@@ -360,13 +398,11 @@ type Extend struct {
 }
 
 // Columns implements Expr.
-func (e *Extend) Columns() []string {
-	return append(append([]string(nil), e.In.Columns()...), e.NewCol)
-}
+func (e *Extend) Columns() []string { return chainColumns(e) }
 
 // Eval implements Expr.
 func (e *Extend) Eval(ctx *Ctx) (*Table, error) {
-	in, err := e.In.Eval(ctx)
+	in, err := ctx.eval(e.In)
 	if err != nil {
 		return nil, err
 	}
@@ -400,15 +436,50 @@ type Join struct {
 }
 
 // Columns implements Expr.
-func (j *Join) Columns() []string {
-	out := append([]string(nil), j.L.Columns()...)
-	seen := map[string]bool{}
+func (j *Join) Columns() []string { return chainColumns(j) }
+
+// chainColumns lists the columns of a chain of joins and extensions,
+// which conjunctions compile to, in one pass from its innermost input
+// outwards: asking each level for its input's columns would copy the
+// growing list once per level. Selections and the other operators that
+// keep their left input's columns pass through.
+func chainColumns(e Expr) []string {
+	var spine []Expr
+	for done := false; !done; {
+		switch n := e.(type) {
+		case *Join:
+			spine = append(spine, n)
+			e = n.L
+		case *Extend:
+			spine = append(spine, n)
+			e = n.In
+		case *Select:
+			e = n.In
+		case *AntiJoin:
+			e = n.L
+		case *Guarded:
+			e = n.Body
+		default:
+			done = true
+		}
+	}
+	out := append([]string(nil), e.Columns()...)
+	seen := make(map[string]bool, len(out))
 	for _, c := range out {
 		seen[c] = true
 	}
-	for _, c := range j.R.Columns() {
-		if !seen[c] {
-			out = append(out, c)
+	for i := len(spine) - 1; i >= 0; i-- {
+		switch n := spine[i].(type) {
+		case *Join:
+			for _, c := range n.R.Columns() {
+				if !seen[c] {
+					seen[c] = true
+					out = append(out, c)
+				}
+			}
+		case *Extend:
+			seen[n.NewCol] = true
+			out = append(out, n.NewCol)
 		}
 	}
 	return out
@@ -416,38 +487,32 @@ func (j *Join) Columns() []string {
 
 // Eval implements Expr.
 func (j *Join) Eval(ctx *Ctx) (*Table, error) {
-	l, err := j.L.Eval(ctx)
+	l, err := ctx.eval(j.L)
 	if err != nil {
 		return nil, err
 	}
-	r, err := j.R.Eval(ctx)
+	r, err := ctx.eval(j.R)
 	if err != nil {
 		return nil, err
 	}
-	lIdx := l.colIndex()
-	rIdx := r.colIndex()
-	var shared []string
-	var rExtra []string
-	for _, c := range r.Cols {
-		if _, ok := lIdx[c]; ok {
-			shared = append(shared, c)
-		} else {
-			rExtra = append(rExtra, c)
-		}
+	lShared, rShared, rExtra := sharedCols(l, r)
+	cols := append([]string(nil), l.Cols...)
+	for _, p := range rExtra {
+		cols = append(cols, r.Cols[p])
 	}
 	// Hash the right side on the shared columns.
+	var k keyer
 	hash := map[string][][]domain.Value{}
 	for _, row := range r.Rows() {
-		key := joinKey(row, rIdx, shared)
+		key := string(k.key(row, rShared))
 		hash[key] = append(hash[key], row)
 	}
-	out := NewTable(append(append([]string(nil), l.Cols...), rExtra...))
+	out := NewTable(cols)
 	for _, lrow := range l.Rows() {
-		key := joinKey(lrow, lIdx, shared)
-		for _, rrow := range hash[key] {
+		for _, rrow := range hash[string(k.key(lrow, lShared))] {
 			row := append([]domain.Value(nil), lrow...)
-			for _, c := range rExtra {
-				row = append(row, rrow[rIdx[c]])
+			for _, p := range rExtra {
+				row = append(row, rrow[p])
 			}
 			if err := out.Add(row); err != nil {
 				return nil, err
@@ -457,18 +522,42 @@ func (j *Join) Eval(ctx *Ctx) (*Table, error) {
 	return out, nil
 }
 
-func joinKey(row []domain.Value, idx map[string]int, cols []string) string {
-	parts := make([]string, len(cols))
-	for i, c := range cols {
-		k := row[idx[c]].Key()
-		parts[i] = fmt.Sprintf("%d:%s", len(k), k)
-	}
-	return strings.Join(parts, ",")
-}
-
 // String implements Expr.
 func (j *Join) String() string {
 	return fmt.Sprintf("(%s join %s)", j.L.String(), j.R.String())
+}
+
+// sharedCols locates the columns two tables share, on each side, and the
+// right side's other columns.
+func sharedCols(l, r *Table) (lShared, rShared, rExtra []int) {
+	lIdx := l.colIndex()
+	for i, c := range r.Cols {
+		if pos, ok := lIdx[c]; ok {
+			lShared = append(lShared, pos)
+			rShared = append(rShared, i)
+		} else {
+			rExtra = append(rExtra, i)
+		}
+	}
+	return lShared, rShared, rExtra
+}
+
+// keyer builds the tuple key of some of a row's values in one reused
+// buffer, to hash rows on their shared columns.
+type keyer struct {
+	vals db.Tuple
+	buf  []byte
+}
+
+// key returns the tuple key of row's values at pos, valid until the next
+// call.
+func (k *keyer) key(row []domain.Value, pos []int) []byte {
+	k.vals = k.vals[:0]
+	for _, p := range pos {
+		k.vals = append(k.vals, row[p])
+	}
+	k.buf = k.vals.AppendKey(k.buf[:0])
+	return k.buf
 }
 
 // Union is set union; both inputs must have the same column set, and the
@@ -480,9 +569,17 @@ type Union struct {
 // Columns implements Expr.
 func (u *Union) Columns() []string { return u.L.Columns() }
 
-// Eval implements Expr.
+// Eval implements Expr. A left-deep chain of unions, which a disjunction
+// compiles to, evaluates as one n-ary union into a single table, without
+// a table or a stack frame per disjunct.
 func (u *Union) Eval(ctx *Ctx) (*Table, error) {
-	l, r, err := alignedPair(ctx, u.L, u.R)
+	rights := []Expr{u.R}
+	first := u.L
+	for l, ok := first.(*Union); ok; l, ok = first.(*Union) {
+		rights = append(rights, l.R)
+		first = l.L
+	}
+	l, err := ctx.eval(first)
 	if err != nil {
 		return nil, err
 	}
@@ -492,9 +589,19 @@ func (u *Union) Eval(ctx *Ctx) (*Table, error) {
 			return nil, err
 		}
 	}
-	for _, row := range r.Rows() {
-		if err := out.Add(row); err != nil {
+	for i := len(rights) - 1; i >= 0; i-- {
+		r, err := ctx.eval(rights[i])
+		if err != nil {
 			return nil, err
+		}
+		rows, err := alignRows(l, r)
+		if err != nil {
+			return nil, err
+		}
+		for _, row := range rows {
+			if err := out.Add(row); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return out, nil
@@ -515,13 +622,27 @@ func (d *Diff) Columns() []string { return d.L.Columns() }
 
 // Eval implements Expr.
 func (d *Diff) Eval(ctx *Ctx) (*Table, error) {
-	l, r, err := alignedPair(ctx, d.L, d.R)
+	l, err := ctx.eval(d.L)
 	if err != nil {
 		return nil, err
 	}
+	r, err := ctx.eval(d.R)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := alignRows(l, r)
+	if err != nil {
+		return nil, err
+	}
+	right := NewTable(l.Cols)
+	for _, row := range rows {
+		if err := right.Add(row); err != nil {
+			return nil, err
+		}
+	}
 	out := NewTable(l.Cols)
 	for _, row := range l.Rows() {
-		if !r.Has(row) {
+		if !right.Has(row) {
 			if err := out.Add(row); err != nil {
 				return nil, err
 			}
@@ -535,40 +656,127 @@ func (d *Diff) String() string {
 	return fmt.Sprintf("(%s minus %s)", d.L.String(), d.R.String())
 }
 
-// alignedPair evaluates two expressions and reorders the right columns to
-// the left's order, failing if the column sets differ.
-func alignedPair(ctx *Ctx, le, re Expr) (*Table, *Table, error) {
-	l, err := le.Eval(ctx)
+// AntiJoin keeps the left rows that agree with no right row on their
+// shared columns: E − π_E(E ⋈ G), with E evaluated once. A guarded
+// negation compiles to it.
+type AntiJoin struct {
+	L, R Expr
+}
+
+// Columns implements Expr.
+func (a *AntiJoin) Columns() []string { return a.L.Columns() }
+
+// Eval implements Expr.
+func (a *AntiJoin) Eval(ctx *Ctx) (*Table, error) {
+	l, err := ctx.eval(a.L)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	r, err := re.Eval(ctx)
+	r, err := ctx.eval(a.R)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	lShared, rShared, _ := sharedCols(l, r)
+	var k keyer
+	matched := make(map[string]bool, r.Len())
+	for _, row := range r.Rows() {
+		matched[string(k.key(row, rShared))] = true
+	}
+	out := NewTable(l.Cols)
+	for _, row := range l.Rows() {
+		if !matched[string(k.key(row, lShared))] {
+			if err := out.Add(row); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return out, nil
+}
+
+// String implements Expr.
+func (a *AntiJoin) String() string {
+	return fmt.Sprintf("(%s antijoin %s)", a.L.String(), a.R.String())
+}
+
+// Guarded evaluates Body with Guard's table bound to the Seed leaves in
+// Body: a correlated subformula compiled against the plan that ranges
+// its free variables. Guard evaluates once however often Body reads it,
+// so a chain of correlated subformulas stays linear in plan size and
+// evaluation time.
+type Guarded struct {
+	Guard, Body Expr
+}
+
+// Columns implements Expr.
+func (g *Guarded) Columns() []string { return g.Body.Columns() }
+
+// Eval implements Expr.
+func (g *Guarded) Eval(ctx *Ctx) (*Table, error) {
+	guard, err := ctx.eval(g.Guard)
+	if err != nil {
+		return nil, err
+	}
+	ctx.seeds = append(ctx.seeds, guard)
+	out, err := ctx.eval(g.Body)
+	ctx.seeds = ctx.seeds[:len(ctx.seeds)-1]
+	return out, err
+}
+
+// String implements Expr.
+func (g *Guarded) String() string {
+	return fmt.Sprintf("(%s as seed in %s)", g.Guard.String(), g.Body.String())
+}
+
+// Seed is the guard table of the innermost Guarded node being evaluated;
+// Cols are the guard's columns.
+type Seed struct {
+	Cols []string
+}
+
+// Columns implements Expr.
+func (s *Seed) Columns() []string { return s.Cols }
+
+// Eval implements Expr.
+func (s *Seed) Eval(ctx *Ctx) (*Table, error) {
+	if len(ctx.seeds) == 0 {
+		return nil, fmt.Errorf("algebra: seed outside a guarded plan")
+	}
+	return ctx.seeds[len(ctx.seeds)-1], nil
+}
+
+// String implements Expr.
+func (s *Seed) String() string { return "seed" }
+
+// alignRows returns r's rows with their columns in l's order, failing if
+// the column sets differ.
+func alignRows(l, r *Table) ([][]domain.Value, error) {
 	if len(l.Cols) != len(r.Cols) {
-		return nil, nil, fmt.Errorf("algebra: column sets differ: %v vs %v", l.Cols, r.Cols)
+		return nil, fmt.Errorf("algebra: column sets differ: %v vs %v", l.Cols, r.Cols)
 	}
 	rIdx := r.colIndex()
 	perm := make([]int, len(l.Cols))
+	same := true
 	for i, c := range l.Cols {
 		pos, ok := rIdx[c]
 		if !ok {
-			return nil, nil, fmt.Errorf("algebra: column sets differ: %v vs %v", l.Cols, r.Cols)
+			return nil, fmt.Errorf("algebra: column sets differ: %v vs %v", l.Cols, r.Cols)
 		}
 		perm[i] = pos
+		same = same && pos == i
 	}
-	aligned := NewTable(l.Cols)
-	for _, row := range r.Rows() {
+	rows := r.Rows()
+	if same {
+		return rows, nil
+	}
+	out := make([][]domain.Value, len(rows))
+	for i, row := range rows {
 		moved := make([]domain.Value, len(perm))
-		for i, pos := range perm {
-			moved[i] = row[pos]
+		for j, pos := range perm {
+			moved[j] = row[pos]
 		}
-		if err := aligned.Add(moved); err != nil {
-			return nil, nil, err
-		}
+		out[i] = moved
 	}
-	return l, aligned, nil
+	return out, nil
 }
 
 func distinctCols(cols []string) error {
@@ -633,7 +841,7 @@ func (c CondEq) Holds(ctx *Ctx, idx map[string]int, row []domain.Value) (bool, e
 	if err != nil {
 		return false, err
 	}
-	return av.Key() == bv.Key(), nil
+	return domain.Equal(av, bv), nil
 }
 
 // String implements Cond.

@@ -3,6 +3,7 @@ package algebra_test
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/algebra"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/domains/eqdom"
 	"repro/internal/logic"
 	"repro/internal/parser"
+	"repro/internal/plan"
 	"repro/internal/presburger"
 	"repro/internal/query"
 )
@@ -74,6 +76,25 @@ func TestBaseAndProject(t *testing.T) {
 	}
 }
 
+// TestTableHasAllocatesNothing: a membership probe builds its key on the
+// stack.
+func TestTableHasAllocatesNothing(t *testing.T) {
+	tab := algebra.NewTable([]string{"x", "y"})
+	for i := 0; i < 50; i++ {
+		if err := tab.Add([]domain.Value{domain.Int(i * 7919), domain.Word("w")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hit, miss := []domain.Value{domain.Int(7919), domain.Word("w")}, []domain.Value{domain.Int(-3), domain.Word("w")}
+	if n := testing.AllocsPerRun(100, func() {
+		if !tab.Has(hit) || tab.Has(miss) {
+			t.Fatal("Has wrong")
+		}
+	}); n != 0 {
+		t.Fatalf("Has allocates %.1f objects per call", n)
+	}
+}
+
 func TestSelectConditions(t *testing.T) {
 	ctx := fathersCtx(t)
 	base := &algebra.Base{Rel: "F", Cols: []string{"f", "s"}}
@@ -115,6 +136,34 @@ func TestJoinNatural(t *testing.T) {
 		R: &algebra.Base{Rel: "F", Cols: []string{"c", "d"}}})
 	if cross.Len() != 9 {
 		t.Errorf("cross product rows = %d, want 9", cross.Len())
+	}
+}
+
+func TestAntiJoin(t *testing.T) {
+	ctx := fathersCtx(t)
+	pairs := &algebra.Base{Rel: "F", Cols: []string{"x", "y"}}
+	fathers := &algebra.Project{In: &algebra.Base{Rel: "F", Cols: []string{"y", "z"}}, Cols: []string{"y"}}
+	// Father-son pairs whose son has no son: the guarded difference
+	// E − π_E(E ⋈ G) it stands for.
+	got := mustEval(t, ctx, &algebra.AntiJoin{L: pairs, R: fathers})
+	want := mustEval(t, ctx, &algebra.Diff{L: pairs,
+		R: &algebra.Project{In: &algebra.Join{L: pairs, R: fathers}, Cols: []string{"x", "y"}}})
+	if got.Len() != 2 || want.Len() != 2 { // (adam, abel), (cain, enoch)
+		t.Fatalf("antijoin rows = %d, difference rows = %d, want 2", got.Len(), want.Len())
+	}
+	for _, row := range want.Rows() {
+		if !got.Has(row) {
+			t.Errorf("antijoin lost %v", row)
+		}
+	}
+	// With no shared columns a nonempty right side removes every row and
+	// an empty one none.
+	unit := &algebra.Lit{Cols: nil, Rows: [][]string{{}}}
+	if n := mustEval(t, ctx, &algebra.AntiJoin{L: pairs, R: unit}).Len(); n != 0 {
+		t.Errorf("antijoin with a true sentence kept %d rows", n)
+	}
+	if n := mustEval(t, ctx, &algebra.AntiJoin{L: pairs, R: &algebra.Lit{}}).Len(); n != 3 {
+		t.Errorf("antijoin with a false sentence kept %d rows, want 3", n)
 	}
 }
 
@@ -346,6 +395,101 @@ func TestCompileRejectsUnsafe(t *testing.T) {
 			t.Errorf("algebra.Compile(%s) accepted: %s", src, plan.String())
 		}
 	}
+}
+
+// TestCorrelatedChainsStayLinear: a conjunct that compiles guarded by the
+// plan before it (a disjunction with a domain-predicate disjunct, or a
+// universal over a domain predicate) reads that plan once, so a chain of
+// twelve makes a plan linear in the formula, where embedding the guard
+// once per use grew it threefold per conjunct; the answers match the
+// calculus evaluator's.
+func TestCorrelatedChainsStayLinear(t *testing.T) {
+	st := db.NewState(db.MustScheme(map[string]int{"R": 1, "S": 1}))
+	for i := 0; i < 6; i++ {
+		if err := st.Insert("R", domain.Int(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, v := range []int64{2, 4} {
+		if err := st.Insert("S", domain.Int(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := &algebra.Ctx{St: st, Dom: presburger.Domain{}}
+	defer plan.SetEnabled(plan.SetEnabled(false))
+	for _, tc := range []struct {
+		conjunct string
+		rows     int
+	}{
+		{" & (lt(x, 3) | S(x))", 4},                    // 0, 1, 2, 4
+		{" & forall y. (~S(y) | lt(x, y) | x = y)", 3}, // 0, 1, 2
+	} {
+		src := "R(x)" + strings.Repeat(tc.conjunct, 12)
+		f := parser.MustParse(src)
+		p, err := algebra.Compile(st.Scheme(), f)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if n := len(p.String()); n > 20*len(src) {
+			t.Fatalf("plan of a %d-byte formula prints as %d bytes", len(src), n)
+		}
+		if got := sameAnswer(t, ctx, f, p); got != tc.rows {
+			t.Fatalf("%s: %d rows, want %d", tc.conjunct, got, tc.rows)
+		}
+	}
+}
+
+// TestCompileEqualitiesInAnyOrder: an equality that names no ranged
+// column yet waits until one of its variables is ranged, whatever the
+// order of the conjuncts.
+func TestCompileEqualitiesInAnyOrder(t *testing.T) {
+	ctx := fathersCtx(t)
+	defer plan.SetEnabled(plan.SetEnabled(false))
+	for _, tc := range []struct {
+		src  string
+		rows int
+	}{
+		{"F(x0, y) & x3 = x2 & x2 = x1 & x1 = x0", 3},
+		{"x3 = x2 & F(x0, y) & x1 = x0 & x2 = x1", 3},
+		{`F(x0, y) & x2 = x1 & x1 = "adam" & x0 = x2`, 2},
+	} {
+		f := parser.MustParse(tc.src)
+		p, err := algebra.Compile(ctx.St.Scheme(), f)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.src, err)
+		}
+		if got := sameAnswer(t, ctx, f, p); got != tc.rows {
+			t.Fatalf("%s: %d rows, want %d", tc.src, got, tc.rows)
+		}
+	}
+}
+
+// sameAnswer requires the plan's rows to be the calculus evaluator's
+// answer to f, row for row, and returns their number.
+func sameAnswer(t *testing.T, ctx *algebra.Ctx, f *logic.Formula, p algebra.Expr) int {
+	t.Helper()
+	got := mustEval(t, ctx, p)
+	want, err := query.EvalActiveCtx(context.Background(), ctx.Dom, ctx.St, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != want.Rows.Len() {
+		t.Fatalf("%v: algebra %d rows, calculus %d", f, got.Len(), want.Rows.Len())
+	}
+	idx := map[string]int{}
+	for i, c := range got.Cols {
+		idx[c] = i
+	}
+	for _, row := range got.Rows() {
+		tuple := make(db.Tuple, len(want.Vars))
+		for i, v := range want.Vars {
+			tuple[i] = row[idx[v]]
+		}
+		if !want.Rows.Has(tuple) {
+			t.Fatalf("%v: algebra row %v is not in the calculus answer", f, tuple)
+		}
+	}
+	return got.Len()
 }
 
 // TestCompileAgainstCalculusRandom cross-validates the compiler on random

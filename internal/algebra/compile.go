@@ -160,9 +160,10 @@ func (c *compiler) compileAndFrom(seed Expr, subs []*logic.Formula) (Expr, error
 
 	// Generators, to a fixpoint: each compiles standalone when it is
 	// self-ranged; one that is not (a disjunction or quantified body
-	// mentioning variables other conjuncts range) retries seeded with the
+	// mentioning variables other conjuncts range) retries guarded by the
 	// plan built so far, so correlated subformulas compile once their
-	// guards are in place.
+	// guards are in place. A guarded body's rows extend the plan's, so it
+	// replaces the plan instead of joining it.
 	plan := seed
 	pendingGens := append([]*logic.Formula(nil), generators...)
 	for len(pendingGens) > 0 {
@@ -171,18 +172,21 @@ func (c *compiler) compileAndFrom(seed Expr, subs []*logic.Formula) (Expr, error
 		var lastErr error
 		for _, g := range pendingGens {
 			e, err := c.compile(g)
-			if err != nil && plan != nil {
-				e, err = c.compileSeeded(plan, g)
+			switch {
+			case err == nil && plan == nil:
+				plan = e
+			case err == nil:
+				plan = &Join{L: plan, R: e}
+			case plan != nil:
+				var body Expr
+				if _, body, err = c.seeded(plan, g); err == nil {
+					plan = &Guarded{Guard: plan, Body: body}
+				}
 			}
 			if err != nil {
 				lastErr = err
 				still = append(still, g)
 				continue
-			}
-			if plan == nil {
-				plan = e
-			} else {
-				plan = &Join{L: plan, R: e}
 			}
 			progressed = true
 		}
@@ -194,65 +198,95 @@ func (c *compiler) compileAndFrom(seed Expr, subs []*logic.Formula) (Expr, error
 	if plan == nil {
 		plan = &Lit{Cols: nil, Rows: [][]string{{}}}
 	}
+	// have is the plan's column set from here on, kept as equalities add
+	// columns: the plan grows into a chain, and reading its columns back
+	// per conjunct would walk the whole chain each time.
+	have := map[string]bool{}
+	for _, col := range plan.Columns() {
+		have[col] = true
+	}
 
-	// Equalities, to a fixpoint: each either selects (both sides available),
-	// extends (one variable side available), or introduces a constant
-	// column.
-	pending := append([]*logic.Formula(nil), equalities...)
-	for len(pending) > 0 {
-		progressed := false
-		var still []*logic.Formula
-		for _, eq := range pending {
-			next, ok, err := c.applyEquality(plan, eq)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				plan = next
-				progressed = true
-			} else {
-				still = append(still, eq)
+	// Equalities, as a worklist: each either selects (both sides
+	// available), extends (one variable side available), or introduces a
+	// constant column. One that can do none yet waits for a column it
+	// names, so no order of the conjuncts costs a pass per equality.
+	waiting := map[string][]*logic.Formula{}
+	applied := map[*logic.Formula]bool{}
+	work := append([]*logic.Formula(nil), equalities...)
+	for len(work) > 0 {
+		eq := work[0]
+		work = work[1:]
+		if applied[eq] {
+			continue
+		}
+		next, ok, err := c.applyEquality(plan, have, eq)
+		if err != nil {
+			return nil, err
+		}
+		for _, t := range eq.Args {
+			switch {
+			case t.Kind != logic.TVar:
+			case !ok && !have[t.Name]:
+				waiting[t.Name] = append(waiting[t.Name], eq)
+			case ok && len(waiting[t.Name]) > 0:
+				work = append(work, waiting[t.Name]...)
+				delete(waiting, t.Name)
 			}
 		}
-		if !progressed {
-			return nil, fmt.Errorf("algebra: equalities %v leave variables unranged", still)
+		if ok {
+			plan, applied[eq] = next, true
 		}
-		pending = still
+	}
+	var still []*logic.Formula
+	for _, eq := range equalities {
+		if !applied[eq] {
+			still = append(still, eq)
+		}
+	}
+	if len(still) > 0 {
+		return nil, fmt.Errorf("algebra: equalities %v leave variables unranged", still)
 	}
 
 	// Domain selections.
 	for _, s := range domainSel {
-		cond, err := c.atomCond(s, plan.Columns())
+		cond, err := c.atomCond(s, have)
 		if err != nil {
 			return nil, err
 		}
 		plan = &Select{In: plan, Cond: cond}
 	}
 
-	// Guarded negations: E − (E ⋈ G), requiring free(G) ⊆ cols(E). A body
-	// that does not compile standalone (its free variables are ranged by
-	// the conjunction, not by itself) compiles seeded with the plan as
-	// guard; a free variable nothing ranges stays an error.
+	// Guarded negations: E − π_E(E ⋈ G) as the antijoin E ▷ G, requiring
+	// free(G) ⊆ cols(E). A body that does not compile standalone (its free
+	// variables are ranged by the conjunction, not by itself) compiles
+	// guarded by the plan; a free variable nothing ranges stays an error.
 	for _, n := range negations {
-		have := map[string]bool{}
-		for _, col := range plan.Columns() {
-			have[col] = true
-		}
 		for _, v := range n.FreeVars() {
 			if !have[v] {
 				return nil, fmt.Errorf("algebra: negation of %v is unguarded on %q", n, v)
 			}
 		}
-		g, err := c.compile(n)
-		if err != nil {
-			g, err = c.compileSeeded(plan, n)
-			if err != nil {
-				return nil, err
-			}
+		if g, err := c.compile(n); err == nil {
+			plan = &AntiJoin{L: plan, R: g}
+			continue
 		}
-		plan = &Diff{L: plan, R: &Project{In: &Join{L: plan, R: g}, Cols: plan.Columns()}}
+		seed, body, err := c.seeded(plan, n)
+		if err != nil {
+			return nil, err
+		}
+		plan = &Guarded{Guard: plan, Body: &AntiJoin{L: seed, R: body}}
 	}
 	return plan, nil
+}
+
+// seeded compiles f, whose free variables guard ranges but f alone does
+// not, over a Seed leaf standing for guard: a Guarded node binds the leaf
+// to guard's table, so the guard evaluates once however often the body
+// reads it. Every row of the body extends a guard row.
+func (c *compiler) seeded(guard Expr, f *logic.Formula) (*Seed, Expr, error) {
+	seed := &Seed{Cols: guard.Columns()}
+	body, err := c.compileSeeded(seed, f)
+	return seed, body, err
 }
 
 // compileSeeded compiles a formula in a context where the columns of an
@@ -283,38 +317,18 @@ func (c *compiler) compileSeeded(seed Expr, f *logic.Formula) (Expr, error) {
 	case logic.FAnd:
 		return c.compileAndFrom(seed, f.Sub)
 	case logic.FOr:
-		var plan Expr
-		for _, s := range f.Sub {
-			e, err := c.compileSeeded(seed, s)
-			if err != nil {
-				return nil, err
-			}
-			if plan == nil {
-				plan = e
-				continue
-			}
-			if !sameCols(plan.Columns(), e.Columns()) {
-				return nil, fmt.Errorf("algebra: disjuncts with different free variables (%v vs %v) are not safe-range",
-					plan.Columns(), e.Columns())
-			}
-			plan = &Union{L: plan, R: e}
-		}
-		if plan == nil {
-			return &Lit{Cols: nil, Rows: nil}, nil
-		}
-		return plan, nil
+		return unionAll(f.Sub, func(s *logic.Formula) (Expr, error) {
+			return c.compileSeeded(seed, s)
+		})
 	default:
 		return c.compileAndFrom(seed, []*logic.Formula{f})
 	}
 }
 
 // applyEquality incorporates one equality conjunct into the plan, if
-// possible at this stage.
-func (c *compiler) applyEquality(plan Expr, eq *logic.Formula) (Expr, bool, error) {
-	have := map[string]bool{}
-	for _, col := range plan.Columns() {
-		have[col] = true
-	}
+// possible at this stage; have is the plan's column set, and gains the
+// column an equality adds.
+func (c *compiler) applyEquality(plan Expr, have map[string]bool, eq *logic.Formula) (Expr, bool, error) {
 	a, b := eq.Args[0], eq.Args[1]
 	avail := func(t logic.Term) bool {
 		return t.Kind == logic.TConst || (t.Kind == logic.TVar && have[t.Name])
@@ -332,12 +346,14 @@ func (c *compiler) applyEquality(plan Expr, eq *logic.Formula) (Expr, bool, erro
 	case avail(a) && avail(b):
 		return &Select{In: plan, Cond: CondEq{A: arg(a), B: arg(b)}}, true, nil
 	case avail(a) && b.Kind == logic.TVar:
+		have[b.Name] = true
 		if a.Kind == logic.TVar {
 			return &Extend{In: plan, NewCol: b.Name, FromCol: a.Name}, true, nil
 		}
 		// b := constant a — a one-row literal joined in.
 		return &Join{L: plan, R: &Lit{Cols: []string{b.Name}, Rows: [][]string{{a.Name}}}}, true, nil
 	case avail(b) && a.Kind == logic.TVar:
+		have[a.Name] = true
 		if b.Kind == logic.TVar {
 			return &Extend{In: plan, NewCol: a.Name, FromCol: b.Name}, true, nil
 		}
@@ -347,13 +363,9 @@ func (c *compiler) applyEquality(plan Expr, eq *logic.Formula) (Expr, bool, erro
 }
 
 // atomCond renders a (possibly negated) atom as a selection condition over
-// available columns.
-func (c *compiler) atomCond(f *logic.Formula, cols []string) (Cond, error) {
+// the available columns have.
+func (c *compiler) atomCond(f *logic.Formula, have map[string]bool) (Cond, error) {
 	atom, positive := logic.LiteralAtom(f)
-	have := map[string]bool{}
-	for _, col := range cols {
-		have[col] = true
-	}
 	args := make([]Arg, len(atom.Args))
 	for i, t := range atom.Args {
 		switch t.Kind {
@@ -382,19 +394,28 @@ func (c *compiler) atomCond(f *logic.Formula, cols []string) (Cond, error) {
 
 // compileOr unions disjuncts with identical free variables.
 func (c *compiler) compileOr(subs []*logic.Formula) (Expr, error) {
+	return unionAll(subs, c.compile)
+}
+
+// unionAll unions the plans compile makes of subs, which must have the
+// same free variables; no subs is the empty relation. The union chain is
+// left-deep and its columns are its first disjunct's, read once: asking
+// the growing chain would walk its whole left spine per disjunct.
+func unionAll(subs []*logic.Formula, compile func(*logic.Formula) (Expr, error)) (Expr, error) {
 	var plan Expr
+	var cols []string
 	for _, s := range subs {
-		e, err := c.compile(s)
+		e, err := compile(s)
 		if err != nil {
 			return nil, err
 		}
 		if plan == nil {
-			plan = e
+			plan, cols = e, e.Columns()
 			continue
 		}
-		if !sameCols(plan.Columns(), e.Columns()) {
+		if !sameCols(cols, e.Columns()) {
 			return nil, fmt.Errorf("algebra: disjuncts with different free variables (%v vs %v) are not safe-range",
-				plan.Columns(), e.Columns())
+				cols, e.Columns())
 		}
 		plan = &Union{L: plan, R: e}
 	}

@@ -5,8 +5,11 @@
 package db
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -58,13 +61,34 @@ func (s *Scheme) HasConstant(name string) bool {
 // Tuple is a row of a relation.
 type Tuple []domain.Value
 
-// Key returns a canonical key for the tuple.
+// Key returns a canonical key for the tuple: each value's key prefixed by
+// its byte length and a colon, joined by commas ("1:5,3:abc"). Rows are
+// ordered by these keys.
 func (t Tuple) Key() string {
-	parts := make([]string, len(t))
+	var buf [64]byte
+	return string(t.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the tuple's key (see Key) to b and returns the
+// extended buffer. A lookup m[string(t.AppendKey(buf[:0]))] allocates
+// nothing when the key fits buf.
+func (t Tuple) AppendKey(b []byte) []byte {
 	for i, v := range t {
-		parts[i] = fmt.Sprintf("%d:%s", len(v.Key()), v.Key())
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if n, ok := v.(domain.Int); ok {
+			var digits [20]byte
+			k := strconv.AppendInt(digits[:0], int64(n), 10)
+			b = strconv.AppendInt(b, int64(len(k)), 10)
+			b = append(append(b, ':'), k...)
+			continue
+		}
+		k := v.Key()
+		b = strconv.AppendInt(b, int64(len(k)), 10)
+		b = append(append(b, ':'), k...)
 	}
-	return strings.Join(parts, ",")
+	return b
 }
 
 // String implements fmt.Stringer.
@@ -110,12 +134,20 @@ func (r *Relation) Version() uint64 { return r.version }
 
 // Has reports membership.
 func (r *Relation) Has(t Tuple) bool {
-	_, ok := r.rows[t.Key()]
+	var buf [64]byte
+	_, ok := r.rows[string(t.AppendKey(buf[:0]))]
 	return ok
 }
 
 // Tuples returns the rows sorted by key, for deterministic iteration.
 func (r *Relation) Tuples() []Tuple {
+	_, out := r.KeyedTuples()
+	return out
+}
+
+// KeyedTuples returns the rows sorted by key, and those keys. The rows
+// alias the relation's storage and must not be mutated.
+func (r *Relation) KeyedTuples() ([]string, []Tuple) {
 	keys := make([]string, 0, len(r.rows))
 	for k := range r.rows {
 		keys = append(keys, k)
@@ -125,14 +157,14 @@ func (r *Relation) Tuples() []Tuple {
 	for i, k := range keys {
 		out[i] = r.rows[k]
 	}
-	return out
+	return keys, out
 }
 
 // Clone deep-copies the relation.
 func (r *Relation) Clone() *Relation {
-	out := NewRelation(r.arity)
-	for _, t := range r.rows {
-		out.rows[t.Key()] = append(Tuple(nil), t...)
+	out := &Relation{arity: r.arity, rows: make(map[string]Tuple, len(r.rows))}
+	for k, t := range r.rows {
+		out.rows[k] = append(Tuple(nil), t...)
 	}
 	return out
 }
@@ -266,29 +298,45 @@ func (st *State) ActiveDomain() []domain.Value {
 	}).([]domain.Value)
 }
 
-// activeDomain computes ActiveDomain's value.
+// activeDomain computes ActiveDomain's value. Every value's key is
+// formatted once into one shared buffer; sorting by those keys and
+// dropping adjacent repeats leaves each distinct value once, in key order.
 func (st *State) activeDomain() []domain.Value {
-	seen := map[string]domain.Value{}
+	n := len(st.consts)
 	for _, r := range st.rels {
-		for _, t := range r.Tuples() {
+		n += r.arity * len(r.rows)
+	}
+	type keyed struct {
+		v          domain.Value
+		start, end int
+	}
+	vals := make([]keyed, 0, n)
+	buf := make([]byte, 0, 8*n)
+	add := func(v domain.Value) {
+		start := len(buf)
+		buf = domain.AppendKey(buf, v)
+		vals = append(vals, keyed{v: v, start: start, end: len(buf)})
+	}
+	for _, r := range st.rels {
+		for _, t := range r.rows {
 			for _, v := range t {
-				seen[v.Key()] = v
+				add(v)
 			}
 		}
 	}
 	for _, v := range st.consts {
-		seen[v.Key()] = v
+		add(v)
 	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
+	key := func(k keyed) []byte { return buf[k.start:k.end] }
+	slices.SortFunc(vals, func(a, b keyed) int { return bytes.Compare(key(a), key(b)) })
+	out := make([]domain.Value, 0, len(vals))
+	for i, k := range vals {
+		if i > 0 && bytes.Equal(key(k), key(vals[i-1])) {
+			continue
+		}
+		out = append(out, k.v)
 	}
-	sort.Strings(keys)
-	out := make([]domain.Value, len(keys))
-	for i, k := range keys {
-		out[i] = seen[k]
-	}
-	return out
+	return out[:len(out):len(out)]
 }
 
 // String renders the state compactly.

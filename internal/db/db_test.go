@@ -1,6 +1,10 @@
 package db
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -109,5 +113,134 @@ func TestConstantUnset(t *testing.T) {
 	st := NewState(MustScheme(map[string]int{"R": 1}, "c"))
 	if _, err := st.Constant("c"); err == nil {
 		t.Errorf("unset constant readable")
+	}
+}
+
+// fmtKey is the tuple key written with fmt, the reference implementation
+// the appending Key must match byte for byte.
+func fmtKey(t Tuple) string {
+	parts := make([]string, len(t))
+	for i, v := range t {
+		parts[i] = fmt.Sprintf("%d:%s", len(v.Key()), v.Key())
+	}
+	return strings.Join(parts, ",")
+}
+
+// otherValue is a Value of neither built-in type, so Key's general path
+// is covered too.
+type otherValue string
+
+func (o otherValue) Key() string    { return "o" + string(o) }
+func (o otherValue) String() string { return string(o) }
+
+func randValue(rng *rand.Rand) domain.Value {
+	switch rng.Intn(6) {
+	case 0:
+		return domain.Int([]int64{math.MinInt64, math.MaxInt64, math.MinInt64 + 1, -1, 0}[rng.Intn(5)])
+	case 1:
+		return domain.Int(rng.Int63() - rng.Int63())
+	case 2:
+		return domain.Int(rng.Intn(200) - 100)
+	case 3, 4:
+		pieces := []string{",", ":", "1:", "a", "é", "∃", "日本", "\x00", "", "10:", "&|"}
+		var b strings.Builder
+		for i := rng.Intn(6); i > 0; i-- {
+			b.WriteString(pieces[rng.Intn(len(pieces))])
+		}
+		return domain.Word(b.String())
+	}
+	return otherValue(fmt.Sprint(rng.Intn(1000)))
+}
+
+// TestTupleKeyMatchesReference: Key and AppendKey produce the reference
+// bytes on random tuples of arity 0 to 3, whatever the buffer already
+// holds.
+func TestTupleKeyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200_000; i++ {
+		tuple := make(Tuple, rng.Intn(4))
+		for j := range tuple {
+			tuple[j] = randValue(rng)
+		}
+		want := fmtKey(tuple)
+		if got := tuple.Key(); got != want {
+			t.Fatalf("Key(%v) = %q, reference %q", tuple, got, want)
+		}
+		if got := string(tuple.AppendKey([]byte("prefix"))); got != "prefix"+want {
+			t.Fatalf("AppendKey(%v) = %q, reference %q", tuple, got, "prefix"+want)
+		}
+	}
+}
+
+// TestHasAllocatesNothing: a membership probe builds its key on the stack.
+func TestHasAllocatesNothing(t *testing.T) {
+	r := NewRelation(2)
+	for i := 0; i < 50; i++ {
+		if err := r.Add(Tuple{domain.Int(i * 7919), domain.Word("w")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hit, miss := Tuple{domain.Int(7919), domain.Word("w")}, Tuple{domain.Int(-3), domain.Word("w")}
+	if n := testing.AllocsPerRun(100, func() {
+		if !r.Has(hit) || r.Has(miss) {
+			t.Fatal("Has wrong")
+		}
+	}); n != 0 {
+		t.Fatalf("Has allocates %.1f objects per call", n)
+	}
+}
+
+// TestActiveDomainMatchesReference: the active domain of random states is
+// the set of their values and constants, in key order, each once.
+func TestActiveDomainMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 300; i++ {
+		st := NewState(MustScheme(map[string]int{"R": 1, "S": 2, "T": 3}, "c", "d"))
+		for _, name := range []string{"R", "S", "T"} {
+			r, _ := st.Relation(name)
+			for n := rng.Intn(12); n > 0; n-- {
+				tuple := make(Tuple, r.Arity())
+				for j := range tuple {
+					tuple[j] = domain.Int(rng.Intn(30) - 10)
+					if rng.Intn(3) == 0 {
+						tuple[j] = domain.Word(fmt.Sprint("w", rng.Intn(5)))
+					}
+				}
+				if err := r.Add(tuple); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if rng.Intn(2) == 0 {
+			if err := st.SetConstant("c", domain.Int(rng.Intn(40))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The reference: a key-indexed set, read back in key order.
+		seen := map[string]domain.Value{}
+		for _, r := range st.rels {
+			for _, tuple := range r.Tuples() {
+				for _, v := range tuple {
+					seen[v.Key()] = v
+				}
+			}
+		}
+		for _, v := range st.consts {
+			seen[v.Key()] = v
+		}
+		keys := make([]string, 0, len(seen))
+		for k := range seen {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		got := st.ActiveDomain()
+		if len(got) != len(keys) || cap(got) != len(got) {
+			t.Fatalf("state %d: %d values (cap %d), reference %d", i, len(got), cap(got), len(keys))
+		}
+		for j, k := range keys {
+			if got[j] != seen[k] {
+				t.Fatalf("state %d: value %d is %v, reference %v", i, j, got[j], seen[k])
+			}
+		}
 	}
 }

@@ -52,6 +52,32 @@ func (w Word) Key() string { return string(w) }
 // String implements Value.
 func (w Word) String() string { return string(w) }
 
+// AppendKey appends v.Key() to b and returns the extended buffer. An Int
+// is formatted straight into b, with no intermediate string.
+func AppendKey(b []byte, v Value) []byte {
+	if n, ok := v.(Int); ok {
+		return strconv.AppendInt(b, int64(n), 10)
+	}
+	return append(b, v.Key()...)
+}
+
+// Equal reports whether a and b are the same value, which is whether
+// their keys are equal. Two Ints or two Words compare directly, without
+// formatting either key.
+func Equal(a, b Value) bool {
+	switch x := a.(type) {
+	case Int:
+		if y, ok := b.(Int); ok {
+			return x == y
+		}
+	case Word:
+		if y, ok := b.(Word); ok {
+			return x == y
+		}
+	}
+	return a.Key() == b.Key()
+}
+
 // Interp interprets the symbols of a signature over concrete values. All
 // implementations in this repository are recursive (computable), matching
 // the paper's first practicality requirement.
@@ -61,7 +87,7 @@ type Interp interface {
 	// Func applies a function symbol to argument values.
 	Func(name string, args []Value) (Value, error)
 	// Pred evaluates a predicate symbol on argument values. Equality
-	// (logic.EqPred) is handled by callers via Key and never reaches Pred.
+	// (logic.EqPred) is handled by callers via Equal and never reaches Pred.
 	Pred(name string, args []Value) (bool, error)
 }
 
@@ -207,7 +233,7 @@ func EvalQF(in Interp, env Env, f *logic.Formula) (bool, error) {
 			args[i] = v
 		}
 		if f.Pred == logic.EqPred {
-			return args[0].Key() == args[1].Key(), nil
+			return Equal(args[0], args[1]), nil
 		}
 		return in.Pred(f.Pred, args)
 	case logic.FNot:

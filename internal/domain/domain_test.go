@@ -2,6 +2,7 @@ package domain
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"testing"
 
@@ -157,5 +158,28 @@ func TestValueKeys(t *testing.T) {
 	}
 	if Int(-1).String() != "-1" || Word("").String() != "" {
 		t.Errorf("strings wrong")
+	}
+}
+
+// keyOnly is a Value of neither built-in type.
+type keyOnly string
+
+func (k keyOnly) Key() string    { return string(k) }
+func (k keyOnly) String() string { return string(k) }
+
+// TestEqualAgreesWithKeys: Equal is key equality, across types too, and
+// AppendKey appends exactly the key.
+func TestEqualAgreesWithKeys(t *testing.T) {
+	vals := []Value{Int(0), Int(5), Int(-5), Int(math.MaxInt64), Int(math.MinInt64),
+		Word(""), Word("5"), Word("-5"), Word("a,b"), Word("日本"), keyOnly("5"), keyOnly("x")}
+	for _, a := range vals {
+		if got := string(AppendKey([]byte("p"), a)); got != "p"+a.Key() {
+			t.Fatalf("AppendKey(%v) = %q, want %q", a, got, "p"+a.Key())
+		}
+		for _, b := range vals {
+			if Equal(a, b) != (a.Key() == b.Key()) {
+				t.Fatalf("Equal(%#v, %#v) = %v, keys %q and %q", a, b, Equal(a, b), a.Key(), b.Key())
+			}
+		}
 	}
 }

@@ -87,16 +87,19 @@ func (t Term) String() string {
 	return "?"
 }
 
-// isPlainName reports whether s parses as an identifier or numeral token.
+// isPlainName reports whether s parses as one identifier or numeral
+// token: digits only, or a letter or underscore followed by letters,
+// digits and underscores. A name such as "0A" lexes as two tokens, so it
+// is quoted.
 func isPlainName(s string) bool {
 	if s == "" {
 		return false
 	}
-	for i, r := range s {
+	numeral := s[0] >= '0' && s[0] <= '9'
+	for _, r := range s {
 		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r == '_':
 		case r >= '0' && r <= '9':
-			_ = i
+		case !numeral && (r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r == '_'):
 		default:
 			return false
 		}

@@ -14,17 +14,18 @@
 // deterministic JSON, exportable and re-importable (finq stats
 // -export/-import), so stats survive a process.
 //
-// Memory is bounded by weight: every entry is charged for its key, display
-// string, and node aggregates, and when a shard exceeds its share of the
-// budget the least-recently-updated entries are evicted. Recording is one
-// short critical section on the entry's shard, so concurrent evaluations
-// contend only when their keys collide on a shard.
+// Memory is bounded by weight: every entry is charged the bytes of its
+// struct, its map slot, its strings and its node aggregates, and when a
+// shard exceeds its share of the budget the least-recently-updated entries
+// are evicted from the old end of the shard's recency list. Recording is
+// one short critical section on the entry's shard, so concurrent
+// evaluations contend only when their keys collide on a shard.
 package qstats
 
 import (
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/obs"
 )
@@ -41,7 +42,7 @@ func init() {
 	obs.SetHelp("qstats.records", "Evaluations recorded into the per-query stats registry.")
 	obs.SetHelp("qstats.evictions", "Per-query stats entries evicted by the weight bound.")
 	obs.SetHelp("qstats.entries", "Distinct query keys currently held by the stats registry.")
-	obs.SetHelp("qstats.weight", "Approximate bytes of per-query aggregates currently held.")
+	obs.SetHelp("qstats.weight", "Bytes of per-query aggregates currently held.")
 }
 
 // enabled is the package toggle: when off, the package-level Record is a
@@ -67,9 +68,9 @@ func Enabled() bool { return enabled.Load() }
 // small enough that a full-snapshot walk stays cheap.
 const numShards = 16
 
-// DefaultMaxWeight bounds the default registry's total aggregate weight
-// (approximate bytes): roughly a few thousand distinct queries with
-// profiles before eviction starts.
+// DefaultMaxWeight bounds the default registry's total aggregate weight in
+// bytes: about two thousand distinct queries (an unprofiled entry weighs
+// about 1 KB) before eviction starts.
 const DefaultMaxWeight = 1 << 21
 
 // stop reasons, indexed into each entry's fixed-size counter array. The
@@ -178,14 +179,24 @@ type entry struct {
 
 	nodes  map[string]*nodeAgg
 	weight int64
+
+	// newer and older link the shard's recency list.
+	newer, older *entry
 }
 
-// computeWeight approximates the entry's memory footprint, charged against
+// Weights in bytes: a struct plus the map slot (key string header and
+// pointer) that holds it. Strings are charged by length on top.
+const (
+	entryBytes   = int64(unsafe.Sizeof(entry{}) + unsafe.Sizeof("") + unsafe.Sizeof(&entry{}))
+	nodeAggBytes = int64(unsafe.Sizeof(nodeAgg{}) + unsafe.Sizeof("") + unsafe.Sizeof(&nodeAgg{}))
+)
+
+// computeWeight is the entry's memory footprint in bytes, charged against
 // the registry budget.
 func (e *entry) computeWeight() int64 {
-	w := int64(256 + len(e.key) + len(e.domain) + len(e.mode) + len(e.query))
+	w := entryBytes + int64(len(e.key)+len(e.domain)+len(e.mode)+len(e.query))
 	for path, n := range e.nodes {
-		w += int64(96 + len(path) + len(n.op))
+		w += nodeAggBytes + int64(len(path)+len(n.op))
 	}
 	return w
 }
@@ -241,10 +252,45 @@ func (e *entry) fold(s Sample, now int64) {
 	}
 }
 
+// shard holds its entries in a map and, through the entries' links, in a
+// list from newest to oldest update: every write moves its entry to the
+// newest end, so eviction pops the oldest end in O(1).
 type shard struct {
-	mu      sync.Mutex
-	entries map[string]*entry
-	weight  int64
+	mu             sync.Mutex
+	entries        map[string]*entry
+	weight         int64
+	newest, oldest *entry
+}
+
+// touch moves e, which may be new to the list, to its newest end.
+func (sh *shard) touch(e *entry) {
+	if sh.newest == e {
+		return
+	}
+	sh.unlink(e)
+	e.older = sh.newest
+	if sh.newest != nil {
+		sh.newest.newer = e
+	}
+	sh.newest = e
+	if sh.oldest == nil {
+		sh.oldest = e
+	}
+}
+
+// unlink removes e from the list, if it is on it.
+func (sh *shard) unlink(e *entry) {
+	if e.newer != nil {
+		e.newer.older = e.older
+	} else if sh.newest == e {
+		sh.newest = e.older
+	}
+	if e.older != nil {
+		e.older.newer = e.newer
+	} else if sh.oldest == e {
+		sh.oldest = e.newer
+	}
+	e.newer, e.older = nil, nil
 }
 
 // Registry is a bounded, sharded per-query stats store. The zero value is
@@ -258,8 +304,8 @@ type Registry struct {
 	shards    [numShards]shard
 }
 
-// New builds a registry bounded by maxWeight approximate bytes of
-// aggregates (≤ 0 selects DefaultMaxWeight).
+// New builds a registry bounded by maxWeight bytes of aggregates (≤ 0
+// selects DefaultMaxWeight).
 func New(maxWeight int64) *Registry {
 	if maxWeight <= 0 {
 		maxWeight = DefaultMaxWeight
@@ -293,10 +339,14 @@ func Record(s Sample) {
 	Default().Record(s)
 }
 
+// shardFor hashes the key with 32-bit FNV-1a.
 func (r *Registry) shardFor(key string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return &r.shards[h.Sum32()%numShards]
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return &r.shards[h%numShards]
 }
 
 // Record folds one evaluation's sample into the registry, creating the
@@ -306,73 +356,70 @@ func (r *Registry) Record(s Sample) {
 	if s.Key == "" {
 		return
 	}
-	now := r.clock.Add(1)
 	sh := r.shardFor(s.Key)
-	budget := r.maxWeight / numShards
-
 	sh.mu.Lock()
-	e := sh.entries[s.Key]
-	if e == nil {
-		e = &entry{
-			key: s.Key, domain: s.Domain, mode: s.Mode, query: s.Query,
-			firstSeen: now,
-		}
-		sh.entries[s.Key] = e
-		r.entriesN.Add(1)
-	}
+	e, now := r.lookup(sh, s.Key, s.Domain, s.Mode, s.Query)
 	oldW := e.weight
 	e.fold(s, now)
+	evicted, delta := sh.settle(e, oldW, r.maxWeight/numShards)
+	sh.mu.Unlock()
+	r.publish(evicted, delta)
+	mRecords.Inc()
+}
+
+// lookup returns the shard's entry for key, creating it on first sight,
+// and the clock tick of this update. The clock is read under the shard
+// lock, so a shard's updates tick in the order they take the lock and its
+// recency list stays in lastSeen order. Caller holds sh.mu.
+func (r *Registry) lookup(sh *shard, key, domain, mode, query string) (*entry, int64) {
+	now := r.clock.Add(1)
+	e := sh.entries[key]
+	if e == nil {
+		e = &entry{key: key, domain: domain, mode: mode, query: query, firstSeen: now}
+		sh.entries[key] = e
+		r.entriesN.Add(1)
+	}
+	return e, now
+}
+
+// settle finishes an update of e, which weighed oldW before it: it moves
+// e to the newest end of the shard's list, recharges its weight and evicts
+// what the shard's budget no longer holds. It returns the number of
+// entries evicted and the change in the shard's weight. Caller holds sh.mu.
+func (sh *shard) settle(e *entry, oldW, budget int64) (evicted, delta int64) {
+	sh.touch(e)
 	e.weight = e.computeWeight()
 	sh.weight += e.weight - oldW
-	evicted := sh.evictOver(budget, s.Key)
-	sh.mu.Unlock()
+	evicted, freed := sh.evictOver(budget, e)
+	return evicted, e.weight - oldW - freed
+}
 
+// publish applies one update's eviction count and weight change to the
+// registry's totals and gauges.
+func (r *Registry) publish(evicted, delta int64) {
 	if evicted > 0 {
 		r.entriesN.Add(-evicted)
 		r.evictions.Add(evicted)
 		mEvictions.Add(evicted)
 	}
-	r.weightN.Store(r.totalWeight())
-	mRecords.Inc()
 	gEntries.Set(r.entriesN.Load())
-	gWeight.Set(r.weightN.Load())
+	gWeight.Set(r.weightN.Add(delta))
 }
 
-// evictOver drops least-recently-updated entries until the shard fits its
-// budget, never evicting the just-updated key. Caller holds sh.mu.
-func (sh *shard) evictOver(budget int64, keep string) int64 {
-	var evicted int64
-	for sh.weight > budget && len(sh.entries) > 1 {
-		victimKey := ""
-		var victim *entry
-		for k, e := range sh.entries {
-			if k == keep {
-				continue
-			}
-			if victim == nil || e.lastSeen < victim.lastSeen ||
-				(e.lastSeen == victim.lastSeen && k < victimKey) {
-				victimKey, victim = k, e
-			}
-		}
-		if victim == nil {
-			break
-		}
-		delete(sh.entries, victimKey)
+// evictOver drops least-recently-updated entries from the old end of the
+// list until the shard fits its budget, never evicting keep, the entry
+// just updated (which is at the newest end). It returns the number of
+// entries evicted and their total weight. Caller holds sh.mu.
+func (sh *shard) evictOver(budget int64, keep *entry) (evicted, freed int64) {
+	for sh.weight > budget && sh.oldest != nil && sh.oldest != keep {
+		victim := sh.oldest
+		sh.unlink(victim)
+		delete(sh.entries, victim.key)
 		sh.weight -= victim.weight
+		freed += victim.weight
 		evicted++
 	}
-	return evicted
-}
-
-func (r *Registry) totalWeight() int64 {
-	var w int64
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		w += sh.weight
-		sh.mu.Unlock()
-	}
-	return w
+	return evicted, freed
 }
 
 // Len returns the number of distinct query keys currently held.
@@ -395,10 +442,11 @@ func (r *Registry) Reset() {
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.Lock()
+		r.entriesN.Add(-int64(len(sh.entries)))
+		r.weightN.Add(-sh.weight)
 		sh.entries = map[string]*entry{}
 		sh.weight = 0
+		sh.newest, sh.oldest = nil, nil
 		sh.mu.Unlock()
 	}
-	r.entriesN.Store(0)
-	r.weightN.Store(0)
 }

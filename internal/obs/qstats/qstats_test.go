@@ -3,8 +3,14 @@ package qstats
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
+	"math/bits"
+	"math/rand"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/obs"
 )
@@ -178,9 +184,22 @@ func TestTopKOrders(t *testing.T) {
 	}
 }
 
+// shardWeights sums the shards' weights under their locks.
+func shardWeights(r *Registry) int64 {
+	var w int64
+	for i := range r.shards {
+		sh := &r.shards[i]
+		sh.mu.Lock()
+		w += sh.weight
+		sh.mu.Unlock()
+	}
+	return w
+}
+
 func TestWeightEviction(t *testing.T) {
-	// A tiny budget: every shard holds at most ~2 small entries.
-	r := New(16 * 1024)
+	// A tiny budget: every shard holds at most ~4 entries of ~1 KB.
+	const budget = 64 * 1024
+	r := New(budget)
 	for i := 0; i < 500; i++ {
 		r.Record(sampleFor(fmt.Sprintf("key-%04d", i), 10))
 	}
@@ -191,8 +210,224 @@ func TestWeightEviction(t *testing.T) {
 		t.Fatalf("registry holds %d entries, bound did not bite", n)
 	}
 	// The total weight respects the budget (per shard, so the sum does too).
-	if w := r.totalWeight(); w > 16*1024 {
+	if w := shardWeights(r); w > budget {
 		t.Fatalf("total weight %d exceeds budget", w)
+	}
+	if w, want := r.weightN.Load(), shardWeights(r); w != want {
+		t.Fatalf("registry total %d, shards hold %d", w, want)
+	}
+}
+
+// TestWeightIsBytes: an entry's weight covers at least its struct and
+// strings, so the budget bounds real memory.
+func TestWeightIsBytes(t *testing.T) {
+	r := New(0)
+	s := sampleFor("k", 1)
+	r.Record(s)
+	floor := int64(unsafe.Sizeof(entry{})) + int64(len(s.Key)+len(s.Domain)+len(s.Mode)+len(s.Query)) +
+		int64(len(s.Nodes))*int64(unsafe.Sizeof(nodeAgg{}))
+	if w := r.weightN.Load(); w < floor {
+		t.Fatalf("weight %d under the %d bytes the entry occupies", w, floor)
+	}
+}
+
+// TestImportPublishesWeight: Import updates the registry's total weight
+// and the qstats.weight gauge, as Record does.
+func TestImportPublishesWeight(t *testing.T) {
+	donor := New(0)
+	for i := 0; i < 5; i++ {
+		donor.Record(sampleFor(fmt.Sprintf("k%d", i), 10))
+	}
+	r := New(0)
+	r.Import(donor.Take())
+	w := r.weightN.Load()
+	if w == 0 || w != shardWeights(r) || w != donor.weightN.Load() {
+		t.Fatalf("imported weight %d, shards hold %d, donor %d", w, shardWeights(r), donor.weightN.Load())
+	}
+	if g := gWeight.Value(); g != w {
+		t.Fatalf("qstats.weight gauge %d after import, registry holds %d", g, w)
+	}
+}
+
+// refModel is the registry's eviction policy as a plain full scan: on
+// each update the touched key's shard drops its least-recently-updated
+// other keys (ties to the smaller key) until it fits its budget. Weights
+// come from the same computeWeight over the same strings and node paths.
+type refModel struct {
+	budget    int64
+	clock     int64
+	evictions int64
+	shards    [numShards]map[string]*refEntry
+}
+
+type refEntry struct {
+	e        entry // key, display strings and node ops, for computeWeight
+	lastSeen int64
+}
+
+func newRefModel(maxWeight int64) *refModel {
+	m := &refModel{budget: maxWeight / numShards}
+	for i := range m.shards {
+		m.shards[i] = map[string]*refEntry{}
+	}
+	return m
+}
+
+func (m *refModel) update(key, domain, mode, query string, nodes map[string]string) {
+	h := fnv.New32a()
+	h.Write([]byte(key))
+	sh := m.shards[h.Sum32()%numShards]
+	m.clock++
+	re := sh[key]
+	if re == nil {
+		re = &refEntry{e: entry{key: key, domain: domain, mode: mode, query: query}}
+		sh[key] = re
+	}
+	re.lastSeen = m.clock
+	for path, op := range nodes {
+		if re.e.nodes == nil {
+			re.e.nodes = map[string]*nodeAgg{}
+		}
+		if re.e.nodes[path] == nil {
+			re.e.nodes[path] = &nodeAgg{op: op}
+		}
+	}
+	for {
+		var total int64
+		for _, x := range sh {
+			total += x.e.computeWeight()
+		}
+		if total <= m.budget || len(sh) <= 1 {
+			return
+		}
+		victimKey := ""
+		var victim *refEntry
+		for k, x := range sh {
+			if k == key {
+				continue
+			}
+			if victim == nil || x.lastSeen < victim.lastSeen || (x.lastSeen == victim.lastSeen && k < victimKey) {
+				victimKey, victim = k, x
+			}
+		}
+		delete(sh, victimKey)
+		m.evictions++
+	}
+}
+
+func (m *refModel) keys() []string {
+	var out []string
+	for _, sh := range m.shards {
+		for k := range sh {
+			out = append(out, k)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+func (m *refModel) weight() int64 {
+	var w int64
+	for _, sh := range m.shards {
+		for _, x := range sh {
+			w += x.e.computeWeight()
+		}
+	}
+	return w
+}
+
+// TestEvictionMatchesReference replays random Record and Import sequences
+// into a small-budget registry and into the full-scan reference model:
+// after every operation both must hold the same keys, count the same
+// evictions and weigh the same.
+func TestEvictionMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const maxWeight = 48 * 1024
+		r := New(maxWeight)
+		m := newRefModel(maxWeight)
+		randKey := func() string { return fmt.Sprintf("q%03d", rng.Intn(120)) }
+		randNodes := func() []NodeSample {
+			var ns []NodeSample
+			for i := rng.Intn(4); i > 0; i-- {
+				p := fmt.Sprintf("0.%d", rng.Intn(6))
+				ns = append(ns, NodeSample{Path: p, Op: "op" + p, Evals: 2, True: 1, Range: 3})
+			}
+			return ns
+		}
+		nodeMap := func(ns []NodeSample) map[string]string {
+			out := map[string]string{}
+			for _, n := range ns {
+				out[n.Path] = n.Op
+			}
+			return out
+		}
+		for op := 0; op < 3000; op++ {
+			if rng.Intn(5) > 0 {
+				s := Sample{Key: randKey(), Domain: "eq", Mode: "active", LatencyUS: 7, Nodes: randNodes()}
+				s.Query = "Q(" + s.Key + ")" + strings.Repeat("!", rng.Intn(40))
+				r.Record(s)
+				m.update(s.Key, s.Domain, s.Mode, s.Query, nodeMap(s.Nodes))
+			} else {
+				var snap Snapshot
+				for i := 1 + rng.Intn(3); i > 0; i-- {
+					v := EntryView{Key: randKey(), Domain: "eq", Mode: "enumerate", Query: "I", Evals: 1}
+					nodes := map[string]string{}
+					for _, n := range randNodes() {
+						v.Nodes = append(v.Nodes, NodeView{Path: n.Path, Op: n.Op, Evals: 1})
+						nodes[n.Path] = n.Op
+					}
+					snap.Entries = append(snap.Entries, v)
+					m.update(v.Key, v.Domain, v.Mode, v.Query, nodes)
+				}
+				r.Import(snap)
+			}
+			var got []string
+			for _, e := range r.Take().Entries {
+				got = append(got, e.Key)
+			}
+			if want := m.keys(); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("seed %d op %d: registry holds %v, reference %v", seed, op, got, want)
+			}
+			if r.Evictions() != m.evictions {
+				t.Fatalf("seed %d op %d: %d evictions, reference %d", seed, op, r.Evictions(), m.evictions)
+			}
+			if w := r.weightN.Load(); w != m.weight() || w != shardWeights(r) {
+				t.Fatalf("seed %d op %d: weight %d, shards %d, reference %d", seed, op, w, shardWeights(r), m.weight())
+			}
+		}
+		if m.evictions == 0 {
+			t.Fatalf("seed %d: the budget never evicted", seed)
+		}
+	}
+}
+
+// BenchmarkRecordEvicting records a stream of distinct point-shaped keys
+// into a full registry, so every Record creates an entry and evicts one;
+// its cost should not grow with the registry's size.
+func BenchmarkRecordEvicting(b *testing.B) {
+	for _, maxWeight := range []int64{1 << 18, 1 << 21, 1 << 24} {
+		b.Run(fmt.Sprintf("weight=2^%d", bits.Len64(uint64(maxWeight))-1), func(b *testing.B) {
+			r := New(maxWeight)
+			keys := make([]string, 1<<16)
+			samples := make([]Sample, len(keys))
+			for i := range keys {
+				keys[i] = fmt.Sprintf("(R(x) & lt(x, %d))#presburger#x", 1000003*i)
+				samples[i] = Sample{Key: keys[i], Domain: "presburger", Mode: "active",
+					Query: fmt.Sprintf("R(x) & lt(x, %d)", 1000003*i), LatencyUS: 60, Rows: 3, Plan: "algebra"}
+			}
+			for _, s := range samples {
+				r.Record(s)
+			}
+			if r.Evictions() == 0 {
+				b.Fatal("registry not full")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.Record(samples[i%len(samples)])
+			}
+		})
 	}
 }
 

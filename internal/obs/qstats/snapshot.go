@@ -251,17 +251,9 @@ func (r *Registry) importEntry(v EntryView, labelIndex map[string]int) {
 	if v.Key == "" {
 		return
 	}
-	now := r.clock.Add(1)
 	sh := r.shardFor(v.Key)
-	budget := r.maxWeight / numShards
-
 	sh.mu.Lock()
-	e := sh.entries[v.Key]
-	if e == nil {
-		e = &entry{key: v.Key, domain: v.Domain, mode: v.Mode, query: v.Query, firstSeen: now}
-		sh.entries[v.Key] = e
-		r.entriesN.Add(1)
-	}
+	e, now := r.lookup(sh, v.Key, v.Domain, v.Mode, v.Query)
 	oldW := e.weight
 	e.lastSeen = now
 	e.evals += v.Evals
@@ -311,17 +303,9 @@ func (r *Registry) importEntry(v EntryView, labelIndex map[string]int) {
 			n.rangeCount += nv.RangeCount
 		}
 	}
-	e.weight = e.computeWeight()
-	sh.weight += e.weight - oldW
-	evicted := sh.evictOver(budget, v.Key)
+	evicted, delta := sh.settle(e, oldW, r.maxWeight/numShards)
 	sh.mu.Unlock()
-
-	if evicted > 0 {
-		r.entriesN.Add(-evicted)
-		r.evictions.Add(evicted)
-		mEvictions.Add(evicted)
-	}
-	gEntries.Set(r.entriesN.Load())
+	r.publish(evicted, delta)
 }
 
 // WriteTable renders entries as an aligned text table — the /debug/queries

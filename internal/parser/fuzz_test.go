@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/logic"
@@ -26,6 +27,9 @@ func FuzzParse(f *testing.F) {
 		"",
 		"exists . P(x)",
 		"P(x)) & Q",
+		// A million nested negations: printing such a formula would
+		// overflow the stack, so the nesting cap must reject it.
+		strings.Repeat("~", 1_000_000) + "R(x)",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -17,6 +17,23 @@ type Options struct {
 	Functions map[string]bool
 }
 
+// maxDepth caps how deeply a parsed formula nests: a path through its
+// tree, counting connectives, negations, quantifiers, atoms and function
+// applications, is at most maxDepth nodes long. Printing, canonical keys,
+// normal forms and evaluation all recurse over that tree, and a stack
+// overflow is a fatal error that no recover catches, so without the cap
+// one request could end the process. Written and generated queries nest a
+// handful of levels.
+const maxDepth = 1000
+
+// maxNesting bounds the parser's own recursion: open parentheses,
+// negations, quantifiers, implication and bi-implication chains, and
+// function applications each take one level. Printing a formula writes
+// at most two of these per tree node (~(~P(x)) for a double negation),
+// so every formula within maxDepth prints to text within maxNesting and
+// parses back.
+const maxNesting = 2 * maxDepth
+
 // Parse parses a formula with default options: all plain identifiers in term
 // position are variables.
 func Parse(input string) (*logic.Formula, error) {
@@ -37,7 +54,34 @@ func ParseWith(input string, opts Options) (*logic.Formula, error) {
 	if p.peek().kind != tokEOF {
 		return nil, p.errorf("trailing input starting with %v", p.peek().kind)
 	}
+	if depth(f) > maxDepth {
+		return nil, fmt.Errorf("parser: formula nests deeper than %d levels", maxDepth)
+	}
 	return f, nil
+}
+
+// depth is the length of the longest path through f's tree, counting
+// function applications inside atoms.
+func depth(f *logic.Formula) int {
+	d := 0
+	for _, s := range f.Sub {
+		d = max(d, depth(s))
+	}
+	for _, t := range f.Args {
+		d = max(d, termDepth(t))
+	}
+	return d + 1
+}
+
+func termDepth(t logic.Term) int {
+	if t.Kind != logic.TApp {
+		return 0
+	}
+	d := 0
+	for _, a := range t.Args {
+		d = max(d, termDepth(a))
+	}
+	return d + 1
 }
 
 // MustParse is Parse panicking on error; for tests and package examples.
@@ -79,6 +123,17 @@ type parser struct {
 	toks []token
 	pos  int
 	opts Options
+	// nesting counts the levels open at the current token (maxNesting).
+	nesting int
+}
+
+// descend opens a nesting level; the caller closes it with nesting--
+// once the nested part is parsed.
+func (p *parser) descend() error {
+	if p.nesting++; p.nesting > maxNesting {
+		return p.errorf("formula nests deeper than %d levels", maxDepth)
+	}
+	return nil
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
@@ -110,14 +165,21 @@ func (p *parser) parseIff() (*logic.Formula, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Each <-> nests the chain so far one level deeper.
+	opened := 0
 	for p.peek().kind == tokIff {
 		p.next()
+		if err := p.descend(); err != nil {
+			return nil, err
+		}
+		opened++
 		right, err := p.parseImplies()
 		if err != nil {
 			return nil, err
 		}
 		left = logic.Iff(left, right)
 	}
+	p.nesting -= opened
 	return left, nil
 }
 
@@ -128,10 +190,14 @@ func (p *parser) parseImplies() (*logic.Formula, error) {
 	}
 	if p.peek().kind == tokImplies {
 		p.next()
+		if err := p.descend(); err != nil {
+			return nil, err
+		}
 		right, err := p.parseImplies() // right associative
 		if err != nil {
 			return nil, err
 		}
+		p.nesting--
 		return logic.Implies(left, right), nil
 	}
 	return left, nil
@@ -175,10 +241,14 @@ func (p *parser) parseUnary() (*logic.Formula, error) {
 	switch t := p.peek(); t.kind {
 	case tokNot:
 		p.next()
+		if err := p.descend(); err != nil {
+			return nil, err
+		}
 		f, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
+		p.nesting--
 		return logic.Not(f), nil
 	case tokIdent:
 		switch t.text {
@@ -191,10 +261,14 @@ func (p *parser) parseUnary() (*logic.Formula, error) {
 			if _, err := p.expect(tokDot); err != nil {
 				return nil, err
 			}
+			if err := p.descend(); err != nil {
+				return nil, err
+			}
 			body, err := p.parseUnary()
 			if err != nil {
 				return nil, err
 			}
+			p.nesting--
 			if t.text == "exists" {
 				return logic.Exists(v.text, body), nil
 			}
@@ -209,6 +283,9 @@ func (p *parser) parseAtom() (*logic.Formula, error) {
 	switch t.kind {
 	case tokLParen:
 		p.next()
+		if err := p.descend(); err != nil {
+			return nil, err
+		}
 		f, err := p.parseFormula()
 		if err != nil {
 			return nil, err
@@ -216,6 +293,7 @@ func (p *parser) parseAtom() (*logic.Formula, error) {
 		if _, err := p.expect(tokRParen); err != nil {
 			return nil, err
 		}
+		p.nesting--
 		return f, nil
 	case tokIdent:
 		switch t.text {
@@ -302,10 +380,14 @@ func (p *parser) parseTerm() (logic.Term, error) {
 	case tokIdent:
 		p.next()
 		if p.peek().kind == tokLParen {
+			if err := p.descend(); err != nil {
+				return logic.Term{}, err
+			}
 			args, err := p.parseArgs()
 			if err != nil {
 				return logic.Term{}, err
 			}
+			p.nesting--
 			return logic.App(t.text, args...), nil
 		}
 		if p.opts.Constants[t.text] {

@@ -237,3 +237,54 @@ func TestErrorMessagesMentionOffset(t *testing.T) {
 		t.Errorf("error should mention offset: %v", err)
 	}
 }
+
+// TestNestingCap: every nesting construct is accepted up to the cap, and
+// its printed form (which may nest twice as many groupings) parses back
+// to the same formula; one level more is a parse error, not a stack
+// overflow later on.
+func TestNestingCap(t *testing.T) {
+	builders := []struct {
+		name  string
+		build func(n int) string // a formula n levels deep
+	}{
+		{"negation", func(n int) string { return strings.Repeat("~", n-1) + "P(x)" }},
+		{"quantifier", func(n int) string { return strings.Repeat("exists x. ", n-1) + "P(x)" }},
+		{"implication", func(n int) string { return strings.Repeat("P(x) -> ", n-1) + "P(x)" }},
+		{"bi-implication", func(n int) string { return strings.Repeat("P(x) <-> ", n-1) + "P(x)" }},
+		{"alternating and/or", func(n int) string {
+			return strings.Repeat("P(x) & (Q(x) | ", (n-1)/2) + "P(x)" + strings.Repeat(")", (n-1)/2)
+		}},
+		{"function application", func(n int) string {
+			return "x = " + strings.Repeat("f(", n-1) + "y" + strings.Repeat(")", n-1)
+		}},
+	}
+	for _, b := range builders {
+		t.Run(b.name, func(t *testing.T) {
+			g, err := Parse(b.build(maxDepth))
+			if err != nil {
+				t.Fatalf("depth %d rejected: %v", maxDepth, err)
+			}
+			h, err := Parse(g.String())
+			if err != nil {
+				t.Fatalf("printed form does not re-parse: %v", err)
+			}
+			if !h.Equal(g) {
+				t.Fatal("printed form parses to a different formula")
+			}
+			if _, err := Parse(b.build(maxDepth + 2)); err == nil || !strings.Contains(err.Error(), "nests deeper") {
+				t.Fatalf("depth %d: want a nesting error, got %v", maxDepth+2, err)
+			}
+		})
+	}
+	// Parentheses alone add no tree depth; they are bounded as parser
+	// recursion.
+	if _, err := Parse(strings.Repeat("(", maxNesting) + "P(x)" + strings.Repeat(")", maxNesting)); err != nil {
+		t.Fatalf("%d parentheses rejected: %v", maxNesting, err)
+	}
+	if _, err := Parse(strings.Repeat("(", maxNesting+1) + "P(x)" + strings.Repeat(")", maxNesting+1)); err == nil {
+		t.Fatalf("%d parentheses accepted", maxNesting+1)
+	}
+	if _, err := ParseTerm(strings.Repeat("f(", maxNesting+1)+"y"+strings.Repeat(")", maxNesting+1), Options{}); err == nil {
+		t.Fatal("over-deep term accepted")
+	}
+}

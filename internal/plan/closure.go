@@ -464,7 +464,7 @@ func (c *ccomp) compileAtom(f *logic.Formula) (boolFn, error) {
 			if err != nil {
 				return false, err
 			}
-			return va.Key() == vb.Key(), nil
+			return domain.Equal(va, vb), nil
 		}, nil
 	}
 

@@ -80,11 +80,19 @@ func (p *Plan) Answer(ctx context.Context, dom domain.Domain, st *db.State) (*db
 
 // evalAlgebra evaluates the algebra expression and converts the answer
 // table into a Result, mapping table columns to the plan's sorted variable
-// order. The context is polled between rows so a cancelled request still
-// surfaces a partial answer, matching the generic evaluator's contract.
+// order. The context is polled between operators and between rows, so a
+// cancelled request still surfaces a partial answer, matching the generic
+// evaluator's contract.
 func (p *Plan) evalAlgebra(ctx context.Context, dom domain.Domain, st *db.State) (*Result, error) {
-	tab, err := p.alg.Eval(&algebra.Ctx{St: st, Dom: dom})
+	tab, err := p.alg.Eval(&algebra.Ctx{St: st, Dom: dom, Context: ctx})
 	if err != nil {
+		if canceled(err) {
+			res := &Result{Vars: p.vars}
+			if len(p.vars) > 0 {
+				res.Rows = db.NewRelation(len(p.vars))
+			}
+			return res, err
+		}
 		return nil, err
 	}
 	if len(p.vars) == 0 {

@@ -70,6 +70,10 @@ func (o *optimizer) rewrite(e algebra.Expr) algebra.Expr {
 		return &algebra.Union{L: o.rewrite(n.L), R: o.rewrite(n.R)}
 	case *algebra.Diff:
 		return &algebra.Diff{L: o.rewrite(n.L), R: o.rewrite(n.R)}
+	case *algebra.AntiJoin:
+		return &algebra.AntiJoin{L: o.rewrite(n.L), R: o.rewrite(n.R)}
+	case *algebra.Guarded:
+		return &algebra.Guarded{Guard: o.rewrite(n.Guard), Body: o.rewrite(n.Body)}
 	}
 	return e
 }

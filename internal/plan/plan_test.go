@@ -340,6 +340,31 @@ func TestClosureCancellation(t *testing.T) {
 	}
 }
 
+// TestAlgebraCancellation: an algebra-tier plan polls the context between
+// operators, so a cancelled evaluation stops with the context error and a
+// partial result, like the closure tier, for queries and sentences alike.
+func TestAlgebraCancellation(t *testing.T) {
+	st := fathersState(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, src := range []string{
+		"F(x, y) & (forall z. (~F(x, z) | F(z, z) | (exists w. F(z, w))))",
+		"exists x. exists y. (F(x, y) & ~F(y, x))",
+	} {
+		p := planFor(t, st, src)
+		if p.Tier() != TierAlgebra {
+			t.Fatalf("%s: tier %s, want algebra", src, p.Tier())
+		}
+		res, err := p.EvalActive(ctx, eqdom.Domain{}, st, rangeOf(st))
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: cancelled run returned %v", src, err)
+		}
+		if res == nil || res.Complete || (res.Rows != nil && res.Rows.Len() != 0) {
+			t.Fatalf("%s: cancelled run: result %+v, want an empty partial one", src, res)
+		}
+	}
+}
+
 // TestOptimizerEquivalence: the algebra rewrites preserve results on
 // compiled plans with pushable selections and reorderable joins.
 func TestOptimizerEquivalence(t *testing.T) {

@@ -361,6 +361,7 @@ func nextRow(ctx context.Context, dom Enumerable, src rowSource,
 	found map[string]bool, k, probe int) (db.Tuple, int, error) {
 
 	gen := newTupleGen(k)
+	var key []byte
 	for i := 0; i < probe; i++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
@@ -373,7 +374,8 @@ func nextRow(ctx context.Context, dom Enumerable, src rowSource,
 		for j := range idx {
 			tuple[j] = dom.Element(idx[j])
 		}
-		if found[tuple.Key()] {
+		key = tuple.AppendKey(key[:0])
+		if found[string(key)] {
 			continue
 		}
 		ok, err := src.member(ctx, tuple)

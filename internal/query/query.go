@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/db"
@@ -296,21 +297,17 @@ func maxInt(a, b int) int {
 }
 
 // activeRange is the active domain of the state extended with the query's
-// constant values.
+// constant values. A query has few constants, so each is looked for in
+// the range by a scan rather than by a set built over every value.
 func activeRange(dom domain.Domain, st *db.State, f *logic.Formula) ([]domain.Value, error) {
 	rng := st.ActiveDomain()
-	seen := map[string]bool{}
-	for _, v := range rng {
-		seen[v.Key()] = true
-	}
 	si := stateInterp{dom: dom, st: st}
 	for _, cname := range f.Constants() {
 		v, err := si.ConstValue(cname)
 		if err != nil {
 			return nil, err
 		}
-		if !seen[v.Key()] {
-			seen[v.Key()] = true
+		if !slices.ContainsFunc(rng, func(w domain.Value) bool { return domain.Equal(v, w) }) {
 			rng = append(rng, v)
 		}
 	}

@@ -2,10 +2,12 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/apiv1"
 )
@@ -91,6 +93,93 @@ func TestErrorEnvelopeEverywhere(t *testing.T) {
 			env := decodeEnvelope(t, data)
 			if env.Error.Code != tc.wantCode {
 				t.Fatalf("code %q, want %q (%s)", env.Error.Code, tc.wantCode, data)
+			}
+		})
+	}
+}
+
+// TestHostileFormulas: formulas shaped to overflow the stack, or to make
+// a pass over the formula or its plan quadratic or exponential in the
+// formula's length, each get an answer within the request deadline, and
+// the server keeps serving. Every body fits the default 1 MiB limit.
+// Under -race the cases shrink tenfold; CI also runs this test without
+// -race, at full size.
+func TestHostileFormulas(t *testing.T) {
+	scale := 1
+	if raceEnabled {
+		scale = 10
+	}
+	reversedEqualities := func(n int) string {
+		var b strings.Builder
+		b.WriteString("R(x0)")
+		for i := n; i > 0; i-- {
+			fmt.Fprintf(&b, " & x%d=x%d", i, i-1)
+		}
+		return b.String()
+	}
+	cases := []struct {
+		name     string
+		formula  string
+		timeout  time.Duration
+		status   int
+		wantCode string
+	}{
+		// Printing such a formula for the stats registry would overflow
+		// the stack, a fatal error no recover catches.
+		{"million nested negations", strings.Repeat("~", 1_000_000) + "R(x)", 10 * time.Second, 400, apiv1.CodeBadRequest},
+		// Compiling asked the growing union chain for its columns once per
+		// disjunct.
+		{"200k disjuncts", strings.Repeat("R(x)|", 200_000/scale-1) + "R(x)", 10 * time.Second, 200, ""},
+		// The same, for a disjunction another conjunct guards.
+		{"140k guarded disjuncts", "R(x) & (lt(x, 0)" + strings.Repeat(" | R(x)", 140_000/scale) + ")", 10 * time.Second, 200, ""},
+		// Each negation read the plan before it twice, doubling the plan.
+		{"100k negations", "R(x)" + strings.Repeat(" & ~S(x)", 100_000/scale), 10 * time.Second, 200, ""},
+		// Each correlated conjunct read the plan before it once per
+		// disjunct, tripling the plan.
+		{"40k correlated conjuncts", "R(x)" + strings.Repeat(" & (lt(x, 0) | R(x))", 40_000/scale), 10 * time.Second, 200, ""},
+		// Compiling ranged one equality per pass over them; evaluating
+		// the answer's chain of 60k extensions takes past any deadline,
+		// so it stops there.
+		{"60k reversed equalities", reversedEqualities(60_000 / scale), time.Second, 200, ""},
+	}
+	bases := map[time.Duration]string{}
+	for _, tc := range cases {
+		if _, ok := bases[tc.timeout]; !ok {
+			_, bases[tc.timeout] = startServer(t, Config{EvalTimeout: tc.timeout})
+		}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := bases[tc.timeout]
+			body := `{"domain": "presburger", "state": {"relations": {"R": [["1"], ["2"]], "S": [["2"]]}}, "formula": "` + tc.formula + `"}`
+			start := time.Now()
+			resp, err := http.Post(base+"/v1/eval", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			// The grace covers writing the answer after the deadline.
+			if d := time.Since(start); d > tc.timeout+2*time.Second {
+				t.Fatalf("answered after %v, past the %v deadline", d, tc.timeout)
+			}
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status %d, want %d: %.200s", resp.StatusCode, tc.status, data)
+			}
+			if tc.wantCode != "" {
+				if env := decodeEnvelope(t, data); env.Error.Code != tc.wantCode {
+					t.Fatalf("code %q, want %q", env.Error.Code, tc.wantCode)
+				}
+			} else if !strings.Contains(string(data), `"complete":true`) && !strings.Contains(string(data), `"stopped":"deadline"`) {
+				t.Fatalf("neither a complete answer nor one stopped by the deadline: %.200s", data)
+			}
+			health, err := http.Get(base + "/healthz")
+			if err != nil {
+				t.Fatalf("server stopped serving: %v", err)
+			}
+			health.Body.Close()
+			if health.StatusCode != http.StatusOK {
+				t.Fatalf("healthz %d after the request", health.StatusCode)
 			}
 		})
 	}
