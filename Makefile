@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet staticcheck race bench bench-obs bench-perf bench-compile bench-log bench-qstats bench-prof bench-serve bench-index trace-demo trace-stitch-demo serve-smoke serve-check lint-logs docs-api docs-api-check
+.PHONY: build test vet staticcheck race bench trace-demo trace-stitch-demo serve-smoke serve-check lint-logs docs-api docs-api-check
 
 build:
 	$(GO) build ./...
@@ -27,59 +27,14 @@ staticcheck:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# bench-obs measures the observability layer's overhead on EvalActiveCtx
-# in four postures: uninstrumented, instrumented (recorder disarmed),
-# flight recorder armed, and armed under a W3C trace position (every span
-# mints a child span ID). Writes BENCH_obs.json; fails if the
-# instrumented overhead or the identity-minting increment exceeds 3%.
-bench-obs:
-	BENCH_OBS=1 $(GO) test -run TestWriteBenchObs -count=1 -v .
-
-# bench is the historical alias for bench-obs.
-bench: bench-obs
-
-# bench-perf measures the E1 enumeration through three evaluators (the
-# pre-optimization loop, the incremental loop with the decision cache off,
-# and with it on) and writes BENCH_perf.json with rows/sec and the cache
-# hit rate. The three run over nless, whose §1.1 loop asks the Cooper
-# decider (over presburger the automaton answers and decides nothing).
-# Fails if cache + incremental enumeration is not at least 2x the uncached
-# rows/sec, or if the default presburger path passes its allocs/op budget.
-bench-perf:
-	BENCH_PERF=1 $(GO) test -run TestWriteBenchPerf -count=1 -v .
-
-# bench-compile measures the E1 enumeration through the interpreter
-# (planner off, decision cache on, over nless so the decider answers) and
-# through the plan-caching compiler (the default, over presburger) and
-# writes BENCH_compile.json with rows/sec for both and the plan-cache hit
-# rate. Fails if compiled is not at least 10x the interpreted rows/sec.
-bench-compile:
-	BENCH_COMPILE=1 $(GO) test -run TestWriteBenchCompile -count=1 -v .
-
-# bench-log measures the structured access log's overhead on the E1
-# request through the full finqd handler chain (logging on vs. a disabled
-# handler) and writes BENCH_log.json. Fails if the overhead exceeds 3%.
-bench-log:
-	BENCH_LOG=1 $(GO) test -run TestWriteBenchLog -count=1 -v ./internal/server
-
-# bench-qstats measures the per-query stats registry's overhead on the E1
-# evaluation through finq.Eval (recording on vs. the toggle off) and
-# writes BENCH_qstats.json. Fails if the overhead exceeds 3%.
-bench-qstats:
-	BENCH_QSTATS=1 $(GO) test -run TestWriteBenchQstats -count=1 -v .
-
-# bench-prof measures the pprof label attribution + allocation metering
-# overhead on the E1 evaluation through finq.Eval (the prof toggle on vs.
-# off) and writes BENCH_prof.json. Fails if the overhead exceeds 3%.
-bench-prof:
-	BENCH_PROF=1 $(GO) test -run TestWriteBenchProf -count=1 -v .
-
-# bench-serve runs the finqload measurement against an in-process finqd on
-# the E1 corpus and writes BENCH_serve.json. Fails if batched per-query
-# throughput is under 5x single /v1/eval, or if the first streamed row of
-# a budget-bound enumeration arrives outside the first half of the run.
-bench-serve:
-	BENCH_SERVE=1 $(GO) test -run TestWriteBenchServe -count=1 -v ./cmd/finqload
+# bench measures every bar of the bench table (bars_test.go) and writes
+# BENCH_bars.json: the observability, query-stats, profiling and access-log
+# overheads (< 3% each), the decision cache and plan compiler speedups and
+# the compiled path's rows/s and allocs/op on E1, batch against single
+# serving, the first streamed row, and the closure tier, unbarred. Fails
+# if a bar's median over the rounds misses it.
+bench:
+	BENCH=1 $(GO) test -run TestBenchBars -count=1 -timeout 20m -v .
 
 # docs-api regenerates docs/API.md from the apiv1 wire types;
 # docs-api-check (used by CI) verifies it is current.
@@ -88,11 +43,6 @@ docs-api:
 
 docs-api-check:
 	$(GO) run scripts/apidocgen.go -check
-
-# bench-index merges every BENCH_*.json measurement into the versioned
-# BENCH_index.json; `-check` mode (used by CI) verifies it is current.
-bench-index:
-	$(GO) run scripts/benchindex.go
 
 # trace-demo records the E1 experiment (enumeration over the Presburger
 # domain) with the flight recorder armed and writes a Chrome trace —

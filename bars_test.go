@@ -1,0 +1,585 @@
+// The bench table: every performance bar of the repository, measured by
+// one loop into one file. Rows are workloads, postures are the process
+// toggles and the layer a row runs under, and each bar reads one or two
+// (row, posture) cells. `make bench` (BENCH=1) measures every bar and
+// writes BENCH_bars.json; plain `go test` runs each row once and checks
+// its answer.
+//
+// Bars that share a cell share a loop, so each cell is measured once per
+// run. A loop interleaves its cells op by op, rotating which goes first,
+// in rounds of at least two seconds. A round's reading for a bar is the
+// median over the round's cycles of the pair of ops it compares; the bar
+// keeps every round's reading and gates their median. Two ops run side by
+// side see the same host speed, and the medians shed the stalls of tens
+// of milliseconds that move a round's mean by up to ±10% on a shared host.
+package finq_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"log/slog"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"runtime"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	finq "repro"
+	"repro/apiv1"
+	apiclient "repro/client"
+	"repro/internal/deccache"
+	"repro/internal/loadgen"
+	"repro/internal/obs"
+	"repro/internal/obs/logctx"
+	"repro/internal/obs/prof"
+	"repro/internal/obs/qstats"
+	"repro/internal/obs/trace"
+	"repro/internal/obs/tracectx"
+	"repro/internal/plan"
+	"repro/internal/query"
+	"repro/internal/server"
+)
+
+// row is one workload, in the shape of a test-program table: every op
+// checks its answer against Expect.
+type row struct {
+	Name   string
+	Domain string
+	State  string // statejson
+	Query  string
+	Mode   finq.EvalMode
+	Budget *finq.EnumerationBudget
+	// Corpus names a loadgen corpus, which the closed-loop postures replay
+	// in place of Domain, State and Query.
+	Corpus string
+	Expect expect
+}
+
+// expect is an answer's row count and stop reason ("" when complete). A
+// corpus row expects no request to fail.
+type expect struct {
+	Rows    int
+	Stopped string
+}
+
+var rows = []row{
+	// A two-variable join with a quantifier over eight words: enough
+	// evaluator recursion that the evaluator, not the instrumentation
+	// boundary, is the workload.
+	{Name: "join", Domain: "eq", State: relation("F", 8, func(i int) []string {
+		words := []string{"adam", "abel", "cain", "eve", "seth", "enos", "noah", "shem"}
+		return []string{words[i], words[(i+1)%8]}
+	}), Query: "F(x, y) & exists z. (F(y, z) & ~(z = x))", Expect: expect{Rows: 8}},
+	// Sparse E1: membership in every fourth natural below 128. Each row's
+	// probe scan decides again the failing candidates before it, the
+	// repeated ground decisions the decision cache memoizes. Over nless
+	// the §1.1 loop asks the Cooper decider; over presburger the plan
+	// compiler answers.
+	{Name: "e1-sparse-nless", Domain: "nless", State: sparseE1, Query: "exists y. (R(y) & x = y)",
+		Mode: finq.ModeEnumerate, Budget: &finq.EnumerationBudget{Rows: 42, Probe: 1 << 16}, Expect: expect{Rows: 32}},
+	{Name: "e1-sparse", Domain: "presburger", State: sparseE1, Query: "exists y. (R(y) & x = y)",
+		Mode: finq.ModeEnumerate, Budget: &finq.EnumerationBudget{Rows: 42, Probe: 1 << 16}, Expect: expect{Rows: 32}},
+	// E1 as `make trace-demo` runs it, with a 34-row answer: one op is a
+	// whole enumeration, the scale at which per-request costs (qstats,
+	// prof, the access log) are judged.
+	{Name: "e1", Domain: "presburger", State: `{"relations": {"R": [["3"], ["5"], ["8"], ["13"], ["21"], ["34"]]}}`,
+		Query: "exists y. (R(y) & lt(x, y))", Mode: finq.ModeEnumerate,
+		Budget: &finq.EnumerationBudget{Rows: 64, Probe: 4096}, Expect: expect{Rows: 34}},
+	// The closure tier on a query outside the algebra tier, over two
+	// 320-pair F on 40 values: random (seed 1), where the closure plan
+	// beats the interpreter, and structured, where its range narrowing
+	// loses (EXPERIMENTS.md, parallel evaluation note).
+	{Name: "closure-random", Domain: "presburger", State: relation("F", 320, randomPair()),
+		Query: closureQuery, Expect: expect{Rows: 39}},
+	{Name: "closure-structured", Domain: "presburger", State: relation("F", 320, func(k int) []string {
+		i, j := k/8, k%8
+		return []string{strconv.Itoa(i), strconv.Itoa((i + 5*j + 1) % 40)}
+	}), Query: closureQuery, Expect: expect{Rows: 40}},
+	// Cheap queries over a four-row state: the wire cost a batch
+	// amortizes.
+	{Name: "e1-corpus", Corpus: "testdata/corpus/e1.json"},
+	// An infinite answer stopped by its row budget: rows must stream
+	// while the evaluation runs, not after it. Over nless each row costs
+	// Cooper decisions; over presburger the automaton finds the rows in
+	// microseconds, and the request's fixed costs would decide the share.
+	{Name: "stream", Domain: "nless", State: `{"relations": {"R": [["3"], ["7"], ["12"], ["20"]]}}`,
+		Query: "~R(x)", Mode: finq.ModeEnumerate, Budget: &finq.EnumerationBudget{Rows: 64, Probe: 1 << 20},
+		Expect: expect{Rows: 64, Stopped: "budget"}},
+}
+
+const closureQuery = "forall y. (F(x, y) -> exists z. (F(y, z) & ~F(z, x)))"
+
+var sparseE1 = relation("R", 32, func(i int) []string { return []string{strconv.Itoa(4 * i)} })
+
+// relation renders a statejson body holding one relation of n tuples.
+func relation(name string, n int, tuple func(i int) []string) string {
+	tuples := make([][]string, n)
+	for i := range tuples {
+		tuples[i] = tuple(i)
+	}
+	data, err := json.Marshal(map[string]any{"relations": map[string][][]string{name: tuples}})
+	if err != nil {
+		panic(err)
+	}
+	return string(data)
+}
+
+// randomPair draws distinct pairs on 40 values from seed 1.
+func randomPair() func(int) []string {
+	rng := rand.New(rand.NewSource(1))
+	seen := map[[2]int]bool{}
+	return func(int) []string {
+		for {
+			p := [2]int{rng.Intn(40), rng.Intn(40)}
+			if !seen[p] {
+				seen[p] = true
+				return []string{strconv.Itoa(p[0]), strconv.Itoa(p[1])}
+			}
+		}
+	}
+}
+
+// postures maps each posture to the process toggles it switches off; all
+// others are on, their default. The loop sets them before every op, so
+// postures interleave op by op. The name also picks the layer the op
+// enters (newOp): the evaluator (query) unless it names another.
+var postures = map[string][]func(bool) bool{
+	"default":       nil,
+	"obs-off":       {obs.SetEnabled},
+	"armed":         nil, // a private flight recorder armed on the context
+	"traced":        nil, // armed, and under a W3C trace position
+	"interpreted":   {plan.SetEnabled},
+	"nocache":       {plan.SetEnabled, deccache.SetEnabled},
+	"eval":          nil, // finq.Eval
+	"eval-noqstats": {qstats.SetEnabled},
+	"eval-noprof":   {prof.SetEnabled},
+	"http-log":      nil, // Server.Handler() with the JSON access log
+	"http-nolog":    nil, // Server.Handler() with a no-op log handler
+	"single":        nil, // closed loop, one query per /v1/eval
+	"batch":         nil, // closed loop, 64 queries per /v1/eval/batch
+	"stream":        nil, // one NDJSON stream through the client
+}
+
+func setPosture(p string) {
+	for _, set := range []func(bool) bool{obs.SetEnabled, qstats.SetEnabled, prof.SetEnabled, plan.SetEnabled, deccache.SetEnabled} {
+		set(true)
+	}
+	for _, set := range postures[p] {
+		set(false)
+	}
+}
+
+// bar reads one or two cells, named "row/posture". A "ratio" is a's time
+// per unit of work over b's; "rows/s" is a's answer rows per second;
+// "first row" is the share of a's streamed request before its first row;
+// "allocs/op" is a's heap objects per unit. A bar passes when its median
+// is at least min and under max (zero is no bound); a bar with neither
+// reports a reading without gating it.
+type bar struct {
+	name     string
+	a, b     string
+	read     string
+	min, max float64
+}
+
+var bars = []bar{
+	{"obs on vs off, query.EvalActiveCtx", "join/default", "join/obs-off", "ratio", 0, 1.03},
+	{"traced vs armed: span-identity minting", "join/traced", "join/armed", "ratio", 0, 1.03},
+	{"nocache vs decision cache, nless, planner off", "e1-sparse-nless/nocache", "e1-sparse-nless/interpreted", "ratio", 2, 0},
+	{"interpreted (nless) vs compiled (presburger)", "e1-sparse-nless/interpreted", "e1-sparse/default", "ratio", 10, 0},
+	{"compiled rows/s", "e1-sparse/default", "", "rows/s", 436, 0},
+	{"default presburger path allocs/op", "e1-sparse/default", "", "allocs/op", 0, 18000},
+	{"access log on vs no-op, Server.Handler()", "e1/http-log", "e1/http-nolog", "ratio", 0, 1.03},
+	{"qstats on vs off, finq.Eval", "e1/eval", "e1/eval-noqstats", "ratio", 0, 1.03},
+	{"prof on vs off, finq.Eval", "e1/eval", "e1/eval-noprof", "ratio", 0, 1.03},
+	{"single vs batch-64, time per query", "e1-corpus/single", "e1-corpus/batch", "ratio", 5, 0},
+	{"first streamed row's share of the request", "stream/stream", "", "first row", 0, 0.5},
+	{"interpreter vs closure plan, random F", "closure-random/interpreted", "closure-random/default", "ratio", 0, 0},
+	{"interpreter vs closure plan, structured F", "closure-structured/interpreted", "closure-structured/default", "ratio", 0, 0},
+}
+
+// cell is one row run in one posture, with its readings.
+type cell struct {
+	name    string
+	row     row
+	posture string
+	op      func() (any, error)
+	// ns[r][k] is the time per unit of work of round r's cycle k, and
+	// first[r][k] a streamed op's time to its first row; allocs is the
+	// heap objects per unit.
+	ns, first [][]float64
+	allocs    float64
+}
+
+// streamed is a stream op's answer.
+type streamed struct {
+	first, total time.Duration
+	trailer      apiv1.StreamTrailer
+}
+
+// noopHandler is the no-op access log: Enabled says no before any
+// attribute is built.
+type noopHandler struct{}
+
+func (noopHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (noopHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h noopHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h noopHandler) WithGroup(string) slog.Handler           { return h }
+
+// newCell builds the cell "row/posture"; a closed-loop op is one window
+// of the given length after a warmup of 30% of it.
+func newCell(t testing.TB, name string, window time.Duration) *cell {
+	rowName, p, _ := strings.Cut(name, "/")
+	i := slices.IndexFunc(rows, func(r row) bool { return r.Name == rowName })
+	if _, ok := postures[p]; i < 0 || !ok {
+		t.Fatalf("unknown cell %s", name)
+	}
+	return &cell{name: name, row: rows[i], posture: p, op: newOp(t, rows[i], p, window)}
+}
+
+// newOp builds one evaluation of r through the layer posture p names.
+func newOp(t testing.TB, r row, p string, window time.Duration) func() (any, error) {
+	ctx := context.Background()
+	wire := apiv1.EvalRequest{Domain: r.Domain, State: json.RawMessage(r.State), Formula: r.Query, Mode: string(r.Mode)}
+	if r.Budget != nil {
+		wire.Budget = &apiv1.Budget{Rows: r.Budget.Rows, Probe: r.Budget.Probe}
+	}
+	switch p {
+	case "single", "batch":
+		corpus, err := loadgen.LoadCorpus(r.Corpus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		apis := []*apiclient.Client{startServer(t)}
+		opts := loadgen.Options{Mode: "eval", Workers: 4, Warmup: window * 3 / 10, Duration: window}
+		if p == "batch" {
+			opts.Mode, opts.Batch = "batch", 64
+		}
+		return func() (any, error) { return loadgen.Run(ctx, apis, corpus, opts) }
+	case "stream":
+		api := startServer(t)
+		return func() (any, error) {
+			s := &streamed{}
+			t0 := time.Now()
+			res, err := api.EvalStream(ctx, wire, apiv1.ContentTypeNDJSON, func([]string) error {
+				if s.first == 0 {
+					s.first = time.Since(t0)
+				}
+				return nil
+			})
+			if err != nil {
+				return nil, err
+			}
+			s.total, s.trailer = time.Since(t0), res.Trailer
+			return s, nil
+		}
+	case "http-log", "http-nolog":
+		logger := slog.New(noopHandler{})
+		if p == "http-log" {
+			var err error
+			if logger, err = logctx.NewLogger(io.Discard, slog.LevelDebug, "json"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h := server.New(server.Config{Logger: logger}).Handler()
+		body, err := json.Marshal(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func() (any, error) {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/eval", bytes.NewReader(body)))
+			return w, nil
+		}
+	}
+	d := finq.MustLookup(r.Domain)
+	st, err := finq.ParseState(d, []byte(r.State))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := d.Parse(r.Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch p {
+	case "eval", "eval-noqstats", "eval-noprof":
+		req := finq.Request{Domain: r.Domain, State: st, Formula: f, Mode: r.Mode, Budget: r.Budget}
+		return func() (any, error) { return finq.Eval(ctx, req) }
+	case "armed", "traced":
+		rec := trace.NewRecorder()
+		rec.Arm(1 << 12)
+		t.Cleanup(rec.Disarm)
+		ctx = trace.WithRecorder(ctx, rec)
+		if p == "traced" {
+			ctx = tracectx.With(ctx, tracectx.NewRoot())
+		}
+	}
+	if r.Mode != finq.ModeEnumerate {
+		return func() (any, error) { return query.EvalActiveCtx(ctx, d.Domain, st, f) }
+	}
+	// A fresh decision cache per op: the cache postures measure the
+	// memoization within one enumeration, never hits an earlier op left.
+	en := d.Domain.(query.Enumerable)
+	return func() (any, error) {
+		dec := deccache.WrapDomain(d.Name, d.Decider, deccache.DefaultCapacity)
+		return query.EnumerationAnswerSinkCtx(ctx, en, dec, st, f, *r.Budget, nil)
+	}
+}
+
+// startServer boots a quiet in-process finqd, shut down with the test.
+func startServer(t testing.TB) *apiclient.Client {
+	srv := server.New(server.Config{Logger: slog.New(noopHandler{})})
+	addr, err := srv.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+	return apiclient.New("http://"+addr, nil)
+}
+
+// run executes one op in the cell's posture. It returns the answer, the
+// op's wall time and a streamed op's time to its first row, and its units
+// of work (a closed-loop window's queries, else one).
+func (c *cell) run() (res any, ns, first, units float64, err error) {
+	setPosture(c.posture)
+	t0 := time.Now()
+	res, err = c.op()
+	ns, units = float64(time.Since(t0)), 1
+	switch r := res.(type) {
+	case *loadgen.Result:
+		ns, units = r.ElapsedSec*1e9, float64(r.Queries)
+	case *streamed:
+		ns, first = float64(r.total), float64(r.first)
+	}
+	return res, ns, first, units, err
+}
+
+// check compares an op's answer with the row's.
+func (c *cell) check(res any, err error) error {
+	if err != nil {
+		return fmt.Errorf("%s: %w", c.name, err)
+	}
+	var got expect
+	switch r := res.(type) {
+	case *query.Answer:
+		got.Rows = r.Rows.Len()
+		if !r.Complete {
+			got.Stopped = "budget"
+		}
+	case *finq.Result:
+		got = expect{r.Answer.Rows.Len(), r.Stopped}
+	case *httptest.ResponseRecorder:
+		var body apiv1.EvalResponse
+		if err := json.Unmarshal(r.Body.Bytes(), &body); r.Code != http.StatusOK || err != nil || body.Answer == nil {
+			return fmt.Errorf("%s: status %d: %s", c.name, r.Code, r.Body.Bytes())
+		}
+		got = expect{len(body.Answer.Rows), body.Stopped}
+	case *loadgen.Result:
+		if r.Errors > 0 {
+			return fmt.Errorf("%s: %d of %d requests failed", c.name, r.Errors, r.Requests)
+		}
+	case *streamed:
+		got = expect{int(r.trailer.Rows), r.trailer.Stopped}
+	}
+	if got != c.row.Expect {
+		return fmt.Errorf("%s: answer %+v, want %+v", c.name, got, c.row.Expect)
+	}
+	return nil
+}
+
+const (
+	rounds    = 7
+	minRounds = 3
+	roundDur  = 2 * time.Second
+)
+
+// measure interleaves a loop's cells op by op: each cycle runs every cell
+// once, rotating which goes first. A round lasts roundDur and one cycle at
+// least; the loop stops after rounds rounds, or after minRounds once
+// rounds×roundDur has passed (the second-long ops of the nocache cell).
+// Every op's answer is checked.
+func measure(t *testing.T, cs []*cell) {
+	start := time.Now()
+	for r := 0; r < rounds && (r < minRounds || time.Since(start) < rounds*roundDur); r++ {
+		for _, c := range cs {
+			c.ns, c.first = append(c.ns, nil), append(c.first, nil)
+		}
+		for k, t0 := 0, time.Now(); k == 0 || time.Since(t0) < roundDur; k++ {
+			for j := range cs {
+				c := cs[(j+k)%len(cs)]
+				res, ns, first, units, err := c.run()
+				if err := c.check(res, err); err != nil {
+					t.Fatal(err)
+				}
+				c.ns[r], c.first[r] = append(c.ns[r], ns/units), append(c.first[r], first/units)
+			}
+		}
+	}
+}
+
+// allocsPerUnit runs a cell's ops for 100 ms, one op at least, and counts
+// the heap objects allocated per unit of work.
+func (c *cell) allocsPerUnit() float64 {
+	var m0, m1 runtime.MemStats
+	units := 0.0
+	runtime.ReadMemStats(&m0)
+	for t0 := time.Now(); units == 0 || time.Since(t0) < 100*time.Millisecond; {
+		_, _, _, u, _ := c.run()
+		units += u
+	}
+	runtime.ReadMemStats(&m1)
+	return float64(m1.Mallocs-m0.Mallocs) / units
+}
+
+// loops partitions the bars' cells into the sets one loop measures: bars
+// that share a cell share its loop.
+func loops() [][]string {
+	var ls [][]string
+	for _, b := range bars {
+		l := []string{b.a}
+		if b.b != "" {
+			l = append(l, b.b)
+		}
+		for i := len(ls) - 1; i >= 0; i-- {
+			if slices.ContainsFunc(ls[i], func(c string) bool { return slices.Contains(l, c) }) {
+				for _, c := range ls[i] {
+					if !slices.Contains(l, c) {
+						l = append(l, c)
+					}
+				}
+				ls = slices.Delete(ls, i, i+1)
+			}
+		}
+		ls = append(ls, l)
+	}
+	return ls
+}
+
+// readings is a bar's reading per round: the median over the round's
+// cycles (one reading for allocs/op).
+func (b bar) readings(cells map[string]*cell) []float64 {
+	a := cells[b.a]
+	if b.read == "allocs/op" {
+		return []float64{a.allocs}
+	}
+	out := make([]float64, len(a.ns))
+	for r, ops := range a.ns {
+		cycles := make([]float64, len(ops))
+		for k, ns := range ops {
+			switch b.read {
+			case "rows/s":
+				cycles[k] = float64(a.row.Expect.Rows) / (ns / 1e9)
+			case "first row":
+				cycles[k] = a.first[r][k] / ns
+			default:
+				cycles[k] = ns / cells[b.b].ns[r][k]
+			}
+		}
+		out[r] = median(cycles)
+	}
+	return out
+}
+
+func median(xs []float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	return (s[(len(s)-1)/2] + s[len(s)/2]) / 2
+}
+
+// TestBenchRows runs every row once in its default posture and checks its
+// answer, so a row that breaks fails plain `go test`, not only the bench.
+func TestBenchRows(t *testing.T) {
+	defer setPosture("default")
+	for _, r := range rows {
+		p := "default"
+		if r.Corpus != "" {
+			p = "single"
+		}
+		c := newCell(t, r.Name+"/"+p, 100*time.Millisecond)
+		res, _, _, _, err := c.run()
+		if err := c.check(res, err); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestBenchBars measures every bar and writes BENCH_bars.json. Gated
+// behind BENCH=1 (`make bench`), so plain `go test` stays fast and leaves
+// the checked-in measurement alone.
+func TestBenchBars(t *testing.T) {
+	if os.Getenv("BENCH") == "" {
+		t.Skip("set BENCH=1 (or run `make bench`) to measure every bar and write BENCH_bars.json")
+	}
+	defer setPosture("default")
+	cells := map[string]*cell{}
+	type cellOut struct {
+		Cell        string    `json:"cell"`
+		NsPerOp     float64   `json:"ns_per_op"`
+		RoundsNs    []float64 `json:"rounds_ns"`
+		AllocsPerOp float64   `json:"allocs_per_op"`
+	}
+	var cellsOut []cellOut
+	for _, l := range loops() {
+		cs := make([]*cell, len(l))
+		for i, name := range l {
+			cs[i] = newCell(t, name, time.Second)
+			cells[name] = cs[i]
+		}
+		measure(t, cs)
+		for _, c := range cs {
+			c.allocs = c.allocsPerUnit()
+			perRound := make([]float64, len(c.ns))
+			for r, ops := range c.ns {
+				perRound[r] = median(ops)
+			}
+			cellsOut = append(cellsOut, cellOut{c.name, median(perRound), perRound, c.allocs})
+		}
+	}
+	type barOut struct {
+		Name     string    `json:"name"`
+		Cells    string    `json:"cells"`
+		Read     string    `json:"read"`
+		Min      float64   `json:"min,omitempty"`
+		Max      float64   `json:"max,omitempty"`
+		Readings []float64 `json:"rounds"`
+		Median   float64   `json:"median"`
+		Pass     bool      `json:"pass"`
+	}
+	var barsOut []barOut
+	for _, b := range bars {
+		rs := b.readings(cells)
+		m := median(rs)
+		o := barOut{b.name, strings.TrimSuffix(b.a+" vs "+b.b, " vs "), b.read, b.min, b.max, rs, m,
+			(b.min == 0 || m >= b.min) && (b.max == 0 || m < b.max)}
+		barsOut = append(barsOut, o)
+		t.Logf("%-46s median %10.4g  rounds %.4g  pass %v", b.name, m, rs, o.Pass)
+		if !o.Pass {
+			t.Errorf("bar %q: median %.4g outside [%g, %g)", b.name, m, b.min, b.max)
+		}
+	}
+	data, err := json.MarshalIndent(map[string]any{
+		"host":          fmt.Sprintf("%s/%s, %d CPUs, %s", runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), runtime.Version()),
+		"round_seconds": roundDur.Seconds(),
+		"cells":         cellsOut,
+		"bars":          barsOut,
+		"note":          "cells: time per unit of work (a query for the closed-loop postures, else an op), the median over each round's ops and over rounds, and heap objects per unit; bars: every round's reading (the median over its cycles of the compared ops) and their median, gated min <= median < max",
+	}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile("BENCH_bars.json", append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -27,7 +27,7 @@ import (
 )
 
 func main() {
-	args, finish, err := cliutil.Setup("finq", os.Args[1:], true)
+	args, finish, err := cliutil.Setup("finq", os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "finq:", err)
 		os.Exit(1)

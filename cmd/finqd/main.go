@@ -68,7 +68,7 @@ import (
 )
 
 func main() {
-	args, finish, err := cliutil.Setup("finqd", os.Args[1:], true)
+	args, finish, err := cliutil.Setup("finqd", os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "finqd:", err)
 		os.Exit(1)

@@ -13,7 +13,8 @@
 // sustainable rate at that concurrency, not an open-loop arrival fantasy.
 // Samples taken during the warmup window are discarded. The summary
 // reports per-request p50/p95/p99 and per-query throughput; -out writes
-// the same summary as JSON (the shape embedded in BENCH_serve.json).
+// the same summary as JSON. The loop itself lives in internal/loadgen,
+// which the serving rows of the bench table (`make bench`) drive too.
 //
 // Every synthetic request is minted a W3C trace root, so the servers
 // record identity-carrying spans; with -shards N the in-process fleet is
@@ -43,6 +44,7 @@ import (
 
 	"repro/apiv1"
 	apiclient "repro/client"
+	"repro/internal/loadgen"
 	"repro/internal/obs/trace"
 	"repro/internal/server"
 )
@@ -62,7 +64,7 @@ func main() {
 		traceDir = flag.String("trace-dir", "", "arm each in-process shard's flight recorder and dump JSONL traces here on exit")
 	)
 	flag.Parse()
-	if err := run(*addr, *corpus, loadOptions{
+	if err := run(*addr, *corpus, loadgen.Options{
 		Mode:     *mode,
 		Workers:  *workers,
 		Duration: *duration,
@@ -75,8 +77,8 @@ func main() {
 	}
 }
 
-func run(addr, corpusPath string, opts loadOptions, outPath string, shards int, traceDir string) error {
-	corpus, err := loadCorpus(corpusPath)
+func run(addr, corpusPath string, opts loadgen.Options, outPath string, shards int, traceDir string) error {
+	corpus, err := loadgen.LoadCorpus(corpusPath)
 	if err != nil {
 		return err
 	}
@@ -134,7 +136,7 @@ func run(addr, corpusPath string, opts loadOptions, outPath string, shards int, 
 	for i, a := range addrs {
 		apis[i] = apiclient.New("http://"+a, nil)
 	}
-	res, err := runLoad(context.Background(), apis, corpus, opts)
+	res, err := loadgen.Run(context.Background(), apis, corpus, opts)
 	if err != nil {
 		return err
 	}

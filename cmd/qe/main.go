@@ -23,7 +23,7 @@ import (
 var finish = func() {}
 
 func main() {
-	rest, fin, err := cliutil.Setup("qe", os.Args[1:], false)
+	rest, fin, err := cliutil.Setup("qe", os.Args[1:])
 	if err != nil {
 		fail(err)
 	}

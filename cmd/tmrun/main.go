@@ -34,7 +34,7 @@ var builtins = map[string]func() *turing.Machine{
 }
 
 func main() {
-	args, finish, err := cliutil.Setup("tmrun", os.Args[1:], false)
+	args, finish, err := cliutil.Setup("tmrun", os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tmrun:", err)
 		os.Exit(1)
@@ -93,7 +93,7 @@ global flags:
   -trace-out <file>        record execution and write a Chrome trace on exit
   -log-level <level>       debug|info|warn|error for structured logs (default info)
   -log-format <fmt>        text|json log output (default text)
-  -cache[=on|off]          memoize decision-procedure calls (default off)
+  -cache[=on|off]          memoize decision-procedure calls (default on)
 
 a metrics summary (steps, tape growth) is printed to stderr on exit`)
 }

@@ -6,7 +6,7 @@
 //	-trace-out <file>        arm the execution flight recorder and write a
 //	                         Chrome trace (Perfetto / chrome://tracing) on exit
 //	-cache[=on|off]          toggle the memoized decision cache
-//	                         (internal/deccache); each tool picks its default
+//	                         (internal/deccache); default on
 //	-plan[=on|off]           toggle the plan-caching query compiler
 //	                         (internal/plan); default on
 //	-log-level <l>           structured-log threshold: debug|info|warn|error
@@ -45,25 +45,21 @@ import (
 // idempotent): it disarms the recorder and writes the Chrome trace file.
 // A startup failure (unusable debug address, unwritable trace path,
 // malformed -cache value) is returned as an error so the CLI can exit
-// nonzero before doing work.
-//
-// cacheDefault is the tool's decision-cache posture when no -cache flag is
-// given: the enumeration tools (finq, safety) default on, the others off.
-func Setup(tool string, args []string, cacheDefault bool) (rest []string, finish func(), err error) {
+// nonzero before doing work. -cache and -plan set their toggles only when
+// given.
+func Setup(tool string, args []string) (rest []string, finish func(), err error) {
 	g := extractGlobals(args)
 	rest = g.rest
-	debugAddr, traceOut, cacheVal := g.debugAddr, g.traceOut, g.cacheVal
-	useCache := cacheDefault
-	if cacheVal != "" {
-		on, err := parseCacheValue(cacheVal)
+	debugAddr, traceOut := g.debugAddr, g.traceOut
+	if g.cacheVal != "" {
+		on, err := parseToggle("cache", g.cacheVal)
 		if err != nil {
 			return nil, nil, err
 		}
-		useCache = on
+		deccache.SetEnabled(on)
 	}
-	deccache.SetEnabled(useCache)
 	if g.planVal != "" {
-		on, err := parsePlanValue(g.planVal)
+		on, err := parseToggle("plan", g.planVal)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -174,26 +170,15 @@ func extractGlobals(args []string) globals {
 	return g
 }
 
-// parseCacheValue maps the accepted -cache values onto the toggle.
-func parseCacheValue(v string) (bool, error) {
+// parseToggle maps the accepted -cache and -plan values onto a toggle.
+func parseToggle(flag, v string) (bool, error) {
 	switch strings.ToLower(v) {
 	case "on", "true", "1":
 		return true, nil
 	case "off", "false", "0":
 		return false, nil
 	}
-	return false, fmt.Errorf("-cache: want on|off, got %q", v)
-}
-
-// parsePlanValue maps the accepted -plan values onto the toggle.
-func parsePlanValue(v string) (bool, error) {
-	switch strings.ToLower(v) {
-	case "on", "true", "1":
-		return true, nil
-	case "off", "false", "0":
-		return false, nil
-	}
-	return false, fmt.Errorf("-plan: want on|off, got %q", v)
+	return false, fmt.Errorf("-%s: want on|off, got %q", flag, v)
 }
 
 // splitFlag parses "-name", "--name", "-name=value" into its parts; a

@@ -2,6 +2,7 @@ package cliutil
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/deccache"
@@ -47,62 +48,76 @@ func TestExtractGlobalsLogFlags(t *testing.T) {
 // TestSetupRejectsBadLogFlags: malformed logging values fail Setup before
 // any work runs, like a malformed -cache.
 func TestSetupRejectsBadLogFlags(t *testing.T) {
-	if _, _, err := Setup("test", []string{"-log-level=loud"}, true); err == nil {
+	if _, _, err := Setup("test", []string{"-log-level=loud"}); err == nil {
 		t.Error("Setup accepted a malformed -log-level value")
 	}
-	if _, _, err := Setup("test", []string{"-log-format=yaml"}, true); err == nil {
+	if _, _, err := Setup("test", []string{"-log-format=yaml"}); err == nil {
 		t.Error("Setup accepted a malformed -log-format value")
 	}
 }
 
-func TestParseCacheValue(t *testing.T) {
+// checkToggleValues: every toggle flag accepts the same values, and an
+// error names the flag it came from.
+func checkToggleValues(t *testing.T, flag string) {
+	t.Helper()
 	for _, v := range []string{"on", "true", "1", "ON", "True"} {
-		if got, err := parseCacheValue(v); err != nil || !got {
-			t.Errorf("parseCacheValue(%q) = %v, %v; want true", v, got, err)
+		if got, err := parseToggle(flag, v); err != nil || !got {
+			t.Errorf("parseToggle(%q, %q) = %v, %v; want true", flag, v, got, err)
 		}
 	}
 	for _, v := range []string{"off", "false", "0", "OFF"} {
-		if got, err := parseCacheValue(v); err != nil || got {
-			t.Errorf("parseCacheValue(%q) = %v, %v; want false", v, got, err)
+		if got, err := parseToggle(flag, v); err != nil || got {
+			t.Errorf("parseToggle(%q, %q) = %v, %v; want false", flag, v, got, err)
 		}
 	}
-	if _, err := parseCacheValue("maybe"); err == nil {
-		t.Error("parseCacheValue accepted garbage")
+	if _, err := parseToggle(flag, "maybe"); err == nil || !strings.HasPrefix(err.Error(), "-"+flag+":") {
+		t.Errorf("parseToggle(%q, garbage) = %v, want an error naming -%s", flag, err, flag)
 	}
 }
 
-// TestSetupWiresCacheToggle checks the three-way interaction of tool
-// default and explicit flag.
+func TestParseCacheValue(t *testing.T) { checkToggleValues(t, "cache") }
+
+func TestParsePlanValue(t *testing.T) { checkToggleValues(t, "plan") }
+
+// TestSetupWiresCacheToggle: -cache follows the -plan pattern — bare
+// means on, =off disables the cache, the default leaves it untouched.
 func TestSetupWiresCacheToggle(t *testing.T) {
 	prev := deccache.Enabled()
 	defer deccache.SetEnabled(prev)
 
 	cases := []struct {
 		args []string
-		def  bool
 		want bool
 	}{
-		{nil, true, true},
-		{nil, false, false},
-		{[]string{"-cache=off"}, true, false},
-		{[]string{"-cache"}, false, true},
+		{[]string{"-cache=off"}, false},
+		{[]string{"-cache"}, true},
 	}
 	for _, c := range cases {
-		rest, finish, err := Setup("test", c.args, c.def)
+		rest, finish, err := Setup("test", c.args)
 		if err != nil {
-			t.Fatalf("Setup(%v, default %v): %v", c.args, c.def, err)
+			t.Fatalf("Setup(%v): %v", c.args, err)
 		}
 		finish()
 		if len(rest) != 0 {
 			t.Errorf("Setup(%v) left args %v", c.args, rest)
 		}
 		if deccache.Enabled() != c.want {
-			t.Errorf("Setup(%v, default %v): cache enabled = %v, want %v",
-				c.args, c.def, deccache.Enabled(), c.want)
+			t.Errorf("Setup(%v): cache enabled = %v, want %v", c.args, deccache.Enabled(), c.want)
 		}
 	}
 
-	if _, _, err := Setup("test", []string{"-cache=sideways"}, true); err == nil {
+	// Absent flag: the process toggle is untouched.
+	deccache.SetEnabled(false)
+	if _, finish, err := Setup("test", nil); err != nil {
+		t.Fatal(err)
+	} else {
+		finish()
+	}
+	if deccache.Enabled() {
+		t.Error("Setup with no -cache flag changed the cache toggle")
+	}
+
+	if _, _, err := Setup("test", []string{"-cache=sideways"}); err == nil {
 		t.Error("Setup accepted a malformed -cache value")
 	}
 }
@@ -124,7 +139,7 @@ func TestSetupWiresPlanToggle(t *testing.T) {
 		{[]string{"-plan=1"}, nil, true},
 	}
 	for _, c := range cases {
-		rest, finish, err := Setup("test", c.args, true)
+		rest, finish, err := Setup("test", c.args)
 		if err != nil {
 			t.Fatalf("Setup(%v): %v", c.args, err)
 		}
@@ -139,7 +154,7 @@ func TestSetupWiresPlanToggle(t *testing.T) {
 
 	// Absent flag: the process toggle is untouched.
 	plan.SetEnabled(false)
-	if _, finish, err := Setup("test", nil, true); err != nil {
+	if _, finish, err := Setup("test", nil); err != nil {
 		t.Fatal(err)
 	} else {
 		finish()
@@ -149,23 +164,7 @@ func TestSetupWiresPlanToggle(t *testing.T) {
 	}
 	plan.SetEnabled(prev)
 
-	if _, _, err := Setup("test", []string{"-plan=sideways"}, true); err == nil {
+	if _, _, err := Setup("test", []string{"-plan=sideways"}); err == nil {
 		t.Error("Setup accepted a malformed -plan value")
-	}
-}
-
-func TestParsePlanValue(t *testing.T) {
-	for _, v := range []string{"on", "true", "1", "ON"} {
-		if got, err := parsePlanValue(v); err != nil || !got {
-			t.Errorf("parsePlanValue(%q) = %v, %v; want true", v, got, err)
-		}
-	}
-	for _, v := range []string{"off", "false", "0", "OFF"} {
-		if got, err := parsePlanValue(v); err != nil || got {
-			t.Errorf("parsePlanValue(%q) = %v, %v; want false", v, got, err)
-		}
-	}
-	if _, err := parsePlanValue("maybe"); err == nil {
-		t.Error("parsePlanValue accepted garbage")
 	}
 }

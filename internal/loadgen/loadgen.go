@@ -1,4 +1,8 @@
-package main
+// Package loadgen is the closed-loop load generator behind cmd/finqload
+// and the serving rows of the repository's bench table: it replays a
+// query corpus against finqd through the typed v1 client and summarizes
+// throughput and latency.
+package loadgen
 
 import (
 	"context"
@@ -15,31 +19,31 @@ import (
 	"repro/internal/obs/tracectx"
 )
 
-// corpusDoc is a replayable query corpus: one shared state and a list of
+// Corpus is a replayable query corpus: one shared state and a list of
 // queries, cycled round-robin by the workers. The on-disk shape mirrors
 // the v1 wire types so a corpus entry is exactly a /v1/eval body minus
 // the domain/state it shares with its neighbors.
-type corpusDoc struct {
+type Corpus struct {
 	Description string          `json:"description,omitempty"`
 	Domain      string          `json:"domain"`
 	State       json.RawMessage `json:"state"`
-	Queries     []corpusQuery   `json:"queries"`
+	Queries     []Query         `json:"queries"`
 }
 
-// corpusQuery is one replayable query.
-type corpusQuery struct {
+// Query is one replayable query.
+type Query struct {
 	Formula string        `json:"formula"`
 	Mode    string        `json:"mode,omitempty"`
 	Budget  *apiv1.Budget `json:"budget,omitempty"`
 }
 
-// loadCorpus reads and validates a corpus file.
-func loadCorpus(path string) (*corpusDoc, error) {
+// LoadCorpus reads and validates a corpus file.
+func LoadCorpus(path string) (*Corpus, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var c corpusDoc
+	var c Corpus
 	if err := json.Unmarshal(data, &c); err != nil {
 		return nil, fmt.Errorf("corpus %s: %w", path, err)
 	}
@@ -49,8 +53,8 @@ func loadCorpus(path string) (*corpusDoc, error) {
 	return &c, nil
 }
 
-// loadOptions configures one closed-loop run.
-type loadOptions struct {
+// Options configures one closed-loop run.
+type Options struct {
 	// Mode is the request shape: "eval", "batch", or "stream".
 	Mode string
 	// Workers is the closed-loop concurrency.
@@ -64,9 +68,8 @@ type loadOptions struct {
 	Encoding string
 }
 
-// loadResult is one run's summary — also the JSON shape -out writes and
-// BENCH_serve.json embeds.
-type loadResult struct {
+// Result is one run's summary — also the JSON shape finqload -out writes.
+type Result struct {
 	Mode           string  `json:"mode"`
 	Workers        int     `json:"workers"`
 	BatchSize      int     `json:"batch_size,omitempty"`
@@ -82,16 +85,16 @@ type loadResult struct {
 	RowsStreamed   int64   `json:"rows_streamed,omitempty"`
 }
 
-// runLoad drives the closed loop: Workers goroutines each fire their next
+// Run drives the closed loop: Workers goroutines each fire their next
 // request the moment the previous one returns, cycling the corpus via a
 // shared counter — and, with several clients, round-robin across the
 // shard fleet — until warmup+duration elapses. Only samples completed
 // after the warmup window count. Each request carries a freshly minted
 // trace root, so the servers' flight recorders attribute every span to a
 // distinct distributed trace.
-func runLoad(ctx context.Context, apis []*apiclient.Client, corpus *corpusDoc, opts loadOptions) (*loadResult, error) {
+func Run(ctx context.Context, apis []*apiclient.Client, corpus *Corpus, opts Options) (*Result, error) {
 	if len(apis) == 0 {
-		return nil, fmt.Errorf("runLoad: no clients")
+		return nil, fmt.Errorf("loadgen: no clients")
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = 1
@@ -184,7 +187,7 @@ func runLoad(ctx context.Context, apis []*apiclient.Client, corpus *corpusDoc, o
 	wg.Wait()
 	elapsed := time.Since(warmEnd)
 
-	res := &loadResult{Mode: opts.Mode, Workers: opts.Workers, ElapsedSec: elapsed.Seconds()}
+	res := &Result{Mode: opts.Mode, Workers: opts.Workers, ElapsedSec: elapsed.Seconds()}
 	if opts.Mode == "batch" {
 		res.BatchSize = opts.Batch
 	}
@@ -201,7 +204,7 @@ func runLoad(ctx context.Context, apis []*apiclient.Client, corpus *corpusDoc, o
 		}
 	}
 	if res.Requests == 0 {
-		return nil, fmt.Errorf("%s: no requests completed after warmup; lengthen -duration", opts.Mode)
+		return nil, fmt.Errorf("%s: no requests completed after warmup; lengthen the window", opts.Mode)
 	}
 	sort.Float64s(lats)
 	res.RequestsPerSec = float64(res.Requests) / elapsed.Seconds()

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"errors"
 	"expvar"
 	"net"
 	"net/http"
@@ -39,28 +40,8 @@ func Handler() http.Handler {
 		w.Write(Take().JSON())
 	})
 	mux.HandleFunc("/debug/trace/export", func(w http.ResponseWriter, r *http.Request) {
-		rec := trace.Default()
-		events := rec.Dump()
-		// Zero epoch (never armed) stays 0 in the dump header; UnixNano()
-		// of the zero time would be a nonsense negative anchor.
-		var epochNanos int64
-		if epoch := rec.Epoch(); !epoch.IsZero() {
-			epochNanos = epoch.UnixNano()
-		}
-		switch format := r.URL.Query().Get("format"); format {
-		case "", "otlp":
-			w.Header().Set("Content-Type", "application/json")
-			trace.WriteOTLP(w, "finq", rec.Epoch(), events)
-		case "jsonl":
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			trace.WriteJSONLMeta(w, trace.Meta{
-				Process:       "finq",
-				EpochUnixNano: epochNanos,
-			}, events)
-		case "chrome":
-			w.Header().Set("Content-Type", "application/json")
-			trace.WriteChrome(w, events)
-		default:
+		err := trace.WriteExport(w, trace.Default(), "finq", r.URL.Query().Get("format"))
+		if errors.Is(err, trace.ErrUnknownFormat) {
 			http.Error(w, "unknown format (want otlp, jsonl, or chrome)", http.StatusBadRequest)
 		}
 	})

@@ -32,7 +32,8 @@ import (
 // enabled gates pprof label attribution and allocation accounting. On by
 // default: with no CPU profile running, setting goroutine labels is a
 // map copy per evaluation, and the alloc meter is two runtime/metrics
-// reads — `make bench-prof` holds the sum under the 3% bar.
+// reads — the bench table's prof bar (`make bench`) holds the sum under
+// 3%.
 var enabled atomic.Bool
 
 func init() { enabled.Store(true) }

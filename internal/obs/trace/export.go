@@ -4,10 +4,47 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"sort"
 )
+
+// ErrUnknownFormat is WriteExport's answer to a format it does not know;
+// nothing has been written to the response then.
+var ErrUnknownFormat = errors.New("trace: unknown export format (want otlp, jsonl, or chrome)")
+
+// WriteExport serves the body of a /debug/trace/export route: rec's
+// complete retained record (Dump) in the format a ?format= query names,
+// with its content type set:
+//
+//	otlp    (or "") OTLP/JSON resource spans under the process name
+//	jsonl   the JSONL dump with a metadata header line (process name and
+//	        epoch), the input `finq trace stitch` merges
+//	chrome  the Chrome trace-event array, loadable in Perfetto directly
+//
+// The export is a read: it does not arm, disarm or reset the recorder.
+func WriteExport(w http.ResponseWriter, rec *Recorder, process, format string) error {
+	switch format {
+	case "", "otlp":
+		w.Header().Set("Content-Type", "application/json")
+		return WriteOTLP(w, process, rec.Epoch(), rec.Dump())
+	case "jsonl":
+		// A never-armed recorder has a zero epoch, whose UnixNano would be
+		// a nonsense negative anchor; 0 means "not anchored" to stitch.
+		var epochNanos int64
+		if epoch := rec.Epoch(); !epoch.IsZero() {
+			epochNanos = epoch.UnixNano()
+		}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		return WriteJSONLMeta(w, Meta{Process: process, EpochUnixNano: epochNanos}, rec.Dump())
+	case "chrome":
+		w.Header().Set("Content-Type", "application/json")
+		return WriteChrome(w, rec.Dump())
+	}
+	return ErrUnknownFormat
+}
 
 // Meta is the optional first line of a JSONL dump, identifying the process
 // that wrote it and anchoring its relative timestamps to the wall clock so

@@ -391,21 +391,6 @@ func Armed() bool { return defaultRec.Armed() }
 // SetSlowThreshold sets the default recorder's slow-op retention threshold.
 func SetSlowThreshold(d time.Duration) { defaultRec.SetSlowThreshold(d) }
 
-// Begin emits a span-begin event on the default recorder (no identity).
-func Begin(name, cat string, args ...Arg) int64 {
-	return defaultRec.Begin(name, cat, Ident{}, args...)
-}
-
-// End emits a span-end event on the default recorder (no identity).
-func End(name, cat string, tid int64, start time.Time, args ...Arg) {
-	defaultRec.End(name, cat, tid, start, Ident{}, args...)
-}
-
-// Complete emits a self-contained timed event on the default recorder.
-func Complete(name, cat string, start time.Time, args ...Arg) {
-	defaultRec.Complete(name, cat, start, args...)
-}
-
 // Instant emits a point-in-time mark on the default recorder.
 func Instant(name, cat string, args ...Arg) { defaultRec.Instant(name, cat, args...) }
 

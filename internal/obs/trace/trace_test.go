@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -16,11 +18,11 @@ func TestDisarmedIsSilent(t *testing.T) {
 	// Len reflects whatever ring an earlier test's Arm left behind, so the
 	// check is that the disarmed emissions add nothing to it.
 	before := Len()
-	if tid := Begin("x", "test"); tid != 0 {
+	if tid := Default().Begin("x", "test", Ident{}); tid != 0 {
 		t.Fatalf("Begin while disarmed returned tid %d, want 0", tid)
 	}
 	Instant("y", "test")
-	Complete("z", "test", time.Now())
+	Default().Complete("z", "test", time.Now())
 	if n := Len() - before; n != 0 {
 		t.Fatalf("disarmed emissions stored %d events", n)
 	}
@@ -32,11 +34,11 @@ func TestBeginEndRoundtrip(t *testing.T) {
 	Arm(16)
 	defer Disarm()
 	start := time.Now()
-	tid := Begin("op", "test", I64("size", 7))
+	tid := Default().Begin("op", "test", Ident{}, I64("size", 7))
 	if tid == 0 {
 		t.Fatal("Begin returned 0 while armed")
 	}
-	End("op", "test", tid, start, Str("result", "ok"))
+	Default().End("op", "test", tid, start, Ident{}, Str("result", "ok"))
 	evs := Events()
 	if len(evs) != 2 {
 		t.Fatalf("got %d events, want 2", len(evs))
@@ -89,8 +91,8 @@ func TestSlowLogSurvivesWrap(t *testing.T) {
 	SetSlowThreshold(0) // everything with a duration qualifies
 	defer SetSlowThreshold(time.Millisecond)
 	start := time.Now().Add(-10 * time.Millisecond)
-	tid := Begin("slowop", "test")
-	End("slowop", "test", tid, start)
+	tid := Default().Begin("slowop", "test", Ident{})
+	Default().End("slowop", "test", tid, start, Ident{})
 	for i := 0; i < 16; i++ { // wrap the ring well past the slow pair
 		Instant("tick", "test")
 	}
@@ -135,8 +137,8 @@ func TestWriteJSONL(t *testing.T) {
 	Arm(16)
 	defer Disarm()
 	start := time.Now()
-	tid := Begin("op", "test")
-	End("op", "test", tid, start, I64("rows", 3))
+	tid := Default().Begin("op", "test", Ident{})
+	Default().End("op", "test", tid, start, Ident{}, I64("rows", 3))
 	Instant("mark", "test", Str("kind", "probe"))
 	var buf bytes.Buffer
 	if err := WriteJSONL(&buf, Events()); err != nil {
@@ -172,13 +174,13 @@ func TestWriteChromeStructure(t *testing.T) {
 	Arm(64)
 	defer Disarm()
 	outer := time.Now()
-	tid := Begin("outer", "test")
+	tid := Default().Begin("outer", "test", Ident{})
 	inner := time.Now()
-	tid2 := Begin("inner", "test")
+	tid2 := Default().Begin("inner", "test", Ident{})
 	Instant("mark", "test")
-	End("inner", "test", tid2, inner)
-	Complete("leaf", "test", time.Now(), I64("n", 1))
-	End("outer", "test", tid, outer, I64("rows", 2))
+	Default().End("inner", "test", tid2, inner, Ident{})
+	Default().Complete("leaf", "test", time.Now(), I64("n", 1))
+	Default().End("outer", "test", tid, outer, Ident{}, I64("rows", 2))
 	var buf bytes.Buffer
 	if err := WriteChrome(&buf, Dump()); err != nil {
 		t.Fatal(err)
@@ -227,5 +229,32 @@ func TestWriteChromeStructure(t *testing.T) {
 		if len(st) != 0 {
 			t.Errorf("tid %d ends with unclosed spans %s", tid, strings.Join(st, ", "))
 		}
+	}
+}
+
+// TestWriteExport covers the one body both /debug/trace/export routes
+// serve: each format's content type and shape, the unanchored epoch of a
+// never-armed recorder, and ErrUnknownFormat with nothing written.
+func TestWriteExport(t *testing.T) {
+	rec := NewRecorder()
+	for _, c := range []struct{ format, ctype, want string }{
+		{"", "application/json", `"resourceSpans"`},
+		{"jsonl", "application/x-ndjson", `{"finq_trace":1,"process":"svc"}`},
+		{"chrome", "application/json", "["},
+	} {
+		w := httptest.NewRecorder()
+		if err := WriteExport(w, rec, "svc", c.format); err != nil {
+			t.Fatalf("format %q: %v", c.format, err)
+		}
+		if got := w.Header().Get("Content-Type"); got != c.ctype {
+			t.Errorf("format %q: content type %q, want %q", c.format, got, c.ctype)
+		}
+		if !strings.Contains(w.Body.String(), c.want) {
+			t.Errorf("format %q: body %q misses %q", c.format, w.Body.String(), c.want)
+		}
+	}
+	w := httptest.NewRecorder()
+	if err := WriteExport(w, rec, "svc", "xml"); !errors.Is(err, ErrUnknownFormat) || w.Body.Len() != 0 {
+		t.Errorf("format xml: err %v, body %q; want ErrUnknownFormat and no body", err, w.Body.String())
 	}
 }

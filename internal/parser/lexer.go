@@ -86,103 +86,74 @@ type token struct {
 	pos  int
 }
 
-// lexer tokenizes a formula string.
+// lexer scans a formula string one token at a time. The parser pulls
+// tokens as it needs them, so an input the parser refuses early (the
+// nesting cap, say) is never tokenized past the point of refusal.
 type lexer struct {
 	input string
 	pos   int
-	toks  []token
 }
 
-func lex(input string) ([]token, error) {
-	l := &lexer{input: input}
-	for {
-		l.skipSpace()
-		if l.pos >= len(l.input) {
-			l.emit(tokEOF, "")
-			return l.toks, nil
-		}
-		start := l.pos
-		c := l.input[l.pos]
-		switch {
-		case c == '(':
-			l.pos++
-			l.emit(tokLParen, "(")
-		case c == ')':
-			l.pos++
-			l.emit(tokRParen, ")")
-		case c == ',':
-			l.pos++
-			l.emit(tokComma, ",")
-		case c == '.':
-			l.pos++
-			l.emit(tokDot, ".")
-		case c == '=':
-			l.pos++
-			l.emit(tokEq, "=")
-		case c == '~':
-			l.pos++
-			l.emit(tokNot, "~")
-		case c == '&':
-			l.pos++
-			l.emit(tokAnd, "&")
-		case c == '|':
-			l.pos++
-			l.emit(tokOr, "|")
-		case c == '!':
-			if strings.HasPrefix(l.input[l.pos:], "!=") {
-				l.pos += 2
-				l.emit(tokNeq, "!=")
-			} else {
-				return nil, fmt.Errorf("parser: unexpected %q at offset %d", c, start)
-			}
-		case c == '-':
-			if strings.HasPrefix(l.input[l.pos:], "->") {
-				l.pos += 2
-				l.emit(tokImplies, "->")
-			} else {
-				return nil, fmt.Errorf("parser: unexpected %q at offset %d", c, start)
-			}
-		case c == '<':
-			if strings.HasPrefix(l.input[l.pos:], "<->") {
-				l.pos += 3
-				l.emit(tokIff, "<->")
-			} else {
-				return nil, fmt.Errorf("parser: unexpected %q at offset %d", c, start)
-			}
-		case c == '"':
-			s, err := l.lexString()
-			if err != nil {
-				return nil, err
-			}
-			l.toks = append(l.toks, token{kind: tokString, text: s, pos: start})
-		case isDigit(rune(c)):
-			for l.pos < len(l.input) && isDigit(rune(l.input[l.pos])) {
-				l.pos++
-			}
-			l.emitAt(tokNumber, l.input[start:l.pos], start)
-		case isIdentStart(rune(c)):
-			for l.pos < len(l.input) && isIdentPart(rune(l.input[l.pos])) {
-				l.pos++
-			}
-			l.emitAt(tokIdent, l.input[start:l.pos], start)
-		default:
-			return nil, fmt.Errorf("parser: unexpected %q at offset %d", c, start)
-		}
+// next scans the token at the current position; at the end of the input
+// it returns tokEOF, every time it is called.
+func (l *lexer) next() (token, error) {
+	l.skipSpace()
+	start := l.pos
+	if start >= len(l.input) {
+		return token{kind: tokEOF, pos: start}, nil
 	}
+	c := l.input[start]
+	kind, width := tokEOF, 1
+	switch {
+	case c == '(':
+		kind = tokLParen
+	case c == ')':
+		kind = tokRParen
+	case c == ',':
+		kind = tokComma
+	case c == '.':
+		kind = tokDot
+	case c == '=':
+		kind = tokEq
+	case c == '~':
+		kind = tokNot
+	case c == '&':
+		kind = tokAnd
+	case c == '|':
+		kind = tokOr
+	case strings.HasPrefix(l.input[start:], "!="):
+		kind, width = tokNeq, 2
+	case strings.HasPrefix(l.input[start:], "->"):
+		kind, width = tokImplies, 2
+	case strings.HasPrefix(l.input[start:], "<->"):
+		kind, width = tokIff, 3
+	case c == '"':
+		s, err := l.lexString()
+		if err != nil {
+			return token{}, err
+		}
+		return token{kind: tokString, text: s, pos: start}, nil
+	case isDigit(rune(c)):
+		kind = tokNumber
+		for width < len(l.input)-start && isDigit(rune(l.input[start+width])) {
+			width++
+		}
+	case isIdentStart(rune(c)):
+		kind = tokIdent
+		for width < len(l.input)-start && isIdentPart(rune(l.input[start+width])) {
+			width++
+		}
+	default:
+		return token{}, fmt.Errorf("parser: unexpected %q at offset %d", c, start)
+	}
+	l.pos += width
+	return token{kind: kind, text: l.input[start:l.pos], pos: start}, nil
 }
 
 func (l *lexer) skipSpace() {
 	for l.pos < len(l.input) && unicode.IsSpace(rune(l.input[l.pos])) {
 		l.pos++
 	}
-}
-
-func (l *lexer) emit(kind tokenKind, text string) {
-	l.toks = append(l.toks, token{kind: kind, text: text, pos: l.pos - len(text)})
-}
-
-func (l *lexer) emitAt(kind tokenKind, text string, pos int) {
-	l.toks = append(l.toks, token{kind: kind, text: text, pos: pos})
 }
 
 func (l *lexer) lexString() (string, error) {

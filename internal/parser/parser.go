@@ -42,17 +42,10 @@ func Parse(input string) (*logic.Formula, error) {
 
 // ParseWith parses a formula under the given identifier classification.
 func ParseWith(input string, opts Options) (*logic.Formula, error) {
-	toks, err := lex(input)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks, opts: opts}
+	p := &parser{lex: lexer{input: input}, opts: opts}
 	f, err := p.parseFormula()
-	if err != nil {
+	if err := p.finish(err); err != nil {
 		return nil, err
-	}
-	if p.peek().kind != tokEOF {
-		return nil, p.errorf("trailing input starting with %v", p.peek().kind)
 	}
 	if depth(f) > maxDepth {
 		return nil, fmt.Errorf("parser: formula nests deeper than %d levels", maxDepth)
@@ -104,27 +97,39 @@ func MustParseWith(input string, opts Options) *logic.Formula {
 
 // ParseTerm parses a single term.
 func ParseTerm(input string, opts Options) (logic.Term, error) {
-	toks, err := lex(input)
-	if err != nil {
-		return logic.Term{}, err
-	}
-	p := &parser{toks: toks, opts: opts}
+	p := &parser{lex: lexer{input: input}, opts: opts}
 	t, err := p.parseTerm()
-	if err != nil {
+	if err := p.finish(err); err != nil {
 		return logic.Term{}, err
-	}
-	if p.peek().kind != tokEOF {
-		return logic.Term{}, p.errorf("trailing input starting with %v", p.peek().kind)
 	}
 	return t, nil
 }
 
+// parser reads tokens from its lexer through a two-token window: look[0]
+// is the current token and look[1], when n is 2, the one after it.
 type parser struct {
-	toks []token
-	pos  int
-	opts Options
+	lex  lexer
+	look [2]token
+	n    int
+	// lexErr is the first lexing error. The lexer reports end of input
+	// after it, and the parse returns it in place of whatever error the
+	// truncated input caused.
+	lexErr error
+	opts   Options
 	// nesting counts the levels open at the current token (maxNesting).
 	nesting int
+}
+
+// finish is the outcome of a parse that returned err: the first lexing
+// error if there was one, else err, else an error for trailing input.
+func (p *parser) finish(err error) error {
+	if err == nil && p.peek().kind != tokEOF {
+		err = p.errorf("trailing input starting with %v", p.peek().kind)
+	}
+	if p.lexErr != nil {
+		return p.lexErr
+	}
+	return err
 }
 
 // descend opens a nesting level; the caller closes it with nesting--
@@ -136,12 +141,30 @@ func (p *parser) descend() error {
 	return nil
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
+// fill buffers k tokens of lookahead (k is 1 or 2).
+func (p *parser) fill(k int) {
+	for p.n < k {
+		t, err := p.lex.next()
+		if err != nil {
+			p.lexErr = err
+			p.lex.pos = len(p.lex.input)
+			t = token{kind: tokEOF, pos: p.lex.pos}
+		}
+		p.look[p.n] = t
+		p.n++
+	}
+}
+
+func (p *parser) peek() token {
+	p.fill(1)
+	return p.look[0]
+}
 
 func (p *parser) next() token {
-	t := p.toks[p.pos]
+	t := p.peek()
 	if t.kind != tokEOF {
-		p.pos++
+		p.look[0] = p.look[1]
+		p.n--
 	}
 	return t
 }
@@ -341,7 +364,8 @@ func (p *parser) parseAtom() (*logic.Formula, error) {
 
 // lookaheadIsCall reports whether the current identifier is followed by "(".
 func (p *parser) lookaheadIsCall() bool {
-	return p.pos+1 < len(p.toks) && p.toks[p.pos+1].kind == tokLParen
+	p.fill(2)
+	return p.look[1].kind == tokLParen
 }
 
 func (p *parser) parseArgs() ([]logic.Term, error) {

@@ -2,6 +2,7 @@ package parser
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -286,5 +287,23 @@ func TestNestingCap(t *testing.T) {
 	}
 	if _, err := ParseTerm(strings.Repeat("f(", maxNesting+1)+"y"+strings.Repeat(")", maxNesting+1), Options{}); err == nil {
 		t.Fatal("over-deep term accepted")
+	}
+}
+
+// TestNestingCapRefusesBeforeLexingAll: the parser pulls tokens as it goes,
+// so a megabyte of negations is refused at the cap without tokenizing the
+// rest of the input (tokenizing all of it first cost 172 MB).
+func TestNestingCapRefusesBeforeLexingAll(t *testing.T) {
+	input := strings.Repeat("~", 1_000_000) + "R(x)"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Parse(input)
+	runtime.ReadMemStats(&after)
+	const want = "parser: offset 2001: formula nests deeper than 1000 levels"
+	if err == nil || err.Error() != want {
+		t.Fatalf("got %v, want %q", err, want)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("refusing the input allocated %d bytes, want under 1 MiB", got)
 	}
 }

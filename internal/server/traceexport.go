@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"net/http"
 
 	"repro/internal/obs/trace"
@@ -23,29 +24,8 @@ func (s *Server) handleTraceExport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	events := s.rec.Dump()
-	// A never-armed recorder has a zero epoch; exporting UnixNano() of the
-	// zero time would stamp a nonsense negative anchor, so leave it 0
-	// (stitch treats 0 as "not anchored").
-	var epochNanos int64
-	if epoch := s.rec.Epoch(); !epoch.IsZero() {
-		epochNanos = epoch.UnixNano()
-	}
 	format := r.URL.Query().Get("format")
-	switch format {
-	case "", "otlp":
-		w.Header().Set("Content-Type", "application/json")
-		trace.WriteOTLP(w, s.cfg.ServiceName, s.rec.Epoch(), events)
-	case "jsonl":
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		trace.WriteJSONLMeta(w, trace.Meta{
-			Process:       s.cfg.ServiceName,
-			EpochUnixNano: epochNanos,
-		}, events)
-	case "chrome":
-		w.Header().Set("Content-Type", "application/json")
-		trace.WriteChrome(w, events)
-	default:
+	if err := trace.WriteExport(w, s.rec, s.cfg.ServiceName, format); errors.Is(err, trace.ErrUnknownFormat) {
 		writeError(w, http.StatusBadRequest,
 			"unknown format %q (want otlp, jsonl, or chrome)", format)
 	}
