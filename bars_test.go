@@ -1,7 +1,7 @@
 // The bench table: every performance bar of the repository, measured by
-// one loop into one file. Rows are workloads, postures are the process
-// toggles and the layer a row runs under, and each bar reads one or two
-// (row, posture) cells. `make bench` (BENCH=1) measures every bar and
+// one loop into one file. Rows are workloads, postures are the run
+// configuration and the layer a row runs under, and each bar reads one or
+// two (row, posture) cells. `make bench` (BENCH=1) measures every bar and
 // writes BENCH_bars.json; plain `go test` runs each row once and checks
 // its answer.
 //
@@ -39,12 +39,10 @@ import (
 	"repro/internal/loadgen"
 	"repro/internal/obs"
 	"repro/internal/obs/logctx"
-	"repro/internal/obs/prof"
-	"repro/internal/obs/qstats"
 	"repro/internal/obs/trace"
 	"repro/internal/obs/tracectx"
-	"repro/internal/plan"
 	"repro/internal/query"
+	"repro/internal/runcfg"
 	"repro/internal/server"
 )
 
@@ -147,34 +145,26 @@ func randomPair() func(int) []string {
 	}
 }
 
-// postures maps each posture to the process toggles it switches off; all
-// others are on, their default. The loop sets them before every op, so
-// postures interleave op by op. The name also picks the layer the op
-// enters (newOp): the evaluator (query) unless it names another.
-var postures = map[string][]func(bool) bool{
-	"default":       nil,
-	"obs-off":       {obs.SetEnabled},
-	"armed":         nil, // a private flight recorder armed on the context
-	"traced":        nil, // armed, and under a W3C trace position
-	"interpreted":   {plan.SetEnabled},
-	"nocache":       {plan.SetEnabled, deccache.SetEnabled},
-	"eval":          nil, // finq.Eval
-	"eval-noqstats": {qstats.SetEnabled},
-	"eval-noprof":   {prof.SetEnabled},
-	"http-log":      nil, // Server.Handler() with the JSON access log
-	"http-nolog":    nil, // Server.Handler() with a no-op log handler
-	"single":        nil, // closed loop, one query per /v1/eval
-	"batch":         nil, // closed loop, 64 queries per /v1/eval/batch
-	"stream":        nil, // one NDJSON stream through the client
-}
-
-func setPosture(p string) {
-	for _, set := range []func(bool) bool{obs.SetEnabled, qstats.SetEnabled, prof.SetEnabled, plan.SetEnabled, deccache.SetEnabled} {
-		set(true)
-	}
-	for _, set := range postures[p] {
-		set(false)
-	}
+// postures maps each posture to the run configuration its ops evaluate
+// under; the zero value is finqd's. obs-off switches the process's metrics
+// off instead (obs stays process-wide), which the loop sets before every
+// op, so postures interleave op by op. The name also picks the layer the
+// op enters (newOp): the evaluator (query) unless it names another.
+var postures = map[string]runcfg.Config{
+	"default":       {},
+	"obs-off":       {},
+	"armed":         {}, // a private flight recorder armed on the context
+	"traced":        {}, // armed, and under a W3C trace position
+	"interpreted":   {NoPlan: true},
+	"nocache":       {NoPlan: true, NoCache: true},
+	"eval":          {}, // finq.Eval
+	"eval-noqstats": {NoQStats: true},
+	"eval-noprof":   {NoProf: true},
+	"http-log":      {}, // Server.Handler() with the JSON access log
+	"http-nolog":    {}, // Server.Handler() with a no-op log handler
+	"single":        {}, // closed loop, one query per /v1/eval
+	"batch":         {}, // closed loop, 64 queries per /v1/eval/batch
+	"stream":        {}, // one NDJSON stream through the client
 }
 
 // bar reads one or two cells, named "row/posture". A "ratio" is a's time
@@ -245,9 +235,13 @@ func newCell(t testing.TB, name string, window time.Duration) *cell {
 	return &cell{name: name, row: rows[i], posture: p, op: newOp(t, rows[i], p, window)}
 }
 
-// newOp builds one evaluation of r through the layer posture p names.
+// newOp builds one evaluation of r through the layer posture p names,
+// under its run configuration.
 func newOp(t testing.TB, r row, p string, window time.Duration) func() (any, error) {
 	ctx := context.Background()
+	if cfg := postures[p]; cfg != (runcfg.Config{}) {
+		ctx = runcfg.With(ctx, cfg)
+	}
 	wire := apiv1.EvalRequest{Domain: r.Domain, State: json.RawMessage(r.State), Formula: r.Query, Mode: string(r.Mode)}
 	if r.Budget != nil {
 		wire.Budget = &apiv1.Budget{Rows: r.Budget.Rows, Probe: r.Budget.Probe}
@@ -353,7 +347,7 @@ func startServer(t testing.TB) *apiclient.Client {
 // op's wall time and a streamed op's time to its first row, and its units
 // of work (a closed-loop window's queries, else one).
 func (c *cell) run() (res any, ns, first, units float64, err error) {
-	setPosture(c.posture)
+	obs.SetEnabled(c.posture != "obs-off")
 	t0 := time.Now()
 	res, err = c.op()
 	ns, units = float64(time.Since(t0)), 1
@@ -501,7 +495,7 @@ func median(xs []float64) float64 {
 // TestBenchRows runs every row once in its default posture and checks its
 // answer, so a row that breaks fails plain `go test`, not only the bench.
 func TestBenchRows(t *testing.T) {
-	defer setPosture("default")
+	defer obs.SetEnabled(true)
 	for _, r := range rows {
 		p := "default"
 		if r.Corpus != "" {
@@ -522,7 +516,7 @@ func TestBenchBars(t *testing.T) {
 	if os.Getenv("BENCH") == "" {
 		t.Skip("set BENCH=1 (or run `make bench`) to measure every bar and write BENCH_bars.json")
 	}
-	defer setPosture("default")
+	defer obs.SetEnabled(true)
 	cells := map[string]*cell{}
 	type cellOut struct {
 		Cell        string    `json:"cell"`

@@ -23,16 +23,20 @@ import (
 
 	finq "repro"
 	"repro/internal/cliutil"
+	"repro/internal/domain"
 	"repro/internal/obs/qstats"
+	"repro/internal/runcfg"
 )
 
 func main() {
-	args, finish, err := cliutil.Setup("finq", os.Args[1:])
+	args, run, finish, err := cliutil.Setup("finq", os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "finq:", err)
 		os.Exit(1)
 	}
 	defer finish()
+	// Every evaluation and decision runs under -plan and -cache.
+	ctx := runcfg.With(context.Background(), run)
 	if len(args) < 1 {
 		usage()
 		os.Exit(2)
@@ -47,9 +51,9 @@ func main() {
 			fmt.Printf("%-12s %s\n", d.Name, d.Doc)
 		}
 	case "decide":
-		err = runDecide(args[1:])
+		err = runDecide(ctx, args[1:])
 	case "eval":
-		err = runEval(args[1:])
+		err = runEval(ctx, args[1:])
 	case "translate":
 		err = runTranslate(args[1:])
 	case "saferange":
@@ -57,7 +61,7 @@ func main() {
 	case "algebra":
 		err = runAlgebra(args[1:])
 	case "repl":
-		err = runREPL(args[1:])
+		err = runREPL(ctx, args[1:])
 	case "trace":
 		err = runTrace(args[1:])
 	default:
@@ -89,7 +93,8 @@ global flags:
   -trace-out <file>        record execution and write a Chrome trace on exit
   -log-level <level>       debug|info|warn|error for structured logs (default info)
   -log-format <fmt>        text|json log output (default text)
-  -cache[=on|off]          memoize decision-procedure calls (default on)`)
+  -cache[=on|off]          memoize decision-procedure calls (default on)
+  -plan[=on|off]           compile and cache query plans (default on)`)
 }
 
 // runStats prints process metrics (the default, as before) or, with
@@ -181,13 +186,13 @@ func loadState(d finq.DomainInfo, path string) (*finq.State, error) {
 	return finq.ParseState(d, data)
 }
 
-func runDecide(args []string) error {
+func runDecide(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("decide", flag.ContinueOnError)
 	d, f, _, err := loadDomainAndFormula(fs, args)
 	if err != nil {
 		return err
 	}
-	v, err := finq.Decide(d, f)
+	v, err := domain.DecideCtx(ctx, d.Decider, f)
 	if err != nil {
 		return err
 	}
@@ -195,7 +200,7 @@ func runDecide(args []string) error {
 	return nil
 }
 
-func runEval(args []string) error {
+func runEval(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("eval", flag.ContinueOnError)
 	domainName := fs.String("domain", "eq", "domain name")
 	statePath := fs.String("state", "", "state JSON file")
@@ -236,7 +241,7 @@ func runEval(args []string) error {
 	}
 	// Ctrl-C cancels the evaluation; the rows found so far still print,
 	// marked partial, exactly as a finqd deadline would return them.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(ctx, os.Interrupt)
 	defer stop()
 	res, err := finq.Eval(ctx, req)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 
 	finq "repro"
 	"repro/internal/algebra"
+	"repro/internal/domain"
 	"repro/internal/obs/qstats"
 	"repro/internal/obs/trace"
 )
@@ -53,7 +54,7 @@ func runAlgebra(args []string) error {
 
 // runREPL is an interactive session: one domain, one state, commands for
 // evaluation, safety, and quantifier elimination.
-func runREPL(args []string) error {
+func runREPL(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("repl", flag.ContinueOnError)
 	domainName := fs.String("domain", "eq", "domain name")
 	statePath := fs.String("state", "", "state JSON file")
@@ -85,7 +86,7 @@ func runREPL(args []string) error {
 		if i := strings.IndexByte(line, ' '); i >= 0 {
 			cmd, rest = line[:i], strings.TrimSpace(line[i+1:])
 		}
-		if err := replCommand(d, st, cmd, rest); err != nil {
+		if err := replCommand(ctx, d, st, cmd, rest); err != nil {
 			if err == errQuit {
 				return nil
 			}
@@ -96,7 +97,7 @@ func runREPL(args []string) error {
 
 var errQuit = fmt.Errorf("quit")
 
-func replCommand(d finq.DomainInfo, st *finq.State, cmd, rest string) error {
+func replCommand(ctx context.Context, d finq.DomainInfo, st *finq.State, cmd, rest string) error {
 	parse := func() (*finq.Formula, error) {
 		if rest == "" {
 			return nil, fmt.Errorf("%s needs a formula", cmd)
@@ -150,7 +151,7 @@ func replCommand(d finq.DomainInfo, st *finq.State, cmd, rest string) error {
 		if err != nil {
 			return err
 		}
-		res, err := finq.Eval(context.Background(), finq.Request{
+		res, err := finq.Eval(ctx, finq.Request{
 			Domain: d.Name, State: st, Formula: f, Profile: true,
 		})
 		if err != nil {
@@ -164,7 +165,7 @@ func replCommand(d finq.DomainInfo, st *finq.State, cmd, rest string) error {
 		if err != nil {
 			return err
 		}
-		res, err := finq.Eval(context.Background(), finq.Request{
+		res, err := finq.Eval(ctx, finq.Request{
 			Domain: d.Name, State: st, Formula: f,
 		})
 		if err != nil {
@@ -178,7 +179,7 @@ func replCommand(d finq.DomainInfo, st *finq.State, cmd, rest string) error {
 			return err
 		}
 		budget := finq.DefaultBudget
-		res, err := finq.Eval(context.Background(), finq.Request{
+		res, err := finq.Eval(ctx, finq.Request{
 			Domain: d.Name, State: st, Formula: f, Mode: finq.ModeEnumerate, Budget: &budget,
 		})
 		if err != nil {
@@ -213,7 +214,7 @@ func replCommand(d finq.DomainInfo, st *finq.State, cmd, rest string) error {
 		if err != nil {
 			return err
 		}
-		v, err := finq.Decide(d, f)
+		v, err := domain.DecideCtx(ctx, d.Decider, f)
 		if err != nil {
 			return err
 		}

@@ -68,7 +68,7 @@ import (
 )
 
 func main() {
-	args, finish, err := cliutil.Setup("finqd", os.Args[1:])
+	args, run, finish, err := cliutil.Setup("finqd", os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "finqd:", err)
 		os.Exit(1)
@@ -120,6 +120,7 @@ func main() {
 		ProfileCPUDuration:     *profDur,
 		ProfileRing:            *profRing,
 		ProfileCooldown:        *profCooldown,
+		Run:                    run,
 	}
 	if *smoke {
 		cfg.Addr = "127.0.0.1:0"

@@ -9,13 +9,16 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	finq "repro"
 	"repro/internal/cliutil"
+	"repro/internal/domain"
 	"repro/internal/obs"
+	"repro/internal/runcfg"
 )
 
 // finish flushes the trace file; fail must call it because os.Exit skips
@@ -23,7 +26,7 @@ import (
 var finish = func() {}
 
 func main() {
-	rest, fin, err := cliutil.Setup("qe", os.Args[1:])
+	rest, run, fin, err := cliutil.Setup("qe", os.Args[1:])
 	if err != nil {
 		fail(err)
 	}
@@ -62,7 +65,7 @@ func main() {
 	}
 	fmt.Println(g)
 	if g.Sentence() && g.QuantifierFree() {
-		v, err := finq.Decide(d, f)
+		v, err := domain.DecideCtx(runcfg.With(context.Background(), run), d.Decider, f)
 		if err != nil {
 			fail(err)
 		}

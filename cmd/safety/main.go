@@ -21,7 +21,7 @@ import (
 )
 
 func main() {
-	args, finish, err := cliutil.Setup("safety", os.Args[1:])
+	args, _, finish, err := cliutil.Setup("safety", os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "safety:", err)
 		os.Exit(1)

@@ -34,7 +34,7 @@ var builtins = map[string]func() *turing.Machine{
 }
 
 func main() {
-	args, finish, err := cliutil.Setup("tmrun", os.Args[1:])
+	args, _, finish, err := cliutil.Setup("tmrun", os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tmrun:", err)
 		os.Exit(1)

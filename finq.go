@@ -37,7 +37,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/db"
-	"repro/internal/deccache"
 	"repro/internal/domain"
 	"repro/internal/domains/eqdom"
 	"repro/internal/domains/nless"
@@ -52,6 +51,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/presburger"
 	"repro/internal/query"
+	"repro/internal/runcfg"
 	"repro/internal/traces"
 )
 
@@ -327,30 +327,32 @@ func Eval(ctx context.Context, req Request) (*Result, error) {
 	sp.ArgStr("mode", string(mode))
 	defer sp.End()
 
-	// Per-query stats: deccache and plan-cache tallies on the context
-	// attribute this evaluation's cache traffic to it, and the finished run
-	// is folded into the qstats registry keyed by the formula's canonical
-	// key.
-	var tally *deccache.Tally
-	var planTally *plan.Tally
-	recording := qstats.Enabled()
-	if recording {
-		ctx, tally = deccache.WithTally(ctx)
-		ctx, planTally = plan.WithTally(ctx)
+	// The context's run configuration says what this evaluation leaves out.
+	// Per-query stats: Counts on the context attribute this evaluation's
+	// plan- and decision-cache traffic to it, and the finished run is folded
+	// into the qstats registry keyed by the formula's canonical key.
+	cfg, _ := runcfg.From(ctx)
+	var counts *runcfg.Counts
+	if !cfg.NoQStats {
+		ctx, counts = runcfg.WithCounts(ctx)
 	}
 	// The canonical key is both the qstats registry key and the pprof
 	// query_key label, so a profile slice and a stats row name the same
 	// query class. Computed once, only when someone will consume it.
 	var key string
-	if recording || prof.Enabled() {
+	if !cfg.NoQStats || !cfg.NoProf {
 		key = req.Formula.CanonicalKey()
 	}
 	var res *Result
 	t0 := time.Now()
-	mark := prof.BeginAlloc()
-	prof.Do(ctx, func(ctx context.Context) {
-		res, err = evalMode(ctx, d, st, mode, req)
-	}, "query_key", prof.QueryKeyLabel(key), "domain", req.Domain, "mode", string(mode))
+	run := func(ctx context.Context) { res, err = evalMode(ctx, d, st, mode, req) }
+	var mark prof.AllocMark
+	if cfg.NoProf {
+		run(ctx)
+	} else {
+		mark = prof.BeginAlloc()
+		prof.Do(ctx, run, "query_key", prof.QueryKeyLabel(key), "domain", req.Domain, "mode", string(mode))
+	}
 	allocBytes, allocObjs, allocSampled := mark.End()
 	// A cancellation caused by the consumer going away (the streaming
 	// handler cancels with ErrClientGone when the client disconnects) is
@@ -368,10 +370,10 @@ func Eval(ctx context.Context, req Request) (*Result, error) {
 	if res != nil && res.Profile != nil {
 		res.Profile.Plan = plan.For(ctx, st.Scheme(), d.Name, key, req.Formula).Text()
 	}
-	if recording {
-		s := makeSample(key, d, mode, req.Formula, res, err, time.Since(t0), tally, planTally)
+	if counts != nil {
+		s := makeSample(key, d, mode, req.Formula, res, err, time.Since(t0), counts)
 		s.AllocBytes, s.AllocObjects, s.AllocSampled = allocBytes, allocObjs, allocSampled
-		qstats.Record(s)
+		qstats.Default().Record(s)
 	}
 	return res, err
 }
@@ -412,7 +414,7 @@ const maxQueryDisplay = 120
 
 // makeSample builds the qstats sample for one finished evaluation; Eval
 // stamps the allocation fields and records it.
-func makeSample(key string, d DomainInfo, mode EvalMode, f *Formula, res *Result, err error, dur time.Duration, tally *deccache.Tally, planTally *plan.Tally) qstats.Sample {
+func makeSample(key string, d DomainInfo, mode EvalMode, f *Formula, res *Result, err error, dur time.Duration, counts *runcfg.Counts) qstats.Sample {
 	display := f.String()
 	if len(display) > maxQueryDisplay {
 		r := []rune(display)
@@ -422,20 +424,16 @@ func makeSample(key string, d DomainInfo, mode EvalMode, f *Formula, res *Result
 		display = string(r) + "…"
 	}
 	s := qstats.Sample{
-		Key:       key,
-		Domain:    d.Name,
-		Mode:      string(mode),
-		Query:     display,
-		LatencyUS: dur.Microseconds(),
-	}
-	if tally != nil {
-		s.CacheHits = tally.Hits.Load()
-		s.CacheMisses = tally.Misses.Load()
-	}
-	if planTally != nil {
-		s.Plan = string(planTally.Tier())
-		s.PlanHits = planTally.Hits.Load()
-		s.PlanMisses = planTally.Misses.Load()
+		Key:         key,
+		Domain:      d.Name,
+		Mode:        string(mode),
+		Query:       display,
+		LatencyUS:   dur.Microseconds(),
+		CacheHits:   counts.CacheHits.Load(),
+		CacheMisses: counts.CacheMisses.Load(),
+		Plan:        counts.Tier(),
+		PlanHits:    counts.PlanHits.Load(),
+		PlanMisses:  counts.PlanMisses.Load(),
 	}
 	switch {
 	case err != nil:

@@ -2,14 +2,17 @@ package finq
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/domain"
 	"repro/internal/obs"
 	"repro/internal/obs/qstats"
 	"repro/internal/plan"
+	"repro/internal/runcfg"
 )
 
 func TestLookup(t *testing.T) {
@@ -89,10 +92,6 @@ func TestFacadeEnumerate(t *testing.T) {
 func TestEnumerateDoesNotCompileClosure(t *testing.T) {
 	prevObs := obs.SetEnabled(true)
 	defer obs.SetEnabled(prevObs)
-	prevPlan := plan.SetEnabled(true)
-	defer plan.SetEnabled(prevPlan)
-	prevStats := qstats.SetEnabled(true)
-	defer qstats.SetEnabled(prevStats)
 
 	d := MustLookup("presburger")
 	// A relation name no other run has used keeps the formula's plan out
@@ -161,6 +160,66 @@ func TestFacadeDecideAndEliminate(t *testing.T) {
 	g, err := Eliminate(d, f)
 	if err != nil || !g.QuantifierFree() {
 		t.Errorf("Eliminate: %v %v", g, err)
+	}
+}
+
+// TestDecidersStopAtDeadline: the Cooper-backed deciders of N<, ℤ and
+// the shortlex words hand the request context to the elimination, so a
+// sentence whose elimination runs for seconds (and over N< and the words
+// ends on the size bound) stops at a 50 ms deadline with the context's
+// error.
+func TestDecidersStopAtDeadline(t *testing.T) {
+	t.Parallel()
+	src := "forall x0. exists x1. exists x2. exists x3. exists x4. exists x5. " +
+		"(((((lt(x0, x3) | lt(x5, x3)) | (lt(x0, x3) | lt(x5, x0))) | ((lt(x3, x4) & lt(x3, x0)) | (lt(x1, x4) & lt(x2, x1)))) & " +
+		"(((lt(x2, x5) | lt(x3, x2)) & (lt(x0, x4) | lt(x4, x5))) | ((lt(x2, x1) | lt(x3, x1)) & (lt(x1, x4) | lt(x1, x3))))) & " +
+		"((((lt(x0, x3) | lt(x1, x2)) | (lt(x5, x4) & lt(x0, x1))) & ((lt(x2, x4) | lt(x2, x4)) | (lt(x0, x2) & lt(x5, x3)))) & " +
+		"(((lt(x3, x2) | lt(x3, x1)) & (lt(x1, x3) & lt(x3, x4))) | ((lt(x0, x5) | lt(x2, x1)) & (lt(x3, x1) & lt(x5, x4))))))"
+	for _, name := range []string{"nless", "zless", "wordlex"} {
+		d := MustLookup(name)
+		f, err := d.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		_, err = domain.DecideCtx(ctx, d.Decider, f)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s: %v, want the deadline", name, err)
+		}
+	}
+}
+
+// TestNoQStatsRecordsNoRow: an evaluation whose run configuration sets
+// NoQStats leaves no row in the per-query stats registry; the default
+// records one.
+func TestNoQStatsRecordsNoRow(t *testing.T) {
+	t.Parallel()
+	d := MustLookup("presburger")
+	hasRow := func(f *Formula) bool {
+		for _, e := range qstats.Default().Take().Entries {
+			if e.Key == f.CanonicalKey() {
+				return true
+			}
+		}
+		return false
+	}
+	for _, c := range []struct {
+		cfg  runcfg.Config
+		want bool
+	}{{runcfg.Config{NoQStats: true}, false}, {runcfg.Config{}, true}} {
+		// A constant no other run uses keeps the key fresh, also under
+		// -count.
+		f, err := d.Parse(fmt.Sprintf("lt(x, %d)", time.Now().UnixNano()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Eval(runcfg.With(context.Background(), c.cfg), Request{Domain: d.Name, Formula: f}); err != nil {
+			t.Fatal(err)
+		}
+		if got := hasRow(f); got != c.want {
+			t.Errorf("%+v: stats row recorded = %v, want %v", c.cfg, got, c.want)
+		}
 	}
 }
 

@@ -31,6 +31,16 @@ type Ctx struct {
 	// seeds holds the guard tables of the Guarded nodes under evaluation,
 	// innermost last.
 	seeds []*Table
+	// consts holds the constants resolved so far, so each is resolved
+	// once per evaluation rather than once per row.
+	consts []resolvedConst
+	// args is the argument buffer CondPred fills for every row.
+	args []domain.Value
+}
+
+type resolvedConst struct {
+	name string
+	v    domain.Value
 }
 
 // eval evaluates an operator's input and checks for cancellation before
@@ -62,10 +72,23 @@ func (c *Ctx) err() error {
 // constValue resolves a constant name: database constants through the
 // state, everything else through the domain.
 func (c *Ctx) constValue(name string) (domain.Value, error) {
-	if c.St.Scheme().HasConstant(name) {
-		return c.St.Constant(name)
+	for _, k := range c.consts {
+		if k.name == name {
+			return k.v, nil
+		}
 	}
-	return c.Dom.ConstValue(name)
+	var v domain.Value
+	var err error
+	if c.St.Scheme().HasConstant(name) {
+		v, err = c.St.Constant(name)
+	} else {
+		v, err = c.Dom.ConstValue(name)
+	}
+	if err != nil {
+		return nil, err
+	}
+	c.consts = append(c.consts, resolvedConst{name, v})
+	return v, nil
 }
 
 // Table is a named-column relation, the value of an algebra expression.
@@ -853,16 +876,18 @@ type CondPred struct {
 	Args []Arg
 }
 
-// Holds implements Cond.
+// Holds implements Cond. The domain predicate reads its arguments from
+// the context's buffer and keeps none of them.
 func (c CondPred) Holds(ctx *Ctx, idx map[string]int, row []domain.Value) (bool, error) {
-	vals := make([]domain.Value, len(c.Args))
-	for i, a := range c.Args {
+	vals := ctx.args[:0]
+	for _, a := range c.Args {
 		v, err := a.value(ctx, idx, row)
 		if err != nil {
 			return false, err
 		}
-		vals[i] = v
+		vals = append(vals, v)
 	}
+	ctx.args = vals
 	return ctx.Dom.Pred(c.Pred, vals)
 }
 

@@ -12,9 +12,9 @@ import (
 	"repro/internal/domains/eqdom"
 	"repro/internal/logic"
 	"repro/internal/parser"
-	"repro/internal/plan"
 	"repro/internal/presburger"
 	"repro/internal/query"
+	"repro/internal/runcfg"
 )
 
 // sameColSet reports set equality of column name lists.
@@ -404,6 +404,7 @@ func TestCompileRejectsUnsafe(t *testing.T) {
 // once per use grew it threefold per conjunct; the answers match the
 // calculus evaluator's.
 func TestCorrelatedChainsStayLinear(t *testing.T) {
+	t.Parallel()
 	st := db.NewState(db.MustScheme(map[string]int{"R": 1, "S": 1}))
 	for i := 0; i < 6; i++ {
 		if err := st.Insert("R", domain.Int(int64(i))); err != nil {
@@ -416,7 +417,6 @@ func TestCorrelatedChainsStayLinear(t *testing.T) {
 		}
 	}
 	ctx := &algebra.Ctx{St: st, Dom: presburger.Domain{}}
-	defer plan.SetEnabled(plan.SetEnabled(false))
 	for _, tc := range []struct {
 		conjunct string
 		rows     int
@@ -443,8 +443,8 @@ func TestCorrelatedChainsStayLinear(t *testing.T) {
 // column yet waits until one of its variables is ranged, whatever the
 // order of the conjuncts.
 func TestCompileEqualitiesInAnyOrder(t *testing.T) {
+	t.Parallel()
 	ctx := fathersCtx(t)
-	defer plan.SetEnabled(plan.SetEnabled(false))
 	for _, tc := range []struct {
 		src  string
 		rows int
@@ -465,11 +465,12 @@ func TestCompileEqualitiesInAnyOrder(t *testing.T) {
 }
 
 // sameAnswer requires the plan's rows to be the calculus evaluator's
-// answer to f, row for row, and returns their number.
+// answer to f, row for row, and returns their number. The planner is off,
+// so the interpreter answers, not a plan.
 func sameAnswer(t *testing.T, ctx *algebra.Ctx, f *logic.Formula, p algebra.Expr) int {
 	t.Helper()
 	got := mustEval(t, ctx, p)
-	want, err := query.EvalActiveCtx(context.Background(), ctx.Dom, ctx.St, f)
+	want, err := query.EvalActiveCtx(runcfg.With(context.Background(), runcfg.Config{NoPlan: true}), ctx.Dom, ctx.St, f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,18 +5,22 @@
 //	                         /debug/pprof/ for the life of the process
 //	-trace-out <file>        arm the execution flight recorder and write a
 //	                         Chrome trace (Perfetto / chrome://tracing) on exit
-//	-cache[=on|off]          toggle the memoized decision cache
+//	-cache[=on|off]          use the memoized decision cache
 //	                         (internal/deccache); default on
-//	-plan[=on|off]           toggle the plan-caching query compiler
+//	-plan[=on|off]           use the plan-caching query compiler
 //	                         (internal/plan); default on
 //	-log-level <l>           structured-log threshold: debug|info|warn|error
 //	                         (default info)
 //	-log-format <f>          structured-log encoding: text|json (default text)
 //
-// Setup installs the process-wide slog default logger (request-ID aware,
-// writing to stderr) from -log-level/-log-format, so all five tools emit
-// uniform structured logs — `finq eval` and a finqd access log line look
-// the same and can be shipped to the same place.
+// Setup returns -cache and -plan as a run configuration (runcfg.Config):
+// each tool evaluates and decides under a context carrying it, and finqd
+// hands it to the server (server.Config.Run), which puts it on every
+// request's context. Setup also installs the process-wide slog default
+// logger (request-ID aware, writing to stderr) from
+// -log-level/-log-format, so all five tools emit uniform structured logs
+// — `finq eval` and a finqd access log line look the same and can be
+// shipped to the same place.
 //
 // The flags may appear anywhere on the command line, in "-flag value" or
 // "-flag=value" form (single or double dash) — except -cache and -plan,
@@ -32,46 +36,36 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/deccache"
 	"repro/internal/obs"
 	"repro/internal/obs/logctx"
 	"repro/internal/obs/trace"
-	"repro/internal/plan"
+	"repro/internal/runcfg"
 )
 
 // Setup extracts the global flags from args, starts the debug server and
 // arms the flight recorder as requested, and returns the remaining
-// arguments plus a finish function. Call finish before exiting (it is
-// idempotent): it disarms the recorder and writes the Chrome trace file.
-// A startup failure (unusable debug address, unwritable trace path,
-// malformed -cache value) is returned as an error so the CLI can exit
-// nonzero before doing work. -cache and -plan set their toggles only when
-// given.
-func Setup(tool string, args []string) (rest []string, finish func(), err error) {
+// arguments, the run configuration -cache and -plan describe, and a finish
+// function. Call finish before exiting (it is idempotent): it disarms the
+// recorder and writes the Chrome trace file. A startup failure (unusable
+// debug address, unwritable trace path, malformed -cache value) is
+// returned as an error so the CLI can exit nonzero before doing work.
+func Setup(tool string, args []string) (rest []string, cfg runcfg.Config, finish func(), err error) {
 	g := extractGlobals(args)
 	rest = g.rest
 	debugAddr, traceOut := g.debugAddr, g.traceOut
-	if g.cacheVal != "" {
-		on, err := parseToggle("cache", g.cacheVal)
-		if err != nil {
-			return nil, nil, err
-		}
-		deccache.SetEnabled(on)
+	if cfg.NoCache, err = parseOff("cache", g.cacheVal); err != nil {
+		return nil, cfg, nil, err
 	}
-	if g.planVal != "" {
-		on, err := parseToggle("plan", g.planVal)
-		if err != nil {
-			return nil, nil, err
-		}
-		plan.SetEnabled(on)
+	if cfg.NoPlan, err = parseOff("plan", g.planVal); err != nil {
+		return nil, cfg, nil, err
 	}
 	if err := logctx.Setup(os.Stderr, g.logLevel, g.logFormat); err != nil {
-		return nil, nil, err
+		return nil, cfg, nil, err
 	}
 	if debugAddr != "" {
 		addr, err := obs.ServeDebug(debugAddr)
 		if err != nil {
-			return nil, nil, err
+			return nil, cfg, nil, err
 		}
 		fmt.Fprintf(os.Stderr, "%s: debug server on http://%s/debug/obs (Prometheus at /metrics, pprof under /debug/pprof/)\n", tool, addr)
 	}
@@ -79,7 +73,7 @@ func Setup(tool string, args []string) (rest []string, finish func(), err error)
 		// Fail before the run, not after it, if the path is unwritable.
 		probe, err := os.Create(traceOut)
 		if err != nil {
-			return nil, nil, err
+			return nil, cfg, nil, err
 		}
 		probe.Close()
 		trace.Arm(0)
@@ -108,7 +102,7 @@ func Setup(tool string, args []string) (rest []string, finish func(), err error)
 		fmt.Fprintf(os.Stderr, "%s: wrote %d trace events (%d dropped) to %s — load in Perfetto or chrome://tracing\n",
 			tool, len(events), trace.Dropped(), traceOut)
 	}
-	return rest, finish, nil
+	return rest, cfg, finish, nil
 }
 
 // globals is the extracted set of shared flags.
@@ -124,10 +118,10 @@ type globals struct {
 
 // extractGlobals strips -debug-addr, -trace-out, -log-level, -log-format
 // (all four spellings each), -cache, and -plan from the argument list.
-// cacheVal/planVal are "" when the flag is absent, "on" for a bare flag,
-// and the literal value for the = spelling; unlike the other globals a
-// bare -cache or -plan never consumes the next argument, which is usually
-// the subcommand.
+// cacheVal/planVal are "" when the flag is absent or bare, and the literal
+// value for the = spelling; unlike the other globals a bare -cache or
+// -plan never consumes the next argument, which is usually the
+// subcommand.
 func extractGlobals(args []string) globals {
 	var g globals
 	for i := 0; i < len(args); i++ {
@@ -152,17 +146,9 @@ func extractGlobals(args []string) globals {
 				g.logFormat = val
 			}
 		case "cache":
-			if hasVal {
-				g.cacheVal = val
-			} else {
-				g.cacheVal = "on"
-			}
+			g.cacheVal = val
 		case "plan":
-			if hasVal {
-				g.planVal = val
-			} else {
-				g.planVal = "on"
-			}
+			g.planVal = val
 		default:
 			g.rest = append(g.rest, a)
 		}
@@ -170,13 +156,14 @@ func extractGlobals(args []string) globals {
 	return g
 }
 
-// parseToggle maps the accepted -cache and -plan values onto a toggle.
-func parseToggle(flag, v string) (bool, error) {
+// parseOff reports whether a -cache or -plan value turns its optimization
+// off; an absent flag ("") leaves it on.
+func parseOff(flag, v string) (bool, error) {
 	switch strings.ToLower(v) {
-	case "on", "true", "1":
-		return true, nil
-	case "off", "false", "0":
+	case "", "on", "true", "1":
 		return false, nil
+	case "off", "false", "0":
+		return true, nil
 	}
 	return false, fmt.Errorf("-%s: want on|off, got %q", flag, v)
 }

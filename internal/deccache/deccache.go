@@ -7,21 +7,21 @@
 // The cache is keyed by logic.(*Formula).CanonicalKey, an injective
 // serialization, so key equality is collision-safe; the stored sentence is
 // nevertheless re-checked with Equal on every hit as defense in depth.
-// Eviction is LRU with a fixed capacity. A process-wide toggle
-// (Enable/Disable, wired to the CLIs' -cache flag through
-// internal/cliutil) turns every wrapper into a transparent pass-through,
-// so correctness never depends on the cache being on.
+// Eviction is LRU with a fixed capacity. An evaluation whose context
+// carries runcfg.Config.NoCache (the CLIs' -cache=off, through
+// internal/cliutil) passes every wrapper straight through, so correctness
+// never depends on the cache being on.
 package deccache
 
 import (
 	"container/list"
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/domain"
 	"repro/internal/logic"
 	"repro/internal/obs"
+	"repro/internal/runcfg"
 )
 
 // Cache behavior counters, aggregated across all caches in the process;
@@ -67,25 +67,10 @@ func countersFor(name string) domainCounterSet {
 	return domainCounters["other"]
 }
 
-// enabled is the process-wide toggle. Caching is on by default: a memoized
-// decider is observationally identical to the raw one (deciders are pure),
-// so the default favors the fast path.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// Enable turns decision caching on (the default).
-func Enable() { enabled.Store(true) }
-
-// Disable turns decision caching off; wrapped deciders pass through.
-func Disable() { enabled.Store(false) }
-
-// SetEnabled sets the toggle and returns the previous value, for scoped
-// use in tests and benchmarks.
-func SetEnabled(on bool) bool { return enabled.Swap(on) }
-
-// Enabled reports whether decision caching is on.
-func Enabled() bool { return enabled.Load() }
+// Enabled reports the default posture: caches serve every evaluation
+// whose runcfg.Config does not set NoCache, so it is always true.
+// finqbench checks it before a run.
+func Enabled() bool { return true }
 
 // DefaultCapacity bounds a cache created by the domain constructors: large
 // enough to hold every ground decision of a budget-sized enumeration,
@@ -139,8 +124,7 @@ func WrapDomain(domainName string, inner domain.Decider, capacity int) *Cache {
 // Decide implements domain.Decider: a hit returns the memoized verdict, a
 // miss consults the inner decider and caches the result. Errors are never
 // cached — a failing sentence is re-asked on every call, like an unwrapped
-// decider. When the package toggle is off the call passes straight
-// through (no key is built, no stats move).
+// decider. Decide runs under no context, so the cache always serves it.
 func (c *Cache) Decide(sentence *logic.Formula) (bool, error) {
 	return c.DecideCtx(nil, sentence)
 }
@@ -149,9 +133,12 @@ func (c *Cache) Decide(sentence *logic.Formula) (bool, error) {
 // ignores the context; the miss path hands the context to the inner
 // decider (via domain.DecideCtx, so context-aware deciders can abandon a
 // long-running elimination) and, as with errors, caches nothing when the
-// decision was cut short.
+// decision was cut short. Under a context whose runcfg.Config sets
+// NoCache the call passes straight through (no key is built, no stats
+// move); hits and misses count on the context's runcfg.Counts.
 func (c *Cache) DecideCtx(ctx context.Context, sentence *logic.Formula) (bool, error) {
-	if !enabled.Load() {
+	cfg, n := runcfg.From(ctx)
+	if cfg.NoCache {
 		return domain.DecideCtx(ctx, c.inner, sentence)
 	}
 	ctx, sp := obs.StartSpanCtx(ctx, "deccache.decide")
@@ -168,8 +155,8 @@ func (c *Cache) DecideCtx(ctx context.Context, sentence *logic.Formula) (bool, e
 			c.mu.Unlock()
 			mHits.Inc()
 			c.counters.hits.Inc()
-			if t := TallyFrom(ctx); t != nil {
-				t.Hits.Add(1)
+			if n != nil {
+				n.CacheHits.Add(1)
 			}
 			sp.Arg("hit", 1)
 			return v, nil
@@ -184,8 +171,8 @@ func (c *Cache) DecideCtx(ctx context.Context, sentence *logic.Formula) (bool, e
 	c.mu.Unlock()
 	mMisses.Inc()
 	c.counters.misses.Inc()
-	if t := TallyFrom(ctx); t != nil {
-		t.Misses.Add(1)
+	if n != nil {
+		n.CacheMisses.Add(1)
 	}
 	sp.Arg("hit", 0)
 

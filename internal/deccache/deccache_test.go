@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/logic"
+	"repro/internal/runcfg"
 )
 
 // countingDecider decides by formula shape and counts inner invocations.
@@ -37,8 +38,7 @@ func atomSentence(name string) *logic.Formula {
 }
 
 func TestCacheHitOnStructurallyEqualFormula(t *testing.T) {
-	prev := SetEnabled(true)
-	defer SetEnabled(prev)
+	t.Parallel()
 	inner := &countingDecider{}
 	c := Wrap(inner, 16)
 	f := atomSentence("P")
@@ -64,8 +64,7 @@ func TestCacheHitOnStructurallyEqualFormula(t *testing.T) {
 }
 
 func TestCacheDistinctFormulasDistinctEntries(t *testing.T) {
-	prev := SetEnabled(true)
-	defer SetEnabled(prev)
+	t.Parallel()
 	inner := &countingDecider{}
 	c := Wrap(inner, 16)
 	for _, name := range []string{"P", "Q", "R"} {
@@ -82,8 +81,7 @@ func TestCacheDistinctFormulasDistinctEntries(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	prev := SetEnabled(true)
-	defer SetEnabled(prev)
+	t.Parallel()
 	inner := &countingDecider{}
 	c := Wrap(inner, 2)
 	p, q, r := atomSentence("P"), atomSentence("Q"), atomSentence("R")
@@ -113,8 +111,7 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheErrorsNotCached(t *testing.T) {
-	prev := SetEnabled(true)
-	defer SetEnabled(prev)
+	t.Parallel()
 	inner := &countingDecider{fail: true}
 	c := Wrap(inner, 16)
 	f := atomSentence("P")
@@ -131,14 +128,16 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	}
 }
 
+// TestCacheDisabledPassesThrough: under a context whose run
+// configuration sets NoCache, every call reaches the inner decider.
 func TestCacheDisabledPassesThrough(t *testing.T) {
-	prev := SetEnabled(false)
-	defer SetEnabled(prev)
+	t.Parallel()
 	inner := &countingDecider{}
 	c := Wrap(inner, 16)
 	f := atomSentence("P")
+	ctx := runcfg.With(context.Background(), runcfg.Config{NoCache: true})
 	for i := 0; i < 3; i++ {
-		if _, err := c.Decide(f); err != nil {
+		if _, err := c.DecideCtx(ctx, f); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -151,6 +150,7 @@ func TestCacheDisabledPassesThrough(t *testing.T) {
 }
 
 func TestCacheWrapDefaults(t *testing.T) {
+	t.Parallel()
 	if c := Wrap(&countingDecider{}, 0); c.capacity != DefaultCapacity {
 		t.Errorf("capacity %d, want DefaultCapacity", c.capacity)
 	}
@@ -162,8 +162,7 @@ func TestCacheWrapDefaults(t *testing.T) {
 // TestCacheConcurrent exercises the lock discipline under -race: many
 // goroutines deciding an overlapping working set.
 func TestCacheConcurrent(t *testing.T) {
-	prev := SetEnabled(true)
-	defer SetEnabled(prev)
+	t.Parallel()
 	inner := &countingDecider{}
 	c := Wrap(inner, 8)
 	var wg sync.WaitGroup
@@ -200,17 +199,15 @@ func TestCacheConcurrent(t *testing.T) {
 }
 
 // TestDomainCountersAndTally: WrapDomain attributes hits and misses to the
-// domain's counters, and a context Tally sees the same split per
-// evaluation.
+// domain's counters, and the context's runcfg.Counts see the same split
+// per evaluation.
 func TestDomainCountersAndTally(t *testing.T) {
-	prev := SetEnabled(true)
-	defer SetEnabled(prev)
 	inner := &countingDecider{}
 	c := WrapDomain("presburger", inner, 8)
 	hits0 := domainCounters["presburger"].hits.Value()
 	misses0 := domainCounters["presburger"].misses.Value()
 
-	ctx, tally := WithTally(context.Background())
+	ctx, counts := runcfg.WithCounts(context.Background())
 	f := atomSentence("T")
 	if _, err := c.DecideCtx(ctx, f); err != nil {
 		t.Fatal(err)
@@ -218,8 +215,8 @@ func TestDomainCountersAndTally(t *testing.T) {
 	if _, err := c.DecideCtx(ctx, f); err != nil {
 		t.Fatal(err)
 	}
-	if h, m := tally.Hits.Load(), tally.Misses.Load(); h != 1 || m != 1 {
-		t.Fatalf("tally: hits=%d misses=%d, want 1/1", h, m)
+	if h, m := counts.CacheHits.Load(), counts.CacheMisses.Load(); h != 1 || m != 1 {
+		t.Fatalf("counts: hits=%d misses=%d, want 1/1", h, m)
 	}
 	if got := domainCounters["presburger"].hits.Value() - hits0; got != 1 {
 		t.Fatalf("domain hit counter moved by %d, want 1", got)
@@ -232,19 +229,9 @@ func TestDomainCountersAndTally(t *testing.T) {
 // TestWrapUnknownDomainFallsBack: unknown names attribute to "other"
 // rather than minting unbounded metric names.
 func TestWrapUnknownDomainFallsBack(t *testing.T) {
+	t.Parallel()
 	c := WrapDomain("not-a-domain", &countingDecider{}, 8)
 	if c.counters.hits != domainCounters["other"].hits {
 		t.Fatal("unknown domain must fall back to the other counters")
-	}
-}
-
-// TestTallyFromNilSafe: absent or nil contexts yield a nil tally, and the
-// cache paths tolerate that.
-func TestTallyFromNilSafe(t *testing.T) {
-	if TallyFrom(nil) != nil {
-		t.Fatal("nil context")
-	}
-	if TallyFrom(context.Background()) != nil {
-		t.Fatal("context without tally")
 	}
 }

@@ -7,6 +7,7 @@
 package nless
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/domain"
@@ -81,14 +82,18 @@ func (Eliminator) Eliminate(f *logic.Formula) (*logic.Formula, error) {
 	return presburger.Eliminator{}.Eliminate(f)
 }
 
-// Decider returns the decision procedure for N<.
+// deciderT decides N< sentences with Cooper's elimination.
 type deciderT struct{}
 
-func (deciderT) Decide(f *logic.Formula) (bool, error) {
+func (d deciderT) Decide(f *logic.Formula) (bool, error) { return d.DecideCtx(context.TODO(), f) }
+
+// DecideCtx implements domain.CtxDecider: the elimination stops with the
+// context's error at its next quantifier boundary after cancellation.
+func (deciderT) DecideCtx(ctx context.Context, f *logic.Formula) (bool, error) {
 	if err := CheckSignature(f); err != nil {
 		return false, err
 	}
-	return presburger.Eliminator{}.Decide(f)
+	return presburger.Eliminator{}.DecideCtx(ctx, f)
 }
 
 // Decider returns the decision procedure for N<.

@@ -10,6 +10,7 @@
 package wordlex
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 
@@ -202,15 +203,20 @@ func (Eliminator) Eliminate(f *logic.Formula) (*logic.Formula, error) {
 	return qf, nil
 }
 
-// Decider decides wordlex sentences through the isomorphism.
+// deciderT decides wordlex sentences through the isomorphism.
 type deciderT struct{}
 
-func (deciderT) Decide(f *logic.Formula) (bool, error) {
+func (d deciderT) Decide(f *logic.Formula) (bool, error) { return d.DecideCtx(context.TODO(), f) }
+
+// DecideCtx implements domain.CtxDecider: the elimination of the N<
+// image stops with the context's error at its next quantifier boundary
+// after cancellation.
+func (deciderT) DecideCtx(ctx context.Context, f *logic.Formula) (bool, error) {
 	g, err := ToNless(f)
 	if err != nil {
 		return false, err
 	}
-	return presburger.Eliminator{}.Decide(g)
+	return presburger.Eliminator{}.DecideCtx(ctx, g)
 }
 
 // Decider returns the decision procedure for ({a,b}*, <shortlex).

@@ -6,6 +6,7 @@
 package zless
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 
@@ -118,11 +119,15 @@ func (Domain) Element(i int) domain.Value {
 // Eliminator returns Cooper's algorithm in ℤ mode.
 func Eliminator() domain.Eliminator { return presburger.Eliminator{Integers: true} }
 
-// Decider returns the decision procedure for (ℤ, <, +, dvd).
+// deciderT decides (ℤ, <, +, dvd) sentences with Cooper's elimination.
 type deciderT struct{}
 
-func (deciderT) Decide(f *logic.Formula) (bool, error) {
-	return presburger.Eliminator{Integers: true}.Decide(f)
+func (d deciderT) Decide(f *logic.Formula) (bool, error) { return d.DecideCtx(context.TODO(), f) }
+
+// DecideCtx implements domain.CtxDecider: the elimination stops with the
+// context's error at its next quantifier boundary after cancellation.
+func (deciderT) DecideCtx(ctx context.Context, f *logic.Formula) (bool, error) {
+	return presburger.Eliminator{Integers: true}.DecideCtx(ctx, f)
 }
 
 // Decider returns the ℤ decision procedure.

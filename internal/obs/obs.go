@@ -10,10 +10,12 @@
 // deciders) report through this package.
 //
 // Metrics are created once at package init of the instrumented package and
-// are goroutine-safe. A package-level toggle (Enable/Disable) reduces every
+// are goroutine-safe. One process-wide switch (SetEnabled) reduces every
 // recording call to a single atomic load when observation is off, so
 // instrumented code pays ~ns when disabled and a few atomic adds when
-// enabled.
+// enabled. It is the process's only observability switch: metrics are
+// process-wide, and most recording calls have no context in reach. How one
+// evaluation runs is set on its context instead (internal/runcfg).
 package obs
 
 import (
@@ -32,12 +34,6 @@ import (
 var enabled atomic.Bool
 
 func init() { enabled.Store(true) }
-
-// Enable turns observation on (the default).
-func Enable() { enabled.Store(true) }
-
-// Disable turns observation off; recording calls become near-free no-ops.
-func Disable() { enabled.Store(false) }
 
 // SetEnabled sets the toggle and returns the previous value, for scoped
 // use in tests and benchmarks.

@@ -15,7 +15,7 @@ import (
 // many goroutines at once; run under -race this is the data-race proof,
 // and the final counts must be exact (atomics lose nothing).
 func TestConcurrentHammer(t *testing.T) {
-	Enable()
+	SetEnabled(true)
 	c := NewCounter("test.hammer.counter")
 	g := NewGauge("test.hammer.gauge")
 	h := NewHistogram("test.hammer.hist")
@@ -64,7 +64,7 @@ func TestConcurrentHammer(t *testing.T) {
 // TestSnapshotDeterminism: with no metric activity in between, two
 // snapshots marshal to identical bytes (maps marshal with sorted keys).
 func TestSnapshotDeterminism(t *testing.T) {
-	Enable()
+	SetEnabled(true)
 	NewCounter("test.det.a").Add(3)
 	NewCounter("test.det.b").Add(7)
 	NewHistogram("test.det.h").Observe(5)
@@ -124,7 +124,7 @@ func TestToggle(t *testing.T) {
 
 // TestHistogramBuckets checks the power-of-two bucketing boundaries.
 func TestHistogramBuckets(t *testing.T) {
-	Enable()
+	SetEnabled(true)
 	h := NewHistogram("test.buckets")
 	for _, v := range []int64{0, 1, 2, 3, 4, 1023, 1024} {
 		h.Observe(v)
@@ -161,7 +161,7 @@ func TestBucketUpperCountUnder(t *testing.T) {
 			t.Errorf("BucketUpper(%d) = %d, want %d", tc.v, got, tc.want)
 		}
 	}
-	Enable()
+	SetEnabled(true)
 	h := NewHistogram("test.countunder")
 	for _, v := range []int64{0, 1, 3, 500, 1023, 1024, 5000} {
 		h.Observe(v)
@@ -182,7 +182,7 @@ func TestBucketUpperCountUnder(t *testing.T) {
 
 // TestSpanLabels: labels fold into the aggregation key.
 func TestSpanLabels(t *testing.T) {
-	Enable()
+	SetEnabled(true)
 	sp := StartSpan("test.labels", "domain=eq")
 	sp.End()
 	sp = StartSpan("test.labels")
@@ -199,7 +199,7 @@ func TestSpanLabels(t *testing.T) {
 
 // TestReset zeroes values but keeps registration.
 func TestReset(t *testing.T) {
-	Enable()
+	SetEnabled(true)
 	c := NewCounter("test.reset.counter")
 	c.Add(5)
 	Reset()
@@ -214,7 +214,7 @@ func TestReset(t *testing.T) {
 // TestServeDebug: the debug server answers /debug/obs with the snapshot
 // and /debug/pprof/ with the profile index.
 func TestServeDebug(t *testing.T) {
-	Enable()
+	SetEnabled(true)
 	NewCounter("test.debug.counter").Inc()
 	addr, err := ServeDebug("127.0.0.1:0")
 	if err != nil {
@@ -252,7 +252,7 @@ func TestServeDebug(t *testing.T) {
 // TestHistogramExemplars: ObserveExemplar keeps the most recent request id
 // per bucket, view() exports it, and Reset clears it.
 func TestHistogramExemplars(t *testing.T) {
-	Enable()
+	SetEnabled(true)
 	h := NewHistogram("test.exemplar.hist")
 	h.ObserveExemplar(5, "first")
 	h.ObserveExemplar(6, "second") // same bucket: last writer wins

@@ -221,8 +221,6 @@ func TestSampleLabelsErrors(t *testing.T) {
 // produces a profile that parses; when the sampler caught any labeled
 // samples, the labels round-trip through SampleLabels.
 func TestCaptureLabeledWork(t *testing.T) {
-	prev := SetEnabled(true)
-	defer SetEnabled(prev)
 	s := NewStore(StoreConfig{Ring: 2, CPUDuration: 200 * time.Millisecond})
 
 	stopWork := make(chan struct{})

@@ -14,10 +14,10 @@
 // incident is still live, cross-linked to the tail-sampler capture and
 // request ID that tripped it — the evidence arrives with the page.
 //
-// Everything here follows the repository's observability conventions: a
-// package-level atomic toggle (the labeled path costs one atomic load
-// when off), zero dependencies outside the standard library, and bounded
-// memory (the capture ring, the SLO sample ring).
+// Everything here follows the repository's observability conventions:
+// zero dependencies outside the standard library, and bounded memory (the
+// capture ring, the SLO sample ring). finq.Eval skips its labels and its
+// allocation meter under a runcfg.Config that sets NoProf.
 package prof
 
 import (
@@ -29,28 +29,13 @@ import (
 	"sync/atomic"
 )
 
-// enabled gates pprof label attribution and allocation accounting. On by
-// default: with no CPU profile running, setting goroutine labels is a
-// map copy per evaluation, and the alloc meter is two runtime/metrics
-// reads — the bench table's prof bar (`make bench`) holds the sum under
-// 3%.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// Enable turns label attribution and allocation accounting on (default).
-func Enable() { enabled.Store(true) }
-
-// Disable turns attribution off; Do runs its function without labels and
-// BeginAlloc returns an inert mark.
-func Disable() { enabled.Store(false) }
-
-// SetEnabled sets the toggle and returns the previous value, for scoped
-// use in tests and benchmarks.
-func SetEnabled(on bool) bool { return enabled.Swap(on) }
-
-// Enabled reports whether attribution is on.
-func Enabled() bool { return enabled.Load() }
+// Enabled reports the default posture: finq.Eval labels and meters every
+// evaluation whose runcfg.Config does not set NoProf, so it is always
+// true. finqbench checks it before a run. With no CPU profile running,
+// setting goroutine labels is a map copy per evaluation, and the alloc
+// meter is two runtime/metrics reads — the bench table's prof bar (`make
+// bench`) holds the sum under 3%.
+func Enabled() bool { return true }
 
 // maxLabelLen bounds a single pprof label value. Canonical keys grow with
 // the formula; profiles keep a prefix long enough to identify the query
@@ -75,10 +60,10 @@ func QueryKeyLabel(key string) string {
 
 // Do runs fn with the given pprof labels (alternating key, value) added
 // to the calling goroutine — and to any goroutine it spawns, which
-// inherits the request's labels. When attribution is disabled, fn runs
+// inherits the request's labels. Without a key and value, fn runs
 // directly. An odd trailing key is dropped.
 func Do(ctx context.Context, fn func(context.Context), kv ...string) {
-	if !enabled.Load() || len(kv) < 2 {
+	if len(kv) < 2 {
 		fn(ctx)
 		return
 	}
@@ -109,7 +94,7 @@ var allocMetricNames = [2]string{"/gc/heap/allocs:bytes", "/gc/heap/allocs:objec
 var allocToken atomic.Bool
 
 // allocStride is the sampling stride: BeginAlloc meters one call in
-// every allocStride. Mutable only via SetAllocSampling.
+// every allocStride. Mutable only via setAllocSampling.
 var allocStride atomic.Int64
 
 // allocTick counts BeginAlloc calls for the stride.
@@ -119,10 +104,10 @@ const defaultAllocStride = 8
 
 func init() { allocStride.Store(defaultAllocStride) }
 
-// SetAllocSampling sets the allocation-meter stride (1 meters every
+// setAllocSampling sets the allocation-meter stride (1 meters every
 // eligible call) and returns the previous value; n < 1 resets the
-// default. For tests, benchmarks, and operators wanting denser samples.
-func SetAllocSampling(n int) int {
+// default. Tests use it to meter every call.
+func setAllocSampling(n int) int {
 	if n < 1 {
 		n = defaultAllocStride
 	}
@@ -151,14 +136,11 @@ func readAllocs() (bytes, objs uint64) {
 	return bytes, objs
 }
 
-// BeginAlloc starts an allocation measurement if attribution is on, this
-// call lands on the sampling stride, and no other measurement is in
-// flight; otherwise it returns an inert mark. The off-stride fast path is
-// one atomic load and one atomic add.
+// BeginAlloc starts an allocation measurement if this call lands on the
+// sampling stride and no other measurement is in flight; otherwise it
+// returns an inert mark. The off-stride fast path is one atomic load and
+// one atomic add.
 func BeginAlloc() AllocMark {
-	if !enabled.Load() {
-		return AllocMark{}
-	}
 	if stride := allocStride.Load(); stride > 1 && allocTick.Add(1)%stride != 0 {
 		return AllocMark{}
 	}

@@ -8,11 +8,9 @@ import (
 )
 
 // TestDoSetsLabels: Do attaches the goroutine labels while fn runs, and
-// skips them when attribution is off.
+// runs fn unlabeled when given none.
 func TestDoSetsLabels(t *testing.T) {
-	prev := SetEnabled(true)
-	defer SetEnabled(prev)
-
+	t.Parallel()
 	var key, ep string
 	var ok1, ok2 bool
 	Do(context.Background(), func(ctx context.Context) {
@@ -23,19 +21,17 @@ func TestDoSetsLabels(t *testing.T) {
 		t.Fatalf("labels not set: query_key=%q(%v) endpoint=%q(%v)", key, ok1, ep, ok2)
 	}
 
-	SetEnabled(false)
 	Do(context.Background(), func(ctx context.Context) {
 		_, ok1 = pprof.Label(ctx, "query_key")
-	}, "query_key", "Q1")
+	})
 	if ok1 {
-		t.Fatal("labels set while attribution disabled")
+		t.Fatal("labels set without any given")
 	}
 }
 
 // TestDoOddKV: an odd trailing key is dropped rather than panicking.
 func TestDoOddKV(t *testing.T) {
-	prev := SetEnabled(true)
-	defer SetEnabled(prev)
+	t.Parallel()
 	ran := false
 	Do(context.Background(), func(ctx context.Context) {
 		ran = true
@@ -81,12 +77,10 @@ func TestQueryKeyLabelDistinguishesLongKeys(t *testing.T) {
 }
 
 // TestAllocMeter: a metered run attributes the bytes it allocates; a
-// contended or disabled run returns an inert mark.
+// contended run returns an inert mark.
 func TestAllocMeter(t *testing.T) {
-	prev := SetEnabled(true)
-	defer SetEnabled(prev)
-	prevStride := SetAllocSampling(1)
-	defer SetAllocSampling(prevStride)
+	prevStride := setAllocSampling(1)
+	defer setAllocSampling(prevStride)
 
 	m := BeginAlloc()
 	sink = make([]byte, 1<<20)
@@ -115,21 +109,13 @@ func TestAllocMeter(t *testing.T) {
 	if _, _, s := m3.End(); !s {
 		t.Fatal("token not released after contended End")
 	}
-
-	SetEnabled(false)
-	if m := BeginAlloc(); m.active {
-		m.End()
-		t.Fatal("BeginAlloc active while disabled")
-	}
 }
 
 // TestAllocSamplingStride: with stride N, exactly one BeginAlloc in every
 // N is an active measurement.
 func TestAllocSamplingStride(t *testing.T) {
-	prev := SetEnabled(true)
-	defer SetEnabled(prev)
-	prevStride := SetAllocSampling(4)
-	defer SetAllocSampling(prevStride)
+	prevStride := setAllocSampling(4)
+	defer setAllocSampling(prevStride)
 
 	active := 0
 	for i := 0; i < 16; i++ {

@@ -45,24 +45,10 @@ func init() {
 	obs.SetHelp("qstats.weight", "Bytes of per-query aggregates currently held.")
 }
 
-// enabled is the package toggle: when off, the package-level Record is a
-// single atomic load and finq.Eval skips building samples entirely.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// Enable turns per-query stats collection on (the default).
-func Enable() { enabled.Store(true) }
-
-// Disable turns collection off; Record becomes a near-free no-op.
-func Disable() { enabled.Store(false) }
-
-// SetEnabled sets the toggle and returns the previous value, for scoped use
-// in tests and benchmarks.
-func SetEnabled(on bool) bool { return enabled.Swap(on) }
-
-// Enabled reports whether collection is on.
-func Enabled() bool { return enabled.Load() }
+// Enabled reports the default posture: finq.Eval records a row for every
+// evaluation whose runcfg.Config does not set NoQStats, so it is always
+// true. finqbench checks it before a run.
+func Enabled() bool { return true }
 
 // numShards spreads keys over independently locked shards. A power of two,
 // small enough that a full-snapshot walk stays cheap.
@@ -129,14 +115,14 @@ type Sample struct {
 	// "deadline", "canceled", "client-gone", or "error".
 	Stopped string
 	// CacheHits and CacheMisses attribute decision-cache traffic to this
-	// evaluation (deccache.Tally).
+	// evaluation (runcfg.Counts).
 	CacheHits, CacheMisses int64
 	// Plan is the tier of the compiled plan that produced the answer
 	// ("algebra" or "closure"); empty when no plan did — the planner was
 	// off, or the interpreter or the §1.1 decider answered.
 	Plan string
 	// PlanHits and PlanMisses attribute plan-cache traffic to this
-	// evaluation (plan.Tally).
+	// evaluation (runcfg.Counts).
 	PlanHits, PlanMisses int64
 	// AllocBytes and AllocObjects are the evaluation's heap allocation
 	// deltas (prof.BeginAlloc/End), meaningful only when AllocSampled is
@@ -329,14 +315,6 @@ var (
 func Default() *Registry {
 	defaultOnce.Do(func() { defaultReg = New(0) })
 	return defaultReg
-}
-
-// Record folds a sample into the default registry when collection is on.
-func Record(s Sample) {
-	if !enabled.Load() {
-		return
-	}
-	Default().Record(s)
 }
 
 // shardFor hashes the key with 32-bit FNV-1a.

@@ -529,16 +529,6 @@ func TestConcurrentRecordSnapshotEvict(t *testing.T) {
 	}
 }
 
-func TestPackageToggle(t *testing.T) {
-	prev := SetEnabled(false)
-	defer SetEnabled(prev)
-	before := Default().Len()
-	Record(sampleFor("toggled-off", 1))
-	if Default().Len() != before {
-		t.Fatal("Record recorded while disabled")
-	}
-}
-
 func TestBucketSchemeMatchesObs(t *testing.T) {
 	// The registry's latency buckets must stay aligned with the obs
 	// histogram scheme, or import and exposition drift apart.

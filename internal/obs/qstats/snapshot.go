@@ -73,7 +73,6 @@ type EntryView struct {
 // Snapshot is a point-in-time view of the registry, entries sorted by key
 // so the same registry state always marshals to the same JSON bytes.
 type Snapshot struct {
-	Enabled   bool        `json:"enabled"`
 	Evictions int64       `json:"evictions"`
 	Entries   []EntryView `json:"queries"`
 }
@@ -147,7 +146,7 @@ func (e *entry) view() EntryView {
 
 // Take captures every entry, sorted by key.
 func (r *Registry) Take() Snapshot {
-	s := Snapshot{Enabled: enabled.Load(), Evictions: r.evictions.Load()}
+	s := Snapshot{Evictions: r.evictions.Load()}
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.Lock()

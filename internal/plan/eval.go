@@ -7,6 +7,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/db"
 	"repro/internal/domain"
+	"repro/internal/runcfg"
 )
 
 // ErrFallback reports that a plan cannot serve the requested evaluation
@@ -26,6 +27,14 @@ type Result struct {
 	Complete bool
 }
 
+// markServed records on the context's Counts, if any, that a plan of the
+// given tier produced the answer.
+func markServed(ctx context.Context, tier Tier) {
+	if _, n := runcfg.From(ctx); n != nil {
+		n.SetTier(string(tier))
+	}
+}
+
 func canceled(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
@@ -35,7 +44,7 @@ func canceled(err error) bool {
 // plus the query's constants, as computed by the caller). Returns
 // ErrFallback when this plan cannot answer for the given state. A result,
 // complete or cut short by cancellation, marks the plan's tier on the
-// context's Tally as the one that served the request.
+// context's runcfg.Counts as the one that served the request.
 func (p *Plan) EvalActive(ctx context.Context, dom domain.Domain, st *db.State, rng []domain.Value) (*Result, error) {
 	p.resolve(ctx)
 	var res *Result

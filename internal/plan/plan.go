@@ -42,13 +42,13 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/db"
 	"repro/internal/logic"
 	"repro/internal/obs"
+	"repro/internal/runcfg"
 )
 
 // Cache and compile metrics, exposed on /metrics and in obs snapshots.
@@ -71,25 +71,10 @@ func init() {
 	obs.SetHelp("plan.compile.interp", "Compilations that fell back to the generic interpreter.")
 }
 
-// enabled is the process-wide toggle (the CLIs' -plan flag). On by
-// default: a compiled plan is observationally identical to the generic
-// evaluator on complete answers, and the differential suite pins it.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// Enable turns the planner on (the default).
-func Enable() { enabled.Store(true) }
-
-// Disable turns the planner off; evaluators use the generic interpreter.
-func Disable() { enabled.Store(false) }
-
-// SetEnabled sets the toggle and returns the previous value, for scoped
-// use in tests and benchmarks.
-func SetEnabled(on bool) bool { return enabled.Swap(on) }
-
-// Enabled reports whether the planner is on.
-func Enabled() bool { return enabled.Load() }
+// Enabled reports the default posture: the planner serves every
+// evaluation whose runcfg.Config does not set NoPlan, so it is always
+// true. finqbench checks it before a run.
+func Enabled() bool { return true }
 
 // Tier names how a plan executes.
 type Tier string
@@ -223,8 +208,8 @@ func For(ctx context.Context, scheme *db.Scheme, domainName, key string, f *logi
 		p := el.Value.(*cacheEntry).plan
 		cache.mu.Unlock()
 		mCacheHits.Inc()
-		if t := TallyFrom(ctx); t != nil {
-			t.Hits.Add(1)
+		if _, n := runcfg.From(ctx); n != nil {
+			n.PlanHits.Add(1)
 		}
 		return p
 	}
@@ -240,8 +225,8 @@ func For(ctx context.Context, scheme *db.Scheme, domainName, key string, f *logi
 		sp.ArgStr("tier", string(p.tier))
 	}
 	sp.End()
-	if t := TallyFrom(ctx); t != nil {
-		t.Misses.Add(1)
+	if _, n := runcfg.From(ctx); n != nil {
+		n.PlanMisses.Add(1)
 	}
 
 	cache.mu.Lock()

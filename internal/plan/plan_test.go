@@ -15,6 +15,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/obs"
 	"repro/internal/parser"
+	"repro/internal/runcfg"
 )
 
 // fathersState is the shared fixture: F = {(adam,abel),(adam,cain),(cain,enoch)}.
@@ -209,29 +210,29 @@ func TestNarrowingSoundness(t *testing.T) {
 }
 
 // TestCacheHitsAndTally: the second For of the same key is a cache hit,
-// attributed to the context's tally; the tally's tier is the tier of the
+// counted on the context's runcfg.Counts; their tier is the tier of the
 // plan that served, recorded when the plan runs rather than at lookup.
 func TestCacheHitsAndTally(t *testing.T) {
 	st := fathersState(t)
 	resetCache()
 	f := parser.MustParse("F(x, y)")
-	ctx, tally := WithTally(context.Background())
+	ctx, counts := runcfg.WithCounts(context.Background())
 	p1 := For(ctx, st.Scheme(), "eq", "", f)
 	p2 := For(ctx, st.Scheme(), "eq", "", f)
 	if p1 != p2 {
 		t.Fatal("same key compiled twice")
 	}
-	if tally.Hits.Load() != 1 || tally.Misses.Load() != 1 {
-		t.Fatalf("tally hits=%d misses=%d, want 1/1", tally.Hits.Load(), tally.Misses.Load())
+	if counts.PlanHits.Load() != 1 || counts.PlanMisses.Load() != 1 {
+		t.Fatalf("counts hits=%d misses=%d, want 1/1", counts.PlanHits.Load(), counts.PlanMisses.Load())
 	}
-	if tally.Tier() != "" {
-		t.Fatalf("tally tier %q before any plan ran, want empty", tally.Tier())
+	if counts.Tier() != "" {
+		t.Fatalf("counted tier %q before any plan ran, want empty", counts.Tier())
 	}
 	if _, err := p1.EvalActive(ctx, eqdom.Domain{}, st, rangeOf(st)); err != nil {
 		t.Fatal(err)
 	}
-	if tally.Tier() != TierAlgebra {
-		t.Fatalf("tally tier %q, want algebra", tally.Tier())
+	if counts.Tier() != string(TierAlgebra) {
+		t.Fatalf("counted tier %q, want algebra", counts.Tier())
 	}
 	// A different scheme must not share the plan.
 	other := db.MustScheme(map[string]int{"F": 2, "G": 1})

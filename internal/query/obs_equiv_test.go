@@ -11,7 +11,7 @@ import (
 	"repro/internal/domains/eqdom"
 	"repro/internal/logic"
 	"repro/internal/obs"
-	"repro/internal/plan"
+	"repro/internal/runcfg"
 )
 
 // rowsKey renders an answer's rows as a canonical sorted string.
@@ -53,12 +53,12 @@ func TestEvalActiveUnchangedByInstrumentation(t *testing.T) {
 	prev := obs.SetEnabled(true)
 	defer obs.SetEnabled(prev)
 	for i, f := range queries {
-		obs.Enable()
+		obs.SetEnabled(true)
 		on, err := EvalActiveCtx(context.Background(), dom, st, f)
 		if err != nil {
 			t.Fatalf("query %d (obs on): %v", i, err)
 		}
-		obs.Disable()
+		obs.SetEnabled(false)
 		off, err := EvalActiveCtx(context.Background(), dom, st, f)
 		if err != nil {
 			t.Fatalf("query %d (obs off): %v", i, err)
@@ -79,8 +79,7 @@ func TestEvalActiveMetrics(t *testing.T) {
 	defer obs.SetEnabled(prev)
 	// The assignment counter is an interpreter metric; a compiled plan
 	// would serve this query without assignments.
-	prevPlan := plan.SetEnabled(false)
-	defer plan.SetEnabled(prevPlan)
+	ctx := runcfg.With(context.Background(), runcfg.Config{NoPlan: true})
 	st := db.NewState(db.MustScheme(map[string]int{"R": 1}))
 	for _, w := range []string{"a", "b", "c"} {
 		if err := st.Insert("R", domain.Word(w)); err != nil {
@@ -89,7 +88,7 @@ func TestEvalActiveMetrics(t *testing.T) {
 	}
 	f := logic.Atom("R", logic.Var("x"))
 	calls0, rows0, leaves0 := mEvalCalls.Value(), mEvalRows.Value(), mEvalAssigns.Value()
-	ans, err := EvalActiveCtx(context.Background(), eqdom.Domain{}, st, f)
+	ans, err := EvalActiveCtx(ctx, eqdom.Domain{}, st, f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,9 @@
 package query
 
 // The differential plan-vs-interpreter suite: every query in the corpus is
-// evaluated twice, once with the planner enabled (the default) and once
-// forced through the generic interpreter, and the two answers must be
+// evaluated twice, once with the planner on (the default) and once under
+// a run configuration that turns it off (runcfg.Config.NoPlan), so the
+// generic interpreter answers, and the two answers must be
 // identical — same variables, same rows, same Complete flag, and for the
 // enumeration path the same row order and budget accounting. This is the
 // regression net under the compiled fast paths: any divergence between a
@@ -24,8 +25,8 @@ import (
 	"repro/internal/logic"
 	"repro/internal/obs"
 	"repro/internal/parser"
-	"repro/internal/plan"
 	"repro/internal/presburger"
+	"repro/internal/runcfg"
 )
 
 // diffCorpusActive is the active-domain corpus: formulas chosen to land in
@@ -56,18 +57,18 @@ var diffCorpusActive = []string{
 	`x = "adam" | x = "ghost"`,
 }
 
+// noPlan is a context that turns the planner off.
+var noPlan = runcfg.With(context.Background(), runcfg.Config{NoPlan: true})
+
 // evalBothActive evaluates f with the planner on and off and returns the
 // two answers.
 func evalBothActive(t *testing.T, st *db.State, f *logic.Formula) (on, off *Answer) {
 	t.Helper()
-	prev := plan.SetEnabled(true)
-	defer plan.SetEnabled(prev)
 	on, err := EvalActiveCtx(context.Background(), eqdom.Domain{}, st, f)
 	if err != nil {
 		t.Fatalf("planner on: %v", err)
 	}
-	plan.SetEnabled(false)
-	off, err = EvalActiveCtx(context.Background(), eqdom.Domain{}, st, f)
+	off, err = EvalActiveCtx(noPlan, eqdom.Domain{}, st, f)
 	if err != nil {
 		t.Fatalf("planner off: %v", err)
 	}
@@ -87,6 +88,7 @@ func sameVars(a, b []string) bool {
 }
 
 func TestPlanDifferentialActive(t *testing.T) {
+	t.Parallel()
 	st := fathersState(t)
 	for _, src := range diffCorpusActive {
 		f := parser.MustParse(src)
@@ -107,6 +109,7 @@ func TestPlanDifferentialActive(t *testing.T) {
 // makes Translate drop its variables, which changes the answer shape on
 // some paths; the planner must agree with the interpreter here too.
 func TestPlanDifferentialActiveEmptyRelation(t *testing.T) {
+	t.Parallel()
 	st := db.NewState(db.MustScheme(map[string]int{"R": 1, "S": 1}))
 	if err := st.Insert("S", domain.Word("a")); err != nil {
 		t.Fatal(err)
@@ -164,8 +167,6 @@ func newEnumSource(t *testing.T, kind string, st *db.State, f *logic.Formula) (s
 	t.Helper()
 	ctx, dom := context.Background(), presburger.Domain{}
 	if kind == "table" {
-		prev := plan.SetEnabled(true)
-		defer plan.SetEnabled(prev)
 		p, tab := planAnswer(ctx, nil, dom, st, f)
 		if tab == nil {
 			return nil, nil, false
@@ -224,11 +225,9 @@ func evalAllEnum(t *testing.T, st *db.State, f *logic.Formula, budget Enumeratio
 			return enumerate(context.Background(), nil, presburger.Domain{}, src, vars, budget, sink)
 		})
 	}
-	for _, planned := range []bool{true, false} {
-		runs[fmt.Sprintf("served/plan=%v", planned)] = recordEnum(t, func(sink RowSink) (*Answer, error) {
-			prev := plan.SetEnabled(planned)
-			defer plan.SetEnabled(prev)
-			return EnumerationAnswerSinkCtx(context.Background(), presburger.Domain{}, presburger.Decider(), st, f, budget, sink)
+	for name, ctx := range map[string]context.Context{"served/plan=on": context.Background(), "served/plan=off": noPlan} {
+		runs[name] = recordEnum(t, func(sink RowSink) (*Answer, error) {
+			return EnumerationAnswerSinkCtx(ctx, presburger.Domain{}, presburger.Decider(), st, f, budget, sink)
 		})
 	}
 	ref = runs["decider"]
@@ -325,25 +324,22 @@ func TestPlanDifferentialEnumerateClosureTier(t *testing.T) {
 // context's error on every path, and a profiled run's profile is marked
 // incomplete too.
 func TestPlanDifferentialCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
+	t.Parallel()
 	st, est := fathersState(t), enumState(t)
 	f := parser.MustParse("exists y. F(x, y)")
-	enum := func() (*Answer, error) {
+	active := func(ctx context.Context) (*Answer, error) { return EvalActiveCtx(ctx, eqdom.Domain{}, st, f) }
+	enum := func(ctx context.Context) (*Answer, error) {
 		return EnumerationAnswerSinkCtx(ctx, presburger.Domain{}, presburger.Decider(), est, twoSteps(), DefaultBudget, nil)
 	}
-
-	prev := plan.SetEnabled(true)
-	defer plan.SetEnabled(prev)
 	for _, c := range []struct {
 		name    string
 		planned bool
 		vars    []string
-		run     func() (*Answer, error)
+		run     func(context.Context) (*Answer, error)
 	}{
-		{"active/plan", true, []string{"x"}, func() (*Answer, error) { return EvalActiveCtx(ctx, eqdom.Domain{}, st, f) }},
-		{"active/interp", false, []string{"x"}, func() (*Answer, error) { return EvalActiveCtx(ctx, eqdom.Domain{}, st, f) }},
-		{"active/profiled", true, []string{"x"}, func() (*Answer, error) {
+		{"active/plan", true, []string{"x"}, active},
+		{"active/interp", false, []string{"x"}, active},
+		{"active/profiled", true, []string{"x"}, func(ctx context.Context) (*Answer, error) {
 			ans, prof, err := EvalActiveProfiledCtx(ctx, eqdom.Domain{}, st, f)
 			if prof == nil || prof.Complete || prof.Rows != 0 {
 				t.Errorf("active/profiled: want an empty incomplete profile, got %+v", prof)
@@ -353,8 +349,13 @@ func TestPlanDifferentialCancelled(t *testing.T) {
 		{"enum/plan", true, []string{"x", "y"}, enum},
 		{"enum/interp", false, []string{"x", "y"}, enum},
 	} {
-		plan.SetEnabled(c.planned)
-		ans, err := c.run()
+		ctx := context.Background()
+		if !c.planned {
+			ctx = noPlan
+		}
+		ctx, cancel := context.WithCancel(ctx)
+		cancel()
+		ans, err := c.run(ctx)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: want context.Canceled, got %v", c.name, err)
 		}
@@ -368,6 +369,7 @@ func TestPlanDifferentialCancelled(t *testing.T) {
 // disjunction, negation, both quantifiers, equality) evaluated both ways
 // over the fathers fixture.
 func TestPlanDifferentialRandom(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(17))
 	st := fathersState(t)
 	vars := []string{"x", "y", "z"}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/runcfg"
 )
 
 // The planner fast paths. Both evaluators consult the plan cache before
@@ -18,13 +19,14 @@ import (
 // semantic commitment.
 
 // planActiveAnswer tries a compiled plan for active-domain evaluation.
-// ok=false means the caller should interpret (planner off, interp tier,
-// plan not applicable to this state, or a non-cancellation error — the
-// interpreter will reproduce any genuine error with exact semantics).
+// ok=false means the caller should interpret (planner off on the
+// context's runcfg.Config, interp tier, plan not applicable to this state,
+// or a non-cancellation error — the interpreter will reproduce any
+// genuine error with exact semantics).
 func planActiveAnswer(ctx context.Context, sp *obs.Span, dom domain.Domain, st *db.State,
 	f *logic.Formula, rng []domain.Value) (*Answer, error, bool) {
 
-	if !plan.Enabled() {
+	if cfg, _ := runcfg.From(ctx); cfg.NoPlan {
 		return nil, nil, false
 	}
 	p := plan.For(ctx, st.Scheme(), dom.Name(), "", f)
@@ -58,7 +60,7 @@ func planActiveAnswer(ctx context.Context, sp *obs.Span, dom domain.Domain, st *
 func planAnswer(ctx context.Context, sp *obs.Span, dom domain.Domain, st *db.State,
 	f *logic.Formula) (*plan.Plan, *db.Relation) {
 
-	if !plan.Enabled() {
+	if cfg, _ := runcfg.From(ctx); cfg.NoPlan {
 		return nil, nil
 	}
 	// A sentence's verdict comes from the domain decider; and a variable

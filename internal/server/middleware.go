@@ -12,6 +12,7 @@ import (
 	"repro/internal/obs/prof"
 	"repro/internal/obs/trace"
 	"repro/internal/obs/tracectx"
+	"repro/internal/runcfg"
 )
 
 // reqState is the per-request scratchpad the middleware shares with the
@@ -204,6 +205,11 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		ctx = trace.WithRecorder(ctx, s.rec)
 		ctx = tracectx.With(ctx, tc)
 		ctx = context.WithValue(ctx, reqStateKey{}, st)
+		// The default run configuration is the zero value readers see on a
+		// context without one, so only a set one is carried.
+		if s.cfg.Run != (runcfg.Config{}) {
+			ctx = runcfg.With(ctx, s.cfg.Run)
+		}
 		r = r.WithContext(ctx)
 		rw := &respWriter{ResponseWriter: w, reqID: id, traceID: st.traceID}
 		rw.Header().Set("X-Request-Id", id)

@@ -204,9 +204,13 @@ func TestRequestIDOn429Shed(t *testing.T) {
 	// Saturate workers + queue with requests the clients cancel at the end,
 	// as in TestQueueOverflow429.
 	satCtx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	var wg sync.WaitGroup
-	defer wg.Wait()
+	// Cancel before waiting: the saturating requests run until their
+	// clients go away, or else for the whole EvalTimeout.
+	defer func() {
+		cancel()
+		wg.Wait()
+	}()
 	for i := 0; i < cfg.Workers+cfg.QueueDepth; i++ {
 		wg.Add(1)
 		go func() {

@@ -182,9 +182,6 @@ func TestManualProfileCapture(t *testing.T) {
 // ID that evidenced it, and the downloaded CPU profile contains samples
 // labeled with the query's query_key.
 func TestSLOTripCaptureLoop(t *testing.T) {
-	prevProf := prof.SetEnabled(true)
-	defer prof.SetEnabled(prevProf)
-
 	_, base := startServer(t, Config{
 		Workers: 1,
 		// Each request enumerates (slowEvalBody never completes on its own)

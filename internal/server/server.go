@@ -68,6 +68,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/prof"
 	"repro/internal/obs/trace"
+	"repro/internal/runcfg"
 )
 
 // Config tunes the service. The zero value serves on an ephemeral local
@@ -112,6 +113,10 @@ type Config struct {
 	// (tests, finqload shards) record into separate rings; nil means the
 	// process-wide default recorder.
 	TraceRecorder *trace.Recorder
+	// Run is the run configuration every request evaluates and decides
+	// under (finqd's -plan and -cache); the zero value uses the planner
+	// and the decision cache.
+	Run runcfg.Config
 
 	// SLOLatency enables the SLO burn-rate engine: each pooled endpoint
 	// (eval, decide, qe, safety) gets a latency objective at this threshold

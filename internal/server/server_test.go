@@ -15,6 +15,8 @@ import (
 
 	finq "repro"
 	"repro/apiv1"
+	"repro/internal/obs/qstats"
+	"repro/internal/runcfg"
 )
 
 func post(t *testing.T, client *http.Client, url, body string) (int, []byte) {
@@ -332,6 +334,44 @@ func TestEndpointsRoundTrip(t *testing.T) {
 	for _, want := range []string{"server_requests", "server_latency_us", "deccache_hits"} {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("/metrics misses %s", want)
+		}
+	}
+}
+
+// TestRunConfigReachesRequests: Config.Run (finqd's -plan and -cache) is
+// the run configuration of every request. Served under NoPlan and NoCache,
+// a safe-range enumeration asks no plan and a sentence's decision skips
+// the decision cache; the default server uses both. The requests' qstats
+// rows show it.
+func TestRunConfigReachesRequests(t *testing.T) {
+	d := finq.MustLookup("presburger")
+	traffic := func(src string) (plans, decisions int64) {
+		f, err := d.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range qstats.Default().Take().Entries {
+			if e.Key == f.CanonicalKey() {
+				return e.PlanHits + e.PlanMisses, e.CacheHits + e.CacheMisses
+			}
+		}
+		t.Fatalf("no stats row for %s", src)
+		return 0, 0
+	}
+	for i, run := range []runcfg.Config{{}, {NoPlan: true, NoCache: true}} {
+		_, base := startServer(t, Config{Run: run})
+		planned := fmt.Sprintf("R(x) & lt(x, %d)", 1000+i)
+		decided := fmt.Sprintf("exists y. (R(y) & lt(y, %d))", 1000+i)
+		for _, src := range []string{planned, decided} {
+			body := fmt.Sprintf(`{"domain": "presburger", "state": {"relations": {"R": [["3"]]}}, "formula": %q, "mode": "enumerate"}`, src)
+			if code, data := post(t, http.DefaultClient, base+"/v1/eval", body); code != http.StatusOK {
+				t.Fatalf("%s: %d %s", src, code, data)
+			}
+		}
+		plans, _ := traffic(planned)
+		_, decisions := traffic(decided)
+		if (plans == 0) != run.NoPlan || (decisions == 0) != run.NoCache {
+			t.Errorf("Run %+v: %d plan lookups, %d cached decisions", run, plans, decisions)
 		}
 	}
 }

@@ -133,7 +133,6 @@ func TestStreamFirstRowBeforeDeadline(t *testing.T) {
 // the stop reason "client-gone" lands in per-query stats and the access
 // log.
 func TestStreamClientDisconnect(t *testing.T) {
-	qstats.Enable()
 	cap, logger := captureLogger(t)
 	srv, base := startServer(t, Config{EvalTimeout: 30 * time.Second, Logger: logger})
 	c := client.New(base, nil)

@@ -81,7 +81,7 @@ func TestTracedEnumerationExportsValidChrome(t *testing.T) {
 // writes a structurally valid Chrome trace to the requested file.
 func TestCLISetupTraceOut(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "trace.json")
-	rest, finish, err := cliutil.Setup("test", []string{"eval", "-trace-out", out, "-domain", "eq", "x = x"})
+	rest, _, finish, err := cliutil.Setup("test", []string{"eval", "-trace-out", out, "-domain", "eq", "x = x"})
 	if err != nil {
 		t.Fatal(err)
 	}
