@@ -29,10 +29,13 @@ race:
 
 # bench measures every bar of the bench table (bars_test.go) and writes
 # BENCH_bars.json: the observability, query-stats, profiling and access-log
-# overheads (< 3% each), the decision cache and plan compiler speedups and
-# the compiled path's rows/s and allocs/op on E1, batch against single
-# serving, the first streamed row, and the closure tier, unbarred. Fails
-# if a bar's median over the rounds misses it.
+# overheads (< 3% each), the decision cache and plan compiler speedups,
+# batch against single serving, the first streamed row, and the closure
+# tier, unbarred. One more loop times the cells under ~10 ms: the compiled
+# path's rows/s and allocs/op on E1, and the paper's theorems E3-E15, each
+# row with an allocs/op bar, Cooper against the automaton and the two
+# ablations unbarred. Takes about three minutes; fails if a bar's median
+# over the rounds misses it.
 bench:
 	BENCH=1 $(GO) test -run TestBenchBars -count=1 -timeout 20m -v .
 

@@ -1,17 +1,24 @@
-// The bench table: every performance bar of the repository, measured by
-// one loop into one file. Rows are workloads, postures are the run
-// configuration and the layer a row runs under, and each bar reads one or
-// two (row, posture) cells. `make bench` (BENCH=1) measures every bar and
-// writes BENCH_bars.json; plain `go test` runs each row once and checks
-// its answer.
+// The bench table: every performance bar of the repository, and the
+// paper's theorems as checked rows, measured into one file. Rows are
+// workloads, postures are the run configuration and the layer a row runs
+// under, and each bar reads one or two (row, posture) cells. `make bench`
+// (BENCH=1) measures every bar and writes BENCH_bars.json; plain `go test`
+// runs each row once and checks its answer.
 //
-// Bars that share a cell share a loop, so each cell is measured once per
-// run. A loop interleaves its cells op by op, rotating which goes first,
-// in rounds of at least two seconds. A round's reading for a bar is the
-// median over the round's cycles of the pair of ops it compares; the bar
-// keeps every round's reading and gates their median. Two ops run side by
-// side see the same host speed, and the medians shed the stalls of tens
-// of milliseconds that move a round's mean by up to ±10% on a shared host.
+// The paper has no tables: its results are theorems, run as the
+// experiments of DESIGN.md §3. Finite validity is not even recursively
+// enumerable (Trakhtenbrot's theorem), so Theorems 3.1 and 3.3 can only be
+// exercised on fixed decidable instances, and each paper row carries its
+// expected truth value, verdict or quantifier-free result.
+//
+// Each group of bars in loops is measured by one loop, so a cell that two
+// groups read is measured once in each. A loop interleaves its cells op by
+// op, rotating which goes first, in rounds of at least two seconds. A
+// round's reading for a bar is the median over the round's cycles of the
+// pair of ops it compares; the bar keeps every round's reading and gates
+// their median. Two ops run side by side see the same host speed, and the
+// medians shed the stalls of tens of milliseconds that move a round's mean
+// by up to ±10% on a shared host.
 package finq_test
 
 import (
@@ -35,38 +42,59 @@ import (
 	finq "repro"
 	"repro/apiv1"
 	apiclient "repro/client"
+	"repro/internal/autarith"
 	"repro/internal/deccache"
+	"repro/internal/domain"
 	"repro/internal/loadgen"
 	"repro/internal/obs"
 	"repro/internal/obs/logctx"
 	"repro/internal/obs/trace"
 	"repro/internal/obs/tracectx"
+	"repro/internal/parser"
+	"repro/internal/presburger"
 	"repro/internal/query"
 	"repro/internal/runcfg"
 	"repro/internal/server"
+	"repro/internal/traces"
+	"repro/internal/turing"
 )
 
 // row is one workload, in the shape of a test-program table: every op
 // checks its answer against Expect.
 type row struct {
-	Name   string
-	Domain string
-	State  string // statejson
-	Query  string
-	Mode   finq.EvalMode
-	Budget *finq.EnumerationBudget
+	Name string
+	// Op evaluates Query in State, in active mode ("") or by the §1.1
+	// enumeration ("enumerate"). A paper row may instead "decide" its
+	// sentence, eliminate its quantifiers ("qe"), decide its relative
+	// "safety" in State, or verify the "totality" of Machine against the
+	// candidate Query.
+	Op      string
+	Domain  string
+	State   string // statejson
+	Query   string
+	Budget  *finq.EnumerationBudget
+	Machine string
 	// Corpus names a loadgen corpus, which the closed-loop postures replay
 	// in place of Domain, State and Query.
 	Corpus string
 	Expect expect
 }
 
-// expect is an answer's row count and stop reason ("" when complete). A
-// corpus row expects no request to fail.
+// expect is an evaluation's row count and stop reason ("" when complete),
+// or a paper op's truth value, verdict or quantifier-free formula as
+// printed. A corpus row expects no request to fail.
 type expect struct {
 	Rows    int
 	Stopped string
+	Answer  string
 }
+
+// The paper rows' verdicts and truth value.
+var (
+	holds = expect{Answer: "holds"}
+	fails = expect{Answer: "fails"}
+	yes   = expect{Answer: "true"}
+)
 
 var rows = []row{
 	// A two-variable join with a quantifier over eight words: enough
@@ -82,14 +110,14 @@ var rows = []row{
 	// the §1.1 loop asks the Cooper decider; over presburger the plan
 	// compiler answers.
 	{Name: "e1-sparse-nless", Domain: "nless", State: sparseE1, Query: "exists y. (R(y) & x = y)",
-		Mode: finq.ModeEnumerate, Budget: &finq.EnumerationBudget{Rows: 42, Probe: 1 << 16}, Expect: expect{Rows: 32}},
+		Op: "enumerate", Budget: &finq.EnumerationBudget{Rows: 42, Probe: 1 << 16}, Expect: expect{Rows: 32}},
 	{Name: "e1-sparse", Domain: "presburger", State: sparseE1, Query: "exists y. (R(y) & x = y)",
-		Mode: finq.ModeEnumerate, Budget: &finq.EnumerationBudget{Rows: 42, Probe: 1 << 16}, Expect: expect{Rows: 32}},
+		Op: "enumerate", Budget: &finq.EnumerationBudget{Rows: 42, Probe: 1 << 16}, Expect: expect{Rows: 32}},
 	// E1 as `make trace-demo` runs it, with a 34-row answer: one op is a
 	// whole enumeration, the scale at which per-request costs (qstats,
 	// prof, the access log) are judged.
 	{Name: "e1", Domain: "presburger", State: `{"relations": {"R": [["3"], ["5"], ["8"], ["13"], ["21"], ["34"]]}}`,
-		Query: "exists y. (R(y) & lt(x, y))", Mode: finq.ModeEnumerate,
+		Query: "exists y. (R(y) & lt(x, y))", Op: "enumerate",
 		Budget: &finq.EnumerationBudget{Rows: 64, Probe: 4096}, Expect: expect{Rows: 34}},
 	// The closure tier on a query outside the algebra tier, over two
 	// 320-pair F on 40 values: random (seed 1), where the closure plan
@@ -109,13 +137,99 @@ var rows = []row{
 	// Cooper decisions; over presburger the automaton finds the rows in
 	// microseconds, and the request's fixed costs would decide the share.
 	{Name: "stream", Domain: "nless", State: `{"relations": {"R": [["3"], ["7"], ["12"], ["20"]]}}`,
-		Query: "~R(x)", Mode: finq.ModeEnumerate, Budget: &finq.EnumerationBudget{Rows: 64, Probe: 1 << 20},
+		Query: "~R(x)", Op: "enumerate", Budget: &finq.EnumerationBudget{Rows: 64, Probe: 1 << 20},
 		Expect: expect{Rows: 64, Stopped: "budget"}},
+
+	// The paper's theorems, one experiment of DESIGN.md §3 each. E3,
+	// Theorem 2.2: the finitization of k unary atoms is finite, by the
+	// Theorem 2.5 check, which pays one quantifier block per variable.
+	{Name: "e3-finitize-1", Op: "safety", Domain: "presburger", State: r37, Query: finitize("R(x)"), Expect: holds},
+	{Name: "e3-finitize-2", Op: "safety", Domain: "presburger", State: r37, Query: finitize("R(x) & R(y)"), Expect: holds},
+	{Name: "e3-finitize-3", Op: "safety", Domain: "presburger", State: r37, Query: finitize("R(x) & R(y) & R(z)"), Expect: holds},
+	// E4, Theorem 2.5: relative safety over two extensions of N<.
+	{Name: "e4-finite", Op: "safety", Domain: "presburger", State: r149, Query: "R(x) & lt(x, 7)", Expect: holds},
+	{Name: "e4-infinite", Op: "safety", Domain: "presburger", State: r149, Query: "~R(x)", Expect: fails},
+	{Name: "e4-join", Op: "safety", Domain: "presburger", State: r149, Query: "R(x) & R(y) & lt(x, y)", Expect: holds},
+	{Name: "e4-finite-nless", Op: "safety", Domain: "nless", State: r149, Query: "R(x) & lt(x, 7)", Expect: holds},
+	{Name: "e4-infinite-nless", Op: "safety", Domain: "nless", State: r149, Query: "~R(x)", Expect: fails},
+	{Name: "e4-join-nless", Op: "safety", Domain: "nless", State: r149, Query: "R(x) & R(y) & lt(x, y)", Expect: holds},
+	// E5, Theorems 2.6/2.7: N′ QE over chains of 1–3 existentials, and
+	// relative safety.
+	{Name: "e5-qe-1", Op: "qe", Domain: "nsucc", Query: "exists v0. (s(s(v0)) = y)",
+		Expect: expect{Answer: "(y != 0 & y != 1)"}},
+	{Name: "e5-qe-2", Op: "qe", Domain: "nsucc", Query: "exists v0. (exists v1. (s(v0) = v1 & s(s(v1)) = y))",
+		Expect: expect{Answer: "(y != 0 & y != 1 & y != 2)"}},
+	{Name: "e5-qe-3", Op: "qe", Domain: "nsucc", Query: "exists v0. (exists v1. (s(v0) = v1 & exists v2. (s(v1) = v2 & s(s(v2)) = y)))",
+		Expect: expect{Answer: "(y != 0 & y != 1 & y != 2 & y != 3)"}},
+	{Name: "e5-safety", Op: "safety", Domain: "nsucc", State: `{"relations": {"R": [["3"], ["10"], ["17"]]}}`,
+		Query: "exists y. (R(y) & s(x) = y)", Expect: holds},
+	// E7, Theorem A.3 / Corollary A.4: trace-theory sentences over its
+	// case families. The D/E system of e7-lemma-a2, which Lemma A.2's
+	// criterion finds satisfiable, stands for E6.
+	{Name: "e7-sorts", Op: "decide", Domain: "traces", Query: "forall x. (M(x) | W(x) | T(x) | O(x))", Expect: yes},
+	{Name: "e7-lemma-a2", Op: "decide", Domain: "traces", Query: `exists x. (M(x) & E2(x, 11) & D3(x, "1&"))`, Expect: yes},
+	{Name: "e7-counting", Op: "decide", Domain: "traces", Query: fmt.Sprintf("exists x. (P(%q, 1, x) & x != 11)", busy), Expect: yes},
+	{Name: "e7-nested", Op: "decide", Domain: "traces", Query: "forall x. (M(x) -> exists p. (T(p) & m(p) = x))", Expect: yes},
+	// E8, Theorem 3.1: a total machine's totality query is equivalent to
+	// its Reach-signature characterization.
+	{Name: "e8-totality", Op: "totality", Domain: "traces", Machine: busy,
+		Query: fmt.Sprintf("T(x) & m(x) = %q & w(x) = c", busy), Expect: yes},
+	// E9, Theorem 3.3: the halting reduction of a machine that halts on
+	// "1" and of one that diverges there.
+	halting("e9-halts", turing.BusyWork(3), holds),
+	halting("e9-diverges", turing.LoopForever(), fails),
+	// E15: Cooper's elimination against the automata engine, on three
+	// sentence shapes and on 1–3 nested existentials.
+	{Name: "e15-order", Op: "decide", Domain: "presburger", Query: "forall x. (exists y. lt(x, y))", Expect: yes},
+	{Name: "e15-parity", Op: "decide", Domain: "presburger", Query: "forall x. (dvd(2, x) | dvd(2, add(x, 1)))", Expect: yes},
+	{Name: "e15-linear", Op: "decide", Domain: "presburger", Query: "exists x. (exists y. (add(x, y) = 9 & lt(x, y)))", Expect: yes},
+	{Name: "cooper-qe-1", Op: "decide", Domain: "presburger", Query: "exists x. lt(x, 20)", Expect: yes},
+	{Name: "cooper-qe-2", Op: "decide", Domain: "presburger", Query: "exists x. (exists y. (lt(x, y) & lt(y, 20)))", Expect: yes},
+	{Name: "cooper-qe-3", Op: "decide", Domain: "presburger",
+		Query: "exists x. (exists y. (lt(x, y) & exists z. (lt(y, z) & lt(z, 20))))", Expect: yes},
+	// The ablations. Expanding <-> duplicates subformulas, and without
+	// intermediate simplification their dead sort branches multiply
+	// through two nested eliminations; one more conjoined <-> ran past 11
+	// minutes. Cooper's boundary set repeats y < x three times.
+	{Name: "ablate-simplify", Op: "qe", Domain: "traces", Query: "forall x. (exists y. ((M(x) <-> M(y)) & x != y))", Expect: yes},
+	{Name: "ablate-dedup", Op: "decide", Domain: "presburger",
+		Query: "forall y. (lt(y, 10) -> exists x. (lt(y, x) & lt(y, x) & lt(y, x) & lt(x, 50)))", Expect: yes},
+	// The grandfather join in active mode, which the algebra tier answers
+	// with a hash join.
+	{Name: "eval-active", Domain: "presburger", State: relation("F", 32, func(i int) []string {
+		return []string{strconv.Itoa(i), strconv.Itoa(i + 1)}
+	}), Query: "exists y. (F(x, y) & F(y, z))", Expect: expect{Rows: 31}},
 }
 
 const closureQuery = "forall y. (F(x, y) -> exists z. (F(y, z) & ~F(z, x)))"
 
 var sparseE1 = relation("R", 32, func(i int) []string { return []string{strconv.Itoa(4 * i)} })
+
+// The E3 and E4 states, R = {3, 7} and R = {1, 4, 9}.
+const (
+	r37  = `{"relations": {"R": [["3"], ["7"]]}}`
+	r149 = `{"relations": {"R": [["1"], ["4"], ["9"]]}}`
+)
+
+// busy is a total machine's word: BusyWork(1) halts on every input.
+var busy = turing.Encode(turing.BusyWork(1))
+
+// finitize renders the Theorem 2.2 finitization of a formula.
+func finitize(src string) string { return finq.Finitize(parser.MustParse(src)).String() }
+
+// halting renders the Theorem 3.3 reduction of m on input "1" into a
+// safety row.
+func halting(name string, m *turing.Machine, want expect) row {
+	f, st, err := finq.HaltingToRelativeSafety(turing.Encode(m), "1")
+	if err != nil {
+		panic(err)
+	}
+	state, err := finq.MarshalState(finq.MustLookup("traces"), st)
+	if err != nil {
+		panic(err)
+	}
+	return row{Name: name, Op: "safety", Domain: "traces", State: string(state), Query: f.String(), Expect: want}
+}
 
 // relation renders a statejson body holding one relation of n tuples.
 func relation(name string, n int, tuple func(i int) []string) string {
@@ -149,7 +263,11 @@ func randomPair() func(int) []string {
 // under; the zero value is finqd's. obs-off switches the process's metrics
 // off instead (obs stays process-wide), which the loop sets before every
 // op, so postures interleave op by op. The name also picks the layer the
-// op enters (newOp): the evaluator (query) unless it names another.
+// op enters (newOp): the evaluator (query), or the row's paper op through
+// the facade or the domain's decider and eliminator, unless it names
+// another. A bar times a decide or totality op past the decision cache
+// (nocache, cooper) or on an engine without one, never a hit an earlier
+// op left.
 var postures = map[string]runcfg.Config{
 	"default":       {},
 	"obs-off":       {},
@@ -165,6 +283,11 @@ var postures = map[string]runcfg.Config{
 	"single":        {}, // closed loop, one query per /v1/eval
 	"batch":         {}, // closed loop, 64 queries per /v1/eval/batch
 	"stream":        {}, // one NDJSON stream through the client
+
+	"cooper":      {NoCache: true}, // presburger's decider is Cooper's elimination
+	"automaton":   {},              // autarith.Decide
+	"no-dedup":    {},              // Cooper without boundary-set deduplication
+	"no-simplify": {},              // trace QE without intermediate simplification
 }
 
 // bar reads one or two cells, named "row/posture". A "ratio" is a's time
@@ -180,20 +303,68 @@ type bar struct {
 	min, max float64
 }
 
-var bars = []bar{
-	{"obs on vs off, query.EvalActiveCtx", "join/default", "join/obs-off", "ratio", 0, 1.03},
-	{"traced vs armed: span-identity minting", "join/traced", "join/armed", "ratio", 0, 1.03},
-	{"nocache vs decision cache, nless, planner off", "e1-sparse-nless/nocache", "e1-sparse-nless/interpreted", "ratio", 2, 0},
-	{"interpreted (nless) vs compiled (presburger)", "e1-sparse-nless/interpreted", "e1-sparse/default", "ratio", 10, 0},
-	{"compiled rows/s", "e1-sparse/default", "", "rows/s", 436, 0},
-	{"default presburger path allocs/op", "e1-sparse/default", "", "allocs/op", 0, 18000},
-	{"access log on vs no-op, Server.Handler()", "e1/http-log", "e1/http-nolog", "ratio", 0, 1.03},
-	{"qstats on vs off, finq.Eval", "e1/eval", "e1/eval-noqstats", "ratio", 0, 1.03},
-	{"prof on vs off, finq.Eval", "e1/eval", "e1/eval-noprof", "ratio", 0, 1.03},
-	{"single vs batch-64, time per query", "e1-corpus/single", "e1-corpus/batch", "ratio", 5, 0},
-	{"first streamed row's share of the request", "stream/stream", "", "first row", 0, 0.5},
-	{"interpreter vs closure plan, random F", "closure-random/interpreted", "closure-random/default", "ratio", 0, 0},
-	{"interpreter vs closure plan, structured F", "closure-structured/interpreted", "closure-structured/default", "ratio", 0, 0},
+// loops groups the bars by the loop that measures their cells, so the two
+// cells a ratio compares run side by side. The last loop holds cells of
+// at most ~10 ms: the paper's rows and the compiled E1 path, whose
+// one-cell bars would get one cycle a round next to a second-long cell.
+// Each paper row has an allocs/op bar at no more than 1.25× its reading.
+var loops = [][]bar{
+	{{"obs on vs off, query.EvalActiveCtx", "join/default", "join/obs-off", "ratio", 0, 1.03}},
+	{{"traced vs armed: span-identity minting", "join/traced", "join/armed", "ratio", 0, 1.03}},
+	{
+		{"nocache vs decision cache, nless, planner off", "e1-sparse-nless/nocache", "e1-sparse-nless/interpreted", "ratio", 2, 0},
+		{"interpreted (nless) vs compiled (presburger)", "e1-sparse-nless/interpreted", "e1-sparse/default", "ratio", 10, 0},
+	},
+	{{"access log on vs no-op, Server.Handler()", "e1/http-log", "e1/http-nolog", "ratio", 0, 1.03}},
+	{
+		{"qstats on vs off, finq.Eval", "e1/eval", "e1/eval-noqstats", "ratio", 0, 1.03},
+		{"prof on vs off, finq.Eval", "e1/eval", "e1/eval-noprof", "ratio", 0, 1.03},
+	},
+	{{"single vs batch-64, time per query", "e1-corpus/single", "e1-corpus/batch", "ratio", 5, 0}},
+	{{"first streamed row's share of the request", "stream/stream", "", "first row", 0, 0.5}},
+	{{"interpreter vs closure plan, random F", "closure-random/interpreted", "closure-random/default", "ratio", 0, 0}},
+	{{"interpreter vs closure plan, structured F", "closure-structured/interpreted", "closure-structured/default", "ratio", 0, 0}},
+	{
+		{"compiled rows/s", "e1-sparse/default", "", "rows/s", 436, 0},
+		{"default presburger path allocs/op", "e1-sparse/default", "", "allocs/op", 0, 5796},
+		{"E3 finitization, 1 variable: allocs/op", "e3-finitize-1/default", "", "allocs/op", 0, 13300},
+		{"E3 finitization, 2 variables: allocs/op", "e3-finitize-2/default", "", "allocs/op", 0, 45900},
+		{"E3 finitization, 3 variables: allocs/op", "e3-finitize-3/default", "", "allocs/op", 0, 120000},
+		{"E4 finite query: allocs/op", "e4-finite/default", "", "allocs/op", 0, 11000},
+		{"E4 infinite query: allocs/op", "e4-infinite/default", "", "allocs/op", 0, 6500},
+		{"E4 join: allocs/op", "e4-join/default", "", "allocs/op", 0, 100000},
+		{"E4 finite query, nless: allocs/op", "e4-finite-nless/default", "", "allocs/op", 0, 11000},
+		{"E4 infinite query, nless: allocs/op", "e4-infinite-nless/default", "", "allocs/op", 0, 6500},
+		{"E4 join, nless: allocs/op", "e4-join-nless/default", "", "allocs/op", 0, 100000},
+		{"E5 N' QE, depth 1: allocs/op", "e5-qe-1/default", "", "allocs/op", 0, 53},
+		{"E5 N' QE, depth 2: allocs/op", "e5-qe-2/default", "", "allocs/op", 0, 111},
+		{"E5 N' QE, depth 3: allocs/op", "e5-qe-3/default", "", "allocs/op", 0, 166},
+		{"E5 N' relative safety: allocs/op", "e5-safety/default", "", "allocs/op", 0, 230},
+		{"E7 trace sorts: allocs/op", "e7-sorts/nocache", "", "allocs/op", 0, 248},
+		{"E7 Lemma A.2 system: allocs/op", "e7-lemma-a2/nocache", "", "allocs/op", 0, 225},
+		{"E7 trace counting: allocs/op", "e7-counting/nocache", "", "allocs/op", 0, 371},
+		{"E7 nested quantifiers: allocs/op", "e7-nested/nocache", "", "allocs/op", 0, 337},
+		{"E8 totality sentence: allocs/op", "e8-totality/nocache", "", "allocs/op", 0, 213},
+		{"E9 halting reduction: allocs/op", "e9-halts/default", "", "allocs/op", 0, 50},
+		{"E9 diverging reduction: allocs/op", "e9-diverges/default", "", "allocs/op", 0, 42},
+		{"E15 order, Cooper: allocs/op", "e15-order/cooper", "", "allocs/op", 0, 671},
+		{"E15 parity, Cooper: allocs/op", "e15-parity/cooper", "", "allocs/op", 0, 390},
+		{"E15 linear, Cooper: allocs/op", "e15-linear/cooper", "", "allocs/op", 0, 3160},
+		{"Cooper QE, depth 1: allocs/op", "cooper-qe-1/cooper", "", "allocs/op", 0, 211},
+		{"Cooper QE, depth 2: allocs/op", "cooper-qe-2/cooper", "", "allocs/op", 0, 936},
+		{"Cooper QE, depth 3: allocs/op", "cooper-qe-3/cooper", "", "allocs/op", 0, 2140},
+		{"trace QE with simplification: allocs/op", "ablate-simplify/default", "", "allocs/op", 0, 540},
+		{"Cooper with boundary dedup: allocs/op", "ablate-dedup/cooper", "", "allocs/op", 0, 1595},
+		{"active-domain grandfather join: allocs/op", "eval-active/default", "", "allocs/op", 0, 631},
+		{"E15 Cooper vs automaton, order", "e15-order/cooper", "e15-order/automaton", "ratio", 0, 0},
+		{"E15 Cooper vs automaton, parity", "e15-parity/cooper", "e15-parity/automaton", "ratio", 0, 0},
+		{"E15 Cooper vs automaton, linear", "e15-linear/cooper", "e15-linear/automaton", "ratio", 0, 0},
+		{"Cooper vs automaton, depth 1", "cooper-qe-1/cooper", "cooper-qe-1/automaton", "ratio", 0, 0},
+		{"Cooper vs automaton, depth 2", "cooper-qe-2/cooper", "cooper-qe-2/automaton", "ratio", 0, 0},
+		{"Cooper vs automaton, depth 3", "cooper-qe-3/cooper", "cooper-qe-3/automaton", "ratio", 0, 0},
+		{"trace QE without vs with simplification", "ablate-simplify/no-simplify", "ablate-simplify/default", "ratio", 0, 0},
+		{"Cooper without vs with boundary dedup", "ablate-dedup/no-dedup", "ablate-dedup/cooper", "ratio", 0, 0},
+	},
 }
 
 // cell is one row run in one posture, with its readings.
@@ -242,7 +413,7 @@ func newOp(t testing.TB, r row, p string, window time.Duration) func() (any, err
 	if cfg := postures[p]; cfg != (runcfg.Config{}) {
 		ctx = runcfg.With(ctx, cfg)
 	}
-	wire := apiv1.EvalRequest{Domain: r.Domain, State: json.RawMessage(r.State), Formula: r.Query, Mode: string(r.Mode)}
+	wire := apiv1.EvalRequest{Domain: r.Domain, State: json.RawMessage(r.State), Formula: r.Query, Mode: r.Op}
 	if r.Budget != nil {
 		wire.Budget = &apiv1.Budget{Rows: r.Budget.Rows, Probe: r.Budget.Probe}
 	}
@@ -295,17 +466,43 @@ func newOp(t testing.TB, r row, p string, window time.Duration) func() (any, err
 		}
 	}
 	d := finq.MustLookup(r.Domain)
-	st, err := finq.ParseState(d, []byte(r.State))
+	// A row without a state parses over the Theorem 3.1 scheme {c}, whose
+	// constant a totality candidate names.
+	st := finq.NewState(finq.TotalityScheme())
+	if r.State != "" {
+		var err error
+		if st, err = finq.ParseState(d, []byte(r.State)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := d.ParseWithConstants(r.Query, st.Scheme().Constants...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := d.Parse(r.Query)
-	if err != nil {
-		t.Fatal(err)
+	switch r.Op {
+	case "decide":
+		dec := d.Decider
+		switch p {
+		case "automaton":
+			return func() (any, error) { return autarith.Decide(f) }
+		case "no-dedup":
+			dec = presburger.Eliminator{NoBoundDedup: true}
+		}
+		return func() (any, error) { return domain.DecideCtx(ctx, dec, f) }
+	case "qe":
+		elim := d.Eliminator
+		if p == "no-simplify" {
+			elim = traces.Eliminator{NoIntermediateSimplify: true}
+		}
+		return func() (any, error) { return domain.EliminateCtx(ctx, elim, f) }
+	case "safety":
+		return func() (any, error) { return finq.RelativeSafety(d, st, f) }
+	case "totality":
+		return func() (any, error) { return finq.VerifyTotality(ctx, r.Machine, f) }
 	}
 	switch p {
 	case "eval", "eval-noqstats", "eval-noprof":
-		req := finq.Request{Domain: r.Domain, State: st, Formula: f, Mode: r.Mode, Budget: r.Budget}
+		req := finq.Request{Domain: r.Domain, State: st, Formula: f, Mode: finq.EvalMode(r.Op), Budget: r.Budget}
 		return func() (any, error) { return finq.Eval(ctx, req) }
 	case "armed", "traced":
 		rec := trace.NewRecorder()
@@ -316,7 +513,7 @@ func newOp(t testing.TB, r row, p string, window time.Duration) func() (any, err
 			ctx = tracectx.With(ctx, tracectx.NewRoot())
 		}
 	}
-	if r.Mode != finq.ModeEnumerate {
+	if r.Op == "" {
 		return func() (any, error) { return query.EvalActiveCtx(ctx, d.Domain, st, f) }
 	}
 	// A fresh decision cache per op: the cache postures measure the
@@ -373,19 +570,25 @@ func (c *cell) check(res any, err error) error {
 			got.Stopped = "budget"
 		}
 	case *finq.Result:
-		got = expect{r.Answer.Rows.Len(), r.Stopped}
+		got = expect{Rows: r.Answer.Rows.Len(), Stopped: r.Stopped}
 	case *httptest.ResponseRecorder:
 		var body apiv1.EvalResponse
 		if err := json.Unmarshal(r.Body.Bytes(), &body); r.Code != http.StatusOK || err != nil || body.Answer == nil {
 			return fmt.Errorf("%s: status %d: %s", c.name, r.Code, r.Body.Bytes())
 		}
-		got = expect{len(body.Answer.Rows), body.Stopped}
+		got = expect{Rows: len(body.Answer.Rows), Stopped: body.Stopped}
 	case *loadgen.Result:
 		if r.Errors > 0 {
 			return fmt.Errorf("%s: %d of %d requests failed", c.name, r.Errors, r.Requests)
 		}
 	case *streamed:
-		got = expect{int(r.trailer.Rows), r.trailer.Stopped}
+		got = expect{Rows: int(r.trailer.Rows), Stopped: r.trailer.Stopped}
+	case bool:
+		got.Answer = strconv.FormatBool(r)
+	case finq.Verdict:
+		got.Answer = r.String()
+	case *finq.Formula:
+		got.Answer = r.String()
 	}
 	if got != c.row.Expect {
 		return fmt.Errorf("%s: answer %+v, want %+v", c.name, got, c.row.Expect)
@@ -437,28 +640,12 @@ func (c *cell) allocsPerUnit() float64 {
 	return float64(m1.Mallocs-m0.Mallocs) / units
 }
 
-// loops partitions the bars' cells into the sets one loop measures: bars
-// that share a cell share its loop.
-func loops() [][]string {
-	var ls [][]string
-	for _, b := range bars {
-		l := []string{b.a}
-		if b.b != "" {
-			l = append(l, b.b)
-		}
-		for i := len(ls) - 1; i >= 0; i-- {
-			if slices.ContainsFunc(ls[i], func(c string) bool { return slices.Contains(l, c) }) {
-				for _, c := range ls[i] {
-					if !slices.Contains(l, c) {
-						l = append(l, c)
-					}
-				}
-				ls = slices.Delete(ls, i, i+1)
-			}
-		}
-		ls = append(ls, l)
+// cellNames lists the one or two cells a bar reads.
+func (b bar) cellNames() []string {
+	if b.b == "" {
+		return []string{b.a}
 	}
-	return ls
+	return []string{b.a, b.b}
 }
 
 // readings is a bar's reading per round: the median over the round's
@@ -494,14 +681,31 @@ func median(xs []float64) float64 {
 
 // TestBenchRows runs every row once in its default posture and checks its
 // answer, so a row that breaks fails plain `go test`, not only the bench.
+// It builds every bar's cells, untimed, so a bar naming a missing row or
+// posture fails here too, and runs the paper loop's cells once each.
 func TestBenchRows(t *testing.T) {
 	defer obs.SetEnabled(true)
+	var cs []*cell
 	for _, r := range rows {
 		p := "default"
 		if r.Corpus != "" {
 			p = "single"
 		}
-		c := newCell(t, r.Name+"/"+p, 100*time.Millisecond)
+		cs = append(cs, newCell(t, r.Name+"/"+p, 100*time.Millisecond))
+	}
+	for i, l := range loops {
+		for _, b := range l {
+			if (b.read == "ratio") != (b.b != "") {
+				t.Errorf("bar %q reads %s of %d cells", b.name, b.read, len(b.cellNames()))
+			}
+			for _, name := range b.cellNames() {
+				if c := newCell(t, name, 100*time.Millisecond); i == len(loops)-1 {
+					cs = append(cs, c)
+				}
+			}
+		}
+	}
+	for _, c := range cs {
 		res, _, _, _, err := c.run()
 		if err := c.check(res, err); err != nil {
 			t.Error(err)
@@ -517,29 +721,12 @@ func TestBenchBars(t *testing.T) {
 		t.Skip("set BENCH=1 (or run `make bench`) to measure every bar and write BENCH_bars.json")
 	}
 	defer obs.SetEnabled(true)
-	cells := map[string]*cell{}
 	type cellOut struct {
+		Loop        int       `json:"loop"`
 		Cell        string    `json:"cell"`
 		NsPerOp     float64   `json:"ns_per_op"`
 		RoundsNs    []float64 `json:"rounds_ns"`
 		AllocsPerOp float64   `json:"allocs_per_op"`
-	}
-	var cellsOut []cellOut
-	for _, l := range loops() {
-		cs := make([]*cell, len(l))
-		for i, name := range l {
-			cs[i] = newCell(t, name, time.Second)
-			cells[name] = cs[i]
-		}
-		measure(t, cs)
-		for _, c := range cs {
-			c.allocs = c.allocsPerUnit()
-			perRound := make([]float64, len(c.ns))
-			for r, ops := range c.ns {
-				perRound[r] = median(ops)
-			}
-			cellsOut = append(cellsOut, cellOut{c.name, median(perRound), perRound, c.allocs})
-		}
 	}
 	type barOut struct {
 		Name     string    `json:"name"`
@@ -551,16 +738,38 @@ func TestBenchBars(t *testing.T) {
 		Median   float64   `json:"median"`
 		Pass     bool      `json:"pass"`
 	}
+	var cellsOut []cellOut
 	var barsOut []barOut
-	for _, b := range bars {
-		rs := b.readings(cells)
-		m := median(rs)
-		o := barOut{b.name, strings.TrimSuffix(b.a+" vs "+b.b, " vs "), b.read, b.min, b.max, rs, m,
-			(b.min == 0 || m >= b.min) && (b.max == 0 || m < b.max)}
-		barsOut = append(barsOut, o)
-		t.Logf("%-46s median %10.4g  rounds %.4g  pass %v", b.name, m, rs, o.Pass)
-		if !o.Pass {
-			t.Errorf("bar %q: median %.4g outside [%g, %g)", b.name, m, b.min, b.max)
+	for i, l := range loops {
+		cells := map[string]*cell{}
+		var cs []*cell
+		for _, b := range l {
+			for _, name := range b.cellNames() {
+				if cells[name] == nil {
+					cells[name] = newCell(t, name, time.Second)
+					cs = append(cs, cells[name])
+				}
+			}
+		}
+		measure(t, cs)
+		for _, c := range cs {
+			c.allocs = c.allocsPerUnit()
+			perRound := make([]float64, len(c.ns))
+			for r, ops := range c.ns {
+				perRound[r] = median(ops)
+			}
+			cellsOut = append(cellsOut, cellOut{i, c.name, median(perRound), perRound, c.allocs})
+		}
+		for _, b := range l {
+			rs := b.readings(cells)
+			m := median(rs)
+			o := barOut{b.name, strings.Join(b.cellNames(), " vs "), b.read, b.min, b.max, rs, m,
+				(b.min == 0 || m >= b.min) && (b.max == 0 || m < b.max)}
+			barsOut = append(barsOut, o)
+			t.Logf("%-46s median %10.4g  rounds %.4g  pass %v", b.name, m, rs, o.Pass)
+			if !o.Pass {
+				t.Errorf("bar %q: median %.4g outside [%g, %g)", b.name, m, b.min, b.max)
+			}
 		}
 	}
 	data, err := json.MarshalIndent(map[string]any{
@@ -568,7 +777,7 @@ func TestBenchBars(t *testing.T) {
 		"round_seconds": roundDur.Seconds(),
 		"cells":         cellsOut,
 		"bars":          barsOut,
-		"note":          "cells: time per unit of work (a query for the closed-loop postures, else an op), the median over each round's ops and over rounds, and heap objects per unit; bars: every round's reading (the median over its cycles of the compared ops) and their median, gated min <= median < max",
+		"note":          "cells: per loop, time per unit of work (a query for the closed-loop postures, else an op), the median over each round's ops and over rounds, and heap objects per unit; bars: every round's reading (the median over its cycles of the compared ops) and their median, gated min <= median < max",
 	}, "", "  ")
 	if err != nil {
 		t.Fatal(err)

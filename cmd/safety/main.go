@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -18,10 +19,11 @@ import (
 	finq "repro"
 	"repro/internal/cliutil"
 	"repro/internal/obs"
+	"repro/internal/runcfg"
 )
 
 func main() {
-	args, _, finish, err := cliutil.Setup("safety", os.Args[1:])
+	args, run, finish, err := cliutil.Setup("safety", os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "safety:", err)
 		os.Exit(1)
@@ -40,7 +42,7 @@ func main() {
 	case "halting":
 		err = runHalting(args[1:])
 	case "totality":
-		err = runTotality(args[1:])
+		err = runTotality(runcfg.With(context.Background(), run), args[1:])
 	default:
 		usage()
 		os.Exit(2)
@@ -143,7 +145,7 @@ func runHalting(args []string) error {
 	return nil
 }
 
-func runTotality(args []string) error {
+func runTotality(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("totality", flag.ContinueOnError)
 	machine := fs.String("machine", "", "encoded machine word")
 	candidate := fs.String("candidate", "", "candidate formula over the trace domain (uses constant c)")
@@ -156,7 +158,7 @@ func runTotality(args []string) error {
 	if err != nil {
 		return err
 	}
-	ok, err := finq.VerifyTotality(*machine, cand)
+	ok, err := finq.VerifyTotality(ctx, *machine, cand)
 	if err != nil {
 		return err
 	}

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -75,12 +76,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ok, err := finq.VerifyTotality(busy, candidate)
+	ok, err := finq.VerifyTotality(context.Background(), busy, candidate)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  busy vs its own characterization: %v — busy is certified total\n", ok)
-	ok, err = finq.VerifyTotality(loop, candidate)
+	ok, err = finq.VerifyTotality(context.Background(), loop, candidate)
 	if err != nil {
 		log.Fatal(err)
 	}

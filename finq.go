@@ -554,10 +554,11 @@ func TotalityQuery(machineWord string) *Formula { return core.TotalityQuery(mach
 func TotalityScheme() *Scheme { return core.TotalityScheme() }
 
 // VerifyTotality decides the Theorem 3.1 equivalence sentence between a
-// machine's totality query and a candidate formula; truth certifies the
-// machine total whenever the candidate is finite.
-func VerifyTotality(machineWord string, candidate *Formula) (bool, error) {
-	return core.VerifyTotality(machineWord, candidate)
+// machine's totality query and a candidate formula, under ctx's run
+// configuration and deadline; truth certifies the machine total whenever
+// the candidate is finite.
+func VerifyTotality(ctx context.Context, machineWord string, candidate *Formula) (bool, error) {
+	return core.VerifyTotality(ctx, machineWord, candidate)
 }
 
 // HaltingToRelativeSafety is the Theorem 3.3 reduction from the halting

@@ -290,7 +290,7 @@ func TestFacadeTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := VerifyTotality("*", cand)
+	ok, err := VerifyTotality(context.Background(), "*", cand)
 	if err != nil || !ok {
 		t.Errorf("VerifyTotality: %v %v", ok, err)
 	}

@@ -9,8 +9,8 @@
 // Nothing here shares code with the Cooper eliminator in
 // internal/presburger, which is the point: the two engines decide the same
 // theory by unrelated algorithms, so their agreement on random sentences
-// (TestDifferentialAgainstCooper here, BenchmarkEngines at the root) is
-// strong evidence for both.
+// (TestDifferentialAgainstCooper here, the bench table's E15 rows at the
+// root) is strong evidence for both.
 //
 // The automaton of a formula φ′(x̄) is also a finite representation of its
 // whole answer, which is how the Presburger §1.1 enumeration

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -53,7 +54,7 @@ func ExampleVerifyTotality() {
 		logic.Atom("T", logic.Var("x")),
 		logic.Eq(logic.App("m", logic.Var("x")), logic.Const(enc)),
 		logic.Eq(logic.App("w", logic.Var("x")), logic.Const(core.DBConst)))
-	ok, _ := core.VerifyTotality(enc, candidate)
+	ok, _ := core.VerifyTotality(context.Background(), enc, candidate)
 	fmt.Println(ok)
 	// Output: true
 }

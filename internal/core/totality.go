@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/db"
+	"repro/internal/domain"
 	"repro/internal/logic"
 	"repro/internal/traces"
 	"repro/internal/turing"
@@ -79,17 +81,26 @@ func EquivalenceSentence(a, b *logic.Formula) *logic.Formula {
 	return logic.ForallAll(ordered, logic.Iff(az, bz))
 }
 
+// totalityDecider decides every equivalence sentence behind one decision
+// cache, so a repeated verification is a cache hit.
+var totalityDecider = traces.Decider()
+
 // VerifyTotality runs one step of the Theorem 3.1 construction: it decides
 // the equivalence sentence between the machine's totality query and a
 // candidate formula. "Now if it happens to be true, we know that M_k is a
 // total machine, because the truth of this sentence implies that M_k(x) is
 // finite" — provided the candidate belongs to a class of finite formulas.
-func VerifyTotality(machineWord string, candidate *logic.Formula) (bool, error) {
+// The decision runs under ctx's run configuration and stops with ctx's
+// error once ctx is done.
+func VerifyTotality(ctx context.Context, machineWord string, candidate *logic.Formula) (bool, error) {
+	if err := ctx.Err(); err != nil {
+		return false, err
+	}
 	if !turing.IsMachineWord(machineWord) {
 		return false, fmt.Errorf("core: %q is not a machine word", machineWord)
 	}
 	sentence := EquivalenceSentence(TotalityQuery(machineWord), candidate)
-	return traces.Decider().Decide(sentence)
+	return domain.DecideCtx(ctx, totalityDecider, sentence)
 }
 
 // Certification records one certified-total machine and the witnessing
@@ -113,11 +124,11 @@ type Certification struct {
 // enumeration complete for total machines, since the set of total machines
 // is not recursively enumerable. Tests exhibit the incompleteness on
 // concrete candidate families.
-func EnumerateTotal(machineWords []string, candidates []*logic.Formula) ([]Certification, error) {
+func EnumerateTotal(ctx context.Context, machineWords []string, candidates []*logic.Formula) ([]Certification, error) {
 	var out []Certification
 	for _, m := range machineWords {
 		for r, cand := range candidates {
-			ok, err := VerifyTotality(m, cand)
+			ok, err := VerifyTotality(ctx, m, cand)
 			if err != nil {
 				return nil, err
 			}

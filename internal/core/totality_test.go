@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/db"
 	"repro/internal/domain"
 	"repro/internal/logic"
 	"repro/internal/query"
+	"repro/internal/runcfg"
 	"repro/internal/traces"
 	"repro/internal/turing"
 )
@@ -47,7 +50,7 @@ func TestEquivalenceSentenceShape(t *testing.T) {
 func TestTheorem31Verification(t *testing.T) {
 	busy := turing.Encode(turing.BusyWork(1))
 	halt := turing.Encode(turing.HaltImmediately())
-	ok, err := VerifyTotality(busy, characterization(busy))
+	ok, err := VerifyTotality(context.Background(), busy, characterization(busy))
 	if err != nil {
 		t.Fatalf("VerifyTotality: %v", err)
 	}
@@ -55,15 +58,44 @@ func TestTheorem31Verification(t *testing.T) {
 		t.Errorf("equivalent candidate should certify the machine")
 	}
 	// A candidate characterizing a different machine is not equivalent.
-	ok, err = VerifyTotality(busy, characterization(halt))
+	ok, err = VerifyTotality(context.Background(), busy, characterization(halt))
 	if err != nil {
 		t.Fatalf("VerifyTotality: %v", err)
 	}
 	if ok {
 		t.Errorf("candidate for a different machine must not certify")
 	}
-	if _, err := VerifyTotality("junk", characterization(busy)); err == nil {
+	if _, err := VerifyTotality(context.Background(), "junk", characterization(busy)); err == nil {
 		t.Errorf("bad machine word accepted")
+	}
+}
+
+// TestVerifyTotalityContext: the decision runs under the caller's context.
+// A done context stops it before any work, a repeated sentence is a hit of
+// the one decision cache, and NoCache decides it afresh without counting.
+func TestVerifyTotalityContext(t *testing.T) {
+	busy := turing.Encode(turing.BusyWork(1))
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := VerifyTotality(cancelled, busy, characterization(busy)); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled context: err %v, want %v", err, context.Canceled)
+	}
+	for _, cfg := range []runcfg.Config{{}, {NoCache: true}} {
+		ctx := runcfg.With(context.Background(), cfg)
+		if _, err := VerifyTotality(ctx, busy, characterization(busy)); err != nil {
+			t.Fatal(err)
+		}
+		ctx, n := runcfg.WithCounts(ctx)
+		if ok, err := VerifyTotality(ctx, busy, characterization(busy)); err != nil || !ok {
+			t.Fatalf("%+v: repeated verification: %v %v", cfg, ok, err)
+		}
+		want := int64(1)
+		if cfg.NoCache {
+			want = 0
+		}
+		if hits, misses := n.CacheHits.Load(), n.CacheMisses.Load(); hits != want || misses != 0 {
+			t.Errorf("%+v: repeated verification counted %d hits and %d misses, want %d and 0", cfg, hits, misses, want)
+		}
 	}
 }
 
@@ -88,7 +120,7 @@ func TestTheorem31SyntaxMissesFiniteQuery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Enumerate(%d): %v", r, err)
 		}
-		ok, err := VerifyTotality(busy, cand)
+		ok, err := VerifyTotality(context.Background(), busy, cand)
 		if err != nil {
 			t.Fatalf("VerifyTotality on member %d (%v): %v", r, cand, err)
 		}
@@ -112,7 +144,7 @@ func TestEnumerateTotal(t *testing.T) {
 		characterization(busy),
 		characterization(halt),
 	}
-	certs, err := EnumerateTotal([]string{busy, halt, loop}, candidates)
+	certs, err := EnumerateTotal(context.Background(), []string{busy, halt, loop}, candidates)
 	if err != nil {
 		t.Fatalf("EnumerateTotal: %v", err)
 	}
