@@ -47,12 +47,15 @@ docs-api:
 docs-api-check:
 	$(GO) run scripts/apidocgen.go -check
 
-# trace-demo records the E1 experiment (enumeration over the Presburger
-# domain) with the flight recorder armed and writes a Chrome trace —
-# load trace-e1.json in https://ui.perfetto.dev or chrome://tracing.
+# trace-demo records the E1 experiment (the §1.1 enumeration) with the
+# flight recorder armed and writes a Chrome trace — load trace-e1.json in
+# https://ui.perfetto.dev or chrome://tracing. It runs over nless, where
+# the §1.1 loop asks the Cooper decider, so each row's span holds the
+# Cooper eliminations it cost; over presburger one automaton answers the
+# whole enumeration and the trace shows no Cooper span.
 trace-demo:
 	$(GO) run ./cmd/finq -trace-out trace-e1.json eval \
-		-domain presburger -mode enumerate -rows 32 \
+		-domain nless -mode enumerate -rows 32 \
 		-state testdata/e1_state.json "exists y. (R(y) & lt(x, y))"
 	@echo "wrote trace-e1.json"
 

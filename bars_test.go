@@ -327,15 +327,15 @@ var loops = [][]bar{
 	{
 		{"compiled rows/s", "e1-sparse/default", "", "rows/s", 436, 0},
 		{"default presburger path allocs/op", "e1-sparse/default", "", "allocs/op", 0, 5796},
-		{"E3 finitization, 1 variable: allocs/op", "e3-finitize-1/default", "", "allocs/op", 0, 13300},
-		{"E3 finitization, 2 variables: allocs/op", "e3-finitize-2/default", "", "allocs/op", 0, 45900},
-		{"E3 finitization, 3 variables: allocs/op", "e3-finitize-3/default", "", "allocs/op", 0, 120000},
-		{"E4 finite query: allocs/op", "e4-finite/default", "", "allocs/op", 0, 11000},
-		{"E4 infinite query: allocs/op", "e4-infinite/default", "", "allocs/op", 0, 6500},
-		{"E4 join: allocs/op", "e4-join/default", "", "allocs/op", 0, 100000},
-		{"E4 finite query, nless: allocs/op", "e4-finite-nless/default", "", "allocs/op", 0, 11000},
-		{"E4 infinite query, nless: allocs/op", "e4-infinite-nless/default", "", "allocs/op", 0, 6500},
-		{"E4 join, nless: allocs/op", "e4-join-nless/default", "", "allocs/op", 0, 100000},
+		{"E3 finitization, 1 variable: allocs/op", "e3-finitize-1/default", "", "allocs/op", 0, 1930},
+		{"E3 finitization, 2 variables: allocs/op", "e3-finitize-2/default", "", "allocs/op", 0, 8480},
+		{"E3 finitization, 3 variables: allocs/op", "e3-finitize-3/default", "", "allocs/op", 0, 24600},
+		{"E4 finite query: allocs/op", "e4-finite/default", "", "allocs/op", 0, 1040},
+		{"E4 infinite query: allocs/op", "e4-infinite/default", "", "allocs/op", 0, 828},
+		{"E4 join: allocs/op", "e4-join/default", "", "allocs/op", 0, 10100},
+		{"E4 finite query, nless: allocs/op", "e4-finite-nless/default", "", "allocs/op", 0, 1040},
+		{"E4 infinite query, nless: allocs/op", "e4-infinite-nless/default", "", "allocs/op", 0, 828},
+		{"E4 join, nless: allocs/op", "e4-join-nless/default", "", "allocs/op", 0, 10100},
 		{"E5 N' QE, depth 1: allocs/op", "e5-qe-1/default", "", "allocs/op", 0, 53},
 		{"E5 N' QE, depth 2: allocs/op", "e5-qe-2/default", "", "allocs/op", 0, 111},
 		{"E5 N' QE, depth 3: allocs/op", "e5-qe-3/default", "", "allocs/op", 0, 166},
@@ -347,14 +347,14 @@ var loops = [][]bar{
 		{"E8 totality sentence: allocs/op", "e8-totality/nocache", "", "allocs/op", 0, 213},
 		{"E9 halting reduction: allocs/op", "e9-halts/default", "", "allocs/op", 0, 50},
 		{"E9 diverging reduction: allocs/op", "e9-diverges/default", "", "allocs/op", 0, 42},
-		{"E15 order, Cooper: allocs/op", "e15-order/cooper", "", "allocs/op", 0, 671},
-		{"E15 parity, Cooper: allocs/op", "e15-parity/cooper", "", "allocs/op", 0, 390},
-		{"E15 linear, Cooper: allocs/op", "e15-linear/cooper", "", "allocs/op", 0, 3160},
-		{"Cooper QE, depth 1: allocs/op", "cooper-qe-1/cooper", "", "allocs/op", 0, 211},
-		{"Cooper QE, depth 2: allocs/op", "cooper-qe-2/cooper", "", "allocs/op", 0, 936},
-		{"Cooper QE, depth 3: allocs/op", "cooper-qe-3/cooper", "", "allocs/op", 0, 2140},
+		{"E15 order, Cooper: allocs/op", "e15-order/cooper", "", "allocs/op", 0, 136},
+		{"E15 parity, Cooper: allocs/op", "e15-parity/cooper", "", "allocs/op", 0, 70},
+		{"E15 linear, Cooper: allocs/op", "e15-linear/cooper", "", "allocs/op", 0, 341},
+		{"Cooper QE, depth 1: allocs/op", "cooper-qe-1/cooper", "", "allocs/op", 0, 38},
+		{"Cooper QE, depth 2: allocs/op", "cooper-qe-2/cooper", "", "allocs/op", 0, 157},
+		{"Cooper QE, depth 3: allocs/op", "cooper-qe-3/cooper", "", "allocs/op", 0, 328},
 		{"trace QE with simplification: allocs/op", "ablate-simplify/default", "", "allocs/op", 0, 540},
-		{"Cooper with boundary dedup: allocs/op", "ablate-dedup/cooper", "", "allocs/op", 0, 1595},
+		{"Cooper with boundary dedup: allocs/op", "ablate-dedup/cooper", "", "allocs/op", 0, 253},
 		{"active-domain grandfather join: allocs/op", "eval-active/default", "", "allocs/op", 0, 631},
 		{"E15 Cooper vs automaton, order", "e15-order/cooper", "e15-order/automaton", "ratio", 0, 0},
 		{"E15 Cooper vs automaton, parity", "e15-parity/cooper", "e15-parity/automaton", "ratio", 0, 0},

@@ -167,7 +167,8 @@ func TestFacadeDecideAndEliminate(t *testing.T) {
 // the shortlex words hand the request context to the elimination, so a
 // sentence whose elimination runs for seconds (and over N< and the words
 // ends on the size bound) stops at a 50 ms deadline with the context's
-// error.
+// error, within deadlineOverrun of it: Cooper polls the context once per
+// disjunct it builds, not only between quantifiers.
 func TestDecidersStopAtDeadline(t *testing.T) {
 	t.Parallel()
 	src := "forall x0. exists x1. exists x2. exists x3. exists x4. exists x5. " +
@@ -181,11 +182,18 @@ func TestDecidersStopAtDeadline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		const deadline = 50 * time.Millisecond
+		ctx, cancel := context.WithTimeout(context.Background(), deadline)
+		start := time.Now()
 		_, err = domain.DecideCtx(ctx, d.Decider, f)
+		took := time.Since(start)
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Errorf("%s: %v, want the deadline", name, err)
+		}
+		t.Logf("%s: stopped after %v", name, took)
+		if bound := deadlineOverrun * deadline; took > bound {
+			t.Errorf("%s: stopped after %v, want within %v", name, took, bound)
 		}
 	}
 }

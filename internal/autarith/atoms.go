@@ -3,9 +3,7 @@ package autarith
 import (
 	"fmt"
 	"math"
-	"math/big"
 	"math/bits"
-	"sort"
 
 	"repro/internal/presburger"
 )
@@ -34,8 +32,6 @@ import (
 // arithmetic (s − a·β over residuals within ±(‖a‖₁ + |b|)) cannot overflow
 // int64.
 const maxMagnitude = 1 << 60
-
-var bigMagnitude = big.NewInt(maxMagnitude)
 
 // maxModulus bounds a divisibility modulus, so that p·(a·β mod d) < d²
 // cannot overflow int64.
@@ -179,27 +175,23 @@ func (b *budget) dvdAtom(l linear, c, d int64) (*DFA, error) {
 // arithmetic.
 func fromLinear(t presburger.LinearTerm) (linear, int64, error) {
 	var l linear
-	for v, c := range t.Coeffs {
-		if c.Sign() != 0 {
-			l.vars = append(l.vars, v)
-		}
-	}
-	sort.Strings(l.vars)
 	norm := int64(0)
-	for _, v := range l.vars {
-		c := t.Coeffs[v]
-		if c.CmpAbs(bigMagnitude) > 0 {
-			return linear{}, 0, fmt.Errorf("%w: coefficient %v", ErrTooLarge, c)
+	for _, c := range t.Coeffs {
+		k, ok := c.K.Int64()
+		if !ok || k < -maxMagnitude || k > maxMagnitude {
+			return linear{}, 0, fmt.Errorf("%w: coefficient %v", ErrTooLarge, c.K)
 		}
-		l.coefs = append(l.coefs, c.Int64())
-		if norm += abs(c.Int64()); norm > maxMagnitude {
+		l.vars = append(l.vars, c.Var)
+		l.coefs = append(l.coefs, k)
+		if norm += abs(k); norm > maxMagnitude {
 			return linear{}, 0, fmt.Errorf("%w: coefficients of %v", ErrTooLarge, t)
 		}
 	}
-	if t.Const.CmpAbs(bigMagnitude) > 0 {
+	c, ok := t.Const.Int64()
+	if !ok || c < -maxMagnitude || c > maxMagnitude {
 		return linear{}, 0, fmt.Errorf("%w: constant %v", ErrTooLarge, t.Const)
 	}
-	return l, t.Const.Int64(), nil
+	return l, c, nil
 }
 
 func abs(x int64) int64 {

@@ -159,7 +159,8 @@ func (b *budget) compileAtom(f *logic.Formula) (*DFA, error) {
 		}
 		// A modulus past maxModulus would overflow the residue arithmetic
 		// (and its automaton would pass the cap anyway).
-		if !k.Const.IsInt64() || k.Const.Int64() > maxModulus {
+		m, ok := k.Const.Int64()
+		if !ok || m > maxModulus {
 			return nil, fmt.Errorf("%w: dvd modulus %v", ErrTooLarge, k.Const)
 		}
 		t, err := presburger.ParseLinear(f.Args[1])
@@ -170,7 +171,7 @@ func (b *budget) compileAtom(f *logic.Formula) (*DFA, error) {
 		if err != nil {
 			return nil, err
 		}
-		return b.dvdAtom(a, c, k.Const.Int64())
+		return b.dvdAtom(a, c, m)
 	}
 	return nil, fmt.Errorf("autarith: unknown predicate %q", f.Pred)
 }

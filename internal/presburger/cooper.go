@@ -2,7 +2,6 @@ package presburger
 
 import (
 	"fmt"
-	"math/big"
 
 	"repro/internal/logic"
 	"repro/internal/obs"
@@ -32,58 +31,77 @@ type qf struct {
 	sub  []*qf
 	kind atomKind
 	t    LinearTerm
-	d    *big.Int
+	d    Num // the modulus of a divisibility atom
 }
 
-func qfTrue() *qf  { return &qf{op: 't'} }
-func qfFalse() *qf { return &qf{op: 'f'} }
+// The constants are shared: no pass modifies a node once built, and a
+// pass that changes nothing returns its input.
+var qfTrue, qfFalse = &qf{op: 't'}, &qf{op: 'f'}
 
-func qfAtom(kind atomKind, t LinearTerm, d *big.Int) *qf {
-	return &qf{op: 'a', kind: kind, t: t, d: d}
+// qfAtom builds an atom, evaluating a ground one and normalizing
+// divisibility by ±1.
+func qfAtom(kind atomKind, t LinearTerm, d Num) *qf {
+	var holds bool
+	switch {
+	case kind == atomLt && t.IsConst():
+		holds = t.Const.Sign() < 0
+	case kind != atomLt && d.Abs().Cmp(NumOf(1)) == 0:
+		holds = kind == atomDvd
+	case kind != atomLt && t.IsConst():
+		holds = (t.Const.Mod(d).Sign() == 0) == (kind == atomDvd)
+	default:
+		return &qf{op: 'a', kind: kind, t: t, d: d}
+	}
+	if holds {
+		return qfTrue
+	}
+	return qfFalse
 }
 
-func qfAnd(sub ...*qf) *qf {
-	var flat []*qf
+// qfUnits returns the absorbing and the neutral constant of a junction.
+func qfUnits(op byte) (absorbing, neutral *qf) {
+	if op == '&' {
+		return qfFalse, qfTrue
+	}
+	return qfTrue, qfFalse
+}
+
+func qfAnd(sub ...*qf) *qf { return qfJunction('&', sub) }
+func qfOr(sub ...*qf) *qf  { return qfJunction('|', sub) }
+
+// qfJunction builds the conjunction (op '&') or disjunction ('|') of sub,
+// folding constants and flattening nested junctions of the same kind. It
+// keeps sub when there is nothing to fold, so callers pass a fresh slice.
+func qfJunction(op byte, sub []*qf) *qf {
+	absorbing, neutral := qfUnits(op)
+	flat := sub
 	for _, s := range sub {
 		switch s.op {
-		case 'f':
-			return qfFalse()
-		case 't':
-		case '&':
-			flat = append(flat, s.sub...)
-		default:
-			flat = append(flat, s)
+		case absorbing.op:
+			return absorbing
+		case neutral.op, op:
+			flat = nil
+		}
+	}
+	if flat == nil {
+		flat = make([]*qf, 0, len(sub))
+		for _, s := range sub {
+			switch s.op {
+			case neutral.op:
+			case op:
+				flat = append(flat, s.sub...)
+			default:
+				flat = append(flat, s)
+			}
 		}
 	}
 	switch len(flat) {
 	case 0:
-		return qfTrue()
+		return neutral
 	case 1:
 		return flat[0]
 	}
-	return &qf{op: '&', sub: flat}
-}
-
-func qfOr(sub ...*qf) *qf {
-	var flat []*qf
-	for _, s := range sub {
-		switch s.op {
-		case 't':
-			return qfTrue()
-		case 'f':
-		case '|':
-			flat = append(flat, s.sub...)
-		default:
-			flat = append(flat, s)
-		}
-	}
-	switch len(flat) {
-	case 0:
-		return qfFalse()
-	case 1:
-		return flat[0]
-	}
-	return &qf{op: '|', sub: flat}
+	return &qf{op: op, sub: flat}
 }
 
 // nodes counts formula nodes, for the resource guard.
@@ -95,23 +113,36 @@ func (f *qf) nodes() int {
 	return n
 }
 
-// mapAtoms rebuilds the formula with each atom rewritten.
+// mapAtoms rebuilds the formula with each atom rewritten. A node none of
+// whose atoms changed is returned as it is.
 func (f *qf) mapAtoms(rw func(*qf) *qf) *qf {
 	switch f.op {
 	case 'a':
 		return rw(f)
-	case '&':
-		out := make([]*qf, len(f.sub))
+	case '&', '|':
+		absorbing, neutral := qfUnits(f.op)
+		var out []*qf
 		for i, s := range f.sub {
-			out[i] = s.mapAtoms(rw)
+			g := s.mapAtoms(rw)
+			if out == nil {
+				if g == s {
+					continue
+				}
+				out = make([]*qf, i, len(f.sub))
+				copy(out, f.sub[:i])
+			}
+			switch g.op {
+			case absorbing.op:
+				return absorbing
+			case neutral.op:
+			default:
+				out = append(out, g)
+			}
 		}
-		return qfAnd(out...)
-	case '|':
-		out := make([]*qf, len(f.sub))
-		for i, s := range f.sub {
-			out[i] = s.mapAtoms(rw)
+		if out == nil {
+			return f
 		}
-		return qfOr(out...)
+		return qfJunction(f.op, out)
 	}
 	return f
 }
@@ -132,48 +163,19 @@ func (f *qf) visitAtoms(visit func(*qf)) {
 // simplifies ground atoms.
 func (f *qf) subst(v string, u LinearTerm) *qf {
 	return f.mapAtoms(func(a *qf) *qf {
-		return simplifyAtom(qfAtom(a.kind, a.t.Subst(v, u), a.d))
+		if a.t.Coeff(v).Sign() == 0 {
+			return a
+		}
+		return qfAtom(a.kind, a.t.Subst(v, u), a.d)
 	})
 }
 
-// simplifyAtom evaluates ground atoms and normalizes divisibility by 1.
-func simplifyAtom(a *qf) *qf {
-	switch a.kind {
-	case atomLt:
-		if a.t.IsConst() {
-			if a.t.Const.Sign() < 0 {
-				return qfTrue()
-			}
-			return qfFalse()
-		}
-	case atomDvd, atomNdvd:
-		if a.d.CmpAbs(big.NewInt(1)) == 0 {
-			if a.kind == atomDvd {
-				return qfTrue()
-			}
-			return qfFalse()
-		}
-		if a.t.IsConst() {
-			m := new(big.Int).Mod(a.t.Const, new(big.Int).Abs(a.d))
-			holds := m.Sign() == 0
-			if a.kind == atomNdvd {
-				holds = !holds
-			}
-			if holds {
-				return qfTrue()
-			}
-			return qfFalse()
-		}
-	}
-	return a
-}
-
 // cooper eliminates ∃x from a canonical quantifier-free formula using
-// Cooper's algorithm (the −∞ / boundary-set version). dedupBounds controls
-// boundary-set deduplication; disabling it (the ablation benchmark) keeps
-// the algorithm correct but multiplies the output by the redundancy of the
-// bound set.
-func cooper(x string, f *qf, dedupBounds bool, maxNodes int) (*qf, error) {
+// Cooper's algorithm (the −∞ / boundary-set version). NoBoundDedup
+// disables boundary-set deduplication, which keeps the algorithm correct
+// but multiplies the output by the redundancy of the bound set. The
+// context is polled once per bound deduplicated and per disjunct built.
+func (e Eliminator) cooper(x string, f *qf) (*qf, error) {
 	sp := obs.StartSpan("qe.presburger.cooper")
 	defer sp.End()
 	mCooperQuantifiers.Inc()
@@ -181,42 +183,26 @@ func cooper(x string, f *qf, dedupBounds bool, maxNodes int) (*qf, error) {
 	// each atom is scaled so its x-coefficient is ±δ, then δx is renamed to
 	// a fresh unit variable constrained by δ | x.
 	stage := sp.Child("unit")
-	delta := big.NewInt(1)
+	one := NumOf(1)
+	delta := one
 	f.visitAtoms(func(a *qf) {
-		c := a.t.Coeff(x)
-		if c.Sign() != 0 {
+		if c := a.t.Coeff(x); c.Sign() != 0 {
 			delta = lcm(delta, c)
 		}
 	})
 	unit := f.mapAtoms(func(a *qf) *qf {
 		c := a.t.Coeff(x)
-		if c.Sign() == 0 {
+		if c.Sign() == 0 || delta.Cmp(one) == 0 {
 			return a
 		}
-		// Scale so the coefficient of x becomes exactly delta (keeping
-		// inequality direction: the factor is positive).
-		factor := new(big.Int).Quo(delta, c)
-		if factor.Sign() < 0 {
-			factor.Neg(factor)
-		}
-		t := a.t.Scale(factor)
-		d := a.d
-		if d != nil {
-			d = new(big.Int).Mul(d, factor)
-		}
-		// Rename delta·x to x with coefficient ±1.
-		c2 := t.Coeff(x)
-		t2 := t.Clone()
-		delete(t2.Coeffs, x)
-		if c2.Sign() > 0 {
-			t2.addCoeff(x, big.NewInt(1))
-		} else {
-			t2.addCoeff(x, big.NewInt(-1))
-		}
-		return simplifyAtom(qfAtom(a.kind, t2, d))
+		// Scale so the coefficient of x becomes exactly ±delta (keeping
+		// inequality direction: the factor is positive), then rename
+		// delta·x to x.
+		factor := delta.Quo(c).Abs()
+		return qfAtom(a.kind, a.t.unit(x, factor), a.d.Mul(factor))
 	})
-	if delta.Cmp(big.NewInt(1)) > 0 {
-		unit = qfAnd(unit, qfAtom(atomDvd, FromVar(x), new(big.Int).Set(delta)))
+	if delta.Cmp(one) > 0 {
+		unit = qfAnd(unit, qfAtom(atomDvd, FromVar(x), delta))
 	}
 	if stage.Traced() {
 		stage.Arg("nodes", int64(unit.nodes()))
@@ -225,7 +211,7 @@ func cooper(x string, f *qf, dedupBounds bool, maxNodes int) (*qf, error) {
 	stage = sp.Child("bounds")
 
 	// Step 2: D = lcm of divisibility moduli involving x.
-	bigD := big.NewInt(1)
+	bigD := one
 	unit.visitAtoms(func(a *qf) {
 		if (a.kind == atomDvd || a.kind == atomNdvd) && a.t.Coeff(x).Sign() != 0 {
 			bigD = lcm(bigD, a.d)
@@ -239,9 +225,9 @@ func cooper(x string, f *qf, dedupBounds bool, maxNodes int) (*qf, error) {
 		}
 		switch a.t.Coeff(x).Sign() {
 		case 1:
-			return qfTrue()
+			return qfTrue
 		case -1:
-			return qfFalse()
+			return qfFalse
 		}
 		return a
 	})
@@ -250,15 +236,16 @@ func cooper(x string, f *qf, dedupBounds bool, maxNodes int) (*qf, error) {
 	var bset []LinearTerm
 	unit.visitAtoms(func(a *qf) {
 		if a.kind == atomLt && a.t.Coeff(x).Sign() < 0 {
-			r := a.t.Clone()
-			delete(r.Coeffs, x)
-			bset = append(bset, r)
+			bset = append(bset, a.t.Subst(x, LinearTerm{}))
 		}
 	})
 	uniq := bset
-	if dedupBounds {
+	if !e.NoBoundDedup {
 		uniq = uniq[:0:0]
 		for _, r := range bset {
+			if err := e.checkCtx(); err != nil {
+				return nil, err
+			}
 			dup := false
 			for _, u := range uniq {
 				if u.Equal(r) {
@@ -277,24 +264,30 @@ func cooper(x string, f *qf, dedupBounds bool, maxNodes int) (*qf, error) {
 	stage.End()
 	hCooperBoundSet.Observe(int64(len(uniq)))
 
-	if !bigD.IsInt64() || bigD.Int64() > 1<<20 {
-		return nil, fmt.Errorf("presburger: divisor lcm %v too large", bigD)
+	n, ok := bigD.Int64()
+	if !ok || n > 1<<20 {
+		return nil, fmt.Errorf("%w: presburger: divisor lcm %v too large", ErrTooLarge, bigD)
 	}
-	n := bigD.Int64()
 
 	// Resource guard, before constructing: the result has
 	// D·(1+|B|) copies of the matrix. Floating point avoids overflow in
 	// the estimate itself.
-	if est := float64(n) * float64(1+len(uniq)) * float64(unit.nodes()); est > float64(maxNodes) {
-		return nil, fmt.Errorf("presburger: elimination of %s would build ~%.0f nodes (Cooper blowup)", x, est)
+	if est := float64(n) * float64(1+len(uniq)) * float64(unit.nodes()); est > float64(e.maxNodes()) {
+		return nil, fmt.Errorf("%w: presburger: elimination of %s would build ~%.0f nodes (Cooper blowup)", ErrTooLarge, x, est)
 	}
 
 	stage = sp.Child("expand")
 	defer stage.End()
 	var disjuncts []*qf
 	for j := int64(1); j <= n; j++ {
-		disjuncts = append(disjuncts, minusInf.subst(x, FromConst(big.NewInt(j))))
+		if err := e.checkCtx(); err != nil {
+			return nil, err
+		}
+		disjuncts = append(disjuncts, minusInf.subst(x, FromConst(NumOf(j))))
 		for _, r := range uniq {
+			if err := e.checkCtx(); err != nil {
+				return nil, err
+			}
 			disjuncts = append(disjuncts, unit.subst(x, r.AddInt(j)))
 		}
 	}
@@ -307,41 +300,30 @@ func cooper(x string, f *qf, dedupBounds bool, maxNodes int) (*qf, error) {
 	return out, nil
 }
 
-func lcm(a, b *big.Int) *big.Int {
-	aa := new(big.Int).Abs(a)
-	bb := new(big.Int).Abs(b)
-	g := new(big.Int).GCD(nil, nil, aa, bb)
-	out := new(big.Int).Mul(aa, bb)
-	return out.Quo(out, g)
-}
-
 // canonicalize converts an NNF quantifier-free logic formula into the
 // internal representation, resolving negations into the three positive atom
-// kinds.
-func canonicalize(f *logic.Formula) (*qf, error) {
+// kinds. It polls the context at each connective, since an intermediate
+// formula can hold hundreds of thousands of nodes.
+func (e Eliminator) canonicalize(f *logic.Formula) (*qf, error) {
 	switch f.Kind {
 	case logic.FTrue:
-		return qfTrue(), nil
+		return qfTrue, nil
 	case logic.FFalse:
-		return qfFalse(), nil
-	case logic.FAnd:
+		return qfFalse, nil
+	case logic.FAnd, logic.FOr:
+		if err := e.checkCtx(); err != nil {
+			return nil, err
+		}
 		out := make([]*qf, len(f.Sub))
 		for i, s := range f.Sub {
-			g, err := canonicalize(s)
+			g, err := e.canonicalize(s)
 			if err != nil {
 				return nil, err
 			}
 			out[i] = g
 		}
-		return qfAnd(out...), nil
-	case logic.FOr:
-		out := make([]*qf, len(f.Sub))
-		for i, s := range f.Sub {
-			g, err := canonicalize(s)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = g
+		if f.Kind == logic.FAnd {
+			return qfAnd(out...), nil
 		}
 		return qfOr(out...), nil
 	case logic.FAtom:
@@ -361,7 +343,7 @@ func canonicalize(f *logic.Formula) (*qf, error) {
 //	a = b   ⟺  a − b < 1 ∧ b − a < 1
 //	¬(a=b)  ⟺  a − b < 0 ∨ b − a < 0
 func canonicalAtom(f *logic.Formula, positive bool) (*qf, error) {
-	lt := func(t LinearTerm) *qf { return simplifyAtom(qfAtom(atomLt, t, nil)) }
+	lt := func(t LinearTerm) *qf { return qfAtom(atomLt, t, Num{}) }
 	switch f.Pred {
 	case logic.EqPred, PredLt, PredLe, PredGt, PredGe:
 		if len(f.Args) != 2 {
@@ -417,43 +399,48 @@ func canonicalAtom(f *logic.Formula, positive bool) (*qf, error) {
 		if !positive {
 			kind = atomNdvd
 		}
-		return simplifyAtom(qfAtom(kind, t, new(big.Int).Set(k.Const))), nil
+		return qfAtom(kind, t, k.Const), nil
 	}
 	return nil, fmt.Errorf("presburger: unknown predicate %q", f.Pred)
 }
 
-// render converts the internal representation back to a logic formula.
-func render(f *qf) *logic.Formula {
+// render converts the internal representation back to a logic formula,
+// polling the context at each connective as canonicalize does.
+func (e Eliminator) render(f *qf) (*logic.Formula, error) {
 	switch f.op {
 	case 't':
-		return logic.True()
+		return logic.True(), nil
 	case 'f':
-		return logic.False()
-	case '&':
+		return logic.False(), nil
+	case '&', '|':
+		if err := e.checkCtx(); err != nil {
+			return nil, err
+		}
 		out := make([]*logic.Formula, len(f.sub))
 		for i, s := range f.sub {
-			out[i] = render(s)
+			g, err := e.render(s)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = g
 		}
-		return logic.And(out...)
-	case '|':
-		out := make([]*logic.Formula, len(f.sub))
-		for i, s := range f.sub {
-			out[i] = render(s)
+		if f.op == '&' {
+			return logic.And(out...), nil
 		}
-		return logic.Or(out...)
+		return logic.Or(out...), nil
 	}
 	switch f.kind {
 	case atomLt:
-		return logic.Atom(PredLt, Render(f.t), logic.Const("0"))
+		return logic.Atom(PredLt, Render(f.t), logic.Const("0")), nil
 	case atomDvd:
-		return logic.Atom(PredDvd, logic.Const(f.d.String()), Render(f.t))
+		return logic.Atom(PredDvd, logic.Const(f.d.String()), Render(f.t)), nil
 	default:
-		return logic.Not(logic.Atom(PredDvd, logic.Const(f.d.String()), Render(f.t)))
+		return logic.Not(logic.Atom(PredDvd, logic.Const(f.d.String()), Render(f.t))), nil
 	}
 }
 
-// evalQF evaluates the internal representation under an integer environment.
-func (f *qf) eval(env map[string]*big.Int) (bool, error) {
+// eval evaluates the internal representation under an integer environment.
+func (f *qf) eval(env map[string]Num) (bool, error) {
 	switch f.op {
 	case 't':
 		return true, nil
@@ -487,8 +474,8 @@ func (f *qf) eval(env map[string]*big.Int) (bool, error) {
 	case atomLt:
 		return val.Sign() < 0, nil
 	case atomDvd:
-		return new(big.Int).Mod(val, f.d).Sign() == 0, nil
+		return val.Mod(f.d).Sign() == 0, nil
 	default:
-		return new(big.Int).Mod(val, f.d).Sign() != 0, nil
+		return val.Mod(f.d).Sign() != 0, nil
 	}
 }

@@ -2,8 +2,8 @@ package presburger
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"math/big"
 	"strconv"
 
 	"repro/internal/deccache"
@@ -37,14 +37,16 @@ type Eliminator struct {
 	MaxNodes int
 
 	// ctx, when set via EliminateCtx/DecideCtx, is polled before each
-	// quantifier elimination so a request-scoped deadline can abandon a
-	// Cooper run between quantifiers rather than wait for the size guard.
+	// quantifier elimination and inside each step: per disjunct Cooper
+	// builds, per bound it deduplicates, and per connective rendered or
+	// canonicalized. So a request-scoped deadline abandons a Cooper run
+	// mid-step rather than wait for the step or the size guard.
 	ctx context.Context
 }
 
 // EliminateCtx implements domain.CtxEliminator: elimination under a
-// context, aborted with the context's error at the next quantifier
-// boundary after cancellation.
+// context, aborted with the context's error at the next poll after
+// cancellation.
 func (e Eliminator) EliminateCtx(ctx context.Context, f *logic.Formula) (*logic.Formula, error) {
 	e.ctx = ctx
 	return e.Eliminate(f)
@@ -137,16 +139,18 @@ func (e Eliminator) elimExists(x string, body *logic.Formula) (*logic.Formula, e
 		// Relativize to ℕ: ∃x∈ℕ φ ⟺ ∃x∈ℤ (x ≥ 0 ∧ φ).
 		body = logic.And(logic.Atom(PredGe, logic.Var(x), logic.Const("0")), body)
 	}
-	g, err := canonicalize(logic.NNF(body))
+	g, err := e.canonicalize(logic.NNF(body))
 	if err != nil {
 		return nil, err
 	}
-	out, err := cooper(x, g, !e.NoBoundDedup, e.maxNodes())
+	out, err := e.cooper(x, g)
 	if err != nil {
-		mCooperBlowups.Inc()
-		return nil, fmt.Errorf("%w: %v", ErrTooLarge, err)
+		if errors.Is(err, ErrTooLarge) {
+			mCooperBlowups.Inc()
+		}
+		return nil, err
 	}
-	return render(out), nil
+	return e.render(out)
 }
 
 // Decide decides a Presburger sentence (over ℕ unless Integers is set):
@@ -159,11 +163,11 @@ func (e Eliminator) Decide(sentence *logic.Formula) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	g, err := canonicalize(logic.NNF(qfFormula))
+	g, err := e.canonicalize(logic.NNF(qfFormula))
 	if err != nil {
 		return false, err
 	}
-	return g.eval(map[string]*big.Int{})
+	return g.eval(nil)
 }
 
 // Equivalent decides whether two formulas with the same free variables

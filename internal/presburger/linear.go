@@ -19,8 +19,6 @@ package presburger
 
 import (
 	"fmt"
-	"math/big"
-	"sort"
 	"strings"
 
 	"repro/internal/logic"
@@ -40,113 +38,140 @@ const (
 )
 
 // LinearTerm is a linear combination of variables plus a constant:
-// Σ coeff_v · v + Const. Coefficient maps hold only nonzero entries.
+// Σ coeff_v · v + Const. Coeffs is sorted by variable and holds only
+// nonzero coefficients. Terms are immutable: operations return new terms
+// that may share their operands' slices, so Coeffs must not be modified.
 type LinearTerm struct {
-	Coeffs map[string]*big.Int
-	Const  *big.Int
+	Coeffs []Coeff
+	Const  Num
 }
 
-// NewLinear returns the zero term.
-func NewLinear() LinearTerm {
-	return LinearTerm{Coeffs: map[string]*big.Int{}, Const: big.NewInt(0)}
+// Coeff is one variable's coefficient in a linear term.
+type Coeff struct {
+	Var string
+	K   Num
 }
 
 // FromConst returns the constant term n.
-func FromConst(n *big.Int) LinearTerm {
-	t := NewLinear()
-	t.Const.Set(n)
-	return t
-}
+func FromConst(n Num) LinearTerm { return LinearTerm{Const: n} }
 
 // FromVar returns the term 1·name.
 func FromVar(name string) LinearTerm {
-	t := NewLinear()
-	t.Coeffs[name] = big.NewInt(1)
-	return t
+	return LinearTerm{Coeffs: []Coeff{{Var: name, K: NumOf(1)}}}
 }
 
-// Clone deep-copies the term.
-func (t LinearTerm) Clone() LinearTerm {
-	out := NewLinear()
-	out.Const.Set(t.Const)
-	for v, c := range t.Coeffs {
-		out.Coeffs[v] = new(big.Int).Set(c)
+// index returns the position of v in t.Coeffs, or -1.
+func (t LinearTerm) index(v string) int {
+	for i, c := range t.Coeffs {
+		if c.Var == v {
+			return i
+		}
 	}
-	return out
+	return -1
 }
 
-// Coeff returns the coefficient of variable v (zero if absent). The result
-// must not be mutated.
-func (t LinearTerm) Coeff(v string) *big.Int {
-	if c, ok := t.Coeffs[v]; ok {
-		return c
+// Coeff returns the coefficient of variable v (zero if absent).
+func (t LinearTerm) Coeff(v string) Num {
+	if i := t.index(v); i >= 0 {
+		return t.Coeffs[i].K
 	}
-	return big.NewInt(0)
+	return Num{}
 }
 
 // IsConst reports whether the term has no variables.
 func (t LinearTerm) IsConst() bool { return len(t.Coeffs) == 0 }
 
 // Add returns t + u.
-func (t LinearTerm) Add(u LinearTerm) LinearTerm {
-	out := t.Clone()
-	out.Const.Add(out.Const, u.Const)
-	for v, c := range u.Coeffs {
-		out.addCoeff(v, c)
-	}
-	return out
-}
+func (t LinearTerm) Add(u LinearTerm) LinearTerm { return t.plus(-1, NumOf(1), u) }
 
 // Sub returns t − u.
-func (t LinearTerm) Sub(u LinearTerm) LinearTerm {
-	return t.Add(u.Scale(big.NewInt(-1)))
-}
+func (t LinearTerm) Sub(u LinearTerm) LinearTerm { return t.plus(-1, NumOf(-1), u) }
 
 // Neg returns −t.
-func (t LinearTerm) Neg() LinearTerm { return t.Scale(big.NewInt(-1)) }
+func (t LinearTerm) Neg() LinearTerm { return t.Scale(NumOf(-1)) }
 
 // Scale returns k·t.
-func (t LinearTerm) Scale(k *big.Int) LinearTerm {
-	out := NewLinear()
-	out.Const.Mul(t.Const, k)
-	if k.Sign() == 0 {
-		return out
+func (t LinearTerm) Scale(k Num) LinearTerm {
+	switch {
+	case k.Sign() == 0:
+		return LinearTerm{}
+	case k.Cmp(NumOf(1)) == 0:
+		return t
 	}
-	for v, c := range t.Coeffs {
-		out.Coeffs[v] = new(big.Int).Mul(c, k)
+	out := make([]Coeff, len(t.Coeffs))
+	for i, c := range t.Coeffs {
+		out[i] = Coeff{Var: c.Var, K: c.K.Mul(k)}
 	}
-	return out
+	return LinearTerm{Coeffs: out, Const: t.Const.Mul(k)}
 }
 
 // AddInt returns t + n.
 func (t LinearTerm) AddInt(n int64) LinearTerm {
-	out := t.Clone()
-	out.Const.Add(out.Const, big.NewInt(n))
-	return out
-}
-
-func (t *LinearTerm) addCoeff(v string, c *big.Int) {
-	cur, ok := t.Coeffs[v]
-	if !ok {
-		cur = big.NewInt(0)
-		t.Coeffs[v] = cur
-	}
-	cur.Add(cur, c)
-	if cur.Sign() == 0 {
-		delete(t.Coeffs, v)
-	}
+	return LinearTerm{Coeffs: t.Coeffs, Const: t.Const.Add(NumOf(n))}
 }
 
 // Subst returns t with variable v replaced by the term u: the v-coefficient
 // times u is folded in.
 func (t LinearTerm) Subst(v string, u LinearTerm) LinearTerm {
-	c, ok := t.Coeffs[v]
-	if !ok {
-		return t.Clone()
+	i := t.index(v)
+	if i < 0 {
+		return t
 	}
-	out := t.Clone()
-	delete(out.Coeffs, v)
-	return out.Add(u.Scale(c))
+	return t.plus(i, t.Coeffs[i].K, u)
+}
+
+// unit returns factor·t with v's coefficient replaced by its sign:
+// Cooper's rename of δ·v to a unit v, where δ is factor·|coefficient|.
+func (t LinearTerm) unit(v string, factor Num) LinearTerm {
+	out := make([]Coeff, len(t.Coeffs))
+	for i, c := range t.Coeffs {
+		k := NumOf(int64(c.K.Sign()))
+		if c.Var != v {
+			k = c.K.Mul(factor)
+		}
+		out[i] = Coeff{Var: c.Var, K: k}
+	}
+	return LinearTerm{Coeffs: out, Const: t.Const.Mul(factor)}
+}
+
+// plus returns t + k·u, leaving out t's coefficient at index skip (none
+// when skip is -1). It merges the two sorted coefficient lists and shares
+// t's when u has no variables.
+func (t LinearTerm) plus(skip int, k Num, u LinearTerm) LinearTerm {
+	c := t.Const.Add(u.Const.Mul(k))
+	n := len(t.Coeffs) + len(u.Coeffs)
+	switch {
+	case len(u.Coeffs) == 0 && skip < 0:
+		return LinearTerm{Coeffs: t.Coeffs, Const: c}
+	case skip >= 0:
+		n--
+	}
+	if n == 0 {
+		return LinearTerm{Const: c}
+	}
+	out := make([]Coeff, 0, n)
+	i, j := 0, 0
+	for i < len(t.Coeffs) || j < len(u.Coeffs) {
+		if i == skip {
+			i++
+			continue
+		}
+		switch {
+		case j == len(u.Coeffs) || i < len(t.Coeffs) && t.Coeffs[i].Var < u.Coeffs[j].Var:
+			out = append(out, t.Coeffs[i])
+			i++
+		case i == len(t.Coeffs) || u.Coeffs[j].Var < t.Coeffs[i].Var:
+			out = append(out, Coeff{Var: u.Coeffs[j].Var, K: u.Coeffs[j].K.Mul(k)})
+			j++
+		default:
+			if s := t.Coeffs[i].K.Add(u.Coeffs[j].K.Mul(k)); s.Sign() != 0 {
+				out = append(out, Coeff{Var: t.Coeffs[i].Var, K: s})
+			}
+			i++
+			j++
+		}
+	}
+	return LinearTerm{Coeffs: out, Const: c}
 }
 
 // Equal reports structural equality.
@@ -154,35 +179,24 @@ func (t LinearTerm) Equal(u LinearTerm) bool {
 	if t.Const.Cmp(u.Const) != 0 || len(t.Coeffs) != len(u.Coeffs) {
 		return false
 	}
-	for v, c := range t.Coeffs {
-		uc, ok := u.Coeffs[v]
-		if !ok || c.Cmp(uc) != 0 {
+	for i, c := range t.Coeffs {
+		if c.Var != u.Coeffs[i].Var || c.K.Cmp(u.Coeffs[i].K) != 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// Vars returns the variables of t in sorted order.
-func (t LinearTerm) Vars() []string {
-	out := make([]string, 0, len(t.Coeffs))
-	for v := range t.Coeffs {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Eval evaluates the term under an integer environment; every variable must
 // be bound.
-func (t LinearTerm) Eval(env map[string]*big.Int) (*big.Int, error) {
-	out := new(big.Int).Set(t.Const)
-	for v, c := range t.Coeffs {
-		val, ok := env[v]
+func (t LinearTerm) Eval(env map[string]Num) (Num, error) {
+	out := t.Const
+	for _, c := range t.Coeffs {
+		val, ok := env[c.Var]
 		if !ok {
-			return nil, fmt.Errorf("presburger: unbound variable %q", v)
+			return Num{}, fmt.Errorf("presburger: unbound variable %q", c.Var)
 		}
-		out.Add(out, new(big.Int).Mul(c, val))
+		out = out.Add(c.K.Mul(val))
 	}
 	return out, nil
 }
@@ -190,41 +204,32 @@ func (t LinearTerm) Eval(env map[string]*big.Int) (*big.Int, error) {
 // String renders the term, e.g. "2*x + y - 3".
 func (t LinearTerm) String() string {
 	var b strings.Builder
-	first := true
-	for _, v := range t.Vars() {
-		c := t.Coeffs[v]
+	one := NumOf(1)
+	for i, c := range t.Coeffs {
+		k := c.K
 		switch {
-		case first:
-			if c.Cmp(big.NewInt(1)) == 0 {
-				b.WriteString(v)
-			} else if c.Cmp(big.NewInt(-1)) == 0 {
-				b.WriteString("-" + v)
-			} else {
-				fmt.Fprintf(&b, "%v*%s", c, v)
-			}
-			first = false
-		case c.Sign() > 0:
-			if c.Cmp(big.NewInt(1)) == 0 {
-				b.WriteString(" + " + v)
-			} else {
-				fmt.Fprintf(&b, " + %v*%s", c, v)
-			}
+		case i == 0 && k.Sign() < 0:
+			b.WriteString("-")
+			k = k.Neg()
+		case i == 0:
+		case k.Sign() > 0:
+			b.WriteString(" + ")
 		default:
-			abs := new(big.Int).Neg(c)
-			if abs.Cmp(big.NewInt(1)) == 0 {
-				b.WriteString(" - " + v)
-			} else {
-				fmt.Fprintf(&b, " - %v*%s", abs, v)
-			}
+			b.WriteString(" - ")
+			k = k.Neg()
 		}
+		if k.Cmp(one) != 0 {
+			b.WriteString(k.String() + "*")
+		}
+		b.WriteString(c.Var)
 	}
 	switch {
-	case first:
+	case len(t.Coeffs) == 0:
 		b.WriteString(t.Const.String())
 	case t.Const.Sign() > 0:
-		fmt.Fprintf(&b, " + %v", t.Const)
+		b.WriteString(" + " + t.Const.String())
 	case t.Const.Sign() < 0:
-		fmt.Fprintf(&b, " - %v", new(big.Int).Neg(t.Const))
+		b.WriteString(" - " + t.Const.Neg().String())
 	}
 	return b.String()
 }
@@ -235,7 +240,7 @@ func ParseLinear(t logic.Term) (LinearTerm, error) {
 	case logic.TVar:
 		return FromVar(t.Name), nil
 	case logic.TConst:
-		n, ok := new(big.Int).SetString(t.Name, 10)
+		n, ok := parseNum(t.Name)
 		if !ok {
 			return LinearTerm{}, fmt.Errorf("presburger: constant %q is not a numeral", t.Name)
 		}
@@ -295,13 +300,12 @@ func ParseLinear(t logic.Term) (LinearTerm, error) {
 
 // Render converts a linear term back to a logic term (a right-nested sum).
 func Render(t LinearTerm) logic.Term {
-	var parts []logic.Term
-	for _, v := range t.Vars() {
-		c := t.Coeffs[v]
-		if c.Cmp(big.NewInt(1)) == 0 {
-			parts = append(parts, logic.Var(v))
+	parts := make([]logic.Term, 0, len(t.Coeffs)+1)
+	for _, c := range t.Coeffs {
+		if c.K.Cmp(NumOf(1)) == 0 {
+			parts = append(parts, logic.Var(c.Var))
 		} else {
-			parts = append(parts, logic.App(FuncMul, logic.Const(c.String()), logic.Var(v)))
+			parts = append(parts, logic.App(FuncMul, logic.Const(c.K.String()), logic.Var(c.Var)))
 		}
 	}
 	if t.Const.Sign() != 0 || len(parts) == 0 {

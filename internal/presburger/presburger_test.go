@@ -1,8 +1,8 @@
 package presburger
 
 import (
-	"math/big"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/domain"
@@ -13,7 +13,7 @@ import (
 type dval = domain.Value
 
 func lt(a, b logic.Term) *logic.Formula { return logic.Atom(PredLt, a, b) }
-func num(n int64) logic.Term            { return logic.Const(big.NewInt(n).String()) }
+func num(n int64) logic.Term            { return logic.Const(strconv.FormatInt(n, 10)) }
 func add(a, b logic.Term) logic.Term    { return logic.App(FuncAdd, a, b) }
 func mul(k int64, t logic.Term) logic.Term {
 	return logic.App(FuncMul, num(k), t)
@@ -40,11 +40,11 @@ func decideInt(t *testing.T, f *logic.Formula) bool {
 func TestLinearTermOps(t *testing.T) {
 	x := FromVar("x")
 	y := FromVar("y")
-	s := x.Scale(big.NewInt(2)).Add(y).AddInt(3)
+	s := x.Scale(NumOf(2)).Add(y).AddInt(3)
 	if got := s.String(); got != "2*x + y + 3" {
 		t.Errorf("String = %q", got)
 	}
-	if s.Coeff("x").Int64() != 2 || s.Coeff("z").Sign() != 0 {
+	if s.Coeff("x") != NumOf(2) || s.Coeff("z").Sign() != 0 {
 		t.Errorf("Coeff wrong")
 	}
 	d := s.Sub(s)
@@ -53,17 +53,17 @@ func TestLinearTermOps(t *testing.T) {
 	}
 	// Substitution: (2x + y + 3)[x := y + 1] = 3y + 5.
 	u := s.Subst("x", y.AddInt(1))
-	want := y.Scale(big.NewInt(3)).AddInt(5)
+	want := y.Scale(NumOf(3)).AddInt(5)
 	if !u.Equal(want) {
 		t.Errorf("Subst = %v, want %v", u, want)
 	}
 	// Eval.
-	env := map[string]*big.Int{"x": big.NewInt(10), "y": big.NewInt(1)}
+	env := map[string]Num{"x": NumOf(10), "y": NumOf(1)}
 	v, err := s.Eval(env)
-	if err != nil || v.Int64() != 24 {
+	if err != nil || v != NumOf(24) {
 		t.Errorf("Eval = %v, %v", v, err)
 	}
-	if _, err := s.Eval(map[string]*big.Int{}); err == nil {
+	if _, err := s.Eval(map[string]Num{}); err == nil {
 		t.Errorf("unbound eval should fail")
 	}
 }
@@ -74,7 +74,7 @@ func TestParseLinear(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseLinear: %v", err)
 	}
-	want := FromVar("x").Scale(big.NewInt(3)).Add(FromVar("y")).AddInt(-4)
+	want := FromVar("x").Scale(NumOf(3)).Add(FromVar("y")).AddInt(-4)
 	if !lin.Equal(want) {
 		t.Errorf("got %v, want %v", lin, want)
 	}
@@ -90,7 +90,7 @@ func TestParseLinear(t *testing.T) {
 	}
 	// Negative numerals are fine (internal ℤ representation).
 	lin, err = ParseLinear(num(-7))
-	if err != nil || lin.Const.Int64() != -7 {
+	if err != nil || lin.Const != NumOf(-7) {
 		t.Errorf("negative numeral: %v %v", lin, err)
 	}
 }
@@ -99,16 +99,13 @@ func TestRenderRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	vars := []string{"x", "y", "z"}
 	for i := 0; i < 200; i++ {
-		lin := NewLinear()
+		var lin LinearTerm
 		for _, v := range vars {
 			if rng.Intn(2) == 0 {
-				lin.Coeffs[v] = big.NewInt(int64(rng.Intn(9) - 4))
-				if lin.Coeffs[v].Sign() == 0 {
-					delete(lin.Coeffs, v)
-				}
+				lin = lin.Add(FromVar(v).Scale(NumOf(int64(rng.Intn(9) - 4))))
 			}
 		}
-		lin.Const = big.NewInt(int64(rng.Intn(21) - 10))
+		lin.Const = NumOf(int64(rng.Intn(21) - 10))
 		back, err := ParseLinear(Render(lin))
 		if err != nil {
 			t.Fatalf("round trip of %v: %v", lin, err)
@@ -207,6 +204,31 @@ func TestEliminateQuantifierFree(t *testing.T) {
 		sentence := logic.Subst(g, "y", num(y))
 		if !decideNat(t, sentence) {
 			t.Errorf("y=%d: eliminated formula false, want true", y)
+		}
+	}
+}
+
+// TestCooperLeavesInputAlone: Cooper's output shares nodes and term
+// slices with its input, so an elimination, and a further pass over its
+// output, must not write into the input.
+func TestCooperLeavesInputAlone(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	e := Eliminator{}
+	for i := 0; i < 200; i++ {
+		g, err := e.canonicalize(logic.NNF(randPresburgerBody(rng, 2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, _ := e.render(g)
+		out, err := e.cooper("x", g)
+		if err != nil {
+			continue
+		}
+		if r, _ := e.render(out.subst("y", FromConst(NumOf(3)))); r.HasFreeVar("y") {
+			t.Fatalf("y left after substituting it: %v", r)
+		}
+		if after, _ := e.render(g); after.String() != before.String() {
+			t.Fatalf("cooper changed its input:\n before %v\n after  %v", before, after)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package presburger
 
 import (
-	"math/big"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -15,26 +14,23 @@ type genLinear struct {
 
 // Generate implements quick.Generator.
 func (genLinear) Generate(rng *rand.Rand, size int) reflect.Value {
-	t := NewLinear()
+	var t LinearTerm
 	for _, v := range []string{"x", "y", "z"} {
 		if rng.Intn(2) == 0 {
-			c := int64(rng.Intn(21) - 10)
-			if c != 0 {
-				t.Coeffs[v] = big.NewInt(c)
-			}
+			t = t.Add(FromVar(v).Scale(NumOf(int64(rng.Intn(21) - 10))))
 		}
 	}
-	t.Const = big.NewInt(int64(rng.Intn(41) - 20))
+	t.Const = NumOf(int64(rng.Intn(41) - 20))
 	return reflect.ValueOf(genLinear{T: t})
 }
 
 var quickCfg = &quick.Config{MaxCount: 300}
 
-func randEnv(rng *rand.Rand) map[string]*big.Int {
-	return map[string]*big.Int{
-		"x": big.NewInt(int64(rng.Intn(41) - 20)),
-		"y": big.NewInt(int64(rng.Intn(41) - 20)),
-		"z": big.NewInt(int64(rng.Intn(41) - 20)),
+func randEnv(rng *rand.Rand) map[string]Num {
+	return map[string]Num{
+		"x": NumOf(int64(rng.Intn(41) - 20)),
+		"y": NumOf(int64(rng.Intn(41) - 20)),
+		"z": NumOf(int64(rng.Intn(41) - 20)),
 	}
 }
 
@@ -75,7 +71,7 @@ func TestQuickSubIsAddNeg(t *testing.T) {
 // TestQuickScaleDistributes: k(a+b) = ka + kb.
 func TestQuickScaleDistributes(t *testing.T) {
 	prop := func(a, b genLinear, kRaw int8) bool {
-		k := big.NewInt(int64(kRaw % 7))
+		k := NumOf(int64(kRaw % 7))
 		return a.T.Add(b.T).Scale(k).Equal(a.T.Scale(k).Add(b.T.Scale(k)))
 	}
 	if err := quick.Check(prop, quickCfg); err != nil {
@@ -100,7 +96,7 @@ func TestQuickEvalHomomorphism(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return vsum.Cmp(new(big.Int).Add(va, vb)) == 0
+		return vsum.Cmp(va.Add(vb)) == 0
 	}
 	if err := quick.Check(prop, quickCfg); err != nil {
 		t.Error(err)
@@ -119,7 +115,7 @@ func TestQuickSubstEval(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		env2 := map[string]*big.Int{"x": vb, "y": env["y"], "z": env["z"]}
+		env2 := map[string]Num{"x": vb, "y": env["y"], "z": env["z"]}
 		va, err := a.T.Eval(env2)
 		if err != nil {
 			return false
@@ -146,14 +142,30 @@ func TestQuickRenderParseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQuickCloneIndependence: mutating a clone leaves the original alone.
-func TestQuickCloneIndependence(t *testing.T) {
-	prop := func(a genLinear) bool {
-		before := a.T.String()
-		c := a.T.Clone()
-		c.Const.Add(c.Const, big.NewInt(1))
-		c.addCoeff("x", big.NewInt(5))
-		return a.T.String() == before
+// TestQuickImmutable: terms share their coefficient slices, so no
+// operation may write into an operand. After every operation, and further
+// operations on the results, the operands and the results print as before.
+func TestQuickImmutable(t *testing.T) {
+	prop := func(a, b genLinear, kRaw int8) bool {
+		k := NumOf(int64(kRaw % 7))
+		terms := []LinearTerm{
+			a.T, b.T, a.T.Add(b.T), a.T.Sub(b.T), a.T.Scale(k), a.T.Subst("x", b.T),
+			b.T.Subst("y", a.T), a.T.AddInt(5), a.T.Neg(), a.T.unit("x", NumOf(3)),
+		}
+		before := make([]string, len(terms))
+		for i, u := range terms {
+			before[i] = u.String()
+		}
+		var more []LinearTerm
+		for _, u := range terms {
+			more = append(more, u.Add(b.T).AddInt(1).Scale(NumOf(2)).Subst("z", a.T), u.unit("y", NumOf(2)).Sub(a.T))
+		}
+		for i, u := range terms {
+			if u.String() != before[i] {
+				return false
+			}
+		}
+		return len(more) == 2*len(terms)
 	}
 	if err := quick.Check(prop, quickCfg); err != nil {
 		t.Error(err)
