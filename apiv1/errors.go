@@ -61,8 +61,9 @@ const (
 	// was shed with 429. Retry with backoff.
 	CodeOverCapacity = "over_capacity"
 	// CodeDeadline: the per-request or per-batch deadline expired before
-	// the work ran (batch items past the cutoff; the safety analysis
-	// timeout).
+	// the work finished: a 503 when it stopped a decision, an elimination
+	// or a safety analysis (an evaluation it stops answers with the rows
+	// found so far instead), and batch items past the cutoff.
 	CodeDeadline = "deadline"
 	// CodeClientGone: the client disconnected while the request was
 	// queued or streaming; nobody is listening for the answer.

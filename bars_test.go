@@ -44,7 +44,6 @@ import (
 	apiclient "repro/client"
 	"repro/internal/autarith"
 	"repro/internal/deccache"
-	"repro/internal/domain"
 	"repro/internal/loadgen"
 	"repro/internal/obs"
 	"repro/internal/obs/logctx"
@@ -484,17 +483,17 @@ func newOp(t testing.TB, r row, p string, window time.Duration) func() (any, err
 		dec := d.Decider
 		switch p {
 		case "automaton":
-			return func() (any, error) { return autarith.Decide(f) }
+			return func() (any, error) { return autarith.Decide(ctx, f) }
 		case "no-dedup":
 			dec = presburger.Eliminator{NoBoundDedup: true}
 		}
-		return func() (any, error) { return domain.DecideCtx(ctx, dec, f) }
+		return func() (any, error) { return dec.Decide(ctx, f) }
 	case "qe":
 		elim := d.Eliminator
 		if p == "no-simplify" {
 			elim = traces.Eliminator{NoIntermediateSimplify: true}
 		}
-		return func() (any, error) { return domain.EliminateCtx(ctx, elim, f) }
+		return func() (any, error) { return elim.Eliminate(ctx, f) }
 	case "safety":
 		return func() (any, error) { return finq.RelativeSafety(d, st, f) }
 	case "totality":

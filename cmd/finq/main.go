@@ -23,7 +23,6 @@ import (
 
 	finq "repro"
 	"repro/internal/cliutil"
-	"repro/internal/domain"
 	"repro/internal/obs/qstats"
 	"repro/internal/runcfg"
 )
@@ -192,7 +191,7 @@ func runDecide(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	v, err := domain.DecideCtx(ctx, d.Decider, f)
+	v, err := finq.Decide(ctx, d, f)
 	if err != nil {
 		return err
 	}

@@ -10,7 +10,6 @@ import (
 
 	finq "repro"
 	"repro/internal/algebra"
-	"repro/internal/domain"
 	"repro/internal/obs/qstats"
 	"repro/internal/obs/trace"
 )
@@ -203,7 +202,7 @@ func replCommand(ctx context.Context, d finq.DomainInfo, st *finq.State, cmd, re
 		if err != nil {
 			return err
 		}
-		g, err := finq.Eliminate(d, f)
+		g, err := finq.Eliminate(ctx, d, f)
 		if err != nil {
 			return err
 		}
@@ -214,7 +213,7 @@ func replCommand(ctx context.Context, d finq.DomainInfo, st *finq.State, cmd, re
 		if err != nil {
 			return err
 		}
-		v, err := domain.DecideCtx(ctx, d.Decider, f)
+		v, err := finq.Decide(ctx, d, f)
 		if err != nil {
 			return err
 		}

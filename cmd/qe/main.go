@@ -16,7 +16,6 @@ import (
 
 	finq "repro"
 	"repro/internal/cliutil"
-	"repro/internal/domain"
 	"repro/internal/obs"
 	"repro/internal/runcfg"
 )
@@ -59,13 +58,14 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	g, err := finq.Eliminate(d, f)
+	ctx := runcfg.With(context.Background(), run)
+	g, err := finq.Eliminate(ctx, d, f)
 	if err != nil {
 		fail(err)
 	}
 	fmt.Println(g)
 	if g.Sentence() && g.QuantifierFree() {
-		v, err := domain.DecideCtx(runcfg.With(context.Background(), run), d.Decider, f)
+		v, err := finq.Decide(ctx, d, f)
 		if err != nil {
 			fail(err)
 		}

@@ -63,7 +63,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fourth, err := finq.Decide(d, f)
+	fourth, err := finq.Decide(context.Background(), d, f)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,6 +18,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	db := finrep.NewDatabase(presburger.Domain{}, presburger.Decider(), presburger.Eliminator{})
 
 	// Even(x) ⟺ 2 | x — an infinite relation, stored as one atom.
@@ -42,7 +44,7 @@ func main() {
 
 	// Membership in an infinite relation.
 	for _, n := range []int64{41, 42} {
-		in, err := db.Member(logic.Atom("Even", logic.Var("x")),
+		in, err := db.Member(ctx, logic.Atom("Even", logic.Var("x")),
 			map[string]domain.Value{"x": domain.Int(n)})
 		if err != nil {
 			log.Fatal(err)
@@ -56,7 +58,7 @@ func main() {
 		logic.Exists("hi", logic.And(
 			logic.Atom("Window", logic.Var("lo"), logic.Var("hi")),
 			logic.Atom("Even", logic.Var("hi"))))))
-	v, err := db.Fact(fact)
+	v, err := db.Fact(ctx, fact)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,7 +70,7 @@ func main() {
 		logic.Exists("hi", logic.Atom("Window", logic.Var("x"), logic.Var("hi"))),
 		logic.Atom(presburger.PredLt, logic.Var("x"), logic.Const("9")))
 	for name, q := range map[string]*logic.Formula{"Even(x)": q1, "even x < 9 with a window": q2} {
-		fin, err := db.Finite(q)
+		fin, err := db.Finite(ctx, q)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -76,7 +78,7 @@ func main() {
 	}
 
 	// Finite answers materialize; infinite ones are refused by design.
-	rows, err := db.Materialize(q2, presburger.Domain{}, 10000)
+	rows, err := db.Materialize(ctx, q2, presburger.Domain{}, 10000)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -85,13 +87,13 @@ func main() {
 		fmt.Printf("%v ", r["x"])
 	}
 	fmt.Println()
-	if _, err := db.Materialize(q1, presburger.Domain{}, 100); err != nil {
+	if _, err := db.Materialize(ctx, q1, presburger.Domain{}, 100); err != nil {
 		fmt.Println("materializing Even(x):", err)
 	}
 
 	// The representation of an answer is itself a stored relation: the los
 	// whose window contains an even hi, as a quantifier-free formula.
-	rep, err := db.Representation(logic.Exists("hi", logic.And(
+	rep, err := db.Representation(ctx, logic.Exists("hi", logic.And(
 		logic.Atom("Window", logic.Var("lo"), logic.Var("hi")),
 		logic.Atom("Even", logic.Var("hi")))))
 	if err != nil {

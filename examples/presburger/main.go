@@ -36,7 +36,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		v, err := finq.Decide(d, f)
+		v, err := finq.Decide(context.Background(), d, f)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	g, err := finq.Eliminate(d, f)
+	g, err := finq.Eliminate(context.Background(), d, f)
 	if err != nil {
 		log.Fatal(err)
 	}

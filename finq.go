@@ -107,7 +107,7 @@ func MustScheme(relations map[string]int, constants ...string) *Scheme {
 func NewState(scheme *Scheme) *State { return db.NewState(scheme) }
 
 // DomainInfo bundles a domain with its decision procedure, quantifier
-// eliminator, enumeration, and parser configuration.
+// eliminator, and parser configuration.
 type DomainInfo struct {
 	// Name identifies the domain: "eq", "nless", "presburger", "nsucc",
 	// or "traces".
@@ -120,8 +120,6 @@ type DomainInfo struct {
 	Decider domain.Decider
 	// Eliminator performs quantifier elimination.
 	Eliminator domain.Eliminator
-	// Enumerator enumerates the universe (nil if unsupported).
-	Enumerator domain.Enumerator
 	// parserOpts classifies identifiers when parsing formulas.
 	parserOpts parser.Options
 }
@@ -148,18 +146,15 @@ func (d DomainInfo) ParseWithConstants(src string, constants ...string) (*Formul
 var registry = []DomainInfo{
 	{
 		Name: "eq", Doc: "infinite domain with equality only",
-		Domain: eqdom.Domain{}, Decider: eqdom.Decider(),
-		Eliminator: eqdom.Eliminator{}, Enumerator: eqdom.Domain{},
+		Domain: eqdom.Domain{}, Decider: eqdom.Decider(), Eliminator: eqdom.Eliminator{},
 	},
 	{
 		Name: "nless", Doc: "natural numbers with <",
-		Domain: nless.Domain{}, Decider: nless.Decider(),
-		Eliminator: nless.Eliminator{}, Enumerator: nless.Domain{},
+		Domain: nless.Domain{}, Decider: nless.Decider(), Eliminator: nless.Eliminator{},
 	},
 	{
 		Name: "presburger", Doc: "natural numbers with <, ≤, +, −, divisibility",
-		Domain: presburger.Domain{}, Decider: presburger.Decider(),
-		Eliminator: presburger.Eliminator{}, Enumerator: presburger.Domain{},
+		Domain: presburger.Domain{}, Decider: presburger.Decider(), Eliminator: presburger.Eliminator{},
 		parserOpts: parser.Options{Functions: map[string]bool{
 			presburger.FuncAdd: true, presburger.FuncSub: true,
 			presburger.FuncMul: true, presburger.FuncNeg: true,
@@ -167,8 +162,7 @@ var registry = []DomainInfo{
 	},
 	{
 		Name: "zless", Doc: "integers with <, +, −, divisibility",
-		Domain: zless.Domain{}, Decider: zless.Decider(),
-		Eliminator: zless.Eliminator(), Enumerator: zless.Domain{},
+		Domain: zless.Domain{}, Decider: zless.Decider(), Eliminator: zless.Eliminator(),
 		parserOpts: parser.Options{Functions: map[string]bool{
 			presburger.FuncAdd: true, presburger.FuncSub: true,
 			presburger.FuncMul: true, presburger.FuncNeg: true,
@@ -176,19 +170,16 @@ var registry = []DomainInfo{
 	},
 	{
 		Name: "nsucc", Doc: "natural numbers with successor (no order)",
-		Domain: nsucc.Domain{}, Decider: nsucc.Decider(),
-		Eliminator: nsucc.Eliminator{}, Enumerator: nsucc.Domain{},
+		Domain: nsucc.Domain{}, Decider: nsucc.Decider(), Eliminator: nsucc.Eliminator{},
 		parserOpts: parser.Options{Functions: nsucc.ParserOptions()},
 	},
 	{
 		Name: "wordlex", Doc: "words over {a,b} with shortlex order",
-		Domain: wordlex.Domain{}, Decider: wordlex.Decider(),
-		Eliminator: wordlex.Eliminator{}, Enumerator: wordlex.Domain{},
+		Domain: wordlex.Domain{}, Decider: wordlex.Decider(), Eliminator: wordlex.Eliminator{},
 	},
 	{
 		Name: "traces", Doc: "the paper's trace domain T (Section 3)",
-		Domain: traces.Domain{}, Decider: traces.Decider(),
-		Eliminator: traces.Eliminator{}, Enumerator: traces.Domain{},
+		Domain: traces.Domain{}, Decider: traces.Decider(), Eliminator: traces.Eliminator{},
 		parserOpts: parser.Options{Functions: traces.ParserOptions()},
 	},
 }
@@ -391,7 +382,7 @@ func evalMode(ctx context.Context, d DomainInfo, st *State, mode EvalMode, req R
 		return packResult(ans, nil, err)
 	case ModeEnumerate:
 		en, ok := d.Domain.(query.Enumerable)
-		if !ok || d.Enumerator == nil {
+		if !ok {
 			return nil, fmt.Errorf("finq: domain %s does not support enumeration", d.Name)
 		}
 		budget := DefaultBudget
@@ -493,14 +484,16 @@ type EnumerationBudget = query.EnumerationBudget
 // DefaultBudget is a budget suitable for interactive use.
 var DefaultBudget = query.DefaultBudget
 
-// Decide decides a pure-domain sentence.
-func Decide(d DomainInfo, sentence *Formula) (bool, error) {
-	return d.Decider.Decide(sentence)
+// Decide decides a pure-domain sentence under ctx's run configuration,
+// stopping with ctx's error once it is done.
+func Decide(ctx context.Context, d DomainInfo, sentence *Formula) (bool, error) {
+	return d.Decider.Decide(ctx, sentence)
 }
 
-// Eliminate returns a quantifier-free equivalent of f over the domain.
-func Eliminate(d DomainInfo, f *Formula) (*Formula, error) {
-	return d.Eliminator.Eliminate(f)
+// Eliminate returns a quantifier-free equivalent of f over the domain,
+// stopping with ctx's error once it is done.
+func Eliminate(ctx context.Context, d DomainInfo, f *Formula) (*Formula, error) {
+	return d.Eliminator.Eliminate(ctx, f)
 }
 
 // SafeRange runs the syntactic range-restriction analysis.
@@ -515,23 +508,25 @@ func Finitize(f *Formula) *Formula { return core.Finitize(f) }
 // RelativeSafety decides (or semi-decides) whether f's answer is finite in
 // state st over the domain: decidable for eq, nless, presburger, and nsucc;
 // a budgeted semi-decision for traces (Theorem 3.3 makes a decider
-// impossible).
+// impossible). It takes no context yet, so its decisions run under one
+// that is never done.
 func RelativeSafety(d DomainInfo, st *State, f *Formula) (Verdict, error) {
+	ctx := context.TODO()
 	switch d.Name {
 	case "eq":
-		finite, err := core.RelativeSafetyEq(st, f)
+		finite, err := core.RelativeSafetyEq(ctx, st, f)
 		return boolVerdict(finite), err
 	case "nless", "presburger":
-		finite, err := core.RelativeSafetyPresburger(st, f)
+		finite, err := core.RelativeSafetyPresburger(ctx, st, f)
 		return boolVerdict(finite), err
 	case "nsucc":
-		finite, err := core.RelativeSafetyNsucc(st, f)
+		finite, err := core.RelativeSafetyNsucc(ctx, st, f)
 		return boolVerdict(finite), err
 	case "zless":
-		finite, err := core.RelativeSafetyIntegers(st, f)
+		finite, err := core.RelativeSafetyIntegers(ctx, st, f)
 		return boolVerdict(finite), err
 	case "wordlex":
-		finite, err := core.RelativeSafetyWordlex(st, f)
+		finite, err := core.RelativeSafetyWordlex(ctx, st, f)
 		return boolVerdict(finite), err
 	case "traces":
 		return core.RelativeSafetyTraces(st, f, core.DefaultTracesBudget)

@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/domain"
 	"repro/internal/obs"
 	"repro/internal/obs/qstats"
 	"repro/internal/plan"
@@ -153,50 +153,60 @@ func TestFacadeDecideAndEliminate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := Decide(d, f)
+	v, err := Decide(context.Background(), d, f)
 	if err != nil || !v {
 		t.Errorf("Decide: %v %v", v, err)
 	}
-	g, err := Eliminate(d, f)
+	g, err := Eliminate(context.Background(), d, f)
 	if err != nil || !g.QuantifierFree() {
 		t.Errorf("Eliminate: %v %v", g, err)
 	}
 }
 
-// TestDecidersStopAtDeadline: the Cooper-backed deciders of N<, ℤ and
-// the shortlex words hand the request context to the elimination, so a
-// sentence whose elimination runs for seconds (and over N< and the words
-// ends on the size bound) stops at a 50 ms deadline with the context's
-// error, within deadlineOverrun of it: Cooper polls the context once per
-// disjunct it builds, not only between quantifiers.
+// TestDecidersStopAtDeadline: the Cooper-backed domains — N<, Presburger
+// arithmetic, ℤ and the shortlex words — hand the caller's context to the
+// elimination, so a sentence whose elimination runs for seconds (and over
+// ℕ and the words ends on the size bound) stops at a 50 ms deadline with
+// the context's error, through Decide and Eliminate alike, within
+// deadlineOverrun of it: Cooper polls the context once per disjunct it
+// builds, not only between quantifiers.
 func TestDecidersStopAtDeadline(t *testing.T) {
 	t.Parallel()
-	src := "forall x0. exists x1. exists x2. exists x3. exists x4. exists x5. " +
-		"(((((lt(x0, x3) | lt(x5, x3)) | (lt(x0, x3) | lt(x5, x0))) | ((lt(x3, x4) & lt(x3, x0)) | (lt(x1, x4) & lt(x2, x1)))) & " +
-		"(((lt(x2, x5) | lt(x3, x2)) & (lt(x0, x4) | lt(x4, x5))) | ((lt(x2, x1) | lt(x3, x1)) & (lt(x1, x4) | lt(x1, x3))))) & " +
-		"((((lt(x0, x3) | lt(x1, x2)) | (lt(x5, x4) & lt(x0, x1))) & ((lt(x2, x4) | lt(x2, x4)) | (lt(x0, x2) & lt(x5, x3)))) & " +
-		"(((lt(x3, x2) | lt(x3, x1)) & (lt(x1, x3) & lt(x3, x4))) | ((lt(x0, x5) | lt(x2, x1)) & (lt(x3, x1) & lt(x5, x4))))))"
-	for _, name := range []string{"nless", "zless", "wordlex"} {
+	src, err := os.ReadFile(deadlineSentence)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"nless", "presburger", "zless", "wordlex"} {
 		d := MustLookup(name)
-		f, err := d.Parse(src)
+		f, err := d.Parse(string(src))
 		if err != nil {
 			t.Fatal(err)
 		}
-		const deadline = 50 * time.Millisecond
-		ctx, cancel := context.WithTimeout(context.Background(), deadline)
-		start := time.Now()
-		_, err = domain.DecideCtx(ctx, d.Decider, f)
-		took := time.Since(start)
-		cancel()
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Errorf("%s: %v, want the deadline", name, err)
-		}
-		t.Logf("%s: stopped after %v", name, took)
-		if bound := deadlineOverrun * deadline; took > bound {
-			t.Errorf("%s: stopped after %v, want within %v", name, took, bound)
+		for _, op := range []string{"Decide", "Eliminate"} {
+			const deadline = 50 * time.Millisecond
+			ctx, cancel := context.WithTimeout(context.Background(), deadline)
+			start := time.Now()
+			if op == "Decide" {
+				_, err = Decide(ctx, d, f)
+			} else {
+				_, err = Eliminate(ctx, d, f)
+			}
+			took := time.Since(start)
+			cancel()
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("%s %s: %v, want the deadline", op, name, err)
+			}
+			t.Logf("%s %s: stopped after %v", op, name, took)
+			if bound := deadlineOverrun * deadline; took > bound {
+				t.Errorf("%s %s: stopped after %v, want within %v", op, name, took, bound)
+			}
 		}
 	}
 }
+
+// deadlineSentence holds a ∀∃⁵ sentence over lt whose Cooper elimination
+// runs for seconds; the deadline tests here and in internal/server read it.
+const deadlineSentence = "testdata/deadline_sentence.txt"
 
 // TestNoQStatsRecordsNoRow: an evaluation whose run configuration sets
 // NoQStats leaves no row in the per-query stats registry; the default

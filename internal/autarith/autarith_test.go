@@ -198,7 +198,7 @@ func TestDecideSentences(t *testing.T) {
 		{logic.Eq(num(2), num(3)), false},
 	}
 	for _, c := range cases {
-		got, err := Decide(c.f)
+		got, err := Decide(context.Background(), c.f)
 		if err != nil {
 			t.Fatalf("Decide(%v): %v", c.f, err)
 		}
@@ -206,7 +206,7 @@ func TestDecideSentences(t *testing.T) {
 			t.Errorf("Decide(%v) = %v, want %v", c.f, got, c.want)
 		}
 	}
-	if _, err := Decide(lt(x, num(1))); err == nil {
+	if _, err := Decide(context.Background(), lt(x, num(1))); err == nil {
 		t.Errorf("open formula accepted")
 	}
 }
@@ -223,11 +223,11 @@ func TestDifferentialAgainstCooper(t *testing.T) {
 	skipped := 0
 	for i := 0; i < 250; i++ {
 		f := randSentence(rng)
-		a, err := Decide(f)
+		a, err := Decide(context.Background(), f)
 		if err != nil {
 			t.Fatalf("autarith: %v (%v)", err, f)
 		}
-		b, err := cooper.Decide(f)
+		b, err := cooper.Decide(context.Background(), f)
 		if err != nil {
 			skipped++
 			continue // Cooper resource guard; the automata verdict stands
@@ -256,7 +256,7 @@ func TestAutomataHandleCooperBlowup(t *testing.T) {
 		logic.Or(
 			logic.Atom(presburger.PredLe, add(mul(2, y), y), add(mul(3, x), add(x, num(5)))),
 			logic.Atom(presburger.PredDvd, num(3), add(mul(1, y), add(y, num(4))))))))
-	v, err := Decide(f)
+	v, err := Decide(context.Background(), f)
 	if err != nil {
 		t.Fatalf("autarith: %v", err)
 	}
@@ -268,7 +268,7 @@ func TestAutomataHandleCooperBlowup(t *testing.T) {
 		t.Fatalf("sentence should be false")
 	}
 	// Cooper with a small guard bails out instead of hanging.
-	if _, err := (presburger.Eliminator{MaxNodes: 50_000}).Decide(f); err == nil {
+	if _, err := (presburger.Eliminator{MaxNodes: 50_000}).Decide(context.Background(), f); err == nil {
 		t.Log("note: Cooper handled the pinned instance within the guard")
 	}
 }

@@ -177,15 +177,16 @@ func (b *budget) compileAtom(f *logic.Formula) (*DFA, error) {
 }
 
 // Decide decides a Presburger sentence over ℕ automata-theoretically,
-// within the same MaxCells cap as Compile.
-func Decide(sentence *logic.Formula) (bool, error) {
-	sp := obs.StartSpan("autarith.decide")
+// within the same MaxCells cap as Compile, and like Compile stops with
+// ctx's error once ctx is done.
+func Decide(ctx context.Context, sentence *logic.Formula) (bool, error) {
+	ctx, sp := obs.StartSpanCtx(ctx, "autarith.decide")
 	defer sp.End()
 	mAutarithDecisions.Inc()
 	if fv := sentence.FreeVars(); len(fv) != 0 {
 		return false, fmt.Errorf("autarith: Decide on open formula (free vars %v)", fv)
 	}
-	d, err := (&budget{}).compile(sentence)
+	d, err := (&budget{ctx: ctx}).compile(sentence)
 	if err != nil {
 		return false, err
 	}

@@ -231,7 +231,7 @@ func TestEquivalentDifferentialAgainstCooper(t *testing.T) {
 		if err != nil {
 			t.Fatalf("autarith Equivalent: %v (%v vs %v)", err, f, g)
 		}
-		b, err := cooper.Equivalent(f, g)
+		b, err := cooper.Equivalent(context.Background(), f, g)
 		if err != nil {
 			skipped++
 			continue

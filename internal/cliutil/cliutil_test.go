@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	finq "repro"
-	"repro/internal/domain"
 	"repro/internal/obs/qstats"
 	"repro/internal/runcfg"
 )
@@ -142,7 +141,7 @@ func TestSetupWiresCacheToggle(t *testing.T) {
 		// finq decide: one decision under the context.
 		sentence := mustParse(t, d, fmt.Sprintf("exists y. lt(%d, y)", 100+i))
 		dctx, n := runcfg.WithCounts(ctx)
-		if v, err := domain.DecideCtx(dctx, d.Decider, sentence); err != nil || !v {
+		if v, err := d.Decider.Decide(dctx, sentence); err != nil || !v {
 			t.Fatalf("decide: %v, %v", v, err)
 		}
 		if cached := n.CacheMisses.Load() == 1; cached == c.off {

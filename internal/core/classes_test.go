@@ -115,7 +115,7 @@ func TestClassSeparations(t *testing.T) {
 		if got := isDomainIndependentProbe(t, st, p.f); got != p.domInd {
 			t.Errorf("%s: domain-independent probe = %v, want %v", p.name, got, p.domInd)
 		}
-		finite, err := RelativeSafetyPresburger(st, p.f)
+		finite, err := RelativeSafetyPresburger(context.Background(), st, p.f)
 		if err != nil {
 			t.Fatalf("%s: relative safety: %v", p.name, err)
 		}
@@ -145,7 +145,7 @@ func TestNaturalMember(t *testing.T) {
 	}
 	inf := parser.MustParse("~R(x)") // infinite answer
 	for v, want := range map[int64]bool{4: false, 5: true, 0: true} {
-		got, err := query.NaturalMember(presburger.Domain{}, presburger.Decider(), st, inf,
+		got, err := query.NaturalMember(context.Background(), presburger.Domain{}, presburger.Decider(), st, inf,
 			map[string]domain.Value{"x": domain.Int(v)})
 		if err != nil {
 			t.Fatalf("NaturalMember: %v", err)
@@ -154,7 +154,7 @@ func TestNaturalMember(t *testing.T) {
 			t.Errorf("¬R(%d) = %v, want %v", v, got, want)
 		}
 	}
-	if _, err := query.NaturalMember(presburger.Domain{}, presburger.Decider(), st, inf,
+	if _, err := query.NaturalMember(context.Background(), presburger.Domain{}, presburger.Decider(), st, inf,
 		map[string]domain.Value{}); err == nil {
 		t.Errorf("missing variable accepted")
 	}

@@ -20,8 +20,8 @@ func ExampleFinitize() {
 	st := db.NewState(db.MustScheme(map[string]int{"R": 1}))
 	_ = st.Insert("R", domain.Int(7))
 
-	before, _ := core.RelativeSafetyPresburger(st, unsafe)
-	after, _ := core.RelativeSafetyPresburger(st, core.Finitize(unsafe))
+	before, _ := core.RelativeSafetyPresburger(context.Background(), st, unsafe)
+	after, _ := core.RelativeSafetyPresburger(context.Background(), st, core.Finitize(unsafe))
 	fmt.Println(before, after)
 	// Output: false true
 }
@@ -63,7 +63,7 @@ func ExampleVerifyTotality() {
 func ExampleRelativeSafetyPresburger() {
 	st := db.NewState(db.MustScheme(map[string]int{"R": 1}))
 	_ = st.Insert("R", domain.Int(3))
-	finite, _ := core.RelativeSafetyPresburger(st,
+	finite, _ := core.RelativeSafetyPresburger(context.Background(), st,
 		logic.Exists("y", logic.And(
 			logic.Atom("R", logic.Var("y")),
 			logic.Atom(presburger.PredLt, logic.Var("x"), logic.Var("y")))))

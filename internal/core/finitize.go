@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"repro/internal/db"
 	"repro/internal/domains/zless"
 	"repro/internal/logic"
@@ -51,14 +53,14 @@ func FinitizeZ(f *logic.Formula) *logic.Formula {
 
 // RelativeSafetyIntegers decides relative safety over (ℤ, <, +, dvd) using
 // the FinitizeZ variant of the Theorem 2.5 criterion.
-func RelativeSafetyIntegers(st *db.State, f *logic.Formula) (bool, error) {
+func RelativeSafetyIntegers(ctx context.Context, st *db.State, f *logic.Formula) (bool, error) {
 	pure, err := query.Translate(zless.Domain{}, st, f)
 	if err != nil {
 		return false, err
 	}
 	fin := FinitizeZ(pure)
 	vars := logic.SortedUnique(append(pure.FreeVars(), fin.FreeVars()...))
-	return presburger.Eliminator{Integers: true}.Decide(
+	return presburger.Eliminator{Integers: true}.Decide(ctx,
 		logic.ForallAll(vars, logic.Iff(pure, fin)))
 }
 

@@ -41,7 +41,7 @@ func TestFact21(t *testing.T) {
 	// (1) The query is finite in every state we try (Theorem 2.5 decider).
 	for _, vals := range [][]int64{{2, 5}, {}, {0}, {10, 20, 30}} {
 		sti := natState(t, "R", vals...)
-		finite, err := RelativeSafetyPresburger(sti, phi)
+		finite, err := RelativeSafetyPresburger(context.Background(), sti, phi)
 		if err != nil {
 			t.Fatalf("RelativeSafetyPresburger: %v", err)
 		}
@@ -119,7 +119,7 @@ func TestTheorem22FinitizationsAreFinite(t *testing.T) {
 		logic.And(logic.Atom("R", x), logic.Atom("R", y)),
 	}
 	for _, f := range formulas {
-		finite, err := RelativeSafetyPresburger(st, Finitize(f))
+		finite, err := RelativeSafetyPresburger(context.Background(), st, Finitize(f))
 		if err != nil {
 			t.Fatalf("RelativeSafetyPresburger(%v): %v", f, err)
 		}
@@ -146,7 +146,7 @@ func TestTheorem22EquivalenceForFiniteQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eq, err := e.Equivalent(pure, Finitize(pure))
+		eq, err := e.Equivalent(context.Background(), pure, Finitize(pure))
 		if err != nil {
 			t.Fatalf("Equivalent: %v", err)
 		}
@@ -160,7 +160,7 @@ func TestTheorem22EquivalenceForFiniteQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eq, err := e.Equivalent(pure, Finitize(pure))
+	eq, err := e.Equivalent(context.Background(), pure, Finitize(pure))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestTheorem25FootnoteExample(t *testing.T) {
 
 	// Two sons of 1: M nonempty, so M(x) ∨ G(x,z) leaves z loose: infinite.
 	withTwin := build([][2]int64{{1, 2}, {1, 3}, {2, 4}})
-	finite, err := RelativeSafetyPresburger(withTwin, disj)
+	finite, err := RelativeSafetyPresburger(context.Background(), withTwin, disj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestTheorem25FootnoteExample(t *testing.T) {
 	}
 	// No two sons: M empty, the disjunction reduces to G: finite.
 	single := build([][2]int64{{1, 2}, {2, 4}})
-	finite, err = RelativeSafetyPresburger(single, disj)
+	finite, err = RelativeSafetyPresburger(context.Background(), single, disj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestTheorem25FootnoteExample(t *testing.T) {
 		t.Errorf("M∨G should be finite when nobody has two sons")
 	}
 	// And the plain complement is always infinite.
-	finite, err = RelativeSafetyPresburger(single, logic.Not(logic.Atom("F", x, y)))
+	finite, err = RelativeSafetyPresburger(context.Background(), single, logic.Not(logic.Atom("F", x, y)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestTheorem25AgainstEnumeration(t *testing.T) {
 	st := natState(t, "R", 1, 4)
 	for i := 0; i < 60; i++ {
 		f := randNatQuery(rng, 2)
-		finite, err := RelativeSafetyPresburger(st, f)
+		finite, err := RelativeSafetyPresburger(context.Background(), st, f)
 		if err != nil {
 			t.Fatalf("decider: %v (%v)", err, f)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/db"
@@ -31,7 +32,7 @@ func TestFinitizeZ(t *testing.T) {
 
 	// x < 4 is infinite over ℤ (unbounded below) though finite over ℕ.
 	below := logic.Atom(presburger.PredLt, x, logic.Const("4"))
-	finite, err := RelativeSafetyIntegers(st, below)
+	finite, err := RelativeSafetyIntegers(context.Background(), st, below)
 	if err != nil {
 		t.Fatalf("RelativeSafetyIntegers: %v", err)
 	}
@@ -40,7 +41,7 @@ func TestFinitizeZ(t *testing.T) {
 	}
 	// The same query over ℕ is finite (the contrast that forces the
 	// modification).
-	finiteNat, err := RelativeSafetyPresburger(st, below)
+	finiteNat, err := RelativeSafetyPresburger(context.Background(), st, below)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestFinitizeZ(t *testing.T) {
 	interval := logic.And(
 		logic.Atom(presburger.PredLt, logic.Const("-10"), x),
 		logic.Atom(presburger.PredLt, x, logic.Const("4")))
-	finite, err = RelativeSafetyIntegers(st, interval)
+	finite, err = RelativeSafetyIntegers(context.Background(), st, interval)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +62,11 @@ func TestFinitizeZ(t *testing.T) {
 	}
 
 	// R(x) is finite; ¬R(x) infinite.
-	finite, err = RelativeSafetyIntegers(st, logic.Atom("R", x))
+	finite, err = RelativeSafetyIntegers(context.Background(), st, logic.Atom("R", x))
 	if err != nil || !finite {
 		t.Errorf("R(x): %v %v", finite, err)
 	}
-	finite, err = RelativeSafetyIntegers(st, logic.Not(logic.Atom("R", x)))
+	finite, err = RelativeSafetyIntegers(context.Background(), st, logic.Not(logic.Atom("R", x)))
 	if err != nil || finite {
 		t.Errorf("¬R(x): %v %v", finite, err)
 	}
@@ -77,7 +78,7 @@ func TestFinitizeZ(t *testing.T) {
 		logic.Not(logic.Atom("R", x)),
 		logic.Eq(x, x),
 	} {
-		finite, err := RelativeSafetyIntegers(st, FinitizeZ(f))
+		finite, err := RelativeSafetyIntegers(context.Background(), st, FinitizeZ(f))
 		if err != nil {
 			t.Fatalf("FinitizeZ relative safety: %v", err)
 		}
@@ -89,7 +90,7 @@ func TestFinitizeZ(t *testing.T) {
 	// The ℕ-style one-sided finitization fails over ℤ: Finitize(x < 4)
 	// keeps the unbounded-below answer (the ∃m bound is satisfied by m=4),
 	// so it is still infinite — the reason the modification is needed.
-	finite, err = RelativeSafetyIntegers(st, Finitize(below))
+	finite, err = RelativeSafetyIntegers(context.Background(), st, Finitize(below))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestFinitizeZEquivalenceForFinite(t *testing.T) {
 		}
 		fin := FinitizeZ(pure)
 		vars := pure.FreeVars()
-		eq, err := e.Decide(logic.ForallAll(vars, logic.Iff(pure, fin)))
+		eq, err := e.Decide(context.Background(), logic.ForallAll(vars, logic.Iff(pure, fin)))
 		if err != nil {
 			t.Fatalf("equivalence: %v", err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -27,11 +28,11 @@ func TestOrderIsomorphismDifferential(t *testing.T) {
 		lexSentence := instantiate(shape, func(n int) logic.Term {
 			return logic.Const(wordlex.WordAt(int64(n)))
 		})
-		nv, err := nless.Decider().Decide(natSentence)
+		nv, err := nless.Decider().Decide(context.Background(), natSentence)
 		if err != nil {
 			t.Fatalf("nless: %v (%v)", err, natSentence)
 		}
-		wv, err := wordlex.Decider().Decide(lexSentence)
+		wv, err := wordlex.Decider().Decide(context.Background(), lexSentence)
 		if err != nil {
 			t.Fatalf("wordlex: %v (%v)", err, lexSentence)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/db"
@@ -57,13 +58,16 @@ func observeSafety(finite bool, err error) (bool, error) {
 // Presburger signature (a decidable extension of N<), by Theorem 2.5's
 // criterion: the query is finite in the state iff its pure translation is
 // equivalent to its finitization.
-func RelativeSafetyPresburger(st *db.State, f *logic.Formula) (bool, error) {
+//
+// This and the other boolean relative-safety procedures decide under ctx
+// and stop with its error once it is done.
+func RelativeSafetyPresburger(ctx context.Context, st *db.State, f *logic.Formula) (bool, error) {
 	defer obs.StartSpan("safety.relative", "domain=presburger").End()
 	pure, err := query.Translate(presburger.Domain{}, st, f)
 	if err != nil {
 		return false, err
 	}
-	return observeSafety(presburger.Eliminator{}.Equivalent(pure, Finitize(pure)))
+	return observeSafety(presburger.Eliminator{}.Equivalent(ctx, pure, Finitize(pure)))
 }
 
 // RelativeSafetyEq decides relative safety over the pure-equality domain by
@@ -73,7 +77,7 @@ func RelativeSafetyPresburger(st *db.State, f *logic.Formula) (bool, error) {
 // satisfying tuple contains the fresh element, that element was arbitrary,
 // so the answer is infinite; otherwise the answer lies inside the active
 // domain and is finite.
-func RelativeSafetyEq(st *db.State, f *logic.Formula) (bool, error) {
+func RelativeSafetyEq(ctx context.Context, st *db.State, f *logic.Formula) (bool, error) {
 	defer obs.StartSpan("safety.relative", "domain=eq").End()
 	dom := eqdom.Domain{}
 	pure, err := query.Translate(dom, st, f)
@@ -112,8 +116,7 @@ func RelativeSafetyEq(st *db.State, f *logic.Formula) (bool, error) {
 			if !usedFresh {
 				return false, nil
 			}
-			v, err := dec.Decide(g)
-			return v, err
+			return dec.Decide(ctx, g)
 		}
 		for _, c := range candidates {
 			sat, err := assign(i+1, usedFresh || freshKeys[c.Name], logic.Subst(g, vars[i], c))
@@ -137,13 +140,13 @@ func RelativeSafetyEq(st *db.State, f *logic.Formula) (bool, error) {
 // constant through its positive equalities. An unpinned variable's
 // component can be translated upward unboundedly, giving infinitely many
 // answers.
-func RelativeSafetyNsucc(st *db.State, f *logic.Formula) (bool, error) {
+func RelativeSafetyNsucc(ctx context.Context, st *db.State, f *logic.Formula) (bool, error) {
 	defer obs.StartSpan("safety.relative", "domain=nsucc").End()
 	pure, err := query.Translate(nsucc.Domain{}, st, f)
 	if err != nil {
 		return false, err
 	}
-	qf, err := nsucc.Eliminator{}.Eliminate(pure)
+	qf, err := nsucc.Eliminator{}.Eliminate(ctx, pure)
 	if err != nil {
 		return false, err
 	}
@@ -153,7 +156,7 @@ func RelativeSafetyNsucc(st *db.State, f *logic.Formula) (bool, error) {
 	}
 	dec := nsucc.Decider()
 	for _, clause := range logic.DNF(qf) {
-		sat, err := dec.Decide(logic.ExistsAll(freeVars, logic.And(clause...)))
+		sat, err := dec.Decide(ctx, logic.ExistsAll(freeVars, logic.And(clause...)))
 		if err != nil {
 			return false, err
 		}
@@ -231,7 +234,7 @@ func pinnedVars(clause []*logic.Formula) (map[string]bool, error) {
 // by carrying the query across the shortlex isomorphism to N< and applying
 // the Theorem 2.5 criterion there — the paper's "the same ideas can be
 // carried out … for strings with lexicographical ordering".
-func RelativeSafetyWordlex(st *db.State, f *logic.Formula) (bool, error) {
+func RelativeSafetyWordlex(ctx context.Context, st *db.State, f *logic.Formula) (bool, error) {
 	defer obs.StartSpan("safety.relative", "domain=wordlex").End()
 	pure, err := query.Translate(wordlex.Domain{}, st, f)
 	if err != nil {
@@ -241,7 +244,7 @@ func RelativeSafetyWordlex(st *db.State, f *logic.Formula) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return observeSafety(presburger.Eliminator{}.Equivalent(nf, Finitize(nf)))
+	return observeSafety(presburger.Eliminator{}.Equivalent(ctx, nf, Finitize(nf)))
 }
 
 // TracesBudget bounds the semi-decision procedures over the trace domain.

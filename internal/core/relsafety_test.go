@@ -51,7 +51,7 @@ func TestRelativeSafetyEq(t *testing.T) {
 	}
 	for _, c := range cases {
 		f := parser.MustParse(c.src)
-		finite, err := RelativeSafetyEq(st, f)
+		finite, err := RelativeSafetyEq(context.Background(), st, f)
 		if err != nil {
 			t.Fatalf("RelativeSafetyEq(%s): %v", c.src, err)
 		}
@@ -72,7 +72,7 @@ func TestRelativeSafetyEqStateSensitivity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	finite, err := RelativeSafetyEq(single, f)
+	finite, err := RelativeSafetyEq(context.Background(), single, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestRelativeSafetyNsucc(t *testing.T) {
 		{logic.Exists("x", logic.Atom("R", x)), true},
 	}
 	for _, c := range cases {
-		finite, err := RelativeSafetyNsucc(st, c.f)
+		finite, err := RelativeSafetyNsucc(context.Background(), st, c.f)
 		if err != nil {
 			t.Fatalf("RelativeSafetyNsucc(%v): %v", c.f, err)
 		}
@@ -226,7 +226,7 @@ func TestTheorem33Semantics(t *testing.T) {
 	dec := traces.Decider()
 	for _, tr := range all {
 		pureF := logic.SubstConst(logic.Subst(f, "x", logic.Const(tr)), DBConst, logic.Const("1"))
-		v, err := dec.Decide(pureF)
+		v, err := dec.Decide(context.Background(), pureF)
 		if err != nil {
 			t.Fatalf("Decide: %v", err)
 		}
@@ -239,7 +239,7 @@ func TestTheorem33Semantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	pureF := logic.SubstConst(logic.Subst(f, "x", logic.Const(foreign)), DBConst, logic.Const("1"))
-	v, err := dec.Decide(pureF)
+	v, err := dec.Decide(context.Background(), pureF)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestRelativeSafetyEnginesAgree(t *testing.T) {
 	for i := 0; i < n; i++ {
 		st := randSafetyState(t, rng)
 		f := randSafetyQuery(rng)
-		got, err := RelativeSafetyPresburger(st, f)
+		got, err := RelativeSafetyPresburger(context.Background(), st, f)
 		if err != nil {
 			skipped++
 			continue

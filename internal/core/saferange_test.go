@@ -83,7 +83,7 @@ func TestSafeRangeImpliesFinite(t *testing.T) {
 		if !SafeRange(scheme, f).Safe {
 			t.Fatalf("sample %s not safe-range", s)
 		}
-		finite, err := RelativeSafetyEq(st, f)
+		finite, err := RelativeSafetyEq(context.Background(), st, f)
 		if err != nil {
 			t.Fatalf("RelativeSafetyEq(%s): %v", s, err)
 		}

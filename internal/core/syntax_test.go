@@ -107,7 +107,7 @@ func TestActiveDomainSyntaxFinite(t *testing.T) {
 	}
 	for _, f := range unsafe {
 		r := Restrict(f, delta)
-		finite, err := RelativeSafetyEq(st, r)
+		finite, err := RelativeSafetyEq(context.Background(), st, r)
 		if err != nil {
 			t.Fatalf("RelativeSafetyEq(%v): %v", r, err)
 		}
@@ -221,7 +221,7 @@ func TestFinitizationSyntaxMembersFinite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		finite, err := RelativeSafetyPresburger(st, member)
+		finite, err := RelativeSafetyPresburger(context.Background(), st, member)
 		if err != nil {
 			t.Fatalf("member %d (%v): %v", i, member, err)
 		}
@@ -272,7 +272,7 @@ func TestNsuccRestrictor(t *testing.T) {
 	// An unsafe formula: its restriction must be finite.
 	unsafe := logic.Not(logic.Atom("R", x))
 	restricted := NsuccRestrictor(scheme, unsafe)
-	finite, err := RelativeSafetyNsucc(st, restricted)
+	finite, err := RelativeSafetyNsucc(context.Background(), st, restricted)
 	if err != nil {
 		t.Fatalf("RelativeSafetyNsucc: %v", err)
 	}
@@ -284,7 +284,7 @@ func TestNsuccRestrictor(t *testing.T) {
 	// the successor-of-a-stored-value query. Restriction preserves answers.
 	f := logic.Exists("y", logic.And(logic.Atom("R", y), logic.Eq(x, sApp(y))))
 	rf := NsuccRestrictor(scheme, f)
-	finite, err = RelativeSafetyNsucc(st, rf)
+	finite, err = RelativeSafetyNsucc(context.Background(), st, rf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,14 +372,14 @@ func TestRelativeSafetyWordlexDirect(t *testing.T) {
 	finiteQ := logic.Exists("y", logic.And(
 		logic.Atom("R", logic.Var("y")),
 		logic.Atom(presburger.PredLt, logic.Var("x"), logic.Var("y"))))
-	finite, err := RelativeSafetyWordlex(st, finiteQ)
+	finite, err := RelativeSafetyWordlex(context.Background(), st, finiteQ)
 	if err != nil {
 		t.Fatalf("RelativeSafetyWordlex: %v", err)
 	}
 	if !finite {
 		t.Errorf("words below a stored word are finitely many")
 	}
-	infinite, err := RelativeSafetyWordlex(st, logic.Not(logic.Atom("R", logic.Var("x"))))
+	infinite, err := RelativeSafetyWordlex(context.Background(), st, logic.Not(logic.Atom("R", logic.Var("x"))))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/db"
-	"repro/internal/domain"
 	"repro/internal/logic"
 	"repro/internal/traces"
 	"repro/internal/turing"
@@ -100,7 +99,7 @@ func VerifyTotality(ctx context.Context, machineWord string, candidate *logic.Fo
 		return false, fmt.Errorf("core: %q is not a machine word", machineWord)
 	}
 	sentence := EquivalenceSentence(TotalityQuery(machineWord), candidate)
-	return domain.DecideCtx(ctx, totalityDecider, sentence)
+	return totalityDecider.Decide(ctx, sentence)
 }
 
 // Certification records one certified-total machine and the witnessing

@@ -192,7 +192,7 @@ func TestTotalityQueryAnswers(t *testing.T) {
 	dec := traces.Decider()
 	want := turing.Traces(m, enc, "1&", 10)
 	for _, tr := range want {
-		v, err := dec.Decide(logic.Subst(pure, "x", logic.Const(tr)))
+		v, err := dec.Decide(context.Background(), logic.Subst(pure, "x", logic.Const(tr)))
 		if err != nil {
 			t.Fatalf("Decide: %v", err)
 		}
@@ -205,7 +205,7 @@ func TestTotalityQueryAnswers(t *testing.T) {
 	for _, tr := range want {
 		conj = append(conj, logic.Neq(logic.Var("x"), logic.Const(tr)))
 	}
-	more, err := dec.Decide(logic.Exists("x", logic.And(conj...)))
+	more, err := dec.Decide(context.Background(), logic.Exists("x", logic.And(conj...)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestTotalityQueryUnary(t *testing.T) {
 	dec := traces.Decider()
 	want := turing.Traces(m, enc, "1", 10)
 	for _, tr := range want {
-		v, err := dec.Decide(logic.Subst(pure, "x", logic.Const(tr)))
+		v, err := dec.Decide(context.Background(), logic.Subst(pure, "x", logic.Const(tr)))
 		if err != nil {
 			t.Fatalf("Decide: %v", err)
 		}
@@ -251,7 +251,7 @@ func TestTotalityQueryUnary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := dec.Decide(logic.Exists("x", pure2))
+	v, err := dec.Decide(context.Background(), logic.Exists("x", pure2))
 	if err != nil {
 		t.Fatal(err)
 	}

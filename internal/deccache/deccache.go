@@ -124,22 +124,16 @@ func WrapDomain(domainName string, inner domain.Decider, capacity int) *Cache {
 // Decide implements domain.Decider: a hit returns the memoized verdict, a
 // miss consults the inner decider and caches the result. Errors are never
 // cached — a failing sentence is re-asked on every call, like an unwrapped
-// decider. Decide runs under no context, so the cache always serves it.
-func (c *Cache) Decide(sentence *logic.Formula) (bool, error) {
-	return c.DecideCtx(nil, sentence)
-}
-
-// DecideCtx implements domain.CtxDecider: the hit path is a map lookup and
-// ignores the context; the miss path hands the context to the inner
-// decider (via domain.DecideCtx, so context-aware deciders can abandon a
-// long-running elimination) and, as with errors, caches nothing when the
-// decision was cut short. Under a context whose runcfg.Config sets
-// NoCache the call passes straight through (no key is built, no stats
-// move); hits and misses count on the context's runcfg.Counts.
-func (c *Cache) DecideCtx(ctx context.Context, sentence *logic.Formula) (bool, error) {
+// decider. The hit path is a map lookup and ignores the context; the miss
+// path hands the context to the inner decider, so a long elimination stops
+// with the context's error, and as with errors caches nothing when the
+// decision was cut short. Under a context whose runcfg.Config sets NoCache
+// the call passes straight through (no key is built, no stats move); hits
+// and misses count on the context's runcfg.Counts.
+func (c *Cache) Decide(ctx context.Context, sentence *logic.Formula) (bool, error) {
 	cfg, n := runcfg.From(ctx)
 	if cfg.NoCache {
-		return domain.DecideCtx(ctx, c.inner, sentence)
+		return c.inner.Decide(ctx, sentence)
 	}
 	ctx, sp := obs.StartSpanCtx(ctx, "deccache.decide")
 	defer sp.End()
@@ -165,7 +159,7 @@ func (c *Cache) DecideCtx(ctx context.Context, sentence *logic.Formula) (bool, e
 		// the inner decider rather than return a wrong verdict.
 		c.mu.Unlock()
 		sp.Arg("hit", 0)
-		return domain.DecideCtx(ctx, c.inner, sentence)
+		return c.inner.Decide(ctx, sentence)
 	}
 	c.misses++
 	c.mu.Unlock()
@@ -176,7 +170,7 @@ func (c *Cache) DecideCtx(ctx context.Context, sentence *logic.Formula) (bool, e
 	}
 	sp.Arg("hit", 0)
 
-	v, err := domain.DecideCtx(ctx, c.inner, sentence)
+	v, err := c.inner.Decide(ctx, sentence)
 	if err != nil {
 		return false, err
 	}

@@ -17,7 +17,7 @@ type countingDecider struct {
 	fail  bool
 }
 
-func (d *countingDecider) Decide(f *logic.Formula) (bool, error) {
+func (d *countingDecider) Decide(_ context.Context, f *logic.Formula) (bool, error) {
 	d.mu.Lock()
 	d.calls++
 	d.mu.Unlock()
@@ -42,12 +42,12 @@ func TestCacheHitOnStructurallyEqualFormula(t *testing.T) {
 	inner := &countingDecider{}
 	c := Wrap(inner, 16)
 	f := atomSentence("P")
-	v1, err := c.Decide(f)
+	v1, err := c.Decide(context.Background(), f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A distinct but structurally equal formula must hit.
-	v2, err := c.Decide(atomSentence("P"))
+	v2, err := c.Decide(context.Background(), atomSentence("P"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestCacheDistinctFormulasDistinctEntries(t *testing.T) {
 	inner := &countingDecider{}
 	c := Wrap(inner, 16)
 	for _, name := range []string{"P", "Q", "R"} {
-		if _, err := c.Decide(atomSentence(name)); err != nil {
+		if _, err := c.Decide(context.Background(), atomSentence(name)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -87,7 +87,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	p, q, r := atomSentence("P"), atomSentence("Q"), atomSentence("R")
 	mustDecide := func(f *logic.Formula) {
 		t.Helper()
-		if _, err := c.Decide(f); err != nil {
+		if _, err := c.Decide(context.Background(), f); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -116,7 +116,7 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	c := Wrap(inner, 16)
 	f := atomSentence("P")
 	for i := 0; i < 2; i++ {
-		if _, err := c.Decide(f); err == nil {
+		if _, err := c.Decide(context.Background(), f); err == nil {
 			t.Fatal("expected forced failure")
 		}
 	}
@@ -137,7 +137,7 @@ func TestCacheDisabledPassesThrough(t *testing.T) {
 	f := atomSentence("P")
 	ctx := runcfg.With(context.Background(), runcfg.Config{NoCache: true})
 	for i := 0; i < 3; i++ {
-		if _, err := c.DecideCtx(ctx, f); err != nil {
+		if _, err := c.Decide(ctx, f); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,7 +173,7 @@ func TestCacheConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				name := fmt.Sprintf("P%d", (g+i)%12) // 12 formulas through capacity 8
 				want := true                         // countingDecider: FExists decides true
-				got, err := c.Decide(atomSentence(name))
+				got, err := c.Decide(context.Background(), atomSentence(name))
 				if err != nil {
 					t.Error(err)
 					return
@@ -209,10 +209,10 @@ func TestDomainCountersAndTally(t *testing.T) {
 
 	ctx, counts := runcfg.WithCounts(context.Background())
 	f := atomSentence("T")
-	if _, err := c.DecideCtx(ctx, f); err != nil {
+	if _, err := c.Decide(ctx, f); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.DecideCtx(ctx, f); err != nil {
+	if _, err := c.Decide(ctx, f); err != nil {
 		t.Fatal(err)
 	}
 	if h, m := counts.CacheHits.Load(), counts.CacheMisses.Load(); h != 1 || m != 1 {

@@ -17,6 +17,7 @@
 package domain
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 
@@ -105,18 +106,24 @@ type Domain interface {
 // Decider decides truth of pure-domain sentences — the paper's second
 // practicality requirement ("decidability of the first-order theory of the
 // domain").
+//
+// Deciders and eliminators take the caller's context and stop with its
+// error once it is done. Nothing else bounds them in general: a Cooper
+// elimination can grow super-exponentially, and over the trace domain a
+// single decision can run unboundedly long (Theorem 3.3 reduces halting to
+// query finiteness).
 type Decider interface {
 	// Decide reports whether the sentence holds in the domain. It is an
 	// error to pass a formula with free variables or with symbols outside
 	// the domain signature.
-	Decide(sentence *logic.Formula) (bool, error)
+	Decide(ctx context.Context, sentence *logic.Formula) (bool, error)
 }
 
 // Eliminator performs quantifier elimination: Eliminate returns a
 // quantifier-free formula equivalent to f over the domain (possibly in an
 // enriched signature, as in the Reach Theory of Traces).
 type Eliminator interface {
-	Eliminate(f *logic.Formula) (*logic.Formula, error)
+	Eliminate(ctx context.Context, f *logic.Formula) (*logic.Formula, error)
 }
 
 // Enumerator enumerates the countable universe: Element(0), Element(1), …
@@ -292,17 +299,65 @@ type QEDecider struct {
 	Interp Interp
 }
 
-// Decide implements Decider.
-func (d QEDecider) Decide(sentence *logic.Formula) (bool, error) {
+// Decide implements Decider. The context reaches the eliminator and is
+// polled again before the ground evaluation of the residue.
+func (d QEDecider) Decide(ctx context.Context, sentence *logic.Formula) (bool, error) {
 	if fv := sentence.FreeVars(); len(fv) != 0 {
 		return false, fmt.Errorf("domain: Decide on open formula (free vars %v)", fv)
 	}
-	qf, err := d.Elim.Eliminate(sentence)
+	qf, err := d.Elim.Eliminate(ctx, sentence)
 	if err != nil {
 		return false, err
 	}
 	if !qf.QuantifierFree() {
 		return false, fmt.Errorf("domain: eliminator left quantifiers in %v", qf)
 	}
+	if err := ctx.Err(); err != nil {
+		return false, err
+	}
 	return EvalQF(d.Interp, Env{}, qf)
+}
+
+// EliminateQuantifiers is the quantifier walk the eliminators share. It
+// eliminates innermost quantifiers first: a quantifier's body is made
+// quantifier-free, then ∃x goes to the domain's exists step and ∀x is
+// ¬∃x¬, the negated result simplified unless simplify is false (an
+// ablation). Connectives are rebuilt over their eliminated operands. The
+// context is polled before each quantifier (exists may poll within its
+// step too), so a cancelled one stops the walk with its error.
+func EliminateQuantifiers(ctx context.Context, f *logic.Formula,
+	exists func(x string, body *logic.Formula) (*logic.Formula, error), simplify bool) (*logic.Formula, error) {
+
+	switch f.Kind {
+	case logic.FExists, logic.FForall:
+		body, err := EliminateQuantifiers(ctx, f.Sub[0], exists, simplify)
+		if err != nil {
+			return nil, err
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if f.Kind == logic.FExists {
+			return exists(f.Var, body)
+		}
+		inner, err := exists(f.Var, logic.Not(body))
+		if err != nil {
+			return nil, err
+		}
+		if !simplify {
+			return logic.Not(inner), nil
+		}
+		return logic.Simplify(logic.Not(inner)), nil
+	case logic.FTrue, logic.FFalse, logic.FAtom:
+		return f, nil
+	}
+	sub := make([]*logic.Formula, len(f.Sub))
+	for i, s := range f.Sub {
+		g, err := EliminateQuantifiers(ctx, s, exists, simplify)
+		if err != nil {
+			return nil, err
+		}
+		sub[i] = g
+	}
+	return &logic.Formula{Kind: f.Kind, Sub: sub}, nil
 }

@@ -1,6 +1,7 @@
 package domain
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strconv"
@@ -92,7 +93,7 @@ func TestEvalQF(t *testing.T) {
 // arithmetic (every element is one of the two).
 type trivialElim struct{}
 
-func (trivialElim) Eliminate(f *logic.Formula) (*logic.Formula, error) {
+func (trivialElim) Eliminate(_ context.Context, f *logic.Formula) (*logic.Formula, error) {
 	g := f.Map(func(h *logic.Formula) *logic.Formula {
 		switch h.Kind {
 		case logic.FExists:
@@ -123,7 +124,7 @@ func TestQEDecider(t *testing.T) {
 			logic.Atom("Z", logic.App("s", logic.Var("x"))))), true},
 	}
 	for _, c := range cases {
-		got, err := d.Decide(c.f)
+		got, err := d.Decide(context.Background(), c.f)
 		if err != nil {
 			t.Errorf("Decide(%v): %v", c.f, err)
 			continue
@@ -132,8 +133,59 @@ func TestQEDecider(t *testing.T) {
 			t.Errorf("Decide(%v) = %v, want %v", c.f, got, c.want)
 		}
 	}
-	if _, err := d.Decide(logic.Atom("Z", logic.Var("x"))); err == nil {
+	if _, err := d.Decide(context.Background(), logic.Atom("Z", logic.Var("x"))); err == nil {
 		t.Errorf("Decide should reject open formulas")
+	}
+}
+
+// TestEliminateQuantifiers: the shared walk eliminates innermost first,
+// hands ∀y to the exists step as ¬∃y¬ and simplifies the negated result
+// unless told not to, rebuilds connectives around the results, and stops
+// with a cancelled context's error before the first step.
+func TestEliminateQuantifiers(t *testing.T) {
+	x, y, z := logic.Var("x"), logic.Var("y"), logic.Var("z")
+	// ∃x (P(x) ∧ ∀y Q(x, y)) ∨ R(z)
+	f := logic.Or(
+		logic.Exists("x", logic.And(logic.Atom("P", x), logic.Forall("y", logic.Atom("Q", x, y)))),
+		logic.Atom("R", z))
+	var bodies []*logic.Formula
+	// The step answers ∃v φ with ¬E_v, so a ∀ leaves ¬¬E_v to simplify.
+	exists := func(v string, body *logic.Formula) (*logic.Formula, error) {
+		bodies = append(bodies, body)
+		return logic.Not(logic.Atom("E" + v)), nil
+	}
+	for _, simplify := range []bool{true, false} {
+		bodies = nil
+		g, err := EliminateQuantifiers(context.Background(), f, exists, simplify)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forallY := logic.Not(logic.Not(logic.Atom("Ey")))
+		if simplify {
+			forallY = logic.Atom("Ey")
+		}
+		want := []*logic.Formula{logic.Not(logic.Atom("Q", x, y)), logic.And(logic.Atom("P", x), forallY)}
+		if len(bodies) != len(want) {
+			t.Fatalf("simplify=%v: exists steps %v, want %v", simplify, bodies, want)
+		}
+		for i := range want {
+			if !bodies[i].Equal(want[i]) {
+				t.Errorf("simplify=%v: step %d body %v, want %v", simplify, i, bodies[i], want[i])
+			}
+		}
+		if wantG := logic.Or(logic.Not(logic.Atom("Ex")), logic.Atom("R", z)); !g.Equal(wantG) {
+			t.Errorf("simplify=%v: result %v, want %v", simplify, g, wantG)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	bodies = nil
+	if _, err := EliminateQuantifiers(ctx, f, exists, true); err != context.Canceled {
+		t.Errorf("cancelled walk: %v, want %v", err, context.Canceled)
+	}
+	if len(bodies) != 0 {
+		t.Errorf("cancelled walk ran %d exists steps", len(bodies))
 	}
 }
 

@@ -9,6 +9,7 @@
 package eqdom
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 
@@ -67,45 +68,12 @@ func Fresh(avoid map[string]bool) domain.Value {
 type Eliminator struct{}
 
 // Eliminate implements domain.Eliminator.
-func (e Eliminator) Eliminate(f *logic.Formula) (*logic.Formula, error) {
-	g, err := e.elim(f)
+func (e Eliminator) Eliminate(ctx context.Context, f *logic.Formula) (*logic.Formula, error) {
+	g, err := domain.EliminateQuantifiers(ctx, f, e.elimExists, true)
 	if err != nil {
 		return nil, err
 	}
 	return logic.Simplify(g), nil
-}
-
-func (e Eliminator) elim(f *logic.Formula) (*logic.Formula, error) {
-	switch f.Kind {
-	case logic.FExists:
-		body, err := e.elim(f.Sub[0])
-		if err != nil {
-			return nil, err
-		}
-		return e.elimExists(f.Var, body)
-	case logic.FForall:
-		body, err := e.elim(f.Sub[0])
-		if err != nil {
-			return nil, err
-		}
-		inner, err := e.elimExists(f.Var, logic.Not(body))
-		if err != nil {
-			return nil, err
-		}
-		return logic.Simplify(logic.Not(inner)), nil
-	case logic.FTrue, logic.FFalse, logic.FAtom:
-		return f, nil
-	default:
-		sub := make([]*logic.Formula, len(f.Sub))
-		for i, s := range f.Sub {
-			g, err := e.elim(s)
-			if err != nil {
-				return nil, err
-			}
-			sub[i] = g
-		}
-		return &logic.Formula{Kind: f.Kind, Sub: sub}, nil
-	}
 }
 
 func (e Eliminator) elimExists(x string, body *logic.Formula) (*logic.Formula, error) {

@@ -1,6 +1,7 @@
 package eqdom
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 
 func decide(t *testing.T, f *logic.Formula) bool {
 	t.Helper()
-	v, err := Decider().Decide(f)
+	v, err := Decider().Decide(context.Background(), f)
 	if err != nil {
 		t.Fatalf("Decide(%v): %v", f, err)
 	}
@@ -51,10 +52,10 @@ func TestDecideBasics(t *testing.T) {
 
 func TestEliminatorErrors(t *testing.T) {
 	e := Eliminator{}
-	if _, err := e.Eliminate(logic.Exists("x", logic.Atom("P", logic.Var("x")))); err == nil {
+	if _, err := e.Eliminate(context.Background(), logic.Exists("x", logic.Atom("P", logic.Var("x")))); err == nil {
 		t.Errorf("predicate accepted in pure equality theory")
 	}
-	if _, err := e.Eliminate(logic.Exists("x",
+	if _, err := e.Eliminate(context.Background(), logic.Exists("x",
 		logic.Eq(logic.App("f", logic.Var("x")), logic.Var("x")))); err == nil {
 		t.Errorf("function accepted in pure equality theory")
 	}

@@ -75,25 +75,23 @@ func CheckSignature(f *logic.Formula) error {
 type Eliminator struct{}
 
 // Eliminate implements domain.Eliminator.
-func (Eliminator) Eliminate(f *logic.Formula) (*logic.Formula, error) {
+func (Eliminator) Eliminate(ctx context.Context, f *logic.Formula) (*logic.Formula, error) {
 	if err := CheckSignature(f); err != nil {
 		return nil, err
 	}
-	return presburger.Eliminator{}.Eliminate(f)
+	return presburger.Eliminator{}.Eliminate(ctx, f)
 }
 
-// deciderT decides N< sentences with Cooper's elimination.
+// deciderT decides N< sentences with Cooper's elimination, which stops
+// with the context's error at its next poll inside a step.
 type deciderT struct{}
 
-func (d deciderT) Decide(f *logic.Formula) (bool, error) { return d.DecideCtx(context.TODO(), f) }
-
-// DecideCtx implements domain.CtxDecider: the elimination stops with the
-// context's error at its next quantifier boundary after cancellation.
-func (deciderT) DecideCtx(ctx context.Context, f *logic.Formula) (bool, error) {
+// Decide implements domain.Decider.
+func (deciderT) Decide(ctx context.Context, f *logic.Formula) (bool, error) {
 	if err := CheckSignature(f); err != nil {
 		return false, err
 	}
-	return presburger.Eliminator{}.DecideCtx(ctx, f)
+	return presburger.Eliminator{}.Decide(ctx, f)
 }
 
 // Decider returns the decision procedure for N<.

@@ -1,6 +1,7 @@
 package nless
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/domain"
@@ -22,7 +23,7 @@ func TestDecide(t *testing.T) {
 		{lt(logic.Const("2"), logic.Const("5")), true},
 	}
 	for _, c := range cases {
-		v, err := Decider().Decide(c.f)
+		v, err := Decider().Decide(context.Background(), c.f)
 		if err != nil {
 			t.Fatalf("Decide(%v): %v", c.f, err)
 		}
@@ -36,14 +37,14 @@ func TestSignatureRestriction(t *testing.T) {
 	// Addition belongs to the Presburger extension, not to N< itself.
 	f := logic.Exists("x", logic.Eq(
 		logic.App("add", logic.Var("x"), logic.Var("x")), logic.Const("4")))
-	if _, err := Decider().Decide(f); err == nil {
+	if _, err := Decider().Decide(context.Background(), f); err == nil {
 		t.Errorf("function accepted in N<")
 	}
-	if _, err := (Eliminator{}).Eliminate(f); err == nil {
+	if _, err := (Eliminator{}).Eliminate(context.Background(), f); err == nil {
 		t.Errorf("Eliminate accepted a function in N<")
 	}
 	g := logic.Exists("x", logic.Atom("dvd", logic.Const("2"), logic.Var("x")))
-	if _, err := Decider().Decide(g); err == nil {
+	if _, err := Decider().Decide(context.Background(), g); err == nil {
 		t.Errorf("divisibility accepted in N<")
 	}
 }
@@ -78,7 +79,7 @@ func TestEliminateDelegates(t *testing.T) {
 	f := logic.Exists("x", logic.And(
 		lt(logic.Var("y"), logic.Var("x")),
 		lt(logic.Var("x"), logic.Var("z"))))
-	g, err := (Eliminator{}).Eliminate(f)
+	g, err := (Eliminator{}).Eliminate(context.Background(), f)
 	if err != nil {
 		t.Fatalf("Eliminate: %v", err)
 	}

@@ -1,6 +1,7 @@
 package nsucc
 
 import (
+	"context"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -13,7 +14,7 @@ func s(t logic.Term) logic.Term { return logic.App(FuncS, t) }
 func num(n int) logic.Term      { return logic.Const(strconv.Itoa(n)) }
 func decide(t *testing.T, f *logic.Formula) bool {
 	t.Helper()
-	v, err := Decider().Decide(f)
+	v, err := Decider().Decide(context.Background(), f)
 	if err != nil {
 		t.Fatalf("Decide(%v): %v", f, err)
 	}
@@ -108,7 +109,7 @@ func TestEliminateShape(t *testing.T) {
 	e := Eliminator{}
 	// ∃x (x'' = y) ⟺ y ∉ {0, 1}.
 	f := logic.Exists("x", logic.Eq(s(s(logic.Var("x"))), logic.Var("y")))
-	g, err := e.Eliminate(f)
+	g, err := e.Eliminate(context.Background(), f)
 	if err != nil {
 		t.Fatalf("Eliminate: %v", err)
 	}
@@ -141,7 +142,7 @@ func TestEliminateAgainstBruteForce(t *testing.T) {
 			}
 			found = v
 		}
-		got, err := Decider().Decide(logic.Exists("x", grounded))
+		got, err := Decider().Decide(context.Background(), logic.Exists("x", grounded))
 		if err != nil {
 			t.Fatalf("Decide: %v", err)
 		}
@@ -163,7 +164,7 @@ func TestEliminateAgainstBruteForce(t *testing.T) {
 
 // decideGroundForTest evaluates a variable-free formula.
 func (e Eliminator) decideGroundForTest(f *logic.Formula) (bool, error) {
-	return Decider().Decide(f)
+	return Decider().Decide(context.Background(), f)
 }
 
 func randBody(rng *rand.Rand, depth int) *logic.Formula {
@@ -207,11 +208,11 @@ func TestDecideConsistency(t *testing.T) {
 		} else {
 			f = logic.Forall("x", logic.Exists("y", body))
 		}
-		v, err := Decider().Decide(f)
+		v, err := Decider().Decide(context.Background(), f)
 		if err != nil {
 			t.Fatalf("Decide: %v", err)
 		}
-		nv, err := Decider().Decide(logic.Not(f))
+		nv, err := Decider().Decide(context.Background(), logic.Not(f))
 		if err != nil {
 			t.Fatalf("Decide(¬): %v", err)
 		}
@@ -245,7 +246,7 @@ func TestDomain(t *testing.T) {
 
 func TestEliminatorRejectsUnknownPredicates(t *testing.T) {
 	f := logic.Exists("x", logic.Atom("lt", logic.Var("x"), num(3)))
-	if _, err := (Eliminator{}).Eliminate(f); err == nil {
+	if _, err := (Eliminator{}).Eliminate(context.Background(), f); err == nil {
 		t.Errorf("unknown predicate accepted")
 	}
 }

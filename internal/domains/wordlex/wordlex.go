@@ -188,12 +188,12 @@ type Eliminator struct{}
 // signature when the Cooper output happens to be term-free; otherwise the
 // arithmetic residue is returned unchanged (it still decides correctly
 // through Decider, which works on the N< side throughout).
-func (Eliminator) Eliminate(f *logic.Formula) (*logic.Formula, error) {
+func (Eliminator) Eliminate(ctx context.Context, f *logic.Formula) (*logic.Formula, error) {
 	g, err := ToNless(f)
 	if err != nil {
 		return nil, err
 	}
-	qf, err := (presburger.Eliminator{}).Eliminate(g)
+	qf, err := presburger.Eliminator{}.Eliminate(ctx, g)
 	if err != nil {
 		return nil, err
 	}
@@ -203,20 +203,18 @@ func (Eliminator) Eliminate(f *logic.Formula) (*logic.Formula, error) {
 	return qf, nil
 }
 
-// deciderT decides wordlex sentences through the isomorphism.
+// deciderT decides wordlex sentences through the isomorphism: Cooper's
+// elimination of the N< image stops with the context's error at its next
+// poll inside a step.
 type deciderT struct{}
 
-func (d deciderT) Decide(f *logic.Formula) (bool, error) { return d.DecideCtx(context.TODO(), f) }
-
-// DecideCtx implements domain.CtxDecider: the elimination of the N<
-// image stops with the context's error at its next quantifier boundary
-// after cancellation.
-func (deciderT) DecideCtx(ctx context.Context, f *logic.Formula) (bool, error) {
+// Decide implements domain.Decider.
+func (deciderT) Decide(ctx context.Context, f *logic.Formula) (bool, error) {
 	g, err := ToNless(f)
 	if err != nil {
 		return false, err
 	}
-	return presburger.Eliminator{}.DecideCtx(ctx, g)
+	return presburger.Eliminator{}.Decide(ctx, g)
 }
 
 // Decider returns the decision procedure for ({a,b}*, <shortlex).

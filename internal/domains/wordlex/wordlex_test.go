@@ -1,6 +1,7 @@
 package wordlex
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -50,7 +51,7 @@ func TestLessIsShortlex(t *testing.T) {
 
 func decide(t *testing.T, f *logic.Formula) bool {
 	t.Helper()
-	v, err := Decider().Decide(f)
+	v, err := Decider().Decide(context.Background(), f)
 	if err != nil {
 		t.Fatalf("Decide(%v): %v", f, err)
 	}
@@ -112,7 +113,7 @@ func TestEliminate(t *testing.T) {
 	f := logic.Exists("x", logic.And(
 		logic.Atom(PredLt, logic.Var("y"), logic.Var("x")),
 		logic.Atom(PredLt, logic.Var("x"), logic.Const("ba"))))
-	g, err := (Eliminator{}).Eliminate(f)
+	g, err := (Eliminator{}).Eliminate(context.Background(), f)
 	if err != nil {
 		t.Fatalf("Eliminate: %v", err)
 	}
@@ -123,7 +124,7 @@ func TestEliminate(t *testing.T) {
 		sentence := logic.Subst(g, "y", logic.Const(WordAt(Index(w))))
 		// The eliminated formula may be in numeral form; decide on the N<
 		// side by translating the substituted constant consistently.
-		got, err := Decider().Decide(logic.Subst(f, "y", logic.Const(w)))
+		got, err := Decider().Decide(context.Background(), logic.Subst(f, "y", logic.Const(w)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +153,7 @@ func TestDomainBasics(t *testing.T) {
 			t.Fatalf("Element(%d) out of order", i)
 		}
 	}
-	if _, err := Decider().Decide(logic.Atom("P", logic.Var("x"))); err == nil {
+	if _, err := Decider().Decide(context.Background(), logic.Atom("P", logic.Var("x"))); err == nil {
 		t.Errorf("unknown predicate accepted")
 	}
 }

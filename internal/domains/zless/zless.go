@@ -6,12 +6,10 @@
 package zless
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 
 	"repro/internal/domain"
-	"repro/internal/logic"
 	"repro/internal/presburger"
 )
 
@@ -119,16 +117,5 @@ func (Domain) Element(i int) domain.Value {
 // Eliminator returns Cooper's algorithm in ℤ mode.
 func Eliminator() domain.Eliminator { return presburger.Eliminator{Integers: true} }
 
-// deciderT decides (ℤ, <, +, dvd) sentences with Cooper's elimination.
-type deciderT struct{}
-
-func (d deciderT) Decide(f *logic.Formula) (bool, error) { return d.DecideCtx(context.TODO(), f) }
-
-// DecideCtx implements domain.CtxDecider: the elimination stops with the
-// context's error at its next quantifier boundary after cancellation.
-func (deciderT) DecideCtx(ctx context.Context, f *logic.Formula) (bool, error) {
-	return presburger.Eliminator{Integers: true}.DecideCtx(ctx, f)
-}
-
-// Decider returns the ℤ decision procedure.
-func Decider() domain.Decider { return deciderT{} }
+// Decider returns the ℤ decision procedure: Cooper's algorithm in ℤ mode.
+func Decider() domain.Decider { return presburger.Eliminator{Integers: true} }

@@ -1,6 +1,7 @@
 package zless
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/domain"
@@ -12,7 +13,7 @@ func lt(a, b logic.Term) *logic.Formula { return logic.Atom(PredLt, a, b) }
 
 func decide(t *testing.T, f *logic.Formula) bool {
 	t.Helper()
-	v, err := Decider().Decide(f)
+	v, err := Decider().Decide(context.Background(), f)
 	if err != nil {
 		t.Fatalf("Decide(%v): %v", f, err)
 	}
@@ -143,12 +144,12 @@ func TestDomainInterpEdgeCases(t *testing.T) {
 func TestEliminatorAccessor(t *testing.T) {
 	e := Eliminator()
 	f := logic.Exists("x", lt(logic.Var("x"), logic.Const("0")))
-	g, err := e.Eliminate(f)
+	g, err := e.Eliminate(context.Background(), f)
 	if err != nil || !g.QuantifierFree() {
 		t.Errorf("Eliminate: %v %v", g, err)
 	}
 	// Over ℤ, some x < 0 exists; the residue must be true.
-	v, err := Decider().Decide(f)
+	v, err := Decider().Decide(context.Background(), f)
 	if err != nil || !v {
 		t.Errorf("Decide: %v %v", v, err)
 	}

@@ -1,6 +1,7 @@
 package finrep_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/domain"
@@ -17,9 +18,9 @@ func ExampleDatabase_Member() {
 		logic.Atom(presburger.PredDvd, logic.Const("2"), logic.Var("x")))
 	db.Define("Even", even)
 
-	in, _ := db.Member(logic.Atom("Even", logic.Var("x")),
+	in, _ := db.Member(context.Background(), logic.Atom("Even", logic.Var("x")),
 		map[string]domain.Value{"x": domain.Int(42)})
-	out, _ := db.Member(logic.Atom("Even", logic.Var("x")),
+	out, _ := db.Member(context.Background(), logic.Atom("Even", logic.Var("x")),
 		map[string]domain.Value{"x": domain.Int(41)})
 	fmt.Println(in, out)
 	// Output: true false
@@ -36,8 +37,8 @@ func ExampleDatabase_Finite() {
 	bounded := logic.And(
 		logic.Atom("Even", logic.Var("x")),
 		logic.Atom(presburger.PredLt, logic.Var("x"), logic.Const("10")))
-	f1, _ := db.Finite(bounded)
-	f2, _ := db.Finite(logic.Atom("Even", logic.Var("x")))
+	f1, _ := db.Finite(context.Background(), bounded)
+	f2, _ := db.Finite(context.Background(), logic.Atom("Even", logic.Var("x")))
 	fmt.Println(f1, f2)
 	// Output: true false
 }

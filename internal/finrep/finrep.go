@@ -20,11 +20,14 @@
 package finrep
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/db"
 	"repro/internal/domain"
 	"repro/internal/logic"
+	"repro/internal/query"
 )
 
 // Relation is a finitely represented (possibly infinite) relation: the set
@@ -123,13 +126,14 @@ func (db *Database) Unfold(f *logic.Formula) (*logic.Formula, error) {
 
 // Representation computes a finite representation of a query's answer: the
 // unfolded formula with quantifiers eliminated. Its free variables are the
-// query's, and it defines the same relation.
-func (db *Database) Representation(f *logic.Formula) (*Relation, error) {
+// query's, and it defines the same relation. Like every method that
+// eliminates or decides, it runs under ctx and stops with its error.
+func (db *Database) Representation(ctx context.Context, f *logic.Formula) (*Relation, error) {
 	unfolded, err := db.Unfold(f)
 	if err != nil {
 		return nil, err
 	}
-	qf, err := db.Elim.Eliminate(unfolded)
+	qf, err := db.Elim.Eliminate(ctx, unfolded)
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +143,7 @@ func (db *Database) Representation(f *logic.Formula) (*Relation, error) {
 // Member decides whether a tuple belongs to a query's answer — the
 // "questions of whether a certain tuple belongs to a relation, finite or
 // infinite" that the representation keeps answerable.
-func (db *Database) Member(f *logic.Formula, tuple map[string]domain.Value) (bool, error) {
+func (db *Database) Member(ctx context.Context, f *logic.Formula, tuple map[string]domain.Value) (bool, error) {
 	unfolded, err := db.Unfold(f)
 	if err != nil {
 		return false, err
@@ -151,11 +155,11 @@ func (db *Database) Member(f *logic.Formula, tuple map[string]domain.Value) (boo
 		}
 		unfolded = logic.Subst(unfolded, v, logic.Const(db.Dom.ConstName(val)))
 	}
-	return db.Dec.Decide(unfolded)
+	return db.Dec.Decide(ctx, unfolded)
 }
 
 // Fact decides a boolean query ("whether a certain fact holds").
-func (db *Database) Fact(f *logic.Formula) (bool, error) {
+func (db *Database) Fact(ctx context.Context, f *logic.Formula) (bool, error) {
 	unfolded, err := db.Unfold(f)
 	if err != nil {
 		return false, err
@@ -163,14 +167,14 @@ func (db *Database) Fact(f *logic.Formula) (bool, error) {
 	if fv := unfolded.FreeVars(); len(fv) != 0 {
 		return false, fmt.Errorf("finrep: fact query has free variables %v", fv)
 	}
-	return db.Dec.Decide(unfolded)
+	return db.Dec.Decide(ctx, unfolded)
 }
 
 // Finite decides whether a query's answer is finite, via the Theorem 2.5
 // criterion: the unfolded formula is finite iff it is equivalent to its
 // finitization. This requires the domain to extend N< (an order predicate
 // "lt"); it is exact over the Presburger domain.
-func (db *Database) Finite(f *logic.Formula) (bool, error) {
+func (db *Database) Finite(ctx context.Context, f *logic.Formula) (bool, error) {
 	unfolded, err := db.Unfold(f)
 	if err != nil {
 		return false, err
@@ -180,15 +184,16 @@ func (db *Database) Finite(f *logic.Formula) (bool, error) {
 		return true, nil
 	}
 	fin := core.Finitize(unfolded)
-	return db.Dec.Decide(logic.ForallAll(vars, logic.Iff(unfolded, fin)))
+	return db.Dec.Decide(ctx, logic.ForallAll(vars, logic.Iff(unfolded, fin)))
 }
 
-// Materialize lists a finite answer's tuples by bounded search: it requires
-// an Enumerator and uses Member on enumerated tuples up to the probe
-// budget, after confirming finiteness. For infinite answers it returns an
-// error — exactly the operation the representation exists to avoid.
-func (db *Database) Materialize(f *logic.Formula, enum domain.Enumerator, probe int) ([]map[string]domain.Value, error) {
-	finite, err := db.Finite(f)
+// Materialize lists a finite answer's tuples: after confirming finiteness
+// it runs the §1.1 enumeration of internal/query over the unfolded formula,
+// with candidates in enum's order, up to probe rows and probe candidates
+// per row. For infinite answers it returns an error — exactly the
+// operation the representation exists to avoid.
+func (db *Database) Materialize(ctx context.Context, f *logic.Formula, enum domain.Enumerator, probe int) ([]map[string]domain.Value, error) {
+	finite, err := db.Finite(ctx, f)
 	if err != nil {
 		return nil, err
 	}
@@ -199,94 +204,39 @@ func (db *Database) Materialize(f *logic.Formula, enum domain.Enumerator, probe 
 	if err != nil {
 		return nil, err
 	}
-	vars := unfolded.FreeVars()
-	var out []map[string]domain.Value
-	remaining := unfolded
-	for len(out) < probe {
-		more, err := db.Dec.Decide(logic.ExistsAll(vars, remaining))
-		if err != nil {
-			return nil, err
-		}
-		if !more {
-			return out, nil
-		}
-		found := false
-		for i := 0; i < probe && !found; i++ {
-			tuple := map[string]domain.Value{}
-			ground := remaining
-			idx := tupleIndex(len(vars), i)
-			for j, v := range vars {
-				val := enum.Element(idx[j])
-				tuple[v] = val
-				ground = logic.Subst(ground, v, logic.Const(db.Dom.ConstName(val)))
-			}
-			ok, err := db.Dec.Decide(ground)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				out = append(out, tuple)
-				var excl []*logic.Formula
-				for _, v := range vars {
-					excl = append(excl, logic.Eq(logic.Var(v), logic.Const(db.Dom.ConstName(tuple[v]))))
-				}
-				remaining = logic.And(remaining, logic.Not(logic.And(excl...)))
-				found = true
-			}
-		}
-		if !found {
-			return out, fmt.Errorf("finrep: probe budget exhausted with rows outstanding")
-		}
-	}
-	return out, nil
+	return enumerate(ctx, enumerable{db.Dom, enum}, db.Dec, unfolded, probe)
 }
 
-// tupleIndex enumerates ℕ^k by maximum component (same scheme as the query
-// package; duplicated to keep the packages independent).
-func tupleIndex(k, n int) []int {
-	if k == 0 {
-		return nil
-	}
-	if k == 1 {
-		return []int{n}
-	}
-	m := 0
-	block := 1
-	rem := n
-	for rem >= block {
-		rem -= block
-		m++
-		next := 1
-		prev := 1
-		for i := 0; i < k; i++ {
-			next *= m + 1
-			prev *= m
-		}
-		block = next - prev
-	}
-	total := 1
-	for i := 0; i < k; i++ {
-		total *= m + 1
-	}
-	count := -1
-	for code := 0; code < total; code++ {
-		t := make([]int, k)
-		c := code
-		hasMax := false
-		for i := k - 1; i >= 0; i-- {
-			t[i] = c % (m + 1)
-			if t[i] == m {
-				hasMax = true
+// enumerable orders a domain's universe by an Enumerator.
+type enumerable struct {
+	domain.Domain
+	domain.Enumerator
+}
+
+// enumerate runs the §1.1 loop over a pure formula (an empty state leaves
+// it as it is) and lists the rows in the order the loop finds them. A
+// boolean formula yields one empty row when it holds.
+func enumerate(ctx context.Context, dom query.Enumerable, dec domain.Decider,
+	pure *logic.Formula, probe int) ([]map[string]domain.Value, error) {
+
+	var out []map[string]domain.Value
+	ans, err := query.EnumerationAnswerSinkCtx(ctx, dom, dec, db.NewState(db.MustScheme(nil)), pure,
+		query.EnumerationBudget{Rows: probe, Probe: probe}, func(vars []string, t db.Tuple) error {
+			row := make(map[string]domain.Value, len(vars))
+			for i, v := range vars {
+				row[v] = t[i]
 			}
-			c /= m + 1
-		}
-		if !hasMax {
-			continue
-		}
-		count++
-		if count == rem {
-			return t
-		}
+			out = append(out, row)
+			return nil
+		})
+	if ans == nil {
+		return nil, err
 	}
-	panic("finrep: tuple enumeration out of range")
+	if len(ans.Vars) == 0 && ans.Rows.Len() == 1 {
+		out = []map[string]domain.Value{{}}
+	}
+	if err == nil && !ans.Complete && len(out) < probe {
+		err = fmt.Errorf("finrep: probe budget exhausted with rows outstanding")
+	}
+	return out, err
 }

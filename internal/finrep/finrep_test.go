@@ -1,7 +1,8 @@
 package finrep
 
 import (
-	"fmt"
+	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/domain"
@@ -54,7 +55,7 @@ func TestMember(t *testing.T) {
 		want bool
 	}{{0, true}, {1, false}, {2, true}, {17, false}, {40, true}}
 	for _, c := range cases {
-		got, err := db.Member(f, map[string]domain.Value{"x": domain.Int(c.v)})
+		got, err := db.Member(context.Background(), f, map[string]domain.Value{"x": domain.Int(c.v)})
 		if err != nil {
 			t.Fatalf("Member: %v", err)
 		}
@@ -63,7 +64,7 @@ func TestMember(t *testing.T) {
 		}
 	}
 	// Missing column.
-	if _, err := db.Member(f, map[string]domain.Value{}); err == nil {
+	if _, err := db.Member(context.Background(), f, map[string]domain.Value{}); err == nil {
 		t.Errorf("missing column accepted")
 	}
 }
@@ -73,19 +74,19 @@ func TestFact(t *testing.T) {
 	// ∃x (Even(x) ∧ Small(x)) — yes (0, 2, 4).
 	f := logic.Exists("x", logic.And(
 		logic.Atom("Even", logic.Var("x")), logic.Atom("Small", logic.Var("x"))))
-	v, err := db.Fact(f)
+	v, err := db.Fact(context.Background(), f)
 	if err != nil || !v {
 		t.Errorf("fact 1: %v %v", v, err)
 	}
 	// ∀x (Small(x) → Even(x)) — no (1 < 5 is odd).
 	g := logic.Forall("x", logic.Implies(
 		logic.Atom("Small", logic.Var("x")), logic.Atom("Even", logic.Var("x"))))
-	v, err = db.Fact(g)
+	v, err = db.Fact(context.Background(), g)
 	if err != nil || v {
 		t.Errorf("fact 2: %v %v", v, err)
 	}
 	// Free variables are rejected.
-	if _, err := db.Fact(logic.Atom("Even", logic.Var("x"))); err == nil {
+	if _, err := db.Fact(context.Background(), logic.Atom("Even", logic.Var("x"))); err == nil {
 		t.Errorf("open fact accepted")
 	}
 }
@@ -109,7 +110,7 @@ func TestFinite(t *testing.T) {
 			logic.Atom("Interval", logic.Var("lo"), logic.Var("hi"))), true},
 	}
 	for _, c := range cases {
-		got, err := db.Finite(c.f)
+		got, err := db.Finite(context.Background(), c.f)
 		if err != nil {
 			t.Fatalf("Finite(%s): %v", c.name, err)
 		}
@@ -124,7 +125,7 @@ func TestRepresentation(t *testing.T) {
 	// The answer to "Even ∧ Small" is representable quantifier-free, and
 	// membership through the representation matches direct membership.
 	f := logic.And(logic.Atom("Even", logic.Var("x")), logic.Atom("Small", logic.Var("x")))
-	rep, err := db.Representation(f)
+	rep, err := db.Representation(context.Background(), f)
 	if err != nil {
 		t.Fatalf("Representation: %v", err)
 	}
@@ -132,11 +133,11 @@ func TestRepresentation(t *testing.T) {
 		t.Fatalf("representation not quantifier-free: %v", rep.Def)
 	}
 	for v := int64(0); v < 10; v++ {
-		direct, err := db.Member(f, map[string]domain.Value{"x": domain.Int(v)})
+		direct, err := db.Member(context.Background(), f, map[string]domain.Value{"x": domain.Int(v)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaRep, err := db.Member(rep.Def, map[string]domain.Value{"x": domain.Int(v)})
+		viaRep, err := db.Member(context.Background(), rep.Def, map[string]domain.Value{"x": domain.Int(v)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +147,7 @@ func TestRepresentation(t *testing.T) {
 	}
 	// Quantified queries also represent: the lower endpoints of intervals.
 	g := logic.Exists("hi", logic.Atom("Interval", logic.Var("lo"), logic.Var("hi")))
-	rep, err = db.Representation(g)
+	rep, err = db.Representation(context.Background(), g)
 	if err != nil {
 		t.Fatalf("Representation: %v", err)
 	}
@@ -166,17 +167,17 @@ func TestUnfoldRenamingNoCapture(t *testing.T) {
 	db.Define("Lt", rel)
 	// Lt(b, a): must unfold to b < a, not a < b.
 	f := logic.Atom("Lt", logic.Var("b"), logic.Var("a"))
-	yes, err := db.Member(f, map[string]domain.Value{"a": domain.Int(5), "b": domain.Int(2)})
+	yes, err := db.Member(context.Background(), f, map[string]domain.Value{"a": domain.Int(5), "b": domain.Int(2)})
 	if err != nil || !yes {
 		t.Errorf("Lt(2,5) via swapped columns: %v %v", yes, err)
 	}
-	no, err := db.Member(f, map[string]domain.Value{"a": domain.Int(2), "b": domain.Int(5)})
+	no, err := db.Member(context.Background(), f, map[string]domain.Value{"a": domain.Int(2), "b": domain.Int(5)})
 	if err != nil || no {
 		t.Errorf("Lt(5,2) via swapped columns should fail: %v %v", no, err)
 	}
 	// Lt(x, x) is empty.
 	g := logic.Atom("Lt", logic.Var("x"), logic.Var("x"))
-	v, err := db.Fact(logic.Exists("x", g))
+	v, err := db.Fact(context.Background(), logic.Exists("x", g))
 	if err != nil || v {
 		t.Errorf("Lt(x,x) nonempty: %v %v", v, err)
 	}
@@ -185,7 +186,7 @@ func TestUnfoldRenamingNoCapture(t *testing.T) {
 func TestMaterialize(t *testing.T) {
 	db := presburgerDB(t)
 	f := logic.And(logic.Atom("Even", logic.Var("x")), logic.Atom("Small", logic.Var("x")))
-	rows, err := db.Materialize(f, presburger.Domain{}, 1000)
+	rows, err := db.Materialize(context.Background(), f, presburger.Domain{}, 1000)
 	if err != nil {
 		t.Fatalf("Materialize: %v", err)
 	}
@@ -202,7 +203,7 @@ func TestMaterialize(t *testing.T) {
 		}
 	}
 	// Infinite answers refuse to materialize.
-	if _, err := db.Materialize(logic.Atom("Even", logic.Var("x")), presburger.Domain{}, 100); err == nil {
+	if _, err := db.Materialize(context.Background(), logic.Atom("Even", logic.Var("x")), presburger.Domain{}, 100); err == nil {
 		t.Errorf("infinite materialization accepted")
 	}
 }
@@ -231,7 +232,7 @@ func TestMaterializeTwoColumns(t *testing.T) {
 	f := logic.And(
 		logic.Atom("Interval", logic.Var("lo"), logic.Var("hi")),
 		lt(logic.Var("hi"), num("3")))
-	rows, err := db.Materialize(f, presburger.Domain{}, 10000)
+	rows, err := db.Materialize(context.Background(), f, presburger.Domain{}, 10000)
 	if err != nil {
 		t.Fatalf("Materialize: %v", err)
 	}
@@ -251,41 +252,61 @@ func TestRepresentationErrorPropagation(t *testing.T) {
 	db := presburgerDB(t)
 	// Unknown function inside the query surfaces as an error.
 	bad := logic.Eq(logic.App("f", logic.Var("x")), logic.Var("x"))
-	if _, err := db.Representation(logic.Exists("x", bad)); err == nil {
+	if _, err := db.Representation(context.Background(), logic.Exists("x", bad)); err == nil {
 		t.Errorf("bad term accepted")
 	}
-	if _, err := db.Finite(bad); err == nil {
+	if _, err := db.Finite(context.Background(), bad); err == nil {
 		t.Errorf("Finite on bad term accepted")
 	}
-	if _, err := db.Materialize(bad, presburger.Domain{}, 10); err == nil {
+	if _, err := db.Materialize(context.Background(), bad, presburger.Domain{}, 10); err == nil {
 		t.Errorf("Materialize on bad term accepted")
 	}
 }
 
 func TestFiniteBooleanQuery(t *testing.T) {
 	db := presburgerDB(t)
-	fin, err := db.Finite(logic.Exists("x", logic.Atom("Even", logic.Var("x"))))
+	fin, err := db.Finite(context.Background(), logic.Exists("x", logic.Atom("Even", logic.Var("x"))))
 	if err != nil || !fin {
 		t.Errorf("boolean queries are finite: %v %v", fin, err)
 	}
 }
 
-func TestTupleIndexBijective(t *testing.T) {
-	for _, k := range []int{1, 2, 3} {
-		seen := map[string]bool{}
-		for i := 0; i < 150; i++ {
-			idx := tupleIndex(k, i)
-			if len(idx) != k {
-				t.Fatalf("k=%d: length %d", k, len(idx))
-			}
-			key := fmt.Sprint(idx)
-			if seen[key] {
-				t.Fatalf("k=%d: duplicate %v at %d", k, idx, i)
-			}
-			seen[key] = true
-		}
+// TestMaterializeEdges: rows come in the order the §1.1 loop finds them, a
+// boolean query materializes to one empty row when it holds and to none
+// when it fails, and a probe budget too small to reach an outstanding row
+// is an error that keeps the rows found.
+func TestMaterializeEdges(t *testing.T) {
+	db := presburgerDB(t)
+	ctx := context.Background()
+	// Candidates (hi, lo, x) go by their largest component first.
+	lo, hi, x := logic.Var("lo"), logic.Var("hi"), logic.Var("x")
+	rows, err := db.Materialize(ctx, logic.And(logic.Atom("Interval", lo, x), lt(x, num("3")),
+		logic.Atom("Small", hi), lt(hi, num("2"))), presburger.Domain{}, 100)
+	var got []string
+	for _, r := range rows {
+		got = append(got, r["hi"].Key()+r["lo"].Key()+r["x"].Key())
 	}
-	if tupleIndex(0, 5) != nil {
-		t.Errorf("k=0 should be nil")
+	if want := "001 101 002 012 102 112"; strings.Join(got, " ") != want || err != nil {
+		t.Errorf("rows %v, %v; want %s", got, err, want)
+	}
+	evenSmall := logic.And(logic.Atom("Even", logic.Var("x")), logic.Atom("Small", logic.Var("x")))
+	rows, err = db.Materialize(ctx, logic.Exists("x", evenSmall), presburger.Domain{}, 10)
+	if err != nil || len(rows) != 1 || len(rows[0]) != 0 {
+		t.Errorf("true fact: %v, %v; want one empty row", rows, err)
+	}
+	rows, err = db.Materialize(ctx, logic.Exists("x", logic.And(evenSmall, lt(num("7"), logic.Var("x")))), presburger.Domain{}, 10)
+	if err != nil || len(rows) != 0 {
+		t.Errorf("false fact: %v, %v; want no rows", rows, err)
+	}
+	// 0 is a row; the next, 2, lies past the two candidates 0 and 1.
+	rows, err = db.Materialize(ctx, evenSmall, presburger.Domain{}, 2)
+	if err == nil || len(rows) != 1 || rows[0]["x"].Key() != "0" {
+		t.Errorf("probe 2: %v, %v; want row 0 and the probe-budget error", rows, err)
+	}
+	// Rows that fill the budget end it without an error, rows outstanding
+	// or not: Small(x) holds of 0 to 4.
+	rows, err = db.Materialize(ctx, logic.Atom("Small", logic.Var("x")), presburger.Domain{}, 2)
+	if err != nil || len(rows) != 2 || rows[0]["x"].Key() != "0" || rows[1]["x"].Key() != "1" {
+		t.Errorf("Small, probe 2: %v, %v; want rows 0 and 1", rows, err)
 	}
 }

@@ -44,7 +44,7 @@ func WithRequestID(ctx context.Context, id string) context.Context {
 }
 
 // RequestID returns the request ID carried by ctx, or "" when absent. A
-// nil context is safe (the decision cache's plain Decide path passes one).
+// nil context is safe.
 func RequestID(ctx context.Context) string {
 	if ctx == nil {
 		return ""

@@ -18,7 +18,7 @@ func TestRequestIDRoundTrip(t *testing.T) {
 	if got := RequestID(context.Background()); got != "" {
 		t.Fatalf("RequestID(empty ctx) = %q, want \"\"", got)
 	}
-	// The decision cache's plain Decide path passes a nil context.
+	// A nil context carries no ID.
 	if got := RequestID(nil); got != "" {
 		t.Fatalf("RequestID(nil) = %q, want \"\"", got)
 	}

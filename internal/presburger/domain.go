@@ -36,26 +36,21 @@ type Eliminator struct {
 	// 0 means DefaultMaxNodes.
 	MaxNodes int
 
-	// ctx, when set via EliminateCtx/DecideCtx, is polled before each
-	// quantifier elimination and inside each step: per disjunct Cooper
-	// builds, per bound it deduplicates, and per connective rendered or
-	// canonicalized. So a request-scoped deadline abandons a Cooper run
-	// mid-step rather than wait for the step or the size guard.
+	// ctx is the context Eliminate or Decide runs under, polled inside
+	// each step: per disjunct Cooper builds, per bound it deduplicates,
+	// and per connective rendered or canonicalized. So a request-scoped
+	// deadline abandons a Cooper run mid-step rather than wait for the
+	// step or the size guard. It stays nil under a context that can never
+	// be cancelled, where each poll is a nil check.
 	ctx context.Context
 }
 
-// EliminateCtx implements domain.CtxEliminator: elimination under a
-// context, aborted with the context's error at the next poll after
-// cancellation.
-func (e Eliminator) EliminateCtx(ctx context.Context, f *logic.Formula) (*logic.Formula, error) {
-	e.ctx = ctx
-	return e.Eliminate(f)
-}
-
-// DecideCtx implements domain.CtxDecider via EliminateCtx.
-func (e Eliminator) DecideCtx(ctx context.Context, sentence *logic.Formula) (bool, error) {
-	e.ctx = ctx
-	return e.Decide(sentence)
+// under returns e polling ctx within its steps (see the ctx field).
+func (e Eliminator) under(ctx context.Context) Eliminator {
+	if ctx.Done() != nil {
+		e.ctx = ctx
+	}
+	return e
 }
 
 // checkCtx reports the context's error, if a context is set and cancelled.
@@ -80,14 +75,18 @@ func (e Eliminator) maxNodes() int {
 var ErrTooLarge = fmt.Errorf("presburger: intermediate formula exceeds the size bound (Cooper blowup)")
 
 // Eliminate implements domain.Eliminator.
-func (e Eliminator) Eliminate(f *logic.Formula) (*logic.Formula, error) {
-	_, sp := obs.StartSpanCtx(e.ctx, "qe.presburger.eliminate")
+func (e Eliminator) Eliminate(ctx context.Context, f *logic.Formula) (*logic.Formula, error) {
+	return e.under(ctx).eliminate(ctx, f)
+}
+
+func (e Eliminator) eliminate(ctx context.Context, f *logic.Formula) (*logic.Formula, error) {
+	_, sp := obs.StartSpanCtx(ctx, "qe.presburger.eliminate")
 	defer sp.End()
 	mCooperCalls.Inc()
 	sizeIn := int64(f.Size())
 	hCooperSizeIn.Observe(sizeIn)
 	sp.Arg("size_in", sizeIn)
-	g, err := e.elim(f)
+	g, err := domain.EliminateQuantifiers(ctx, f, e.elimExists, true)
 	if err != nil {
 		return nil, err
 	}
@@ -98,43 +97,7 @@ func (e Eliminator) Eliminate(f *logic.Formula) (*logic.Formula, error) {
 	return g, nil
 }
 
-func (e Eliminator) elim(f *logic.Formula) (*logic.Formula, error) {
-	switch f.Kind {
-	case logic.FExists:
-		body, err := e.elim(f.Sub[0])
-		if err != nil {
-			return nil, err
-		}
-		return e.elimExists(f.Var, body)
-	case logic.FForall:
-		body, err := e.elim(f.Sub[0])
-		if err != nil {
-			return nil, err
-		}
-		inner, err := e.elimExists(f.Var, logic.Not(body))
-		if err != nil {
-			return nil, err
-		}
-		return logic.Simplify(logic.Not(inner)), nil
-	case logic.FTrue, logic.FFalse, logic.FAtom:
-		return f, nil
-	default:
-		sub := make([]*logic.Formula, len(f.Sub))
-		for i, s := range f.Sub {
-			g, err := e.elim(s)
-			if err != nil {
-				return nil, err
-			}
-			sub[i] = g
-		}
-		return &logic.Formula{Kind: f.Kind, Sub: sub}, nil
-	}
-}
-
 func (e Eliminator) elimExists(x string, body *logic.Formula) (*logic.Formula, error) {
-	if err := e.checkCtx(); err != nil {
-		return nil, err
-	}
 	if !e.Integers {
 		// Relativize to ℕ: ∃x∈ℕ φ ⟺ ∃x∈ℤ (x ≥ 0 ∧ φ).
 		body = logic.And(logic.Atom(PredGe, logic.Var(x), logic.Const("0")), body)
@@ -153,13 +116,15 @@ func (e Eliminator) elimExists(x string, body *logic.Formula) (*logic.Formula, e
 	return e.render(out)
 }
 
-// Decide decides a Presburger sentence (over ℕ unless Integers is set):
-// quantifiers are eliminated and the ground residue evaluated.
-func (e Eliminator) Decide(sentence *logic.Formula) (bool, error) {
+// Decide implements domain.Decider: it decides a Presburger sentence
+// (over ℕ unless Integers is set) by eliminating its quantifiers and
+// evaluating the ground residue.
+func (e Eliminator) Decide(ctx context.Context, sentence *logic.Formula) (bool, error) {
 	if fv := sentence.FreeVars(); len(fv) != 0 {
 		return false, fmt.Errorf("presburger: Decide on open formula (free vars %v)", fv)
 	}
-	qfFormula, err := e.Eliminate(sentence)
+	e = e.under(ctx)
+	qfFormula, err := e.eliminate(ctx, sentence)
 	if err != nil {
 		return false, err
 	}
@@ -174,9 +139,9 @@ func (e Eliminator) Decide(sentence *logic.Formula) (bool, error) {
 // agree on all assignments: ∀x̄ (f ↔ g). This is the workhorse of the
 // relative-safety decision procedure (Theorem 2.5: "the equivalence problem
 // for pure domain formulas is, by the condition of the theorem, decidable").
-func (e Eliminator) Equivalent(f, g *logic.Formula) (bool, error) {
+func (e Eliminator) Equivalent(ctx context.Context, f, g *logic.Formula) (bool, error) {
 	vars := logic.SortedUnique(append(f.FreeVars(), g.FreeVars()...))
-	return e.Decide(logic.ForallAll(vars, logic.Iff(f, g)))
+	return e.Decide(ctx, logic.ForallAll(vars, logic.Iff(f, g)))
 }
 
 // Domain is ℕ with the full Presburger signature, implementing

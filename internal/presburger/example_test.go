@@ -1,6 +1,7 @@
 package presburger_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/logic"
@@ -15,7 +16,7 @@ func ExampleEliminator_Decide() {
 		logic.Atom(presburger.PredDvd, logic.Const("2"), x),
 		logic.Atom(presburger.PredDvd, logic.Const("2"),
 			logic.App(presburger.FuncAdd, x, logic.Const("1")))))
-	v, _ := presburger.Eliminator{}.Decide(f)
+	v, _ := presburger.Eliminator{}.Decide(context.Background(), f)
 	fmt.Println(v)
 	// Output: true
 }
@@ -25,7 +26,7 @@ func ExampleEliminator_Equivalent() {
 	x := logic.Var("x")
 	lt3 := logic.Atom(presburger.PredLt, x, logic.Const("3"))
 	le2 := logic.Atom(presburger.PredLe, x, logic.Const("2"))
-	eq, _ := presburger.Eliminator{}.Equivalent(lt3, le2)
+	eq, _ := presburger.Eliminator{}.Equivalent(context.Background(), lt3, le2)
 	fmt.Println(eq)
 	// Output: true
 }

@@ -1,6 +1,7 @@
 package presburger
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/logic"
@@ -38,15 +39,15 @@ func FuzzDecide(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if out, err := e.Eliminate(g); err == nil && !out.QuantifierFree() {
+		if out, err := e.Eliminate(context.Background(), g); err == nil && !out.QuantifierFree() {
 			t.Fatalf("Eliminate(%v) left a quantifier: %v", g, out)
 		}
 		s := logic.ForallAll(g.FreeVars(), g)
-		v, err := e.Decide(s)
+		v, err := e.Decide(context.Background(), s)
 		if err != nil {
 			return
 		}
-		if nv, err := e.Decide(logic.Not(s)); err == nil && nv == v {
+		if nv, err := e.Decide(context.Background(), logic.Not(s)); err == nil && nv == v {
 			t.Fatalf("Decide(%v) and Decide of its negation are both %v", s, v)
 		}
 	})

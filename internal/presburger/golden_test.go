@@ -1,6 +1,7 @@
 package presburger
 
 import (
+	"context"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -169,7 +170,7 @@ func goldenLines() (lines []string, tooLarge int) {
 		closure := logic.ForallAll(f.FreeVars(), f)
 		prev := ""
 		for _, m := range goldenModes {
-			g, err := m.e.Eliminate(f)
+			g, err := m.e.Eliminate(context.Background(), f)
 			if errors.Is(err, ErrTooLarge) {
 				tooLarge++
 			}
@@ -177,7 +178,7 @@ func goldenLines() (lines []string, tooLarge int) {
 			if g != nil {
 				out = g.String()
 			}
-			v, err2 := m.e.Decide(closure)
+			v, err2 := m.e.Decide(context.Background(), closure)
 			ans := goldenResult(out, err) + "; " + goldenResult(fmt.Sprint(v), err2)
 			if ans == prev {
 				lines = append(lines, m.name+": =")

@@ -1,6 +1,7 @@
 package presburger
 
 import (
+	"context"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -21,7 +22,7 @@ func mul(k int64, t logic.Term) logic.Term {
 
 func decideNat(t *testing.T, f *logic.Formula) bool {
 	t.Helper()
-	v, err := Eliminator{}.Decide(f)
+	v, err := Eliminator{}.Decide(context.Background(), f)
 	if err != nil {
 		t.Fatalf("Decide(%v): %v", f, err)
 	}
@@ -30,7 +31,7 @@ func decideNat(t *testing.T, f *logic.Formula) bool {
 
 func decideInt(t *testing.T, f *logic.Formula) bool {
 	t.Helper()
-	v, err := Eliminator{Integers: true}.Decide(f)
+	v, err := Eliminator{Integers: true}.Decide(context.Background(), f)
 	if err != nil {
 		t.Fatalf("Decide(%v): %v", f, err)
 	}
@@ -189,7 +190,7 @@ func TestEliminateQuantifierFree(t *testing.T) {
 	f := logic.Exists("x", logic.And(
 		lt(logic.Var("y"), logic.Var("x")),
 		lt(logic.Var("x"), add(logic.Var("y"), num(5)))))
-	g, err := e.Eliminate(f)
+	g, err := e.Eliminate(context.Background(), f)
 	if err != nil {
 		t.Fatalf("Eliminate: %v", err)
 	}
@@ -249,14 +250,14 @@ func TestCooperAgainstBruteForce(t *testing.T) {
 		found := false
 		for xv := int64(0); xv <= 60 && !found; xv++ {
 			sentence := logic.Subst(grounded, "x", num(xv))
-			v, err := e.Decide(sentence)
+			v, err := e.Decide(context.Background(), sentence)
 			if err != nil {
 				t.Fatalf("ground Decide: %v (%v)", err, sentence)
 			}
 			found = v
 		}
 
-		got, err := e.Decide(logic.Exists("x", grounded))
+		got, err := e.Decide(context.Background(), logic.Exists("x", grounded))
 		if err != nil {
 			t.Fatalf("Decide(∃x %v): %v", grounded, err)
 		}
@@ -271,7 +272,7 @@ func TestCooperAgainstBruteForce(t *testing.T) {
 			wider := false
 			for xv := int64(0); xv <= 400 && !wider; xv++ {
 				sentence := logic.Subst(grounded, "x", num(xv))
-				v, err := e.Decide(sentence)
+				v, err := e.Decide(context.Background(), sentence)
 				if err != nil {
 					t.Fatalf("ground Decide: %v", err)
 				}
@@ -336,11 +337,11 @@ func TestDecideConsistency(t *testing.T) {
 		} else {
 			f = logic.Forall("x", logic.Exists("y", body))
 		}
-		v, err := e.Decide(f)
+		v, err := e.Decide(context.Background(), f)
 		if err != nil {
 			t.Fatalf("Decide: %v", err)
 		}
-		nv, err := e.Decide(logic.Not(f))
+		nv, err := e.Decide(context.Background(), logic.Not(f))
 		if err != nil {
 			t.Fatalf("Decide(¬): %v", err)
 		}
@@ -356,12 +357,12 @@ func TestEquivalent(t *testing.T) {
 	// x < 3 ⟺ x ≤ 2 over ℕ.
 	a := lt(x, num(3))
 	b := logic.Atom(PredLe, x, num(2))
-	eq, err := e.Equivalent(a, b)
+	eq, err := e.Equivalent(context.Background(), a, b)
 	if err != nil || !eq {
 		t.Errorf("x<3 ≡ x≤2 should hold: %v %v", eq, err)
 	}
 	// x < 3 ≢ x < 4.
-	eq, err = e.Equivalent(a, lt(x, num(4)))
+	eq, err = e.Equivalent(context.Background(), a, lt(x, num(4)))
 	if err != nil || eq {
 		t.Errorf("x<3 ≢ x<4: %v %v", eq, err)
 	}

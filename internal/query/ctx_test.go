@@ -21,9 +21,9 @@ type slowDecider struct {
 	delay time.Duration
 }
 
-func (s slowDecider) Decide(f *logic.Formula) (bool, error) {
+func (s slowDecider) Decide(ctx context.Context, f *logic.Formula) (bool, error) {
 	time.Sleep(s.delay)
-	return s.inner.Decide(f)
+	return s.inner.Decide(ctx, f)
 }
 
 // TestEnumerationCtxCancelMidRun cancels the context while the §1.1 loop

@@ -82,10 +82,10 @@ func deliverRow(sink RowSink, vars []string, row db.Tuple) error {
 // automaton answer by count and by membership, deciding nothing; all three
 // give the same rows, order, and budget accounting.
 //
-// The context is polled before every existential decision, handed to
-// context-aware deciders and to the automaton's construction (so a
-// cancellation can also abandon a quantifier elimination or a compile in
-// flight), and polled between probe candidates. On cancellation the rows
+// The context is polled before every existential decision, handed to the
+// decider and to the automaton's construction (so a cancellation can also
+// abandon a quantifier elimination or a compile in flight), and polled
+// between probe candidates. On cancellation the rows
 // found so far are returned with Complete=false alongside the context's
 // error — one request's deadline yields a partial answer, not a wasted
 // computation.
@@ -113,7 +113,7 @@ func EnumerationAnswerSinkCtx(ctx context.Context, dom Enumerable, dec domain.De
 		if len(vars) == 0 {
 			// Boolean query: a single decision.
 			mEnumDecisions.Inc()
-			v, err := domain.DecideCtx(ctx, dec, pure)
+			v, err := dec.Decide(ctx, pure)
 			if err != nil {
 				return nil, err
 			}
@@ -246,7 +246,7 @@ func (s *decideSource) more(ctx context.Context, rsp *obs.Span, _ int) (bool, er
 		rsp.Arg("formula_size", int64(s.remaining.Size()))
 	}
 	mEnumDecisions.Inc()
-	return domain.DecideCtx(ctx, s.dec, logic.ExistsAll(s.vars, s.remaining))
+	return s.dec.Decide(ctx, logic.ExistsAll(s.vars, s.remaining))
 }
 
 func (s *decideSource) member(ctx context.Context, tuple db.Tuple) (bool, error) {
@@ -254,7 +254,7 @@ func (s *decideSource) member(ctx context.Context, tuple db.Tuple) (bool, error)
 	for j, name := range s.vars {
 		ground = logic.Subst(ground, name, logic.Const(s.dom.ConstName(tuple[j])))
 	}
-	ok, err := domain.DecideCtx(ctx, s.dec, ground)
+	ok, err := s.dec.Decide(ctx, ground)
 	if err != nil && !canceledErr(err) {
 		return false, fmt.Errorf("query: deciding ground instance: %w", err)
 	}
@@ -317,10 +317,10 @@ func (*dfaSource) name() string { return "automaton" }
 
 // NaturalMember decides whether a tuple belongs to a query's answer under
 // the natural (unrestricted) semantics: the query is translated to a pure
-// formula, the tuple substituted, and the ground sentence decided. This is
-// the membership question that remains answerable even for infinite
-// answers — the observation behind the paper's §1.2.
-func NaturalMember(dom domain.Domain, dec domain.Decider, st *db.State,
+// formula, the tuple substituted, and the ground sentence decided under
+// ctx. This is the membership question that remains answerable even for
+// infinite answers — the observation behind the paper's §1.2.
+func NaturalMember(ctx context.Context, dom domain.Domain, dec domain.Decider, st *db.State,
 	f *logic.Formula, tuple map[string]domain.Value) (bool, error) {
 
 	pure, err := Translate(dom, st, f)
@@ -334,7 +334,7 @@ func NaturalMember(dom domain.Domain, dec domain.Decider, st *db.State,
 		}
 		pure = logic.Subst(pure, v, logic.Const(dom.ConstName(val)))
 	}
-	return dec.Decide(pure)
+	return dec.Decide(ctx, pure)
 }
 
 // NewBoolAnswer builds the answer of a boolean (no free variables) query:

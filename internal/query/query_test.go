@@ -41,7 +41,7 @@ func TestTranslate(t *testing.T) {
 	dec := eqdom.Decider()
 	check := func(a, b string, want bool) {
 		s := logic.Subst(logic.Subst(pure, "x", logic.Const(a)), "y", logic.Const(b))
-		v, err := dec.Decide(s)
+		v, err := dec.Decide(context.Background(), s)
 		if err != nil {
 			t.Fatalf("Decide: %v", err)
 		}
@@ -328,17 +328,17 @@ func TestNaturalMemberInPackage(t *testing.T) {
 		t.Fatal(err)
 	}
 	inf := logic.Not(logic.Atom("R", logic.Var("x")))
-	got, err := NaturalMember(presburger.Domain{}, presburger.Decider(), st, inf,
+	got, err := NaturalMember(context.Background(), presburger.Domain{}, presburger.Decider(), st, inf,
 		map[string]domain.Value{"x": domain.Int(4)})
 	if err != nil || got {
 		t.Errorf("¬R(4): %v %v", got, err)
 	}
-	got, err = NaturalMember(presburger.Domain{}, presburger.Decider(), st, inf,
+	got, err = NaturalMember(context.Background(), presburger.Domain{}, presburger.Decider(), st, inf,
 		map[string]domain.Value{"x": domain.Int(9)})
 	if err != nil || !got {
 		t.Errorf("¬R(9): %v %v", got, err)
 	}
-	if _, err := NaturalMember(presburger.Domain{}, presburger.Decider(), st, inf, nil); err == nil {
+	if _, err := NaturalMember(context.Background(), presburger.Domain{}, presburger.Decider(), st, inf, nil); err == nil {
 		t.Errorf("missing binding accepted")
 	}
 }

@@ -130,7 +130,7 @@ func (s *Server) evalBatchItem(ctx context.Context, d finq.DomainInfo, st *finq.
 // apiError keeps its code, anything else is an eval failure.
 func itemError(err error) *apiv1.Error {
 	if ae, ok := err.(*apiError); ok {
-		return &apiv1.Error{Code: ae.errCode, Message: ae.msg}
+		return &apiv1.Error{Code: codeForStatus(ae.status), Message: ae.msg}
 	}
 	return &apiv1.Error{Code: apiv1.CodeEvalFailed, Message: err.Error()}
 }

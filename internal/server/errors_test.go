@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -182,5 +183,38 @@ func TestHostileFormulas(t *testing.T) {
 				t.Fatalf("healthz %d after the request", health.StatusCode)
 			}
 		})
+	}
+}
+
+// TestDecideAndQEStopAtDeadline: /v1/decide and /v1/qe over the
+// Cooper-backed domains stop at the decide timeout and answer 503
+// "deadline", within deadlineOverrun of it, on a sentence whose
+// elimination runs for seconds (the root package's deadline test reads the
+// same one).
+func TestDecideAndQEStopAtDeadline(t *testing.T) {
+	sentence, err := os.ReadFile("../../testdata/deadline_sentence.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const deadline = 50 * time.Millisecond
+	_, base := startServer(t, Config{DecideTimeout: deadline})
+	for _, name := range []string{"nless", "presburger", "zless", "wordlex"} {
+		decide, _ := json.Marshal(apiv1.DecideRequest{Domain: name, Sentence: string(sentence)})
+		qe, _ := json.Marshal(apiv1.QERequest{Domain: name, Formula: string(sentence)})
+		for path, body := range map[string][]byte{"/v1/decide": decide, "/v1/qe": qe} {
+			start := time.Now()
+			code, data := post(t, http.DefaultClient, base+path, string(body))
+			took := time.Since(start)
+			t.Logf("%s %s: %d after %v", path, name, code, took)
+			if code != http.StatusServiceUnavailable {
+				t.Fatalf("%s %s: status %d, want 503: %s", path, name, code, data)
+			}
+			if env := decodeEnvelope(t, data); env.Error.Code != apiv1.CodeDeadline {
+				t.Fatalf("%s %s: code %q, want %q", path, name, env.Error.Code, apiv1.CodeDeadline)
+			}
+			if bound := deadlineOverrun * deadline; took > bound {
+				t.Errorf("%s %s: answered after %v, want within %v", path, name, took, bound)
+			}
+		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	finq "repro"
 	"repro/apiv1"
-	"repro/internal/domain"
 	"repro/internal/obs/qstats"
 )
 
@@ -121,7 +120,7 @@ func (s *Server) handleDecide(ctx context.Context, env *handlerEnv) (any, error)
 	if err != nil {
 		return nil, err
 	}
-	truth, err := domain.DecideCtx(ctx, d.Decider, f)
+	truth, err := finq.Decide(ctx, d, f)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +136,7 @@ func (s *Server) handleQE(ctx context.Context, env *handlerEnv) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := domain.EliminateCtx(ctx, d.Eliminator, f)
+	g, err := finq.Eliminate(ctx, d, f)
 	if err != nil {
 		return nil, err
 	}
@@ -165,8 +164,9 @@ func (s *Server) handleSafety(ctx context.Context, env *handlerEnv) (any, error)
 		return nil, err
 	}
 	// RelativeSafety has no context parameter; run it aside and give up at
-	// the deadline. The analysis goroutine delivers into a buffered channel,
-	// so an abandoned one still exits when it finishes.
+	// the deadline, which endpoint answers with 503. The analysis goroutine
+	// delivers into a buffered channel, so an abandoned one still exits
+	// when it finishes.
 	type outcome struct {
 		verdict finq.Verdict
 		err     error
@@ -183,8 +183,7 @@ func (s *Server) handleSafety(ctx context.Context, env *handlerEnv) (any, error)
 		}
 		return apiv1.SafetyResponse{Verdict: out.verdict}, nil
 	case <-ctx.Done():
-		return nil, errc(http.StatusServiceUnavailable, apiv1.CodeDeadline,
-			"safety analysis exceeded the deadline: %v", ctx.Err())
+		return nil, ctx.Err()
 	}
 }
 

@@ -3,3 +3,7 @@
 package server
 
 const raceEnabled = false
+
+// deadlineOverrun bounds how long a deadline-bound request may take, as a
+// multiple of its deadline.
+const deadlineOverrun = 4

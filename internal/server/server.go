@@ -55,6 +55,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -341,29 +342,21 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.http.Shutdown(ctx)
 }
 
-// apiError carries an HTTP status and a machine-readable code from the
-// apiv1 closed set out of a handler. Handlers return it for client
-// mistakes; any other error is a 422 eval_failed (the request was
-// well-formed but the evaluation failed).
+// apiError carries an HTTP status out of a handler; its machine-readable
+// code is the status's (codeForStatus). Handlers return it for client
+// mistakes; any other error is a 503 deadline when it is the deadline and
+// a 422 eval_failed otherwise (the request was well-formed but the
+// evaluation failed).
 type apiError struct {
-	status  int
-	errCode string
-	msg     string
+	status int
+	msg    string
 }
 
 func (e *apiError) Error() string { return e.msg }
 
-// errf builds an apiError whose code is derived from the status (the
-// common case: one code per status).
+// errf builds an apiError.
 func errf(status int, format string, args ...any) error {
-	return &apiError{status: status, errCode: codeForStatus(status), msg: fmt.Sprintf(format, args...)}
-}
-
-// errc builds an apiError with an explicit code, for the statuses that
-// carry more than one (503 is "unavailable" or "client_gone" or
-// "deadline" depending on what happened).
-func errc(status int, errCode, format string, args ...any) error {
-	return &apiError{status: status, errCode: errCode, msg: fmt.Sprintf(format, args...)}
+	return &apiError{status: status, msg: fmt.Sprintf(format, args...)}
 }
 
 // codeForStatus maps an HTTP status onto its default machine code from
@@ -412,7 +405,9 @@ type handlerFunc func(ctx context.Context, env *handlerEnv) (any, error)
 
 // endpoint wraps a handler with the service plumbing, in order: method
 // check, admission control (queue-depth limit then worker slot), body
-// limit, per-endpoint deadline, span + metrics, JSON encoding.
+// limit, per-endpoint deadline, span + metrics, JSON encoding. A handler
+// error that is the deadline answers 503 "deadline"; other errors that are
+// not apiErrors answer 422 "eval_failed".
 func (s *Server) endpoint(name string, timeout time.Duration, h handlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -468,7 +463,11 @@ func (s *Server) endpoint(name string, timeout time.Duration, h handlerFunc) htt
 		if err != nil {
 			mErrors.Inc()
 			if ae, ok := err.(*apiError); ok {
-				writeErrorCode(w, ae.status, ae.errCode, "%s", ae.msg)
+				writeError(w, ae.status, "%s", ae.msg)
+				return
+			}
+			if errors.Is(err, context.DeadlineExceeded) {
+				writeErrorCode(w, http.StatusServiceUnavailable, apiv1.CodeDeadline, "%s exceeded the deadline: %v", name, err)
 				return
 			}
 			writeError(w, http.StatusUnprocessableEntity, "%v", err)

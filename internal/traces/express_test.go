@@ -1,6 +1,7 @@
 package traces
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/logic"
@@ -14,7 +15,7 @@ import (
 
 func decideTrue(t *testing.T, name string, f *logic.Formula) {
 	t.Helper()
-	v, err := Decider().Decide(f)
+	v, err := Decider().Decide(context.Background(), f)
 	if err != nil {
 		t.Fatalf("%s: Decide: %v", name, err)
 	}

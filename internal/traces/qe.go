@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/domain"
 	"repro/internal/logic"
 	"repro/internal/obs"
 	"repro/internal/turing"
@@ -59,27 +60,6 @@ type Eliminator struct {
 	// simplifier prunes DNF clauses (dead sort branches, duplicate
 	// literals) before they multiply in the next elimination.
 	NoIntermediateSimplify bool
-
-	// ctx, when set via EliminateCtx, is polled between pipeline stages and
-	// before each quantifier elimination, so a request-scoped deadline can
-	// abandon a run whose intermediate formulas are still multiplying.
-	ctx context.Context
-}
-
-// EliminateCtx implements domain.CtxEliminator: elimination under a
-// context, aborted with the context's error at the next stage or
-// quantifier boundary after cancellation.
-func (e Eliminator) EliminateCtx(ctx context.Context, f *logic.Formula) (*logic.Formula, error) {
-	e.ctx = ctx
-	return e.Eliminate(f)
-}
-
-// checkCtx reports the context's error, if a context is set and cancelled.
-func (e Eliminator) checkCtx() error {
-	if e.ctx == nil {
-		return nil
-	}
-	return e.ctx.Err()
 }
 
 // simplify applies intermediate simplification unless ablated.
@@ -112,9 +92,11 @@ func (e Eliminator) maxExcluded() int {
 
 // Eliminate implements domain.Eliminator: it returns a quantifier-free
 // formula equivalent to f over T, in the Reach signature, with ground atoms
-// evaluated away.
-func (e Eliminator) Eliminate(f *logic.Formula) (*logic.Formula, error) {
-	_, sp := obs.StartSpanCtx(e.ctx, "qe.traces.eliminate")
+// evaluated away. The context is polled between pipeline stages and before
+// each quantifier elimination, so a request-scoped deadline can abandon a
+// run whose intermediate formulas are still multiplying.
+func (e Eliminator) Eliminate(ctx context.Context, f *logic.Formula) (*logic.Formula, error) {
+	_, sp := obs.StartSpanCtx(ctx, "qe.traces.eliminate")
 	defer sp.End()
 	mQECalls.Inc()
 	sizeIn := int64(f.Size())
@@ -132,17 +114,17 @@ func (e Eliminator) Eliminate(f *logic.Formula) (*logic.Formula, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := e.checkCtx(); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	st = sp.Child("elim")
-	g, err = e.elim(g)
+	g, err = domain.EliminateQuantifiers(ctx, g, e.elimExists, !e.NoIntermediateSimplify)
 	stageSize(st, g)
 	st.End()
 	if err != nil {
 		return nil, err
 	}
-	if err := e.checkCtx(); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	st = sp.Child("ground")
@@ -169,44 +151,8 @@ func stageSize(st *obs.Span, g *logic.Formula) {
 	}
 }
 
-func (e Eliminator) elim(f *logic.Formula) (*logic.Formula, error) {
-	switch f.Kind {
-	case logic.FExists:
-		body, err := e.elim(f.Sub[0])
-		if err != nil {
-			return nil, err
-		}
-		return e.elimExists(f.Var, body)
-	case logic.FForall:
-		body, err := e.elim(f.Sub[0])
-		if err != nil {
-			return nil, err
-		}
-		inner, err := e.elimExists(f.Var, logic.Not(body))
-		if err != nil {
-			return nil, err
-		}
-		return e.simplify(logic.Not(inner)), nil
-	case logic.FTrue, logic.FFalse, logic.FAtom:
-		return f, nil
-	default:
-		sub := make([]*logic.Formula, len(f.Sub))
-		for i, s := range f.Sub {
-			g, err := e.elim(s)
-			if err != nil {
-				return nil, err
-			}
-			sub[i] = g
-		}
-		return &logic.Formula{Kind: f.Kind, Sub: sub}, nil
-	}
-}
-
 // elimExists eliminates ∃x from a quantifier-free body.
 func (e Eliminator) elimExists(x string, body *logic.Formula) (*logic.Formula, error) {
-	if err := e.checkCtx(); err != nil {
-		return nil, err
-	}
 	mQEQuantifiers.Inc()
 	body = e.simplify(body)
 	if !body.HasFreeVar(x) {

@@ -1,6 +1,7 @@
 package traces
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -12,7 +13,7 @@ import (
 
 func decide(t *testing.T, f *logic.Formula) bool {
 	t.Helper()
-	v, err := Decider().Decide(f)
+	v, err := Decider().Decide(context.Background(), f)
 	if err != nil {
 		t.Fatalf("Decide(%v): %v", f, err)
 	}
@@ -33,7 +34,7 @@ func TestEliminateProducesQF(t *testing.T) {
 	}
 	e := Eliminator{}
 	for _, f := range formulas {
-		g, err := e.Eliminate(f)
+		g, err := e.Eliminate(context.Background(), f)
 		if err != nil {
 			t.Fatalf("Eliminate(%v): %v", f, err)
 		}
@@ -298,12 +299,12 @@ func TestEliminateRejectsBadInput(t *testing.T) {
 			// B with variable index is only rejected when the quantifier
 			// forces specialization.
 			g := logic.Exists("x", f)
-			if _, err := e.Eliminate(g); err == nil {
+			if _, err := e.Eliminate(context.Background(), g); err == nil {
 				t.Errorf("Eliminate(%v) should fail", g)
 			}
 			continue
 		}
-		if _, err := e.Eliminate(f); err == nil {
+		if _, err := e.Eliminate(context.Background(), f); err == nil {
 			t.Errorf("Eliminate(%v) should fail", f)
 		}
 	}
@@ -348,11 +349,11 @@ func TestDecideConsistency(t *testing.T) {
 	dec := Decider()
 	for i := 0; i < 60; i++ {
 		f := randTraceSentence(rng, 2)
-		v, err := dec.Decide(f)
+		v, err := dec.Decide(context.Background(), f)
 		if err != nil {
 			t.Fatalf("Decide(%v): %v", f, err)
 		}
-		nv, err := dec.Decide(logic.Not(f))
+		nv, err := dec.Decide(context.Background(), logic.Not(f))
 		if err != nil {
 			t.Fatalf("Decide(¬%v): %v", f, err)
 		}
@@ -384,14 +385,14 @@ func TestDecideWitnessSoundness(t *testing.T) {
 			}
 		}
 		if found {
-			v, err := dec.Decide(logic.Exists("x", body))
+			v, err := dec.Decide(context.Background(), logic.Exists("x", body))
 			if err != nil {
 				t.Fatalf("Decide: %v (body %v)", err, body)
 			}
 			if !v {
 				t.Fatalf("witness exists for %v but Decide says false", body)
 			}
-			v, err = dec.Decide(logic.Forall("x", logic.Not(body)))
+			v, err = dec.Decide(context.Background(), logic.Forall("x", logic.Not(body)))
 			if err != nil {
 				t.Fatalf("Decide: %v", err)
 			}
@@ -594,11 +595,11 @@ func TestEliminateIdempotentOnQF(t *testing.T) {
 	f := logic.And(
 		logic.Atom(PredM, logic.Var("x")),
 		logic.Atom("D2", logic.Var("x"), logic.Const("1")))
-	g, err := e.Eliminate(f)
+	g, err := e.Eliminate(context.Background(), f)
 	if err != nil {
 		t.Fatalf("Eliminate: %v", err)
 	}
-	h, err := e.Eliminate(g)
+	h, err := e.Eliminate(context.Background(), g)
 	if err != nil {
 		t.Fatalf("second Eliminate: %v", err)
 	}
@@ -608,7 +609,7 @@ func TestEliminateIdempotentOnQF(t *testing.T) {
 }
 
 func TestDecideErrorOnOpenFormula(t *testing.T) {
-	if _, err := Decider().Decide(logic.Atom(PredM, logic.Var("x"))); err == nil {
+	if _, err := Decider().Decide(context.Background(), logic.Atom(PredM, logic.Var("x"))); err == nil {
 		t.Errorf("open formula accepted")
 	}
 }
@@ -619,7 +620,7 @@ func ExampleDecider() {
 		logic.Atom(PredM, logic.Var("x")),
 		logic.Atom("E2", logic.Var("x"), logic.Const("1")),
 	))
-	v, _ := Decider().Decide(f)
+	v, _ := Decider().Decide(context.Background(), f)
 	fmt.Println(v)
 	// Output: true
 }
