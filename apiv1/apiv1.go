@@ -17,9 +17,10 @@
 // and echoes the request span's own position as a `traceparent` response
 // header on every response — errors, batch responses, and stream
 // trailers included. Callers that forward work parent the next hop on
-// exactly the echoed position; `trace_id` appears alongside `request_id`
-// in error envelopes, stream trailers, the access log, and /debug/slow
-// captures.
+// exactly the echoed position. The trace ID is a request's only identity:
+// `trace_id` names it in error envelopes, stream trailers, the access log,
+// /debug/slow captures, profile captures, and latency exemplars, and a
+// caller names its request by sending `traceparent`.
 package apiv1
 
 import (

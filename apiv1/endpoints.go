@@ -91,7 +91,7 @@ func Endpoints() []Endpoint {
 		{
 			Method: "GET", Path: "/debug/slow",
 			Response: "—",
-			Params:   "`?id=<request id>` fetches one span subtree; without it, the capture index",
+			Params:   "`?id=<trace id>` fetches the newest capture of that trace with its span subtree; without it, the capture index",
 			Doc:      "Tail-sampled request captures (slow, errored, first-seen-query).",
 		},
 		{

@@ -3,21 +3,18 @@ package apiv1
 // Error is the uniform JSON error body, carried under the "error" key of
 // ErrorEnvelope on every non-2xx response (429 sheds and panic 500s
 // included) and inline on failed batch items. Code is machine-readable
-// from the closed set below; Message is for humans; RequestID lets a
-// client quote the failing request and the operator grep logs and traces
-// for it.
+// from the closed set below; Message is for humans; TraceID lets a client
+// quote the failing request and the operator grep logs and traces for it.
 type Error struct {
 	// Code is one of the Code* constants.
 	Code string `json:"code"`
 	// Message is a human-readable description.
 	Message string `json:"message"`
-	// RequestID is the request's X-Request-Id (absent on batch-item
-	// errors, which live inside an identified response already).
-	RequestID string `json:"request_id,omitempty"`
 	// TraceID is the request's W3C trace ID (32 lowercase hex chars),
 	// matching the `traceparent` response header, the access log's
 	// trace_id, and the flight-recorder events — one grep correlates all
-	// of them. Absent on batch-item errors, like RequestID.
+	// of them. Absent on batch-item errors, which live inside an
+	// identified response already.
 	TraceID string `json:"trace_id,omitempty"`
 }
 
@@ -32,7 +29,7 @@ func (e *Error) Error() string {
 
 // ErrorEnvelope is every error response's body:
 //
-//	{"error": {"code": "bad_request", "message": "...", "request_id": "..."}}
+//	{"error": {"code": "bad_request", "message": "...", "trace_id": "..."}}
 type ErrorEnvelope struct {
 	Error Error `json:"error"`
 }

@@ -35,9 +35,9 @@ type Client struct {
 	http *http.Client
 
 	// OnResponse, when non-nil, observes every HTTP response's status and
-	// headers before the body is decoded — the `traceparent` echo (the
-	// server-side request span's position) and the X-Request-Id. Set it
-	// before issuing requests; it runs on the calling goroutine.
+	// headers before the body is decoded — such as the `traceparent` echo
+	// (the server-side request span's position). Set it before issuing
+	// requests; it runs on the calling goroutine.
 	OnResponse func(status int, header http.Header)
 }
 
@@ -68,12 +68,13 @@ func New(baseURL string, httpClient *http.Client) *Client {
 }
 
 // APIError is a non-2xx response decoded from the uniform error envelope.
-// Code is from the apiv1 closed set; Status is the HTTP status.
+// Code is from the apiv1 closed set; Status is the HTTP status; TraceID
+// names the failed request.
 type APIError struct {
-	Status    int
-	Code      string
-	Message   string
-	RequestID string
+	Status  int
+	Code    string
+	Message string
+	TraceID string
 }
 
 func (e *APIError) Error() string {
@@ -87,10 +88,10 @@ func decodeError(status int, body []byte) error {
 	var env apiv1.ErrorEnvelope
 	if err := json.Unmarshal(body, &env); err == nil && env.Error.Code != "" {
 		return &APIError{
-			Status:    status,
-			Code:      env.Error.Code,
-			Message:   env.Error.Message,
-			RequestID: env.Error.RequestID,
+			Status:  status,
+			Code:    env.Error.Code,
+			Message: env.Error.Message,
+			TraceID: env.Error.TraceID,
 		}
 	}
 	return &APIError{

@@ -17,7 +17,7 @@
 // -log-format) apply as in the other tools; /metrics, /debug/obs, and
 // /debug/pprof/ are also served by finqd itself, so -debug-addr is only
 // needed to put them on a separate port. The access log (one structured
-// line per request, carrying the request's X-Request-Id) goes to stderr
+// line per request, carrying the request's trace ID) goes to stderr
 // through the shared slog setup, so `finq eval` and finqd emit uniform
 // logs.
 //
@@ -27,7 +27,7 @@
 // deadlines). Requests slower than -slow — plus errored requests and the
 // first request of each distinct query — get their span subtree captured
 // from the flight recorder into the tail sampler: /debug/slow lists the
-// captures, /debug/slow?id=<request id> retrieves one. Per-query
+// captures, /debug/slow?id=<trace id> retrieves one. Per-query
 // aggregates (latency, selectivity, cache hits, keyed by the formula's
 // canonical key) are served on /v1/stats/queries (JSON) and
 // /debug/queries (text table).
@@ -48,7 +48,7 @@
 //
 // -smoke starts the server on an ephemeral port, exercises every endpoint
 // once in-process — including /healthz, /readyz and its drain flip, the
-// X-Request-Id echo, the access log, and the smoke query's presence on
+// traceparent echo, the access log, and the smoke query's presence on
 // /v1/stats/queries — verifies the service metrics appear on /metrics,
 // and exits nonzero on any failure. It exists for CI and
 // `make serve-smoke`.

@@ -125,8 +125,8 @@ func (b *lockedBuffer) String() string {
 // runSmoke starts the service on an ephemeral port, fires the checks, and
 // shuts down gracefully; any wrong status or missing substring is an
 // error. Beyond the per-endpoint checks it verifies the request-scoped
-// observability contract: the X-Request-Id echo, the ID's presence in the
-// access log, and the /readyz drain flip.
+// observability contract: the traceparent echo, the trace ID's presence
+// in the access log, and the /readyz drain flip.
 func runSmoke(cfg server.Config) error {
 	logBuf := &lockedBuffer{}
 	logger, err := logctx.NewLogger(logBuf, slog.LevelDebug, "json")
@@ -176,33 +176,11 @@ func runSmoke(cfg server.Config) error {
 		fmt.Printf("smoke %-22s ok  %s %s\n", c.name, c.method, c.path)
 	}
 
-	// Request-ID contract: a supplied X-Request-Id is echoed on the
-	// response and lands in the structured access log.
-	const smokeID = "smoke-e2e-0001"
-	req, err := http.NewRequest(http.MethodPost, "http://"+addr+"/v1/decide",
-		strings.NewReader(`{"domain": "eq", "sentence": "forall x. x = x"}`))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("X-Request-Id", smokeID)
-	resp, err := client.Do(req)
-	if err != nil {
-		return fmt.Errorf("request-id check: %w", err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if got := resp.Header.Get("X-Request-Id"); got != smokeID {
-		return fmt.Errorf("request-id echo: sent %q, response header carries %q", smokeID, got)
-	}
-	if !strings.Contains(logBuf.String(), smokeID) {
-		return fmt.Errorf("access log does not carry the request id %q", smokeID)
-	}
-	fmt.Printf("smoke %-22s ok  X-Request-Id echoed and in access log\n", "request-id")
-
 	// Trace-context contract: a caller's W3C traceparent is adopted — the
 	// response echoes the same trace ID at the server's own span position
-	// (a freshly minted child span ID, not the caller's) — and a malformed
-	// traceparent is replaced by a fresh root rather than rejected.
+	// (a freshly minted child span ID, not the caller's), and the trace ID
+	// names the request in the access log — and a malformed traceparent is
+	// replaced by a fresh root rather than rejected.
 	const smokeTP = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
 	sentTC, ok := tracectx.Parse(smokeTP, "")
 	if !ok {
@@ -239,6 +217,9 @@ func runSmoke(cfg server.Config) error {
 	if echoTC.SpanID == sentTC.SpanID {
 		return fmt.Errorf("traceparent check: response span position %s is the caller's, not a minted child", echoTC.SpanID)
 	}
+	if !strings.Contains(logBuf.String(), `"trace_id":"`+sentTC.TraceID.String()+`"`) {
+		return fmt.Errorf("traceparent check: access log does not carry the trace id %s", sentTC.TraceID)
+	}
 	freshTC, err := traceReq("garbage-not-a-traceparent")
 	if err != nil {
 		return fmt.Errorf("traceparent check (malformed): %w", err)
@@ -246,7 +227,7 @@ func runSmoke(cfg server.Config) error {
 	if freshTC.TraceID == sentTC.TraceID || freshTC.TraceID.IsZero() {
 		return fmt.Errorf("traceparent check (malformed): want a fresh root, got trace %s", freshTC.TraceID)
 	}
-	fmt.Printf("smoke %-22s ok  trace adopted with child span; malformed re-rooted\n", "traceparent")
+	fmt.Printf("smoke %-22s ok  trace adopted with child span and in access log; malformed re-rooted\n", "traceparent")
 
 	// Trace-export contract: the ring serves as OTLP/JSON resource spans
 	// carrying the smoke's trace ID, and as a stitchable JSONL dump with
@@ -371,20 +352,20 @@ func runSmoke(cfg server.Config) error {
 	}
 
 	// Error-envelope contract: a failing request surfaces through the
-	// client as a typed APIError with a closed-set code and a request ID.
+	// client as a typed APIError with a closed-set code and a trace ID.
 	if _, err := api.Eval(sctx, apiv1.EvalRequest{Domain: "nope", Formula: "x = x"}); err == nil {
 		return fmt.Errorf("error-envelope check: unknown domain did not fail")
 	} else if ae, ok := err.(*apiclient.APIError); !ok {
 		return fmt.Errorf("error-envelope check: want *apiclient.APIError, got %T: %v", err, err)
 	} else if ae.Status != http.StatusBadRequest || ae.Code != apiv1.CodeBadRequest ||
-		!apiv1.ValidCode(ae.Code) || ae.RequestID == "" {
+		!apiv1.ValidCode(ae.Code) || ae.TraceID == "" {
 		return fmt.Errorf("error-envelope check: %+v", ae)
 	}
-	fmt.Printf("smoke %-22s ok  typed %s with request ID\n", "error-envelope", apiv1.CodeBadRequest)
+	fmt.Printf("smoke %-22s ok  typed %s with trace ID\n", "error-envelope", apiv1.CodeBadRequest)
 
 	// Profile-capture contract: an on-demand capture completes, is listed
 	// on /debug/profiles, and its CPU payload downloads by id.
-	resp, err = client.Post("http://"+addr+"/debug/profiles/capture?dur_ms=150", "application/json", nil)
+	resp, err := client.Post("http://"+addr+"/debug/profiles/capture?dur_ms=150", "application/json", nil)
 	if err != nil {
 		return fmt.Errorf("profile capture: %w", err)
 	}

@@ -307,12 +307,11 @@ func Eval(ctx context.Context, req Request) (*Result, error) {
 	if mode == "" {
 		mode = ModeActive
 	}
-	// The root evaluation span: with a request ID in ctx (finqd, or any
-	// caller using logctx.WithRequestID) its trace events — and those of
-	// every evaluator and QE span below it — carry the ID, so one request's
-	// full lifecycle can be pulled out of a trace by ID. With a trace
-	// position in ctx (tracectx.With) the span gets its own W3C span ID and
-	// the evaluator spans below become its children.
+	// The root evaluation span: with a trace position in ctx (finqd, or any
+	// caller using tracectx.With) the span gets its own W3C span ID, the
+	// evaluator spans below become its children, and all their events
+	// carry the trace ID, so one request's full lifecycle can be pulled
+	// out of a trace by that ID.
 	ctx, sp := obs.StartSpanCtx(ctx, "finq.eval")
 	sp.ArgStr("domain", req.Domain)
 	sp.ArgStr("mode", string(mode))

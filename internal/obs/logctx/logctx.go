@@ -1,100 +1,30 @@
-// Package logctx gives every request an identity and makes the process's
-// structured logs carry it. It is the glue between the three observability
-// surfaces that PR 5 correlates: a request ID minted here (or honored from
-// a client's X-Request-Id) is stored in the context.Context that the
-// evaluation core already threads end to end, and
-//
-//   - slog records written through the context-aware handler gain a
-//     request_id attribute automatically;
-//   - obs spans started with obs.StartSpanCtx attach the ID as a trace
-//     argument, so the flight recorder's events (and the exported Chrome
-//     trace) can be filtered down to one request's timeline;
-//   - the finqd access log and slow-query captures key off the same ID.
-//
-// The package deliberately depends on nothing but the standard library, so
-// internal/obs (and everything instrumented by it) can import it without
-// cycles.
+// Package logctx makes the process's structured logs carry the request's
+// identity: the W3C trace ID (internal/obs/tracectx) that finqd's
+// middleware adopts from a caller's `traceparent`, or mints as a fresh
+// root, and stores in the context.Context the evaluation core threads end
+// to end. slog records written through the context-aware handler gain a
+// trace_id attribute, the same ID that spans, exemplars, tail captures and
+// profile captures carry, so one grep joins them all.
 package logctx
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"log/slog"
-	"sync/atomic"
+
+	"repro/internal/obs/tracectx"
 )
 
-// ctxKey is the private context key for the request ID.
-type ctxKey struct{}
-
-// MaxIDLen bounds accepted request IDs; longer client-supplied values are
-// replaced rather than truncated, so an ID seen anywhere is an ID that was
-// honored everywhere.
-const MaxIDLen = 64
-
-// WithRequestID returns a context carrying the request ID. An empty id
-// returns ctx unchanged.
-func WithRequestID(ctx context.Context, id string) context.Context {
-	if id == "" {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, id)
-}
-
-// RequestID returns the request ID carried by ctx, or "" when absent. A
-// nil context is safe.
-func RequestID(ctx context.Context) string {
-	if ctx == nil {
-		return ""
-	}
-	id, _ := ctx.Value(ctxKey{}).(string)
-	return id
-}
-
-// idCounter disambiguates IDs if the random source ever fails; it also
-// makes fallback IDs unique within the process.
-var idCounter atomic.Int64
-
-// NewRequestID mints a fresh request ID: 16 hex characters of
-// crypto/rand entropy, "req-<n>" if the random source is unavailable.
-func NewRequestID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return fmt.Sprintf("req-%d", idCounter.Add(1))
-	}
-	return hex.EncodeToString(b[:])
-}
-
-// ValidID reports whether a client-supplied request ID is acceptable:
-// non-empty, at most MaxIDLen bytes, and drawn from [A-Za-z0-9._-] so it
-// is safe to echo into headers, logs, and trace arguments.
-func ValidID(id string) bool {
-	if id == "" || len(id) > MaxIDLen {
-		return false
-	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '.', c == '_', c == '-':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// Handler is a slog.Handler that injects the context's request ID as a
-// request_id attribute on every record, then delegates to the inner
-// handler. Records logged without a request-scoped context pass through
-// unchanged.
+// Handler is a slog.Handler that injects the context's trace ID as a
+// trace_id attribute on every record, then delegates to the inner
+// handler. Records logged without a trace position on their context pass
+// through unchanged.
 type Handler struct {
 	inner slog.Handler
 }
 
-// NewHandler wraps an slog handler with request-ID injection.
+// NewHandler wraps an slog handler with trace-ID injection.
 func NewHandler(inner slog.Handler) Handler { return Handler{inner: inner} }
 
 // Enabled implements slog.Handler.
@@ -102,10 +32,10 @@ func (h Handler) Enabled(ctx context.Context, level slog.Level) bool {
 	return h.inner.Enabled(ctx, level)
 }
 
-// Handle implements slog.Handler, adding request_id from the context.
+// Handle implements slog.Handler, adding trace_id from the context.
 func (h Handler) Handle(ctx context.Context, r slog.Record) error {
-	if id := RequestID(ctx); id != "" {
-		r.AddAttrs(slog.String("request_id", id))
+	if tc, ok := tracectx.From(ctx); ok {
+		r.AddAttrs(slog.String("trace_id", tc.TraceID.String()))
 	}
 	return h.inner.Handle(ctx, r)
 }
@@ -135,7 +65,7 @@ func ParseLevel(s string) (slog.Level, error) {
 	return 0, fmt.Errorf("-log-level: want debug|info|warn|error, got %q", s)
 }
 
-// NewLogger builds a request-ID-aware logger writing to w in the given
+// NewLogger builds a trace-ID-aware logger writing to w in the given
 // format ("text" or "json", the -log-format values) at the given level.
 func NewLogger(w io.Writer, level slog.Level, format string) (*slog.Logger, error) {
 	opts := &slog.HandlerOptions{Level: level}

@@ -8,61 +8,21 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/obs/tracectx"
 )
 
-func TestRequestIDRoundTrip(t *testing.T) {
-	ctx := WithRequestID(context.Background(), "abc-123")
-	if got := RequestID(ctx); got != "abc-123" {
-		t.Fatalf("RequestID = %q, want abc-123", got)
-	}
-	if got := RequestID(context.Background()); got != "" {
-		t.Fatalf("RequestID(empty ctx) = %q, want \"\"", got)
-	}
-	// A nil context carries no ID.
-	if got := RequestID(nil); got != "" {
-		t.Fatalf("RequestID(nil) = %q, want \"\"", got)
-	}
-	if ctx2 := WithRequestID(context.Background(), ""); RequestID(ctx2) != "" {
-		t.Fatal("empty ID should not be stored")
-	}
-}
-
-func TestNewRequestIDUnique(t *testing.T) {
-	seen := map[string]bool{}
-	for i := 0; i < 1000; i++ {
-		id := NewRequestID()
-		if !ValidID(id) {
-			t.Fatalf("generated ID %q fails its own validation", id)
-		}
-		if seen[id] {
-			t.Fatalf("duplicate generated ID %q", id)
-		}
-		seen[id] = true
-	}
-}
-
-func TestValidID(t *testing.T) {
-	for _, ok := range []string{"a", "req-1", "A_b.C-9", strings.Repeat("x", MaxIDLen)} {
-		if !ValidID(ok) {
-			t.Errorf("ValidID(%q) = false, want true", ok)
-		}
-	}
-	for _, bad := range []string{"", "has space", "new\nline", "héllo", strings.Repeat("x", MaxIDLen+1), `quote"id`} {
-		if ValidID(bad) {
-			t.Errorf("ValidID(%q) = true, want false", bad)
-		}
-	}
-}
-
-// TestHandlerInjectsRequestID: a record logged under a request-scoped
-// context gains request_id; one logged without passes through untouched.
-func TestHandlerInjectsRequestID(t *testing.T) {
+// TestHandlerInjectsTraceID: a record logged under a context carrying a
+// trace position gains trace_id; one logged without passes through
+// untouched.
+func TestHandlerInjectsTraceID(t *testing.T) {
 	var buf bytes.Buffer
 	logger, err := NewLogger(&buf, slog.LevelInfo, "json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := WithRequestID(context.Background(), "inject-me")
+	tc := tracectx.NewRoot()
+	ctx := tracectx.With(context.Background(), tc)
 	logger.InfoContext(ctx, "with id")
 	logger.Info("without id")
 
@@ -77,11 +37,11 @@ func TestHandlerInjectsRequestID(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[1]), &second); err != nil {
 		t.Fatalf("line 2 is not JSON: %v", err)
 	}
-	if first["request_id"] != "inject-me" {
-		t.Errorf("request-scoped record: request_id = %v, want inject-me", first["request_id"])
+	if want := tc.TraceID.String(); first["trace_id"] != want {
+		t.Errorf("request-scoped record: trace_id = %v, want %s", first["trace_id"], want)
 	}
-	if _, present := second["request_id"]; present {
-		t.Errorf("plain record should carry no request_id: %v", second)
+	if _, present := second["trace_id"]; present {
+		t.Errorf("plain record should carry no trace_id: %v", second)
 	}
 }
 
@@ -105,7 +65,7 @@ func TestParseLevel(t *testing.T) {
 }
 
 // TestHandlerConcurrent hammers one logger from many goroutines with
-// distinct request IDs; under -race this checks the handler chain is safe,
+// distinct trace IDs; under -race this checks the handler chain is safe,
 // and afterwards every line must be intact JSON with its own ID.
 func TestHandlerConcurrent(t *testing.T) {
 	var mu sync.Mutex
@@ -125,7 +85,7 @@ func TestHandlerConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ctx := WithRequestID(context.Background(), NewRequestID())
+			ctx := tracectx.With(context.Background(), tracectx.NewRoot())
 			logger.InfoContext(ctx, "concurrent")
 		}()
 	}
@@ -140,9 +100,9 @@ func TestHandlerConcurrent(t *testing.T) {
 		if err := json.Unmarshal([]byte(l), &rec); err != nil {
 			t.Fatalf("corrupt log line %q: %v", l, err)
 		}
-		id, _ := rec["request_id"].(string)
+		id, _ := rec["trace_id"].(string)
 		if id == "" || ids[id] {
-			t.Fatalf("missing or duplicate request_id in %q", l)
+			t.Fatalf("missing or duplicate trace_id in %q", l)
 		}
 		ids[id] = true
 	}

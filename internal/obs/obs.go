@@ -19,14 +19,11 @@
 package obs
 
 import (
-	"context"
 	"math"
 	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/obs/logctx"
 )
 
 // enabled is the package-level toggle. Observation is on by default; the
@@ -192,14 +189,14 @@ func (h *Histogram) CountUnder(v int64) int64 {
 	return n
 }
 
-// Exemplar links a histogram bucket to a recent trace: the request ID of
+// Exemplar links a histogram bucket to a recent trace: the trace ID of
 // the most recent exemplar-bearing observation that landed in the bucket,
 // and its observed value. Emitted in OpenMetrics exemplar syntax from the
 // Prometheus endpoint, so a scraper can jump from a latency bucket
-// straight to /debug/slow?id=<request_id>.
+// straight to /debug/slow?id=<trace_id>.
 type Exemplar struct {
-	RequestID string `json:"request_id"`
-	Value     int64  `json:"value"`
+	TraceID string `json:"trace_id"`
+	Value   int64  `json:"value"`
 }
 
 // Histogram aggregates a size or latency distribution into power-of-two
@@ -253,24 +250,18 @@ func (h *Histogram) observe(v int64) {
 }
 
 // ObserveExemplar records one value and stamps its bucket's exemplar with
-// the given request ID (last writer wins — the exemplar is "a recent
-// request that landed here", not a reservoir). An empty requestID records
+// the given trace ID (last writer wins — the exemplar is "a recent
+// request that landed here", not a reservoir). An empty traceID records
 // plainly.
-func (h *Histogram) ObserveExemplar(v int64, requestID string) {
+func (h *Histogram) ObserveExemplar(v int64, traceID string) {
 	if !enabled.Load() {
 		return
 	}
 	h.observe(v)
-	if requestID == "" {
+	if traceID == "" {
 		return
 	}
-	h.exemplars[BucketIndex(v)].Store(&Exemplar{RequestID: requestID, Value: v})
-}
-
-// ObserveCtx records one value, using the context's request ID (logctx)
-// as the bucket exemplar when present.
-func (h *Histogram) ObserveCtx(ctx context.Context, v int64) {
-	h.ObserveExemplar(v, logctx.RequestID(ctx))
+	h.exemplars[BucketIndex(v)].Store(&Exemplar{TraceID: traceID, Value: v})
 }
 
 // ExemplarFor returns the bucket exemplar for bucket i, or nil.
@@ -287,9 +278,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
-// Max returns the maximum observation (0 before any observation).
-func (h *Histogram) Max() int64 { return h.max.Load() }
-
 // HistView is a histogram rendered for a snapshot. Buckets maps the
 // bucket's inclusive upper bound (as a decimal string, "0" for the
 // non-positive bucket) to its count; empty buckets are omitted.
@@ -300,7 +288,7 @@ type HistView struct {
 	Mean    float64          `json:"mean"`
 	Buckets map[string]int64 `json:"buckets,omitempty"`
 	// Exemplars maps a bucket label to the most recent request that landed
-	// in the bucket, when any observation carried a request ID.
+	// in the bucket, when any observation carried a trace ID.
 	Exemplars map[string]Exemplar `json:"exemplars,omitempty"`
 }
 

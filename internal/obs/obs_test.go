@@ -104,7 +104,6 @@ func TestToggle(t *testing.T) {
 	if sp != nil {
 		t.Error("StartSpan should return nil when disabled")
 	}
-	sp.Label("k=v")
 	sp.Child("inner").End()
 	sp.End()
 	if c.Value() != before {
@@ -185,15 +184,9 @@ func TestSpanLabels(t *testing.T) {
 	SetEnabled(true)
 	sp := StartSpan("test.labels", "domain=eq")
 	sp.End()
-	sp = StartSpan("test.labels")
-	sp.Label("domain=traces")
-	sp.End()
 	snap := Take()
 	if snap.Spans["test.labels{domain=eq}"].Count != 1 {
 		t.Errorf("labeled span missing: %v", snap.Spans)
-	}
-	if snap.Spans["test.labels{domain=traces}"].Count != 1 {
-		t.Errorf("late-labeled span missing: %v", snap.Spans)
 	}
 }
 
@@ -249,7 +242,7 @@ func TestServeDebug(t *testing.T) {
 	}
 }
 
-// TestHistogramExemplars: ObserveExemplar keeps the most recent request id
+// TestHistogramExemplars: ObserveExemplar keeps the most recent trace id
 // per bucket, view() exports it, and Reset clears it.
 func TestHistogramExemplars(t *testing.T) {
 	SetEnabled(true)
@@ -259,11 +252,11 @@ func TestHistogramExemplars(t *testing.T) {
 	h.ObserveExemplar(100, "")     // empty id: plain observation
 	i := BucketIndex(5)
 	ex := h.ExemplarFor(i)
-	if ex == nil || ex.RequestID != "second" || ex.Value != 6 {
+	if ex == nil || ex.TraceID != "second" || ex.Value != 6 {
 		t.Fatalf("bucket %d exemplar: %+v", i, ex)
 	}
 	if ex := h.ExemplarFor(BucketIndex(100)); ex != nil {
-		t.Fatalf("empty request id must not record an exemplar, got %+v", ex)
+		t.Fatalf("empty trace id must not record an exemplar, got %+v", ex)
 	}
 	if h.ExemplarFor(-1) != nil || h.ExemplarFor(NumBuckets) != nil {
 		t.Fatal("out-of-range ExemplarFor must be nil")
@@ -274,7 +267,7 @@ func TestHistogramExemplars(t *testing.T) {
 		t.Fatal("histogram missing from snapshot")
 	}
 	got, ok := hv.Exemplars[BucketLabel(i)]
-	if !ok || got.RequestID != "second" {
+	if !ok || got.TraceID != "second" {
 		t.Fatalf("snapshot exemplars: %+v", hv.Exemplars)
 	}
 

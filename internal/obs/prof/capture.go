@@ -38,11 +38,12 @@ type Capture struct {
 	Reason string `json:"reason"`
 	// Endpoint is the RED endpoint whose burn tripped, when SLO-triggered.
 	Endpoint string `json:"endpoint,omitempty"`
-	// RequestID is the exemplar request that evidenced the trip; TailID is
-	// the tail-sampler capture retained for that request, when one exists,
-	// so the profile links to a concrete span subtree.
-	RequestID string `json:"request_id,omitempty"`
-	TailID    string `json:"tail_id,omitempty"`
+	// TraceID names the request that evidenced the trip (its exemplar) or
+	// asked for a manual capture; TailID is the tail-sampler capture
+	// retained for the tripping request, when one exists, so the profile
+	// links to a concrete span subtree.
+	TraceID string `json:"trace_id,omitempty"`
+	TailID  string `json:"tail_id,omitempty"`
 	// QueryKey is the tripping request's canonical query key, when known.
 	QueryKey string `json:"query_key,omitempty"`
 	// StartUnixMS and DurationMS bound the CPU profile window.

@@ -12,11 +12,11 @@ import (
 // the ring with list/get/download access.
 func TestCaptureNow(t *testing.T) {
 	s := NewStore(StoreConfig{Ring: 4, CPUDuration: 50 * time.Millisecond})
-	c, err := s.CaptureNow(Capture{Reason: "manual", RequestID: "req-1"}, 0)
+	c, err := s.CaptureNow(Capture{Reason: "manual", TraceID: "4bf92f3577b34da6a3ce929d0e0e4736"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.ID != "prof-0001" || c.Reason != "manual" || c.RequestID != "req-1" {
+	if c.ID != "prof-0001" || c.Reason != "manual" || c.TraceID != "4bf92f3577b34da6a3ce929d0e0e4736" {
 		t.Fatalf("capture metadata wrong: %+v", c)
 	}
 	if c.CPUBytes <= 0 || c.HeapBytes <= 0 {

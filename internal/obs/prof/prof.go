@@ -6,13 +6,13 @@
 // The other obs packages answer "how long did it take" (histograms,
 // spans, traces); this one answers "where did the CPU and the allocations
 // go, per query class". Every CPU-profile sample taken while a request is
-// in flight carries pprof labels (endpoint, request_id from the server
+// in flight carries pprof labels (endpoint, trace_id from the server
 // middleware; query_key, domain, mode from finq.Eval), so one `go tool
 // pprof` invocation can slice the process profile by endpoint or by a
 // single formula's canonical key. When an SLO burn-rate threshold trips,
 // the capture store records a bounded CPU+heap profile pair while the
 // incident is still live, cross-linked to the tail-sampler capture and
-// request ID that tripped it — the evidence arrives with the page.
+// trace ID that tripped it — the evidence arrives with the page.
 //
 // Everything here follows the repository's observability conventions:
 // zero dependencies outside the standard library, and bounded memory (the

@@ -15,7 +15,7 @@ import (
 //   - histograms as <name>_bucket{le="..."} cumulative series plus _sum and
 //     _count (the power-of-two upper bounds become le labels); buckets with
 //     a recorded exemplar carry it in OpenMetrics exemplar syntax
-//     (`... # {request_id="..."} value`), which 0.0.4 scrapers treat as
+//     (`... # {trace_id="..."} value`), which 0.0.4 scrapers treat as
 //     ignorable and OpenMetrics scrapers link to traces;
 //   - span aggregates as <name>_spans_count / _spans_total_us /
 //     _spans_max_us counters, with span labels ({k=v}) mapped to Prometheus
@@ -40,11 +40,11 @@ func (s Snapshot) WritePrometheus(w io.Writer) {
 		cum := int64(0)
 		for _, b := range sortedBounds(h.Buckets) {
 			cum += h.Buckets[b.label]
-			if ex, ok := h.Exemplars[b.label]; ok && ex.RequestID != "" {
+			if ex, ok := h.Exemplars[b.label]; ok && ex.TraceID != "" {
 				// OpenMetrics exemplar syntax: the trailing `# {labels} value`
 				// links the bucket to a recent request's trace.
-				fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d # {request_id=%q} %d\n",
-					n, b.label, cum, ex.RequestID, ex.Value)
+				fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d # {trace_id=%q} %d\n",
+					n, b.label, cum, ex.TraceID, ex.Value)
 				continue
 			}
 			fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d\n", n, b.label, cum)

@@ -101,7 +101,7 @@ func TestWritePrometheusExemplars(t *testing.T) {
 				Max:     8,
 				Buckets: map[string]int64{"2": 1, "8": 1},
 				Exemplars: map[string]Exemplar{
-					"8": {RequestID: "req-42", Value: 7},
+					"8": {TraceID: "4bf92f3577b34da6a3ce929d0e0e4736", Value: 7},
 				},
 			},
 		},
@@ -109,7 +109,7 @@ func TestWritePrometheusExemplars(t *testing.T) {
 	var b strings.Builder
 	s.WritePrometheus(&b)
 	out := b.String()
-	if !strings.Contains(out, "server_eval_latency_us_bucket{le=\"8\"} 2 # {request_id=\"req-42\"} 7\n") {
+	if !strings.Contains(out, "server_eval_latency_us_bucket{le=\"8\"} 2 # {trace_id=\"4bf92f3577b34da6a3ce929d0e0e4736\"} 7\n") {
 		t.Errorf("exemplar line missing:\n%s", out)
 	}
 	for _, plain := range []string{

@@ -6,14 +6,13 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/obs/logctx"
 	"repro/internal/obs/trace"
 	"repro/internal/obs/tracectx"
 )
 
 // spanStat aggregates all finished spans sharing one aggregation key: a
 // duration histogram in microseconds plus a count of currently-open spans
-// (tracked on the unlabeled path, since labels may be added mid-span).
+// (tracked on the unlabeled path).
 type spanStat struct {
 	hist Histogram
 	open atomic.Int64
@@ -68,35 +67,29 @@ func spanStatFor(key string) *spanStat {
 // StartSpan opens a span. Labels are "key=value" strings folded into the
 // duration-aggregation key. Returns nil when observation is off.
 func StartSpan(path string, labels ...string) *Span {
-	return startSpan(trace.Default(), trace.Ident{}, path, nil, labels)
+	return startSpan(trace.Default(), trace.Ident{}, path, labels)
 }
 
 // StartSpanCtx is StartSpan for request-scoped code, and the point where a
 // span acquires identity. Events go to the recorder carried by ctx
 // (trace.WithRecorder; the process default otherwise). When that recorder
-// is armed:
-//
-//   - a request ID on ctx (logctx.WithRequestID) is attached to the begin
-//     and end events as a "req" argument, and
-//   - a trace position on ctx (tracectx.With) mints a fresh W3C child span
-//     ID for this region — the events carry TraceID/SpanID/ParentID, and
-//     the returned context carries the child position so spans opened
-//     beneath it (and outbound requests made with it) become children.
+// is armed and ctx carries a trace position (tracectx.With), the span
+// mints a fresh W3C child span ID for this region: the events carry
+// TraceID/SpanID/ParentID, and the returned context carries the child
+// position so spans opened beneath it (and outbound requests made with
+// it) become children. The trace ID is the request's only identity, so
+// it alone finds a request's events.
 //
 // The returned context is ctx itself whenever there is nothing to thread
-// through. Without a request ID or trace position (or with tracing
-// disarmed) the span behaves exactly like StartSpan.
+// through. Without a trace position (or with tracing disarmed) the span
+// behaves exactly like StartSpan.
 func StartSpanCtx(ctx context.Context, path string, labels ...string) (context.Context, *Span) {
 	if !enabled.Load() {
 		return ctx, nil
 	}
 	rec := trace.FromContext(ctx)
-	var beginArgs []trace.Arg
 	var ident trace.Ident
 	if rec.Armed() {
-		if id := logctx.RequestID(ctx); id != "" {
-			beginArgs = []trace.Arg{trace.Str("req", id)}
-		}
 		if tc, ok := tracectx.From(ctx); ok {
 			child := tc.Child()
 			ident = trace.Ident{
@@ -107,12 +100,11 @@ func StartSpanCtx(ctx context.Context, path string, labels ...string) (context.C
 			ctx = tracectx.With(ctx, child)
 		}
 	}
-	return ctx, startSpan(rec, ident, path, beginArgs, labels)
+	return ctx, startSpan(rec, ident, path, labels)
 }
 
-// startSpan is the shared implementation: beginArgs (the request ID, when
-// present) go on the trace begin event and are copied onto the end event.
-func startSpan(rec *trace.Recorder, ident trace.Ident, path string, beginArgs []trace.Arg, labels []string) *Span {
+// startSpan is the shared implementation.
+func startSpan(rec *trace.Recorder, ident trace.Ident, path string, labels []string) *Span {
 	if !enabled.Load() {
 		return nil
 	}
@@ -121,10 +113,9 @@ func startSpan(rec *trace.Recorder, ident trace.Ident, path string, beginArgs []
 		sp.labels += "{" + l + "}"
 	}
 	if rec.Armed() {
-		sp.tid = rec.Begin(path, "span", ident, beginArgs...)
+		sp.tid = rec.Begin(path, "span", ident)
 		sp.rec = rec
 		sp.ident = ident
-		sp.args = append(sp.args, beginArgs...)
 	}
 	spanStatFor(path).open.Add(1)
 	return sp
@@ -151,16 +142,7 @@ func (s *Span) Child(name string, labels ...string) *Span {
 			Parent: s.ident.Span,
 		}
 	}
-	return startSpan(rec, ident, s.path+"/"+name, nil, labels)
-}
-
-// Label adds a "key=value" label to the span's duration-aggregation key.
-// Call before End; on a nil receiver it is a no-op.
-func (s *Span) Label(kv string) {
-	if s == nil {
-		return
-	}
-	s.labels += "{" + kv + "}"
+	return startSpan(rec, ident, s.path+"/"+name, labels)
 }
 
 // Traced reports whether the span is feeding the flight recorder; use it
@@ -187,7 +169,7 @@ func (s *Span) SpanID() string {
 
 // Arg attaches an integer key=value to the span's trace end event. It is
 // recorded only while the flight recorder is armed (and is a no-op — no
-// allocation — otherwise); aggregation keys are unaffected, unlike Label.
+// allocation — otherwise); aggregation keys are unaffected, unlike labels.
 func (s *Span) Arg(key string, v int64) {
 	if s == nil || s.tid == 0 {
 		return

@@ -59,10 +59,11 @@ type Meta struct {
 	EpochUnixNano int64 `json:"epoch_unix_ns,omitempty"`
 }
 
-// jsonlEvent is the JSONL rendering of an Event: flat, one object per line,
-// grep- and jq-friendly. The trace/span/parent fields are the W3C
-// lowercase-hex IDs, present only on events recorded with an identity.
-type jsonlEvent struct {
+// EventJSON is the one JSON form of an Event: a line of the JSONL dump and
+// an event of a /debug/slow tail capture. It is flat, grep- and
+// jq-friendly; the trace/span/parent fields are the W3C lowercase-hex
+// IDs, present only on events recorded with an identity.
+type EventJSON struct {
 	Seq    int64          `json:"seq"`
 	Phase  string         `json:"ph"`
 	Name   string         `json:"name"`
@@ -74,6 +75,23 @@ type jsonlEvent struct {
 	Span   string         `json:"span,omitempty"`
 	Parent string         `json:"parent,omitempty"`
 	Args   map[string]any `json:"args,omitempty"`
+}
+
+// JSON renders the event in its JSON form.
+func (e Event) JSON() EventJSON {
+	return EventJSON{
+		Seq:    e.Seq,
+		Phase:  string(e.Phase),
+		Name:   e.Name,
+		Cat:    e.Cat,
+		TSUS:   e.TS,
+		DurUS:  e.Dur,
+		TID:    e.TID,
+		Trace:  e.Trace,
+		Span:   e.Span,
+		Parent: e.Parent,
+		Args:   argsMap(e.Args),
+	}
 }
 
 // argsMap renders an event's args for JSON output.
@@ -118,22 +136,7 @@ func WriteJSONLMeta(w io.Writer, meta Meta, events []Event) error {
 func writeJSONLBody(w io.Writer, events []Event) error {
 	enc := json.NewEncoder(w)
 	for _, e := range events {
-		je := jsonlEvent{
-			Seq:    e.Seq,
-			Phase:  string(e.Phase),
-			Name:   e.Name,
-			Cat:    e.Cat,
-			TSUS:   e.TS,
-			TID:    e.TID,
-			Trace:  e.Trace,
-			Span:   e.Span,
-			Parent: e.Parent,
-			Args:   argsMap(e.Args),
-		}
-		if e.Phase == PhaseComplete || e.Phase == PhaseEnd {
-			je.DurUS = e.Dur
-		}
-		if err := enc.Encode(je); err != nil {
+		if err := enc.Encode(e.JSON()); err != nil {
 			return err
 		}
 	}
@@ -170,7 +173,7 @@ func ReadJSONL(r io.Reader) (Meta, []Event, error) {
 				continue
 			}
 		}
-		var je jsonlEvent
+		var je EventJSON
 		if err := json.Unmarshal(raw, &je); err != nil {
 			return Meta{}, nil, fmt.Errorf("trace: line %d: %w", line, err)
 		}
@@ -219,7 +222,7 @@ func ReadJSONL(r io.Reader) (Meta, []Event, error) {
 
 // chromeEvent is one entry of the Chrome trace-event JSON array format
 // (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU),
-// understood by Perfetto and chrome://tracing. Timestamps and durations are
+// understood by Perfetto and chrome://tracing. Timestamps are
 // microseconds. ID and BindingPoint serve flow events ("s"/"f"), which draw
 // the parent→child arrows between span lanes.
 type chromeEvent struct {
@@ -227,7 +230,6 @@ type chromeEvent struct {
 	Cat   string         `json:"cat,omitempty"`
 	Phase string         `json:"ph"`
 	TS    int64          `json:"ts"`
-	Dur   *int64         `json:"dur,omitempty"`
 	PID   int64          `json:"pid"`
 	TID   int64          `json:"tid"`
 	Scope string         `json:"s,omitempty"`
@@ -267,14 +269,6 @@ func chromeFromEvent(e Event, pid, shift int64) chromeEvent {
 		}
 	}
 	switch e.Phase {
-	case PhaseComplete:
-		d := e.Dur
-		ce.Dur = &d
-		// A Complete event's ts is its start time.
-		ce.TS = e.TS + shift - e.Dur
-		if ce.TS < 0 {
-			ce.TS = 0
-		}
 	case PhaseInstant:
 		ce.Scope = "t" // thread-scoped instant
 	case PhaseEnd:

@@ -22,7 +22,6 @@ func TestDisarmedIsSilent(t *testing.T) {
 		t.Fatalf("Begin while disarmed returned tid %d, want 0", tid)
 	}
 	Instant("y", "test")
-	Default().Complete("z", "test", time.Now())
 	if n := Len() - before; n != 0 {
 		t.Fatalf("disarmed emissions stored %d events", n)
 	}
@@ -179,7 +178,6 @@ func TestWriteChromeStructure(t *testing.T) {
 	tid2 := Default().Begin("inner", "test", Ident{})
 	Instant("mark", "test")
 	Default().End("inner", "test", tid2, inner, Ident{})
-	Default().Complete("leaf", "test", time.Now(), I64("n", 1))
 	Default().End("outer", "test", tid, outer, Ident{}, I64("rows", 2))
 	var buf bytes.Buffer
 	if err := WriteChrome(&buf, Dump()); err != nil {
@@ -196,8 +194,8 @@ func TestWriteChromeStructure(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &evs); err != nil {
 		t.Fatalf("export is not a JSON array: %v", err)
 	}
-	if len(evs) != 6 {
-		t.Fatalf("exported %d events, want 6", len(evs))
+	if len(evs) != 5 {
+		t.Fatalf("exported %d events, want 5", len(evs))
 	}
 	stacks := make(map[int64][]string)
 	for i, e := range evs {

@@ -1,5 +1,7 @@
 // Package tracectx gives a computation a distributed-trace identity and
-// carries it on context.Context, the way logctx carries the request ID.
+// carries it on context.Context. The trace ID is also a finqd request's
+// only identity: logs, spans, exemplars and captures all name it.
+//
 // The identity is the W3C Trace Context model (https://www.w3.org/TR/trace-context/):
 // a 128-bit trace ID naming the whole causal tree, a 64-bit span ID naming
 // the current position in it, a sampled flag, and an opaque, bounded
@@ -19,7 +21,7 @@
 // linkage, never an error path.
 //
 // The package depends on nothing but the standard library, so internal/obs
-// and internal/obs/trace can import it without cycles.
+// and its subpackages can import it without cycles.
 package tracectx
 
 import (
@@ -45,11 +47,18 @@ func (t TraceID) IsZero() bool { return t == TraceID{} }
 // IsZero reports the invalid all-zero span ID.
 func (s SpanID) IsZero() bool { return s == SpanID{} }
 
-// String renders the trace ID as 32 lowercase hex characters.
-func (t TraceID) String() string { return hex.EncodeToString(t[:]) }
+// String renders the trace ID as 32 lowercase hex characters. The digits
+// go through a stack buffer, so the string is the only allocation.
+func (t TraceID) String() string {
+	var b [32]byte
+	return string(appendHex(b[:0], t[:]))
+}
 
 // String renders the span ID as 16 lowercase hex characters.
-func (s SpanID) String() string { return hex.EncodeToString(s[:]) }
+func (s SpanID) String() string {
+	var b [16]byte
+	return string(appendHex(b[:0], s[:]))
+}
 
 // MaxTracestateLen bounds the accepted `tracestate` header. The W3C spec
 // allows up to 32 list members; rather than parse the list we cap the raw

@@ -161,7 +161,7 @@ func assertAPIError(t *testing.T, err error, status int, code string) {
 	if !apiv1.ValidCode(ae.Code) {
 		t.Fatalf("code %q outside the closed set", ae.Code)
 	}
-	if ae.RequestID == "" {
-		t.Fatalf("error misses the request ID: %+v", ae)
+	if ae.TraceID == "" {
+		t.Fatalf("error misses the trace ID: %+v", ae)
 	}
 }

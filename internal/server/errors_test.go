@@ -14,7 +14,7 @@ import (
 )
 
 // decodeEnvelope asserts a response body is the uniform error envelope
-// with a code from the closed set and a request ID, and returns it.
+// with a code from the closed set and a trace ID, and returns it.
 func decodeEnvelope(t *testing.T, data []byte) apiv1.ErrorEnvelope {
 	t.Helper()
 	var env apiv1.ErrorEnvelope
@@ -27,15 +27,15 @@ func decodeEnvelope(t *testing.T, data []byte) apiv1.ErrorEnvelope {
 	if env.Error.Message == "" {
 		t.Fatalf("empty error message: %s", data)
 	}
-	if env.Error.RequestID == "" {
-		t.Fatalf("error misses the request ID: %s", data)
+	if env.Error.TraceID == "" {
+		t.Fatalf("error misses the trace ID: %s", data)
 	}
 	return env
 }
 
 // TestErrorEnvelopeEverywhere drives every deterministic error shape the
 // service produces and asserts one uniform envelope: the {"error":
-// {"code", "message", "request_id"}} body with a code from the closed
+// {"code", "message", "trace_id"}} body with a code from the closed
 // set. (429 sheds and panic 500s are asserted in the middleware tests,
 // which arrange those conditions; they go through the same writeError.)
 func TestErrorEnvelopeEverywhere(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/logctx"
 	"repro/internal/obs/prof"
 	"repro/internal/obs/trace"
 	"repro/internal/obs/tracectx"
@@ -20,7 +19,6 @@ import (
 // It lives in the request context; all writers run on the request's own
 // goroutine (the recovered middleware included), so plain fields suffice.
 type reqState struct {
-	id       string
 	traceID  string
 	endpoint string
 	rows     int64
@@ -62,12 +60,11 @@ func noteQueryKey(ctx context.Context, key string) {
 }
 
 // respWriter captures the response status for the access log and carries
-// the request and trace IDs to writeError (so JSON error bodies can quote
-// them without every call site threading the context).
+// the trace ID to writeError (so JSON error bodies can quote it without
+// every call site threading the context).
 type respWriter struct {
 	http.ResponseWriter
 	status  int
-	reqID   string
 	traceID string
 }
 
@@ -166,32 +163,27 @@ func (s *Server) logger() *slog.Logger {
 // instrument is the outermost middleware: it gives the request its
 // identity and emits the request-scoped observability.
 //
-//   - The request ID is honored from X-Request-Id when well-formed, minted
-//     otherwise, echoed on the response (all statuses, 429 sheds and panic
-//     500s included), stored in the context (so slog records, obs spans,
-//     and trace events carry it), and quoted in JSON error bodies.
-//   - The W3C trace position is extracted from `traceparent`/`tracestate`
-//     when well-formed, minted as a fresh root otherwise (a malformed
-//     header is never an error), and a request span is opened as its
-//     child — so every evaluator span below records under one trace ID
-//     that survives the process boundary. The request span's position is
-//     echoed as the response's `traceparent` (all statuses), and the
-//     trace ID is quoted next to the request ID in the access log and
-//     JSON error bodies.
+//   - The request's identity is its W3C trace ID. The trace position is
+//     extracted from `traceparent`/`tracestate` when well-formed, minted
+//     as a fresh root otherwise (a malformed header is never an error),
+//     and a request span is opened as its child — so every evaluator span
+//     below records under one trace ID that survives the process
+//     boundary. The request span's position is echoed as the response's
+//     `traceparent` (all statuses, 429 sheds and panic 500s included).
+//     The trace ID rides the context, so slog records, obs spans, pprof
+//     labels, and latency exemplars carry it, and JSON error bodies quote
+//     it. A caller that sends one trace ID on several requests names all
+//     of them with it.
 //   - Per-endpoint RED metrics: request count, error count (status >= 400),
 //     latency histogram.
-//   - One structured access-log line per request: id, trace_id, method,
-//     endpoint, status, duration, rows, partial-stop reason, shed/panic
-//     flags.
+//   - One structured access-log line per request: method, endpoint,
+//     status, duration, rows, partial-stop reason, shed/panic flags, and
+//     the trace_id the log handler injects.
 //   - Slow, errored, and first-seen-query requests get their span subtree
 //     snapshotted from the flight recorder into the tail sampler
 //     (tailsample.go).
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get("X-Request-Id")
-		if !logctx.ValidID(id) {
-			id = logctx.NewRequestID()
-		}
 		// Extract-or-mint the trace position. The parsed TC is the
 		// *caller's* span (our parent); the request span below descends
 		// from it. A fresh root is minted for headerless (or malformed)
@@ -200,9 +192,8 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		if !fromPeer {
 			tc = tracectx.NewRoot()
 		}
-		st := &reqState{id: id, traceID: tc.TraceID.String(), endpoint: endpointName(r.URL.Path)}
-		ctx := logctx.WithRequestID(r.Context(), id)
-		ctx = trace.WithRecorder(ctx, s.rec)
+		st := &reqState{traceID: tc.TraceID.String(), endpoint: endpointName(r.URL.Path)}
+		ctx := trace.WithRecorder(r.Context(), s.rec)
 		ctx = tracectx.With(ctx, tc)
 		ctx = context.WithValue(ctx, reqStateKey{}, st)
 		// The default run configuration is the zero value readers see on a
@@ -211,13 +202,12 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 			ctx = runcfg.With(ctx, s.cfg.Run)
 		}
 		r = r.WithContext(ctx)
-		rw := &respWriter{ResponseWriter: w, reqID: id, traceID: st.traceID}
-		rw.Header().Set("X-Request-Id", id)
+		rw := &respWriter{ResponseWriter: w, traceID: st.traceID}
 
 		t0 := time.Now()
 		// The handler runs under pprof labels, so every CPU-profile sample
 		// taken while this request is in flight attributes to its endpoint
-		// and request ID (finq.Eval adds query_key below this).
+		// and trace ID (finq.Eval adds query_key below this).
 		prof.Do(ctx, func(ctx context.Context) {
 			// The request span: when the recorder is armed it mints this
 			// request's own span ID (child of the caller's position, or of
@@ -234,7 +224,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 			}
 			next.ServeHTTP(rw, r.WithContext(ctx))
 			rsp.End()
-		}, "endpoint", st.endpoint, "request_id", id)
+		}, "endpoint", st.endpoint, "trace_id", st.traceID)
 		dur := time.Since(t0)
 
 		status := rw.status
@@ -247,13 +237,11 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		if status >= 400 {
 			family.errors.Inc()
 		}
-		// The request ID rides along as the latency bucket's OpenMetrics
+		// The trace ID rides along as the latency bucket's OpenMetrics
 		// exemplar, so a scraped histogram links back to a concrete request.
-		family.latency.ObserveExemplar(dur.Microseconds(), id)
+		family.latency.ObserveExemplar(dur.Microseconds(), st.traceID)
 
 		attrs := []slog.Attr{
-			slog.String("id", id),
-			slog.String("trace_id", st.traceID),
 			slog.String("method", r.Method),
 			slog.String("endpoint", st.endpoint),
 			slog.String("path", r.URL.Path),

@@ -17,6 +17,7 @@ import (
 	"repro/apiv1"
 	"repro/internal/obs/logctx"
 	"repro/internal/obs/trace"
+	"repro/internal/obs/tracectx"
 )
 
 // logCapture is a goroutine-safe sink for the access log under test.
@@ -78,45 +79,64 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestRequestIDEchoed covers the echo contract: honored when valid,
-// minted when absent or malformed, present on error responses, and quoted
-// in JSON error bodies.
-func TestRequestIDEchoed(t *testing.T) {
-	_, base := startServer(t, Config{})
+// traceparentFor is a caller's traceparent naming the given trace ID.
+func traceparentFor(traceID string) string {
+	return "00-" + traceID + "-00f067aa0ba902b7-01"
+}
 
-	// Honored client ID, success path.
+// echoedTraceID returns the trace ID of a response's traceparent echo,
+// failing the test when the header is missing or malformed.
+func echoedTraceID(t *testing.T, h http.Header) string {
+	t.Helper()
+	tc, ok := tracectx.Parse(h.Get("traceparent"), "")
+	if !ok {
+		t.Fatalf("response traceparent %q does not parse", h.Get("traceparent"))
+	}
+	return tc.TraceID.String()
+}
+
+// TestTraceIDEchoed covers the identity contract: a caller's trace ID is
+// adopted, a malformed traceparent is replaced by a fresh root, error
+// responses carry the trace ID in the traceparent echo and the JSON body,
+// and an X-Request-Id header is neither honored nor echoed nor logged.
+func TestTraceIDEchoed(t *testing.T) {
+	cap, logger := captureLogger(t)
+	_, base := startServer(t, Config{Logger: logger})
+
+	// Adopted caller trace, success path.
+	const clientTrace = "4bf92f3577b34da6a3ce929d0e0e4736"
 	req, _ := http.NewRequest(http.MethodPost, base+"/v1/decide",
 		strings.NewReader(`{"domain": "eq", "sentence": "forall x. x = x"}`))
-	req.Header.Set("X-Request-Id", "client-id-1")
+	req.Header.Set("traceparent", traceparentFor(clientTrace))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if got := resp.Header.Get("X-Request-Id"); got != "client-id-1" {
-		t.Fatalf("valid client ID not echoed: got %q", got)
+	if got := echoedTraceID(t, resp.Header); got != clientTrace {
+		t.Fatalf("caller's trace ID not adopted: got %q", got)
 	}
 
-	// Malformed client ID is replaced, not echoed.
+	// A malformed traceparent is replaced by a fresh root, not echoed.
 	req, _ = http.NewRequest(http.MethodPost, base+"/v1/decide",
 		strings.NewReader(`{"domain": "eq", "sentence": "forall x. x = x"}`))
-	req.Header.Set("X-Request-Id", "has spaces & punctuation!")
+	req.Header.Set("traceparent", "00-has spaces & punctuation!")
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	got := resp.Header.Get("X-Request-Id")
-	if got == "" || strings.Contains(got, " ") {
-		t.Fatalf("malformed client ID should be replaced with a minted one, got %q", got)
+	if got := echoedTraceID(t, resp.Header); got == clientTrace {
+		t.Fatalf("malformed traceparent should get a fresh root, got %q", got)
 	}
 
-	// Error responses carry the ID in the header and the JSON body.
+	// Error responses carry the trace ID in the header and the JSON body.
+	const errTrace = "4bf92f3577b34da6a3ce929d0e0e0002"
 	req, _ = http.NewRequest(http.MethodPost, base+"/v1/decide",
 		strings.NewReader(`{"domain": "nope", "sentence": "x = x"}`))
-	req.Header.Set("X-Request-Id", "err-id-2")
+	req.Header.Set("traceparent", traceparentFor(errTrace))
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -126,44 +146,76 @@ func TestRequestIDEchoed(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("want 400, got %d", resp.StatusCode)
 	}
-	if resp.Header.Get("X-Request-Id") != "err-id-2" {
-		t.Fatalf("400 response misses the ID header: %v", resp.Header)
+	if echoedTraceID(t, resp.Header) != errTrace {
+		t.Fatalf("400 response misses the trace ID header: %v", resp.Header)
 	}
 	var body apiv1.ErrorEnvelope
-	if err := json.Unmarshal(data, &body); err != nil || body.Error.RequestID != "err-id-2" {
-		t.Fatalf("400 body should quote the request ID: %s (%v)", data, err)
+	if err := json.Unmarshal(data, &body); err != nil || body.Error.TraceID != errTrace {
+		t.Fatalf("400 body should quote the trace ID: %s (%v)", data, err)
+	}
+
+	// X-Request-Id names nothing: the request gets a fresh trace, the
+	// response carries no X-Request-Id, and no log line quotes the value.
+	req, _ = http.NewRequest(http.MethodPost, base+"/v1/decide",
+		strings.NewReader(`{"domain": "eq", "sentence": "forall x. x = x"}`))
+	req.Header.Set("X-Request-Id", "client-chosen")
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	fresh := echoedTraceID(t, resp.Header)
+	if fresh == clientTrace || fresh == errTrace {
+		t.Fatalf("X-Request-Id request reused an earlier trace %q", fresh)
+	}
+	if got, ok := resp.Header["X-Request-Id"]; ok {
+		t.Fatalf("response echoes X-Request-Id %q", got)
+	}
+	waitFor(t, "the X-Request-Id request's access line", func() bool {
+		for _, rec := range cap.lines(t) {
+			if rec["msg"] == "request" && rec["trace_id"] == fresh {
+				return true
+			}
+		}
+		return false
+	})
+	if strings.Contains(cap.String(), "client-chosen") {
+		t.Fatalf("a log line quotes the X-Request-Id value:\n%s", cap.String())
 	}
 }
 
-// TestRequestIDOnPanic500: a handler panic still produces a response with
-// the ID echoed, the ID in the body, and panic=true in the access log.
-func TestRequestIDOnPanic500(t *testing.T) {
+// TestTraceIDOnPanic500: a handler panic still produces a response with
+// the trace ID echoed, the ID in the body, and panic=true in the access
+// log.
+func TestTraceIDOnPanic500(t *testing.T) {
 	cap, logger := captureLogger(t)
 	srv := New(Config{Logger: logger})
 	mux := http.NewServeMux()
 	mux.HandleFunc("/boom", func(http.ResponseWriter, *http.Request) { panic("kaboom") })
 	h := srv.instrument(srv.recovered(mux))
 
+	const id = "4bf92f3577b34da6a3ce929d0e0e0003"
 	req, _ := http.NewRequest(http.MethodGet, "/boom", nil)
-	req.Header.Set("X-Request-Id", "panic-id-3")
+	req.Header.Set("traceparent", traceparentFor(id))
 	rec := newRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.status != http.StatusInternalServerError {
 		t.Fatalf("want 500, got %d", rec.status)
 	}
-	if rec.Header().Get("X-Request-Id") != "panic-id-3" {
-		t.Fatal("panic 500 misses the ID header")
+	if echoedTraceID(t, rec.Header()) != id {
+		t.Fatal("panic 500 misses the trace ID header")
 	}
 	var body apiv1.ErrorEnvelope
-	if err := json.Unmarshal(rec.body.Bytes(), &body); err != nil || body.Error.RequestID != "panic-id-3" {
-		t.Fatalf("panic 500 body should quote the request ID: %s", rec.body.Bytes())
+	if err := json.Unmarshal(rec.body.Bytes(), &body); err != nil || body.Error.TraceID != id {
+		t.Fatalf("panic 500 body should quote the trace ID: %s", rec.body.Bytes())
 	}
 	if body.Error.Code != apiv1.CodeInternal {
 		t.Fatalf("panic 500 code %q, want %q", body.Error.Code, apiv1.CodeInternal)
 	}
 	found := false
 	for _, rec := range cap.lines(t) {
-		if rec["id"] == "panic-id-3" && rec["panic"] == true && rec["status"] == float64(500) {
+		if rec["trace_id"] == id && rec["panic"] == true && rec["status"] == float64(500) {
 			found = true
 		}
 	}
@@ -194,9 +246,10 @@ func (r *recorder) Write(p []byte) (int, error) {
 	return r.body.Write(p)
 }
 
-// TestRequestIDOn429Shed saturates the pool and checks the shed response
-// carries the ID (header and body) and the access log marks shed=true.
-func TestRequestIDOn429Shed(t *testing.T) {
+// TestTraceIDOn429Shed saturates the pool and checks the shed response
+// carries the trace ID (header and body) and the access log marks
+// shed=true.
+func TestTraceIDOn429Shed(t *testing.T) {
 	cap, logger := captureLogger(t)
 	cfg := Config{Workers: 1, QueueDepth: 1, EvalTimeout: 30 * time.Second, Logger: logger}
 	srv, base := startServer(t, cfg)
@@ -232,8 +285,9 @@ func TestRequestIDOn429Shed(t *testing.T) {
 		return srv.queued.Load() >= int64(cfg.Workers+cfg.QueueDepth)
 	})
 
+	const id = "4bf92f3577b34da6a3ce929d0e0e0004"
 	req, _ := http.NewRequest(http.MethodPost, base+"/v1/eval", strings.NewReader(slowEvalBody))
-	req.Header.Set("X-Request-Id", "shed-id-4")
+	req.Header.Set("traceparent", traceparentFor(id))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -243,19 +297,19 @@ func TestRequestIDOn429Shed(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("want 429, got %d: %s", resp.StatusCode, data)
 	}
-	if resp.Header.Get("X-Request-Id") != "shed-id-4" {
-		t.Fatal("429 misses the ID header")
+	if echoedTraceID(t, resp.Header) != id {
+		t.Fatal("429 misses the trace ID header")
 	}
 	var body apiv1.ErrorEnvelope
-	if err := json.Unmarshal(data, &body); err != nil || body.Error.RequestID != "shed-id-4" {
-		t.Fatalf("429 body should quote the request ID: %s", data)
+	if err := json.Unmarshal(data, &body); err != nil || body.Error.TraceID != id {
+		t.Fatalf("429 body should quote the trace ID: %s", data)
 	}
 	if body.Error.Code != apiv1.CodeOverCapacity {
 		t.Fatalf("429 code %q, want %q", body.Error.Code, apiv1.CodeOverCapacity)
 	}
 	waitFor(t, "shed access-log line", func() bool {
 		for _, rec := range cap.lines(t) {
-			if rec["id"] == "shed-id-4" && rec["shed"] == true {
+			if rec["trace_id"] == id && rec["shed"] == true {
 				return true
 			}
 		}
@@ -263,10 +317,11 @@ func TestRequestIDOn429Shed(t *testing.T) {
 	})
 }
 
-// TestConcurrentRequestIDsUnique fires many parallel requests without
-// client IDs and checks every response got a distinct minted ID and every
-// one appears in an intact access-log line (run under -race in CI).
-func TestConcurrentRequestIDsUnique(t *testing.T) {
+// TestConcurrentTraceIDsUnique fires many parallel requests without
+// trace headers and checks every response got a distinct minted trace ID
+// and every one appears in an intact access-log line (run under -race in
+// CI).
+func TestConcurrentTraceIDsUnique(t *testing.T) {
 	cap, logger := captureLogger(t)
 	_, base := startServer(t, Config{Logger: logger})
 
@@ -285,7 +340,8 @@ func TestConcurrentRequestIDsUnique(t *testing.T) {
 			}
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
-			ids <- resp.Header.Get("X-Request-Id")
+			tc, _ := tracectx.Parse(resp.Header.Get("traceparent"), "")
+			ids <- tc.TraceID.String()
 		}()
 	}
 	wg.Wait()
@@ -293,8 +349,8 @@ func TestConcurrentRequestIDsUnique(t *testing.T) {
 
 	seen := map[string]bool{}
 	for id := range ids {
-		if id == "" || seen[id] {
-			t.Fatalf("missing or duplicate minted ID %q", id)
+		if id == (tracectx.TraceID{}).String() || seen[id] {
+			t.Fatalf("missing or duplicate minted trace ID %q", id)
 		}
 		seen[id] = true
 	}
@@ -306,7 +362,7 @@ func TestConcurrentRequestIDsUnique(t *testing.T) {
 		logged := map[string]bool{}
 		for _, rec := range cap.lines(t) {
 			if rec["msg"] == "request" {
-				if id, ok := rec["id"].(string); ok {
+				if id, ok := rec["trace_id"].(string); ok {
 					logged[id] = true
 				}
 			}
@@ -318,17 +374,21 @@ func TestConcurrentRequestIDsUnique(t *testing.T) {
 		}
 		return true
 	})
-	for _, rec := range cap.lines(t) {
-		if rec["msg"] != "request" {
+	for _, line := range strings.Split(strings.TrimSpace(cap.String()), "\n") {
+		if !strings.Contains(line, `"msg":"request"`) {
 			continue
 		}
-		for _, field := range []string{"id", "endpoint", "status", "dur_us", "request_id"} {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("corrupt log line %q: %v", line, err)
+		}
+		for _, field := range []string{"endpoint", "status", "dur_us", "trace_id"} {
 			if _, ok := rec[field]; !ok {
 				t.Fatalf("access-log line misses %q: %v", field, rec)
 			}
 		}
-		if rec["id"] != rec["request_id"] {
-			t.Fatalf("explicit id and context-injected request_id disagree: %v", rec)
+		if n := strings.Count(line, `"trace_id":`); n != 1 {
+			t.Fatalf("access-log line carries trace_id %d times: %s", n, line)
 		}
 	}
 }
@@ -527,9 +587,10 @@ func validateExposition(t *testing.T, text string) {
 }
 
 // TestSlowRequestTraceableBySingleID is the acceptance check: one slow
-// request, one ID, found in all four places — the access log line, the
-// obs span args (carried on the trace events), the flight-recorder
-// events, and the slow-query capture.
+// request, named by the caller's traceparent, its one trace ID found in
+// every place — the access log line, the obs spans' flight-recorder
+// events, the slow-query capture and its listing, and the latency
+// exemplar.
 func TestSlowRequestTraceableBySingleID(t *testing.T) {
 	trace.Arm(0)
 	defer trace.Disarm()
@@ -542,9 +603,9 @@ func TestSlowRequestTraceableBySingleID(t *testing.T) {
 	}
 	_, base := startServer(t, cfg)
 
-	const id = "e2e-trace-me"
+	const id = "4bf92f3577b34da6a3ce929d0e0e0005"
 	req, _ := http.NewRequest(http.MethodPost, base+"/v1/eval", strings.NewReader(slowEvalBody))
-	req.Header.Set("X-Request-Id", id)
+	req.Header.Set("traceparent", traceparentFor(id))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -555,24 +616,31 @@ func TestSlowRequestTraceableBySingleID(t *testing.T) {
 		t.Fatalf("slow eval: %d %s", resp.StatusCode, data)
 	}
 
-	// 1. The access log line carries the ID (explicit field and the
-	// context-injected request_id attribute).
+	// 1. The access log line carries the trace ID, exactly once (the
+	// context-injected trace_id attribute).
 	waitFor(t, "access log line", func() bool {
 		for _, rec := range cap.lines(t) {
-			if rec["msg"] == "request" && rec["id"] == id && rec["request_id"] == id {
+			if rec["msg"] == "request" && rec["trace_id"] == id {
 				return true
 			}
 		}
 		return false
 	})
+	for _, line := range strings.Split(cap.String(), "\n") {
+		if strings.Contains(line, `"msg":"request"`) && strings.Contains(line, id) {
+			if n := strings.Count(line, id); n != 1 {
+				t.Fatalf("access line carries the trace ID %d times: %s", n, line)
+			}
+		}
+	}
 
-	// 2 + 3. The obs spans' trace events carry the ID as their "req" arg:
-	// the server endpoint span, the finq.Eval root span, and the
-	// evaluation-core span all appear, each with begin and end phases.
+	// 2 + 3. The obs spans' trace events carry the trace ID: the server
+	// endpoint span, the finq.Eval root span, and the evaluation-core span
+	// all appear, each with begin and end phases.
 	events := trace.Events()
 	phases := map[string]map[trace.Phase]bool{}
 	for _, e := range events {
-		if !hasReqArg(e, id) {
+		if e.Trace != id {
 			continue
 		}
 		if phases[e.Name] == nil {
@@ -582,13 +650,13 @@ func TestSlowRequestTraceableBySingleID(t *testing.T) {
 	}
 	for _, span := range []string{"server.eval", "finq.eval", "query.enumerate"} {
 		if !phases[span][trace.PhaseBegin] || !phases[span][trace.PhaseEnd] {
-			t.Errorf("span %s: begin/end trace events with req=%s not found (have %v)",
+			t.Errorf("span %s: begin/end trace events with trace=%s not found (have %v)",
 				span, id, phases[span])
 		}
 	}
 
-	// 4. The slow-query capture is retrievable by the same ID and holds
-	// the span subtree.
+	// 4. The slow-query capture is retrievable by the same trace ID and
+	// holds the span subtree.
 	waitFor(t, "slow capture", func() bool {
 		resp, err := http.Get(base + "/debug/slow?id=" + id)
 		if err != nil {
@@ -608,7 +676,7 @@ func TestSlowRequestTraceableBySingleID(t *testing.T) {
 	if err := json.Unmarshal(capData, &sc); err != nil {
 		t.Fatalf("slow capture is not JSON: %v in %s", err, capData)
 	}
-	if sc.RequestID != id || sc.Endpoint != "eval" || sc.Stopped != "deadline" {
+	if sc.TraceID != id || sc.Endpoint != "eval" || sc.Stopped != "deadline" {
 		t.Fatalf("slow capture fields: %+v", sc)
 	}
 	if sc.Reason != ReasonSlow {
@@ -641,7 +709,7 @@ func TestSlowRequestTraceableBySingleID(t *testing.T) {
 	}
 	foundListing := false
 	for _, l := range listing {
-		if l.RequestID == id && l.Endpoint == "eval" && l.Reason == ReasonSlow {
+		if l.TraceID == id && l.Endpoint == "eval" && l.Reason == ReasonSlow {
 			foundListing = true
 		}
 	}
@@ -651,7 +719,7 @@ func TestSlowRequestTraceableBySingleID(t *testing.T) {
 
 	// 6. The Prometheus exposition links the metric to the trace: the eval
 	// latency bucket the request fell into carries an OpenMetrics exemplar
-	// with the same request id, so `/metrics → /debug/slow?id=` is one hop.
+	// with the same trace id, so `/metrics → /debug/slow?id=` is one hop.
 	resp, err = http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -659,9 +727,9 @@ func TestSlowRequestTraceableBySingleID(t *testing.T) {
 	expoData, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	exemplarRE := regexp.MustCompile(
-		`(?m)^server_eval_latency_us_bucket\{le="[0-9]+"\} \d+ # \{request_id="` + id + `"\} \d+$`)
+		`(?m)^server_eval_latency_us_bucket\{le="[0-9]+"\} \d+ # \{trace_id="` + id + `"\} \d+$`)
 	if !exemplarRE.Match(expoData) {
-		t.Fatalf("no exemplar with request_id=%q on any server_eval_latency_us bucket:\n%s",
+		t.Fatalf("no exemplar with trace_id=%q on any server_eval_latency_us bucket:\n%s",
 			id, grepLines(expoData, "server_eval_latency_us_bucket"))
 	}
 
@@ -704,9 +772,10 @@ func TestTailSamplerReasons(t *testing.T) {
 	  "domain": "eq",
 	  "state": {"relations": {"G": [["a", "b"]]}},
 	  "formula": "exists y. G(x, y)"}`
-	for i := 0; i < 2; i++ {
+	firstIDs := []string{"4bf92f3577b34da6a3ce929d0e0e0f00", "4bf92f3577b34da6a3ce929d0e0e0f01"}
+	for i, id := range firstIDs {
 		req, _ := http.NewRequest(http.MethodPost, base+"/v1/eval", strings.NewReader(evalBody))
-		req.Header.Set("X-Request-Id", "tail-first-"+strconv.Itoa(i))
+		req.Header.Set("traceparent", traceparentFor(id))
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
@@ -719,9 +788,10 @@ func TestTailSamplerReasons(t *testing.T) {
 	}
 
 	// A parse error: captured with reason error.
+	const errorID = "4bf92f3577b34da6a3ce929d0e0e0e00"
 	req, _ := http.NewRequest(http.MethodPost, base+"/v1/eval",
 		strings.NewReader(`{"domain": "eq", "formula": "exists y. ("}`))
-	req.Header.Set("X-Request-Id", "tail-error-0")
+	req.Header.Set("traceparent", traceparentFor(errorID))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -744,23 +814,23 @@ func TestTailSamplerReasons(t *testing.T) {
 	}
 	reasons := map[string]string{}
 	for _, l := range listing {
-		reasons[l.RequestID] = l.Reason
+		reasons[l.TraceID] = l.Reason
 	}
-	if reasons["tail-first-0"] != ReasonFirstKey {
+	if reasons[firstIDs[0]] != ReasonFirstKey {
 		t.Errorf("first eval of a fresh query: want reason %q, got %q (listing %s)",
-			ReasonFirstKey, reasons["tail-first-0"], listData)
+			ReasonFirstKey, reasons[firstIDs[0]], listData)
 	}
-	if r, ok := reasons["tail-first-1"]; ok {
+	if r, ok := reasons[firstIDs[1]]; ok {
 		t.Errorf("second eval of the same query captured again (reason %q): %s", r, listData)
 	}
-	if reasons["tail-error-0"] != ReasonError {
+	if reasons[errorID] != ReasonError {
 		t.Errorf("errored request: want reason %q, got %q (listing %s)",
-			ReasonError, reasons["tail-error-0"], listData)
+			ReasonError, reasons[errorID], listData)
 	}
 
 	// The first-key capture carries the query's canonical key so it can be
 	// matched against /v1/stats/queries.
-	resp, err = http.Get(base + "/debug/slow?id=tail-first-0")
+	resp, err = http.Get(base + "/debug/slow?id=" + firstIDs[0])
 	if err != nil {
 		t.Fatal(err)
 	}

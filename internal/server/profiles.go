@@ -90,12 +90,12 @@ func (s *Server) onSLOTrip(tr prof.Trip) {
 		Reason:   "slo:" + tr.Endpoint + ":" + tr.Dimension,
 		Endpoint: tr.Endpoint,
 	}
-	meta.RequestID = s.tripEvidence(tr)
+	meta.TraceID = s.tripEvidence(tr)
 	caps := s.TailCaptures()
-	if meta.RequestID != "" {
+	if meta.TraceID != "" {
 		for _, tc := range caps {
-			if tc.RequestID == meta.RequestID {
-				meta.TailID = tc.RequestID
+			if tc.TraceID == meta.TraceID {
+				meta.TailID = tc.TraceID
 				meta.QueryKey = tc.QueryKey
 				break
 			}
@@ -112,10 +112,10 @@ func (s *Server) onSLOTrip(tr prof.Trip) {
 		}
 		for i := len(caps) - 1; i >= 0; i-- {
 			if caps[i].Endpoint == tr.Endpoint && caps[i].Reason == want {
-				meta.TailID = caps[i].RequestID
+				meta.TailID = caps[i].TraceID
 				meta.QueryKey = caps[i].QueryKey
-				if meta.RequestID == "" {
-					meta.RequestID = caps[i].RequestID
+				if meta.TraceID == "" {
+					meta.TraceID = caps[i].TraceID
 				}
 				break
 			}
@@ -127,15 +127,15 @@ func (s *Server) onSLOTrip(tr prof.Trip) {
 		slog.String("dimension", tr.Dimension),
 		slog.Float64("burn_fast", tr.FastBurn),
 		slog.Float64("burn_slow", tr.SlowBurn),
-		slog.String("request_id", meta.RequestID),
+		slog.String("trace_id", meta.TraceID),
 		slog.Bool("capture_started", started),
 		slog.String("capture_skipped", why),
 	)
 }
 
-// tripEvidence picks a request ID that evidences the trip: for latency,
-// the exemplar of the highest occupied latency bucket above the
-// objective's threshold (the slowest recent request); for errors, the
+// tripEvidence picks the trace ID of a request that evidences the trip:
+// for latency, the exemplar of the highest occupied latency bucket above
+// the objective's threshold (the slowest recent request); for errors, the
 // newest errored or slow tail capture on the endpoint.
 func (s *Server) tripEvidence(tr prof.Trip) string {
 	family := red[tr.Endpoint]
@@ -152,7 +152,7 @@ func (s *Server) tripEvidence(tr prof.Trip) string {
 		lo := obs.BucketIndex(thresh) + 1
 		for i := obs.NumBuckets - 1; i >= lo; i-- {
 			if ex := family.latency.ExemplarFor(i); ex != nil {
-				return ex.RequestID
+				return ex.TraceID
 			}
 		}
 		return ""
@@ -160,7 +160,7 @@ func (s *Server) tripEvidence(tr prof.Trip) string {
 	caps := s.TailCaptures()
 	for i := len(caps) - 1; i >= 0; i-- {
 		if caps[i].Endpoint == tr.Endpoint && caps[i].Reason == ReasonError {
-			return caps[i].RequestID
+			return caps[i].TraceID
 		}
 	}
 	return ""
@@ -296,7 +296,7 @@ func (s *Server) handleProfileCapture(w http.ResponseWriter, r *http.Request) {
 	}
 	meta := prof.Capture{Reason: "manual"}
 	if rw, ok := w.(*respWriter); ok {
-		meta.RequestID = rw.reqID
+		meta.TraceID = rw.traceID
 	}
 	c, err := s.profStore.CaptureNow(meta, time.Duration(durMS)*time.Millisecond)
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 
 	"repro/apiv1"
 	"repro/internal/obs/prof"
+	"repro/internal/obs/tracectx"
 )
 
 func getJSON(t *testing.T, url string, v any) int {
@@ -128,9 +129,10 @@ func TestManualProfileCapture(t *testing.T) {
 	if c.ID == "" || c.Reason != "manual" || c.CPUBytes <= 0 || c.HeapBytes <= 0 {
 		t.Fatalf("capture metadata: %+v", c)
 	}
-	// The manual capture records the POSTing request's own ID.
-	if c.RequestID == "" {
-		t.Fatalf("manual capture lost its request id: %+v", c)
+	// The manual capture records the POSTing request's own trace ID.
+	echo, ok := tracectx.Parse(resp.Header.Get("traceparent"), "")
+	if !ok || c.TraceID != echo.TraceID.String() {
+		t.Fatalf("manual capture trace id %q, response traceparent %q", c.TraceID, resp.Header.Get("traceparent"))
 	}
 
 	if code := getJSON(t, base+"/debug/profiles", &listing); code != http.StatusOK || len(listing.Captures) != 1 {
@@ -178,7 +180,7 @@ func TestManualProfileCapture(t *testing.T) {
 // TestSLOTripCaptureLoop is the acceptance test for the profile-guided
 // loop: hammering a deliberately slow query trips the eval latency SLO
 // burn, the trip triggers a CPU+heap capture that appears in
-// GET /debug/profiles cross-linked to the tail-sampler capture and request
+// GET /debug/profiles cross-linked to the tail-sampler capture and trace
 // ID that evidenced it, and the downloaded CPU profile contains samples
 // labeled with the query's query_key.
 func TestSLOTripCaptureLoop(t *testing.T) {
@@ -255,7 +257,7 @@ func TestSLOTripCaptureLoop(t *testing.T) {
 	if capture.Endpoint != "eval" {
 		t.Fatalf("capture endpoint %q: %+v", capture.Endpoint, capture)
 	}
-	if capture.RequestID == "" {
+	if capture.TraceID == "" {
 		t.Fatalf("capture not linked to a request: %+v", capture)
 	}
 	if capture.QueryKey == "" || capture.TailID == "" {

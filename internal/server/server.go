@@ -23,22 +23,23 @@
 //	GET  /healthz           liveness (200 while the process serves HTTP)
 //	GET  /readyz            readiness (503 once a drain begins)
 //	GET  /debug/slow        tail-sampled request captures; no args lists
-//	                        them, ?id= fetches one span subtree by request ID
+//	                        them, ?id= fetches one span subtree by trace ID
 //	GET  /debug/queries     per-query stats as a text table
 //	GET  /debug/profiles    triggered CPU+heap profile captures; ?id=&kind=
 //	                        downloads raw pprof bytes
 //	POST /debug/profiles/capture  on-demand bounded CPU+heap capture
 //	GET  /metrics           Prometheus metrics (also /debug/obs, /debug/pprof/)
 //
-// Every request is request-scoped observable: an ID (honored from
-// X-Request-Id or minted) is echoed on the response, threaded through the
-// evaluation context — so structured logs, obs spans, and flight-recorder
-// events all carry it — reported in JSON error bodies, and logged in one
-// access line per request alongside per-endpoint RED metrics. The latency
-// histograms carry the ID onward as per-bucket OpenMetrics exemplars, and
-// a tail sampler retains the full span subtree of slow, errored, and
+// Every request is request-scoped observable under one ID, its W3C trace
+// ID: adopted from the caller's `traceparent` or minted as a fresh root,
+// echoed in the response's `traceparent`, threaded through the evaluation
+// context — so structured logs, obs spans, and flight-recorder events all
+// carry it — reported in JSON error bodies, and logged in one access line
+// per request alongside per-endpoint RED metrics. The latency histograms
+// carry the ID onward as per-bucket OpenMetrics exemplars, and a tail
+// sampler retains the full span subtree of slow, errored, and
 // first-seen-query requests, so a latency bucket on /metrics leads to a
-// concrete trace on /debug/slow by request ID.
+// concrete trace on /debug/slow by trace ID.
 //
 // Concurrency is bounded by a worker pool: at most Workers requests
 // evaluate at once, at most QueueDepth more wait for a slot, and anything
@@ -102,7 +103,8 @@ type Config struct {
 	DrainGrace time.Duration
 	// Logger receives the access log and slow-request warnings; nil means
 	// slog.Default() (which cliutil.Setup configures from -log-level and
-	// -log-format).
+	// -log-format). Their trace_id comes from a logctx handler, which
+	// injects it from the request's context.
 	Logger *slog.Logger
 	// ServiceName names this process in exported traces: the OTLP
 	// service.name resource attribute of /debug/trace/export and the
@@ -277,7 +279,7 @@ func New(cfg Config) *Server {
 }
 
 // Handler returns the full route table, wrapped (outside in) in the
-// instrument middleware — request ID, access log, RED metrics, slow-query
+// instrument middleware — trace ID, access log, RED metrics, slow-query
 // capture — and panic recovery. It is usable directly with httptest
 // servers.
 func (s *Server) Handler() http.Handler {
@@ -451,15 +453,19 @@ func (s *Server) endpoint(name string, timeout time.Duration, h handlerFunc) htt
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), timeout)
 		defer cancel()
-		// The context carries the request ID and trace position
-		// (instrument middleware), so this span's begin/end trace events —
-		// and every evaluator span below it — are greppable by ID and form
-		// a tree under the request span in the exported trace.
+		// The context carries the trace position (instrument middleware),
+		// so this span's begin/end trace events — and every evaluator span
+		// below it — are greppable by trace ID and form a tree under the
+		// request span in the exported trace.
 		ctx, sp := obs.StartSpanCtx(ctx, "server."+name)
 		t0 := time.Now()
 		out, err := h(ctx, &handlerEnv{w: w, r: r, body: body})
 		sp.End()
-		hLatency.ObserveCtx(ctx, time.Since(t0).Microseconds())
+		traceID := ""
+		if st := stateFrom(ctx); st != nil {
+			traceID = st.traceID
+		}
+		hLatency.ObserveExemplar(time.Since(t0).Microseconds(), traceID)
 		if err != nil {
 			mErrors.Inc()
 			if ae, ok := err.(*apiError); ok {
@@ -506,7 +512,7 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 
 // writeErrorCode writes the uniform apiv1 error envelope:
 //
-//	{"error": {"code": "...", "message": "...", "request_id": "..."}}
+//	{"error": {"code": "...", "message": "...", "trace_id": "..."}}
 //
 // Every error site goes through here — 429 sheds and panic 500s included
 // — so clients see one error shape with a code from the closed set.
@@ -515,11 +521,10 @@ func writeErrorCode(w http.ResponseWriter, status int, errCode, format string, a
 		Code:    errCode,
 		Message: fmt.Sprintf(format, args...),
 	}}
-	// The instrument middleware's writer carries the request and trace IDs
-	// down to every error site — including 429 sheds and panic 500s —
-	// without each call threading a context.
+	// The instrument middleware's writer carries the trace ID down to
+	// every error site — including 429 sheds and panic 500s — without
+	// each call threading a context.
 	if rw, ok := w.(*respWriter); ok {
-		body.Error.RequestID = rw.reqID
 		body.Error.TraceID = rw.traceID
 	}
 	writeJSON(w, status, body)

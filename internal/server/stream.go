@@ -22,7 +22,7 @@ import (
 //
 // Client disconnect is a first-class stop reason. The eval context is
 // rebuilt from the request context with context.WithoutCancel (keeping
-// the request ID and deadline but dropping the transport's own cancel),
+// the trace position and deadline but dropping the transport's own cancel),
 // and a watcher cancels it with cause finq.ErrClientGone the moment the
 // client goes away — so the evaluation stops between rows, the partial
 // result is attributed "client-gone" (not a generic "canceled") in spans,
@@ -65,7 +65,7 @@ func (s *Server) streamEval(ctx context.Context, env *handlerEnv, enc string,
 			finq.ModeEnumerate, lreq.Mode)
 	}
 
-	// The eval context: the request's values (ID) and deadline without the
+	// The eval context: the request's values (trace) and deadline without the
 	// transport's cancellation, plus a cancel cause the watcher below fires
 	// on disconnect — so a client-gone stop is attributed deterministically
 	// rather than racing the transport's own context teardown.

@@ -40,45 +40,29 @@ const (
 // TailCapture is one sampled request's record: the access-log facts, why
 // it was retained, and the request's span subtree snapshotted from the
 // flight recorder (empty when the recorder was not armed at capture
-// time). GET /debug/slow lists the captures; ?id=<request id> retrieves
-// one in full.
+// time), each event in the form of a /debug/trace/export?format=jsonl
+// line. GET /debug/slow lists the captures; ?id=<trace id> retrieves one
+// in full.
 type TailCapture struct {
-	RequestID  string      `json:"request_id"`
-	TraceID    string      `json:"trace_id,omitempty"`
-	Endpoint   string      `json:"endpoint"`
-	Status     int         `json:"status"`
-	DurationUS int64       `json:"duration_us"`
-	Reason     string      `json:"reason"`
-	QueryKey   string      `json:"query_key,omitempty"`
-	Rows       int64       `json:"rows,omitempty"`
-	Stopped    string      `json:"stopped,omitempty"`
-	Events     []SlowEvent `json:"events,omitempty"`
+	TraceID    string            `json:"trace_id"`
+	Endpoint   string            `json:"endpoint"`
+	Status     int               `json:"status"`
+	DurationUS int64             `json:"duration_us"`
+	Reason     string            `json:"reason"`
+	QueryKey   string            `json:"query_key,omitempty"`
+	Rows       int64             `json:"rows,omitempty"`
+	Stopped    string            `json:"stopped,omitempty"`
+	Events     []trace.EventJSON `json:"events,omitempty"`
 }
 
 // TailListing is one row of the GET /debug/slow index: enough to decide
 // which capture to fetch, without the event payload.
 type TailListing struct {
-	RequestID  string `json:"request_id"`
+	TraceID    string `json:"trace_id"`
 	Endpoint   string `json:"endpoint"`
 	Status     int    `json:"status"`
 	DurationUS int64  `json:"duration_us"`
 	Reason     string `json:"reason"`
-}
-
-// SlowEvent is one flight-recorder event of a captured subtree. Trace,
-// Span, and Parent are the W3C identities (present when the event was
-// recorded under a trace position), so a capture's hierarchy matches the
-// exported trace's.
-type SlowEvent struct {
-	Name   string         `json:"name"`
-	Phase  string         `json:"phase"`
-	TSUS   int64          `json:"ts_us"`
-	DurUS  int64          `json:"dur_us,omitempty"`
-	TID    int64          `json:"tid"`
-	Trace  string         `json:"trace,omitempty"`
-	Span   string         `json:"span,omitempty"`
-	Parent string         `json:"parent,omitempty"`
-	Args   map[string]any `json:"args,omitempty"`
 }
 
 // tailSampler is the server's bounded tail-sample store: per-endpoint
@@ -106,14 +90,13 @@ func (s *Server) markFirstSeen(key string) bool {
 }
 
 // captureTail snapshots a sampled request: its span subtree is pulled from
-// the flight recorder by request ID and the capture is retained in its
+// the flight recorder by trace ID and the capture is retained in its
 // endpoint's reservoir. Slow requests additionally log a warning so they
 // are visible in the log stream under the same ID as their access line;
 // error and first-key captures log at debug (the access line already
 // reports errors at warn or above).
 func (s *Server) captureTail(ctx context.Context, st *reqState, status int, dur time.Duration, reason string) {
 	c := TailCapture{
-		RequestID:  st.id,
 		TraceID:    st.traceID,
 		Endpoint:   st.endpoint,
 		Status:     status,
@@ -122,7 +105,7 @@ func (s *Server) captureTail(ctx context.Context, st *reqState, status int, dur 
 		QueryKey:   st.queryKey,
 		Rows:       st.rows,
 		Stopped:    st.stopped,
-		Events:     s.subtreeEvents(st.id, st.traceID),
+		Events:     s.subtreeEvents(st.traceID),
 	}
 	s.tailMu.Lock()
 	if s.tails == nil {
@@ -141,8 +124,6 @@ func (s *Server) captureTail(ctx context.Context, st *reqState, status int, dur 
 		level, msg = slog.LevelWarn, "slow request"
 	}
 	s.logger().LogAttrs(ctx, level, msg,
-		slog.String("id", st.id),
-		slog.String("trace_id", st.traceID),
 		slog.String("endpoint", st.endpoint),
 		slog.String("reason", reason),
 		slog.Int64("dur_us", c.DurationUS),
@@ -168,9 +149,9 @@ func (s *Server) TailCaptures() []TailCapture {
 }
 
 // handleSlow serves GET /debug/slow: with no parameters, the capture
-// index (request IDs with endpoint, status, duration, and retention
-// reason); with ?id=<request id>, the full capture including its span
-// subtree (404 when the ID has no capture).
+// index (trace IDs with endpoint, status, duration, and retention
+// reason); with ?id=<trace id>, the newest full capture of that trace
+// including its span subtree (404 when the ID has no capture).
 func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
@@ -182,7 +163,7 @@ func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
 		listing := make([]TailListing, 0, len(caps))
 		for _, c := range caps {
 			listing = append(listing, TailListing{
-				RequestID:  c.RequestID,
+				TraceID:    c.TraceID,
 				Endpoint:   c.Endpoint,
 				Status:     c.Status,
 				DurationUS: c.DurationUS,
@@ -193,7 +174,7 @@ func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for i := len(caps) - 1; i >= 0; i-- {
-		if caps[i].RequestID == id {
+		if caps[i].TraceID == id {
 			writeJSON(w, http.StatusOK, caps[i])
 			return
 		}
@@ -202,13 +183,12 @@ func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
 }
 
 // subtreeEvents extracts one request's span subtree from the server's
-// flight recorder. Events carrying the request's trace ID, or a "req"
-// argument matching the request ID, anchor the selection; events on the
-// same goroutines within the anchored time windows are the children
-// (per-row spans, QE stages) that don't carry either identity themselves.
-// Returns nil when the recorder holds nothing for the request (disarmed,
-// or the ring wrapped past it).
-func (s *Server) subtreeEvents(id, traceID string) []SlowEvent {
+// flight recorder. Events carrying the request's trace ID anchor the
+// selection; events on the same goroutines within the anchored time
+// windows are the children (per-row spans, QE stages) that don't carry
+// the identity themselves. Returns nil when the recorder holds nothing
+// for the request (disarmed, or the ring wrapped past it).
+func (s *Server) subtreeEvents(traceID string) []trace.EventJSON {
 	if !s.rec.Armed() {
 		return nil
 	}
@@ -217,14 +197,10 @@ func (s *Server) subtreeEvents(id, traceID string) []SlowEvent {
 	type window struct{ lo, hi int64 }
 	windows := map[int64]*window{}
 	for _, e := range events {
-		if !hasReqArg(e, id) && (traceID == "" || e.Trace != traceID) {
+		if e.Trace != traceID {
 			continue
 		}
-		hi := e.TS
-		if e.Dur > 0 && e.Phase == trace.PhaseComplete {
-			hi = e.TS + e.Dur
-		}
-		lo := e.TS
+		lo, hi := e.TS, e.TS
 		if e.Phase == trace.PhaseEnd && e.Dur > 0 {
 			lo = e.TS - e.Dur
 		}
@@ -244,39 +220,13 @@ func (s *Server) subtreeEvents(id, traceID string) []SlowEvent {
 		return nil
 	}
 	// Pass 2: collect every event inside an anchored window.
-	var out []SlowEvent
+	var out []trace.EventJSON
 	for _, e := range events {
 		w, ok := windows[e.TID]
 		if !ok || e.TS < w.lo || e.TS > w.hi {
 			continue
 		}
-		se := SlowEvent{
-			Name:   e.Name,
-			Phase:  string(rune(e.Phase)),
-			TSUS:   e.TS,
-			DurUS:  e.Dur,
-			TID:    e.TID,
-			Trace:  e.Trace,
-			Span:   e.Span,
-			Parent: e.Parent,
-		}
-		if len(e.Args) > 0 {
-			se.Args = make(map[string]any, len(e.Args))
-			for _, a := range e.Args {
-				se.Args[a.Key] = a.Value()
-			}
-		}
-		out = append(out, se)
+		out = append(out, e.JSON())
 	}
 	return out
-}
-
-// hasReqArg reports whether the event carries a "req" argument equal to id.
-func hasReqArg(e trace.Event, id string) bool {
-	for _, a := range e.Args {
-		if a.Key == "req" && a.IsStr && a.Str == id {
-			return true
-		}
-	}
-	return false
 }

@@ -54,10 +54,12 @@ for path in /healthz /readyz; do
     echo "serve-check: GET $path 200 $(cat "$tmp/body")"
 done
 
-# One eval with a known request id seeds the RED latency histogram with
-# an OpenMetrics exemplar; the exposition must carry it and still pass
-# expocheck (which validates exemplar syntax on bucket lines).
-code="$(curl -s -o "$tmp/body" -w '%{http_code}' -H 'X-Request-Id: serve-check-0001' \
+# One eval under a known trace ID (the caller's traceparent) seeds the RED
+# latency histogram with an OpenMetrics exemplar; the exposition must
+# carry it and still pass expocheck (which validates exemplar syntax on
+# bucket lines).
+trace_id=4bf92f3577b34da6a3ce929d0e0e4736
+code="$(curl -s -o "$tmp/body" -w '%{http_code}' -H "traceparent: 00-$trace_id-00f067aa0ba902b7-01" \
     -d '{"domain": "eq", "state": {"relations": {"F": [["a", "b"]]}}, "formula": "exists y. F(x, y)"}' \
     "http://$addr/v1/eval")"
 if [ "$code" != 200 ]; then
@@ -71,12 +73,12 @@ if [ "$code" != 200 ]; then
     echo "serve-check: GET /metrics answered $code, want 200" >&2
     exit 1
 fi
-if ! grep -q 'request_id="serve-check-0001"' "$tmp/metrics.txt"; then
-    echo "serve-check: /metrics misses the eval exemplar for serve-check-0001" >&2
+if ! grep -q "trace_id=\"$trace_id\"" "$tmp/metrics.txt"; then
+    echo "serve-check: /metrics misses the eval exemplar for trace $trace_id" >&2
     grep server_eval_latency_us_bucket "$tmp/metrics.txt" >&2 || true
     exit 1
 fi
-echo "serve-check: exemplar request_id=serve-check-0001 present on /metrics"
+echo "serve-check: exemplar trace_id=$trace_id present on /metrics"
 "$GO" run scripts/expocheck.go <"$tmp/metrics.txt"
 
 # The per-query stats endpoint answers with the eval's aggregates.
@@ -95,8 +97,11 @@ echo "serve-check: GET /v1/stats/queries 200 with aggregates"
 # well over the 2ms objective) push the eval latency burn past the trip
 # threshold; the server must capture a CPU+heap profile pair on its own,
 # list it on /debug/profiles, and serve the CPU payload by id as a
-# profile `go tool pprof` accepts.
-slow_body='{"domain": "presburger", "state": {"relations": {"R": [["5"]]}}, "formula": "~R(x)", "mode": "enumerate", "budget": {"rows": 60, "probe": 1073741824}}'
+# profile `go tool pprof` accepts. The body is over nless, where the
+# section 1.1 loop asks the Cooper decider for every row (tens of
+# milliseconds a request); over presburger one automaton answers it in
+# about a millisecond, under the objective.
+slow_body='{"domain": "nless", "state": {"relations": {"R": [["5"]]}}, "formula": "~R(x)", "mode": "enumerate", "budget": {"rows": 60, "probe": 1073741824}}'
 i=0
 while [ "$i" -lt 24 ]; do
     curl -s -o /dev/null -d "$slow_body" "http://$addr/v1/eval"
