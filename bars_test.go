@@ -43,6 +43,7 @@ import (
 	"repro/apiv1"
 	apiclient "repro/client"
 	"repro/internal/autarith"
+	"repro/internal/core"
 	"repro/internal/deccache"
 	"repro/internal/loadgen"
 	"repro/internal/obs"
@@ -141,7 +142,8 @@ var rows = []row{
 
 	// The paper's theorems, one experiment of DESIGN.md §3 each. E3,
 	// Theorem 2.2: the finitization of k unary atoms is finite, by the
-	// Theorem 2.5 check, which pays one quantifier block per variable.
+	// served check (the automaton) and by Theorem 2.5's criterion (the
+	// cooper posture), which pays one quantifier block per variable.
 	{Name: "e3-finitize-1", Op: "safety", Domain: "presburger", State: r37, Query: finitize("R(x)"), Expect: holds},
 	{Name: "e3-finitize-2", Op: "safety", Domain: "presburger", State: r37, Query: finitize("R(x) & R(y)"), Expect: holds},
 	{Name: "e3-finitize-3", Op: "safety", Domain: "presburger", State: r37, Query: finitize("R(x) & R(y) & R(z)"), Expect: holds},
@@ -283,7 +285,7 @@ var postures = map[string]runcfg.Config{
 	"batch":         {}, // closed loop, 64 queries per /v1/eval/batch
 	"stream":        {}, // one NDJSON stream through the client
 
-	"cooper":      {NoCache: true}, // presburger's decider is Cooper's elimination
+	"cooper":      {NoCache: true}, // presburger's decider is Cooper's elimination; safety, the finitization criterion
 	"automaton":   {},              // autarith.Decide
 	"no-dedup":    {},              // Cooper without boundary-set deduplication
 	"no-simplify": {},              // trace QE without intermediate simplification
@@ -306,7 +308,9 @@ type bar struct {
 // cells a ratio compares run side by side. The last loop holds cells of
 // at most ~10 ms: the paper's rows and the compiled E1 path, whose
 // one-cell bars would get one cycle a round next to a second-long cell.
-// Each paper row has an allocs/op bar at no more than 1.25× its reading.
+// Each paper row has an allocs/op bar at no more than 1.25× its reading;
+// the safety rows have one on the served path (default, the automaton) and
+// one on Theorem 2.5's criterion (cooper).
 var loops = [][]bar{
 	{{"obs on vs off, query.EvalActiveCtx", "join/default", "join/obs-off", "ratio", 0, 1.03}},
 	{{"traced vs armed: span-identity minting", "join/traced", "join/armed", "ratio", 0, 1.03}},
@@ -326,15 +330,24 @@ var loops = [][]bar{
 	{
 		{"compiled rows/s", "e1-sparse/default", "", "rows/s", 436, 0},
 		{"default presburger path allocs/op", "e1-sparse/default", "", "allocs/op", 0, 5796},
-		{"E3 finitization, 1 variable: allocs/op", "e3-finitize-1/default", "", "allocs/op", 0, 1930},
-		{"E3 finitization, 2 variables: allocs/op", "e3-finitize-2/default", "", "allocs/op", 0, 8480},
-		{"E3 finitization, 3 variables: allocs/op", "e3-finitize-3/default", "", "allocs/op", 0, 24600},
-		{"E4 finite query: allocs/op", "e4-finite/default", "", "allocs/op", 0, 1040},
-		{"E4 infinite query: allocs/op", "e4-infinite/default", "", "allocs/op", 0, 828},
-		{"E4 join: allocs/op", "e4-join/default", "", "allocs/op", 0, 10100},
-		{"E4 finite query, nless: allocs/op", "e4-finite-nless/default", "", "allocs/op", 0, 1040},
-		{"E4 infinite query, nless: allocs/op", "e4-infinite-nless/default", "", "allocs/op", 0, 828},
-		{"E4 join, nless: allocs/op", "e4-join-nless/default", "", "allocs/op", 0, 10100},
+		{"E3 finitization, 1 variable: allocs/op", "e3-finitize-1/default", "", "allocs/op", 0, 318},
+		{"E3 finitization, 2 variables: allocs/op", "e3-finitize-2/default", "", "allocs/op", 0, 688},
+		{"E3 finitization, 3 variables: allocs/op", "e3-finitize-3/default", "", "allocs/op", 0, 1170},
+		{"E4 finite query: allocs/op", "e4-finite/default", "", "allocs/op", 0, 170},
+		{"E4 infinite query: allocs/op", "e4-infinite/default", "", "allocs/op", 0, 132},
+		{"E4 join: allocs/op", "e4-join/default", "", "allocs/op", 0, 348},
+		{"E4 finite query, nless: allocs/op", "e4-finite-nless/default", "", "allocs/op", 0, 170},
+		{"E4 infinite query, nless: allocs/op", "e4-infinite-nless/default", "", "allocs/op", 0, 132},
+		{"E4 join, nless: allocs/op", "e4-join-nless/default", "", "allocs/op", 0, 348},
+		{"E3 finitization, 1 variable, Cooper: allocs/op", "e3-finitize-1/cooper", "", "allocs/op", 0, 1930},
+		{"E3 finitization, 2 variables, Cooper: allocs/op", "e3-finitize-2/cooper", "", "allocs/op", 0, 8480},
+		{"E3 finitization, 3 variables, Cooper: allocs/op", "e3-finitize-3/cooper", "", "allocs/op", 0, 24600},
+		{"E4 finite query, Cooper: allocs/op", "e4-finite/cooper", "", "allocs/op", 0, 1040},
+		{"E4 infinite query, Cooper: allocs/op", "e4-infinite/cooper", "", "allocs/op", 0, 828},
+		{"E4 join, Cooper: allocs/op", "e4-join/cooper", "", "allocs/op", 0, 10100},
+		{"E4 finite query, nless, Cooper: allocs/op", "e4-finite-nless/cooper", "", "allocs/op", 0, 1040},
+		{"E4 infinite query, nless, Cooper: allocs/op", "e4-infinite-nless/cooper", "", "allocs/op", 0, 828},
+		{"E4 join, nless, Cooper: allocs/op", "e4-join-nless/cooper", "", "allocs/op", 0, 10100},
 		{"E5 N' QE, depth 1: allocs/op", "e5-qe-1/default", "", "allocs/op", 0, 53},
 		{"E5 N' QE, depth 2: allocs/op", "e5-qe-2/default", "", "allocs/op", 0, 111},
 		{"E5 N' QE, depth 3: allocs/op", "e5-qe-3/default", "", "allocs/op", 0, 166},
@@ -355,6 +368,8 @@ var loops = [][]bar{
 		{"trace QE with simplification: allocs/op", "ablate-simplify/default", "", "allocs/op", 0, 540},
 		{"Cooper with boundary dedup: allocs/op", "ablate-dedup/cooper", "", "allocs/op", 0, 253},
 		{"active-domain grandfather join: allocs/op", "eval-active/default", "", "allocs/op", 0, 631},
+		{"Theorem 2.5, Cooper vs automaton, E3 3 variables", "e3-finitize-3/cooper", "e3-finitize-3/default", "ratio", 0, 0},
+		{"Theorem 2.5, Cooper vs automaton, E4 join", "e4-join/cooper", "e4-join/default", "ratio", 0, 0},
 		{"E15 Cooper vs automaton, order", "e15-order/cooper", "e15-order/automaton", "ratio", 0, 0},
 		{"E15 Cooper vs automaton, parity", "e15-parity/cooper", "e15-parity/automaton", "ratio", 0, 0},
 		{"E15 Cooper vs automaton, linear", "e15-linear/cooper", "e15-linear/automaton", "ratio", 0, 0},
@@ -495,6 +510,20 @@ func newOp(t testing.TB, r row, p string, window time.Duration) func() (any, err
 		}
 		return func() (any, error) { return elim.Eliminate(ctx, f) }
 	case "safety":
+		if p == "cooper" {
+			// Theorem 2.5's own criterion, which the served path falls
+			// back to: translate, then compare with the finitization.
+			return func() (any, error) {
+				pure, err := query.Translate(presburger.Domain{}, st, f)
+				if err != nil {
+					return nil, err
+				}
+				if finite, err := core.FinitizationCriterion(ctx, pure); err != nil || !finite {
+					return finq.Fails, err
+				}
+				return finq.Holds, nil
+			}
+		}
 		return func() (any, error) { return finq.RelativeSafety(d, st, f) }
 	case "totality":
 		return func() (any, error) { return finq.VerifyTotality(ctx, r.Machine, f) }

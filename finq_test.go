@@ -9,9 +9,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/autarith"
 	"repro/internal/obs"
 	"repro/internal/obs/qstats"
 	"repro/internal/plan"
+	"repro/internal/presburger"
+	"repro/internal/query"
 	"repro/internal/runcfg"
 )
 
@@ -170,17 +173,38 @@ func TestFacadeDecideAndEliminate(t *testing.T) {
 // the context's error, through Decide and Eliminate alike, within
 // deadlineOverrun of it: Cooper polls the context once per disjunct it
 // builds, not only between quantifiers.
+//
+// The wide sentence is the finitization equivalence Theorem 2.5 builds for
+// dvd(10000, x): an inner elimination yields ~10⁴ disjuncts, which the
+// simplifier once compared pairwise for seconds without polling. It may
+// also end on Cooper's size guard.
 func TestDecidersStopAtDeadline(t *testing.T) {
 	t.Parallel()
 	src, err := os.ReadFile(deadlineSentence)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"nless", "presburger", "zless", "wordlex"} {
-		d := MustLookup(name)
-		f, err := d.Parse(string(src))
+	const wide = "forall x. (dvd(10000, x) <-> (dvd(10000, x) & exists m. (forall x. (dvd(10000, x) -> lt(x, m)))))"
+	cases := []struct {
+		domain, src string
+		guard       bool // Cooper's size guard may answer first
+	}{
+		{"nless", string(src), false},
+		{"presburger", string(src), false},
+		{"zless", string(src), false},
+		{"wordlex", string(src), false},
+		{"presburger", wide, true},
+		{"zless", wide, true},
+	}
+	for _, c := range cases {
+		d := MustLookup(c.domain)
+		f, err := d.Parse(c.src)
 		if err != nil {
 			t.Fatal(err)
+		}
+		name := c.domain
+		if c.guard {
+			name += " (wide)"
 		}
 		for _, op := range []string{"Decide", "Eliminate"} {
 			const deadline = 50 * time.Millisecond
@@ -193,7 +217,7 @@ func TestDecidersStopAtDeadline(t *testing.T) {
 			}
 			took := time.Since(start)
 			cancel()
-			if !errors.Is(err, context.DeadlineExceeded) {
+			if !errors.Is(err, context.DeadlineExceeded) && !(c.guard && errors.Is(err, presburger.ErrTooLarge)) {
 				t.Errorf("%s %s: %v, want the deadline", op, name, err)
 			}
 			t.Logf("%s %s: stopped after %v", op, name, took)
@@ -207,6 +231,57 @@ func TestDecidersStopAtDeadline(t *testing.T) {
 // deadlineSentence holds a ∀∃⁵ sentence over lt whose Cooper elimination
 // runs for seconds; the deadline tests here and in internal/server read it.
 const deadlineSentence = "testdata/deadline_sentence.txt"
+
+// TestRelativeSafetyFallsBackToCooper: the automaton of a six-way join
+// over a four-row R passes autarith's size cap, so relative safety decides
+// it by the finitization criterion on Cooper, and answers with Cooper's
+// verdict.
+func TestRelativeSafetyFallsBackToCooper(t *testing.T) {
+	t.Parallel()
+	d := MustLookup("presburger")
+	st, err := ParseState(d, []byte(`{"relations": {"R": [["1"], ["4"], ["9"], ["16"]]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := d.Parse("R(a) & R(b) & R(c) & R(d) & R(e) & R(g)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pure, err := query.Translate(d.Domain, st, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := autarith.Compile(context.Background(), pure); !errors.Is(err, autarith.ErrTooLarge) {
+		t.Fatalf("automaton of the join: %v, want the size cap's refusal", err)
+	}
+	if v, err := RelativeSafety(d, st, f); err != nil || v != Holds {
+		t.Fatalf("relative safety of the join: %v %v, want holds", v, err)
+	}
+}
+
+// TestRelativeSafetyWideModulusAnswers: dvd(40000, x) passes the
+// automaton's cap, and Cooper's elimination of its finitization's inner ∀
+// yields a ~10⁵-wide disjunction, which the simplifier once compared
+// pairwise for minutes before the size guard refused the next step. The
+// guard's error or a verdict must now come within seconds.
+func TestRelativeSafetyWideModulusAnswers(t *testing.T) {
+	t.Parallel()
+	d := MustLookup("presburger")
+	f, err := d.Parse("dvd(40000, x)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	v, err := RelativeSafety(d, NewState(MustScheme(map[string]int{})), f)
+	took := time.Since(start)
+	if err != nil && !errors.Is(err, presburger.ErrTooLarge) || err == nil && v != Fails {
+		t.Errorf("relative safety of dvd(40000, x): %v %v, want fails or the size guard", v, err)
+	}
+	t.Logf("answered after %v: %v %v", took, v, err)
+	if bound := deadlineOverrun * 500 * time.Millisecond; took > bound {
+		t.Errorf("answered after %v, want within %v", took, bound)
+	}
+}
 
 // TestNoQStatsRecordsNoRow: an evaluation whose run configuration sets
 // NoQStats leaves no row in the per-query stats registry; the default

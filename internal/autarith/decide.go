@@ -11,9 +11,10 @@ import (
 )
 
 // Serving metrics. Compile is the entry of the Presburger §1.1
-// enumeration, which answers from the automaton or, on any error, from
-// Cooper's elimination: hits count the automata served, refusals the
-// constructions the MaxCells cap refused.
+// enumeration and of relative safety over ℕ, which answer from the
+// automaton or, on any other error than a cancellation, from Cooper's
+// elimination: hits count the automata served, refusals the constructions
+// the MaxCells cap refused.
 var (
 	mTierHits     = obs.NewCounter("autarith.tier.hits")
 	mTierRefusals = obs.NewCounter("autarith.tier.refusals")

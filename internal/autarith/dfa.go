@@ -16,8 +16,10 @@
 // whole answer, which is how the Presburger §1.1 enumeration
 // (internal/query) uses it: membership is a walk over a candidate's bits,
 // and "more rows?" asks the tuple count, whose infinity is a cycle check.
-// Every construction is bounded (MaxCells) and cancellable, so a formula
-// whose automaton is too large is refused and answered by Cooper instead.
+// Relative safety over ℕ (Theorem 2.5, internal/core) asks that cycle
+// check once: the answer is finite iff the count is. Every construction is
+// bounded (MaxCells) and cancellable, so a formula whose automaton is too
+// large is refused and answered by Cooper instead.
 package autarith
 
 import (

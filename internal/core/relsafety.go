@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/autarith"
 	"repro/internal/db"
 	"repro/internal/domain"
 	"repro/internal/domains/eqdom"
@@ -55,19 +56,53 @@ func observeSafety(finite bool, err error) (bool, error) {
 // trace domain T (Theorem 3.3), where only a budgeted semi-decision exists.
 
 // RelativeSafetyPresburger decides relative safety over ℕ with the
-// Presburger signature (a decidable extension of N<), by Theorem 2.5's
-// criterion: the query is finite in the state iff its pure translation is
-// equivalent to its finitization.
+// Presburger signature (a decidable extension of N<, so Theorem 2.5
+// applies): is the answer of the query's pure translation finite? It asks
+// the translation's automaton, falling back to Theorem 2.5's criterion on
+// Cooper (finiteOverN).
 //
 // This and the other boolean relative-safety procedures decide under ctx
 // and stop with its error once it is done.
 func RelativeSafetyPresburger(ctx context.Context, st *db.State, f *logic.Formula) (bool, error) {
-	defer obs.StartSpan("safety.relative", "domain=presburger").End()
+	sp := obs.StartSpan("safety.relative", "domain=presburger")
+	defer sp.End()
 	pure, err := query.Translate(presburger.Domain{}, st, f)
 	if err != nil {
 		return false, err
 	}
-	return observeSafety(presburger.Eliminator{}.Equivalent(ctx, pure, Finitize(pure)))
+	return observeSafety(finiteOverN(ctx, sp, pure))
+}
+
+// finiteOverN decides whether the answer of a Presburger formula over ℕ is
+// finite. That answer is a regular relation, so finiteness is a cycle
+// check on its automaton (autarith's Count). A formula the automaton
+// refuses — past its size cap, with magnitudes its residue arithmetic
+// does not take, or with terms it does not compile — is decided by
+// FinitizationCriterion instead, as the §1.1 enumeration falls back to
+// Cooper's decider, so inputs both engines refuse keep Cooper's error.
+// Once ctx is done its error is returned as it is, and Cooper does not
+// run. The span records which engine answered.
+func finiteOverN(ctx context.Context, sp *obs.Span, pure *logic.Formula) (bool, error) {
+	d, err := autarith.Compile(ctx, pure)
+	switch {
+	case ctx.Err() != nil:
+		return false, ctx.Err()
+	case err == nil:
+		sp.ArgStr("engine", "automaton")
+		_, infinite := d.Count()
+		return !infinite, nil
+	}
+	sp.ArgStr("engine", "cooper")
+	return FinitizationCriterion(ctx, pure)
+}
+
+// FinitizationCriterion decides Theorem 2.5's criterion over ℕ on Cooper's
+// elimination: the answer of the pure formula is finite iff the formula is
+// equivalent to its finitization. It decides relative safety over ℕ
+// wherever the automaton refuses a formula, and is the reference the
+// automaton's verdicts are tested against.
+func FinitizationCriterion(ctx context.Context, pure *logic.Formula) (bool, error) {
+	return presburger.Eliminator{}.Equivalent(ctx, pure, Finitize(pure))
 }
 
 // RelativeSafetyEq decides relative safety over the pure-equality domain by
@@ -231,11 +266,12 @@ func pinnedVars(clause []*logic.Formula) (map[string]bool, error) {
 }
 
 // RelativeSafetyWordlex decides relative safety over ({a,b}*, <shortlex)
-// by carrying the query across the shortlex isomorphism to N< and applying
-// the Theorem 2.5 criterion there — the paper's "the same ideas can be
-// carried out … for strings with lexicographical ordering".
+// by carrying the query across the shortlex isomorphism to N< and deciding
+// it there as RelativeSafetyPresburger does — the paper's "the same ideas
+// can be carried out … for strings with lexicographical ordering".
 func RelativeSafetyWordlex(ctx context.Context, st *db.State, f *logic.Formula) (bool, error) {
-	defer obs.StartSpan("safety.relative", "domain=wordlex").End()
+	sp := obs.StartSpan("safety.relative", "domain=wordlex")
+	defer sp.End()
 	pure, err := query.Translate(wordlex.Domain{}, st, f)
 	if err != nil {
 		return false, err
@@ -244,7 +280,7 @@ func RelativeSafetyWordlex(ctx context.Context, st *db.State, f *logic.Formula) 
 	if err != nil {
 		return false, err
 	}
-	return observeSafety(presburger.Eliminator{}.Equivalent(ctx, nf, Finitize(nf)))
+	return observeSafety(finiteOverN(ctx, sp, nf))
 }
 
 // TracesBudget bounds the semi-decision procedures over the trace domain.

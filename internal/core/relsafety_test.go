@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -11,6 +12,8 @@ import (
 	"repro/internal/domain"
 	"repro/internal/domains/nsucc"
 	"repro/internal/logic"
+	"repro/internal/obs"
+	"repro/internal/obs/trace"
 	"repro/internal/parser"
 	"repro/internal/presburger"
 	"repro/internal/query"
@@ -248,39 +251,52 @@ func TestTheorem33Semantics(t *testing.T) {
 	}
 }
 
-// TestRelativeSafetyEnginesAgree: the served Theorem 2.5 decider
-// (Cooper's elimination) and the automaton of φ′ (finite iff its tuple
-// count is, internal/autarith) agree on seeded random queries over a unary
-// R and a binary S, in random states. Cooper's size guard may bail on a
-// pathological instance; those are skipped and must stay rare, as in
-// autarith's TestDifferentialAgainstCooper, and so must the automaton's
-// cap refusals.
+// TestRelativeSafetyEnginesAgree: the served Theorem 2.5 decider (the
+// automaton of φ′, finite iff its tuple count is) and the finitization
+// criterion on Cooper (FinitizationCriterion) agree on seeded random
+// queries over a unary R and a binary S, in random states. Where Cooper's
+// size guard bails, the served verdict is checked against the §1.1
+// enumeration instead, as in TestTheorem25AgainstEnumeration. Bailouts
+// must stay rare, as in autarith's TestDifferentialAgainstCooper, and so
+// must the automaton's cap refusals, where the served verdict is Cooper's.
 func TestRelativeSafetyEnginesAgree(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(25))
 	const n = 200
 	skipped, refused, finite := 0, 0, 0
 	for i := 0; i < n; i++ {
 		st := randSafetyState(t, rng)
 		f := randSafetyQuery(rng)
-		got, err := RelativeSafetyPresburger(context.Background(), st, f)
+		got, err := RelativeSafetyPresburger(ctx, st, f)
 		if err != nil {
-			skipped++
-			continue
+			t.Fatalf("%v in %v: %v", f, st, err)
+		}
+		if got {
+			finite++
 		}
 		pure, err := query.Translate(presburger.Domain{}, st, f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := autarith.Compile(context.Background(), pure)
-		if err != nil {
+		if _, err := autarith.Compile(ctx, pure); err != nil {
 			refused++
+		}
+		want, err := FinitizationCriterion(ctx, pure)
+		if err != nil {
+			skipped++
+			ans, err := query.EnumerationAnswerSinkCtx(ctx, presburger.Domain{}, presburger.Decider(), st, f,
+				query.EnumerationBudget{Rows: 400, Probe: 1 << 16}, nil)
+			if err != nil {
+				t.Fatalf("%v in %v: enumeration: %v", f, st, err)
+			}
+			if got != ans.Complete {
+				t.Fatalf("%v in %v: served finite=%v, enumeration complete=%v with %d rows",
+					f, st, got, ans.Complete, ans.Rows.Len())
+			}
 			continue
 		}
-		if _, infinite := d.Count(); got == infinite {
-			t.Fatalf("%v in %v: served finite=%v, automaton infinite=%v", f, st, got, infinite)
-		}
-		if got {
-			finite++
+		if got != want {
+			t.Fatalf("%v in %v: served finite=%v, finitization criterion %v", f, st, got, want)
 		}
 	}
 	if skipped > n/10 {
@@ -292,7 +308,64 @@ func TestRelativeSafetyEnginesAgree(t *testing.T) {
 	if finite < n/10 || finite > n*9/10 {
 		t.Fatalf("unbalanced draw: %d of %d finite", finite, n)
 	}
-	t.Logf("%d agreed (%d finite), %d Cooper bailouts, %d automaton refusals", n-skipped-refused, finite, skipped, refused)
+	t.Logf("%d agreed with Cooper (%d finite), %d Cooper bailouts checked by enumeration, %d automaton refusals",
+		n-skipped, finite, skipped, refused)
+}
+
+// TestRelativeSafetyCancelled: a cancelled context stops relative safety
+// with the context's error, also where the automaton builds too few cells
+// to poll it, and the query is not handed to Cooper.
+func TestRelativeSafetyCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	elims := obs.NewCounter("qe.presburger.eliminations")
+	before := elims.Value()
+	_, err := RelativeSafetyPresburger(ctx, natState(t, "R", 1, 4), logic.Not(logic.Atom("R", logic.Var("x"))))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled relative safety: %v, want context.Canceled", err)
+	}
+	if got := elims.Value() - before; got != 0 {
+		t.Fatalf("cancelled relative safety ran %d Cooper eliminations", got)
+	}
+}
+
+// TestRelativeSafetyNamesEngine: with the flight recorder armed, the
+// safety.relative span names the engine that decided: the automaton, or
+// Cooper's finitization criterion for a six-way join whose automaton
+// passes the size cap.
+func TestRelativeSafetyNamesEngine(t *testing.T) {
+	rec := trace.Default()
+	rec.Arm(1 << 10)
+	defer rec.Disarm()
+	st := natState(t, "R", 1, 4, 9, 16)
+	for _, c := range []struct {
+		src, engine string
+	}{
+		{"R(x) | lt(x, 9)", "automaton"},
+		{"R(a) & R(b) & R(c) & R(d) & R(e) & R(g)", "cooper"},
+	} {
+		f, err := parser.Parse(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if finite, err := RelativeSafetyPresburger(context.Background(), st, f); err != nil || !finite {
+			t.Fatalf("%s: finite=%v %v, want finite", c.src, finite, err)
+		}
+		var engine string
+		for _, e := range rec.Events() {
+			if e.Phase != trace.PhaseEnd || e.Name != "safety.relative" {
+				continue
+			}
+			for _, a := range e.Args {
+				if a.Key == "engine" {
+					engine = a.Str
+				}
+			}
+		}
+		if engine != c.engine {
+			t.Errorf("%s: last safety.relative span's engine %q, want %q", c.src, engine, c.engine)
+		}
+	}
 }
 
 // randSafetyState draws R (unary) and S (binary) over small numbers.

@@ -430,6 +430,39 @@ func TestSimplifyCases(t *testing.T) {
 	}
 }
 
+// TestDedupKeyedMatchesPairwise: wide junctions are deduplicated through
+// canonical keys, narrow ones pairwise; on junctions drawn with repeats
+// from a few formulas and their negations, both keep the same juncts in
+// the same order and find the same complementary pairs.
+func TestDedupKeyedMatchesPairwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < 300; i++ {
+		pool := make([]*Formula, 1+rng.Intn(6))
+		for j := range pool {
+			pool[j] = randFormula(rng, 2, true)
+		}
+		flat := make([]*Formula, 1+rng.Intn(3*keyedJunction))
+		for j := range flat {
+			g := pool[rng.Intn(len(pool))].Clone()
+			if rng.Intn(8) == 0 {
+				g = Not(g)
+			}
+			flat[j] = g
+		}
+		want, wantComp := dedupPairwise(flat)
+		got, gotComp := dedupKeyed(flat)
+		if gotComp != wantComp || len(got) != len(want) {
+			t.Fatalf("%d juncts: keyed kept %d (complementary %v), pairwise %d (%v)",
+				len(flat), len(got), gotComp, len(want), wantComp)
+		}
+		for j := range got {
+			if got[j] != want[j] {
+				t.Fatalf("%d juncts: keyed junct %d is %v, pairwise %v", len(flat), j, got[j], want[j])
+			}
+		}
+	}
+}
+
 func TestStringRendering(t *testing.T) {
 	f := Forall("x", Implies(Atom("P", Var("x")), Exists("y", Neq(Var("x"), Var("y")))))
 	s := f.String()

@@ -136,9 +136,10 @@ func (e Eliminator) Decide(ctx context.Context, sentence *logic.Formula) (bool, 
 }
 
 // Equivalent decides whether two formulas with the same free variables
-// agree on all assignments: ∀x̄ (f ↔ g). This is the workhorse of the
-// relative-safety decision procedure (Theorem 2.5: "the equivalence problem
-// for pure domain formulas is, by the condition of the theorem, decidable").
+// agree on all assignments: ∀x̄ (f ↔ g). It decides Theorem 2.5's
+// relative-safety criterion ("the equivalence problem for pure domain
+// formulas is, by the condition of the theorem, decidable") wherever the
+// automaton of internal/autarith refuses a formula.
 func (e Eliminator) Equivalent(ctx context.Context, f, g *logic.Formula) (bool, error) {
 	vars := logic.SortedUnique(append(f.FreeVars(), g.FreeVars()...))
 	return e.Decide(ctx, logic.ForallAll(vars, logic.Iff(f, g)))

@@ -61,3 +61,42 @@ func TestPointRequestAllocs(t *testing.T) {
 		t.Fatalf("%.1f allocations per point request, ceiling %d", allocs, pointAllocCeiling)
 	}
 }
+
+// safetyAllocCeiling bounds the objects one relative-safety request
+// allocates end to end: measured at 419 with Go 1.24.0, with the same
+// 1.23 ratio as pointAllocCeiling. Lower it when a change earns it.
+const safetyAllocCeiling = 515
+
+// TestSafetyRequestAllocs is the safety path's allocation ceiling: one
+// request shaped like the benchmark's safety workload, exists y. (R(y) &
+// lt(x, add(y, k))) with a fresh k over a four-value R, through the full
+// handler chain. The automaton of the query's translation answers it.
+func TestSafetyRequestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not comparable under -race")
+	}
+	logger, err := logctx.NewLogger(io.Discard, slog.LevelInfo, "text")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := New(Config{Logger: logger}).Handler()
+	const state = `{"relations": {"R": [["5"], ["17"], ["38"], ["61"]]}}`
+	k := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		k = k%1000 + 1
+		body := fmt.Sprintf(`{"domain": "presburger", "state": %s, "formula": "exists y. (R(y) & lt(x, add(y, %d)))"}`, state, k)
+		req, err := http.NewRequest(http.MethodPost, "/v1/safety", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := newRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.status != http.StatusOK || !strings.Contains(rec.body.String(), `"holds"`) {
+			t.Fatalf("safety: %d %s", rec.status, rec.body.Bytes())
+		}
+	})
+	t.Logf("%.1f allocations per safety request", allocs)
+	if allocs > safetyAllocCeiling {
+		t.Fatalf("%.1f allocations per safety request, ceiling %d", allocs, safetyAllocCeiling)
+	}
+}

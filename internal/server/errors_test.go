@@ -60,8 +60,8 @@ func TestErrorEnvelopeEverywhere(t *testing.T) {
 			`{"domain": "eq", "formula": "` + strings.Repeat("x = x & ", 200) + `x = x"}`,
 			413, apiv1.CodePayloadTooLarge},
 		{"eval failure", http.MethodPost, "/v1/decide", `{"domain": "eq", "sentence": "R(x)"}`, 422, apiv1.CodeEvalFailed},
-		// A dvd modulus past int64: Cooper's divisor guard answers both;
-		// the enumeration's automaton refuses the modulus first.
+		// A dvd modulus past int64: in both the automaton refuses the
+		// modulus first, and Cooper's divisor guard answers.
 		{"safety modulus beyond int64", http.MethodPost, "/v1/safety",
 			`{"domain": "presburger", "formula": "dvd(9223372036854775808, x)"}`, 422, apiv1.CodeEvalFailed},
 		{"enumerate modulus beyond int64", http.MethodPost, "/v1/eval",
