@@ -31,12 +31,8 @@ var (
 func Compile(ctx context.Context, f *logic.Formula) (*DFA, error) {
 	ctx, sp := obs.StartSpanCtx(ctx, "autarith.compile")
 	defer sp.End()
-	b := &budget{ctx: ctx}
-	d, err := b.compile(f)
-	if err == nil {
-		d, err = b.cylindrify(d, f.FreeVars())
-	}
-	sp.Arg("cells", int64(b.cells))
+	d, cells, err := compileFree(ctx, f)
+	sp.Arg("cells", int64(cells))
 	switch {
 	case err == nil:
 		mTierHits.Inc()
@@ -45,6 +41,17 @@ func Compile(ctx context.Context, f *logic.Formula) (*DFA, error) {
 		mTierRefusals.Inc()
 	}
 	return d, err
+}
+
+// compileFree builds f's automaton over its free variables and returns
+// the cells its construction charged.
+func compileFree(ctx context.Context, f *logic.Formula) (*DFA, int, error) {
+	b := &budget{ctx: ctx}
+	d, err := b.compile(f)
+	if err == nil {
+		d, err = b.cylindrify(d, f.FreeVars())
+	}
+	return d, b.cells, err
 }
 
 func (b *budget) compile(f *logic.Formula) (*DFA, error) {
