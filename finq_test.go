@@ -259,26 +259,54 @@ func TestRelativeSafetyFallsBackToCooper(t *testing.T) {
 	}
 }
 
-// TestRelativeSafetyWideModulusAnswers: dvd(40000, x) passes the
-// automaton's cap, and Cooper's elimination of its finitization's inner ∀
-// yields a ~10⁵-wide disjunction, which the simplifier once compared
-// pairwise for minutes before the size guard refused the next step. The
-// guard's error or a verdict must now come within seconds.
+// TestRelativeSafetyWideModulusAnswers: a lone divisibility atom with a
+// modulus in the thousands is infinite in the empty state, and the
+// automaton answers so: its residual atom has at most 2d states and the
+// sink, within the cap. The atom it replaced paired each residue with a
+// bit weight, up to d·ord_d(2) states, which the cap refused, and Cooper's
+// size guard then refused the finitization criterion too.
 func TestRelativeSafetyWideModulusAnswers(t *testing.T) {
 	t.Parallel()
 	d := MustLookup("presburger")
-	f, err := d.Parse("dvd(40000, x)")
+	for _, src := range []string{"dvd(2500, x)", "dvd(10000, x)", "dvd(40000, x)"} {
+		f, err := d.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		v, err := RelativeSafety(d, NewState(MustScheme(map[string]int{})), f)
+		took := time.Since(start)
+		if err != nil || v != Fails {
+			t.Errorf("relative safety of %s: %v %v, want fails", src, v, err)
+		}
+		t.Logf("%s answered after %v", src, took)
+		if bound := deadlineOverrun * 500 * time.Millisecond; took > bound {
+			t.Errorf("%s answered after %v, want within %v", src, took, bound)
+		}
+	}
+}
+
+// TestRelativeSafetyWideBoundarySetEnds: the automaton of
+// lt(x, 9) & dvd(65537, x) passes the cap (its residual atom alone has
+// 65,537 states), so Cooper's finitization criterion takes it, whose
+// boundary set holds ~65,537 terms. Deduplicating them pairwise ran 16 s
+// before the size guard refused the step; keyed, the guard's error or a
+// verdict comes within deadlineOverrun seconds.
+func TestRelativeSafetyWideBoundarySetEnds(t *testing.T) {
+	t.Parallel()
+	d := MustLookup("presburger")
+	f, err := d.Parse("lt(x, 9) & dvd(65537, x)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
 	v, err := RelativeSafety(d, NewState(MustScheme(map[string]int{})), f)
 	took := time.Since(start)
-	if err != nil && !errors.Is(err, presburger.ErrTooLarge) || err == nil && v != Fails {
-		t.Errorf("relative safety of dvd(40000, x): %v %v, want fails or the size guard", v, err)
+	if err != nil && !errors.Is(err, presburger.ErrTooLarge) || err == nil && v != Holds {
+		t.Errorf("relative safety: %v %v, want holds or the size guard", v, err)
 	}
 	t.Logf("answered after %v: %v %v", took, v, err)
-	if bound := deadlineOverrun * 500 * time.Millisecond; took > bound {
+	if bound := deadlineOverrun * time.Second; took > bound {
 		t.Errorf("answered after %v, want within %v", took, bound)
 	}
 }

@@ -24,17 +24,23 @@ import (
 // even, and then a·x' = (s − a·β)/2; an odd residual enters a rejecting
 // sink. A state accepts iff s = 0.
 //
-// For d | a·x + c the state tracks (r, p): r the partial value mod d and p
-// the weight 2^j mod d of the next bit position. Reading β updates
-// r ← (r + p·(a·β)) mod d, p ← 2p mod d; acceptance is r ≡ 0.
+// For d | a·x + c the residuals are residues: in state (s, m) the tuples
+// still acceptable are those whose remaining high bits x' meet
+// a·x' ≡ s (mod m), starting from s = −c mod d, m = d. Reading β needs
+// 2·a·x' ≡ s − a·β (mod m). While m is even that needs s − a·β even (an
+// odd one enters a rejecting sink), and leaves a·x' ≡ (s − a·β)/2 modulo
+// m/2; once m is odd, 2 is invertible and the successor is
+// (s − a·β)·2⁻¹ mod m. A state accepts iff s = 0. The moduli run through
+// d, d/2, … down to d's odd part, so there are at most 2d states and the
+// sink.
 
 // maxMagnitude bounds ‖a‖₁ and |b| of a linear atom, so that residual
 // arithmetic (s − a·β over residuals within ±(‖a‖₁ + |b|)) cannot overflow
 // int64.
 const maxMagnitude = 1 << 60
 
-// maxModulus bounds a divisibility modulus, so that p·(a·β mod d) < d²
-// cannot overflow int64.
+// maxModulus bounds a divisibility modulus, so that a residue times 2⁻¹,
+// both below the modulus, cannot overflow int64.
 const maxModulus = 1 << 31
 
 // linear is a linear atom's left-hand side over the tracks it constrains:
@@ -44,9 +50,10 @@ type linear struct {
 	coefs []int64
 }
 
-// dots returns a·β for every symbol β over the atom's tracks.
-func (l linear) dots() []int64 {
-	out := make([]int64, 1<<len(l.vars))
+// dots returns a·β for every symbol β over the atom's tracks, in buf's
+// storage.
+func (l linear) dots(buf []int64) []int64 {
+	out := zeroed(buf, 1<<len(l.vars))
 	for sym := 1; sym < len(out); sym++ {
 		low := sym & -sym
 		out[sym] = out[sym^low] + l.coefs[bits.TrailingZeros(uint(low))]
@@ -61,7 +68,8 @@ func (b *budget) linearAtom(l linear, bound int64, eq bool) (*DFA, error) {
 	if err != nil {
 		return nil, err
 	}
-	dots := l.dots()
+	b.dots = l.dots(b.dots)
+	dots := b.dots
 	// dead is the rejecting sink of equalities; residuals stay within
 	// ±2^61, so the key cannot collide with one.
 	const dead = math.MinInt64
@@ -71,18 +79,17 @@ func (b *budget) linearAtom(l linear, bound int64, eq bool) (*DFA, error) {
 		}
 		return s >= 0
 	}
-	index := map[int64]int{}
-	var residual []int64
+	b.resetIndex()
 	state := func(s int64) (int, error) {
-		if i, ok := index[s]; ok {
+		i, slot := b.lookup(uint64(s), nil)
+		if i >= 0 {
 			return i, nil
 		}
 		i, err := bl.add(s != dead && accepts(s))
 		if err != nil {
 			return 0, err
 		}
-		index[s] = i
-		residual = append(residual, s)
+		b.insert(uint64(s), slot)
 		return i, nil
 	}
 	start, err := state(bound)
@@ -90,8 +97,8 @@ func (b *budget) linearAtom(l linear, bound int64, eq bool) (*DFA, error) {
 		return nil, err
 	}
 	syms := len(dots)
-	for i := 0; i < len(residual); i++ {
-		s := residual[i]
+	for i := 0; i < len(b.keys); i++ {
+		s := int64(b.keys[i])
 		for sym, dot := range dots {
 			// No clamping is needed for finiteness: with N = ‖a‖₁, any
 			// residual above N+1 strictly decreases and any residual below
@@ -130,36 +137,47 @@ func (b *budget) dvdAtom(l linear, c, d int64) (*DFA, error) {
 	if err != nil {
 		return nil, err
 	}
-	mod := func(x int64) int64 { return ((x % d) + d) % d }
-	dots := l.dots()
+	b.dots = l.dots(b.dots)
+	dots := b.dots
 	for i, dot := range dots {
-		dots[i] = mod(dot)
+		dots[i] = mod(dot, d)
 	}
-	type rp struct{ r, p int64 }
-	index := map[rp]int{}
-	var pending []rp
-	state := func(k rp) (int, error) {
-		if i, ok := index[k]; ok {
+	// A state (s, m) is keyed m<<32 | s; no modulus is 0, so the key 0 is
+	// the sink's.
+	const sink = 0
+	b.resetIndex()
+	state := func(key uint64) (int, error) {
+		i, slot := b.lookup(key, nil)
+		if i >= 0 {
 			return i, nil
 		}
-		i, err := bl.add(k.r == 0)
+		i, err := bl.add(key != sink && uint32(key) == 0)
 		if err != nil {
 			return 0, err
 		}
-		index[k] = i
-		pending = append(pending, k)
+		b.insert(key, slot)
 		return i, nil
 	}
-	start, err := state(rp{mod(c), mod(1)})
+	start, err := state(uint64(d)<<32 | uint64(mod(-c, d)))
 	if err != nil {
 		return nil, err
 	}
 	syms := len(dots)
-	for i := 0; i < len(pending); i++ {
-		cur := pending[i]
-		np := mod(2 * cur.p)
+	for i := 0; i < len(b.keys); i++ {
+		key := b.keys[i]
+		s, m := int64(uint32(key)), int64(key>>32)
 		for sym, dot := range dots {
-			ni, err := state(rp{mod(cur.r + cur.p*dot), np})
+			next := uint64(sink)
+			if key != sink {
+				// m divides d, so a·β mod m is dot mod m.
+				switch r := s - dot%m; {
+				case m%2 == 1:
+					next = uint64(m)<<32 | uint64(mod(mod(r, m)*((m+1)/2), m))
+				case r%2 == 0:
+					next = uint64(m/2)<<32 | uint64(mod(r/2, m/2))
+				}
+			}
+			ni, err := state(next)
 			if err != nil {
 				return nil, err
 			}
@@ -169,12 +187,16 @@ func (b *budget) dvdAtom(l linear, c, d int64) (*DFA, error) {
 	return bl.build(start), nil
 }
 
+// mod returns x mod d in [0, d), for d > 0.
+func mod(x, d int64) int64 { return (x%d + d) % d }
+
 // fromLinear converts a presburger.LinearTerm to the constrained tracks
-// and the constant. Magnitudes the residual arithmetic cannot hold are
-// refused with ErrTooLarge, leaving such formulas to Cooper's big-integer
+// and the constant; the coefficients are the scratch's, good until the
+// next atom. Magnitudes the residual arithmetic cannot hold are refused
+// with ErrTooLarge, leaving such formulas to Cooper's big-integer
 // arithmetic.
-func fromLinear(t presburger.LinearTerm) (linear, int64, error) {
-	var l linear
+func (b *budget) fromLinear(t presburger.LinearTerm) (linear, int64, error) {
+	l := linear{vars: make([]string, 0, len(t.Coeffs)), coefs: b.coefs[:0]}
 	norm := int64(0)
 	for _, c := range t.Coeffs {
 		k, ok := c.K.Int64()
@@ -187,6 +209,7 @@ func fromLinear(t presburger.LinearTerm) (linear, int64, error) {
 			return linear{}, 0, fmt.Errorf("%w: coefficients of %v", ErrTooLarge, t)
 		}
 	}
+	b.coefs = l.coefs
 	c, ok := t.Const.Int64()
 	if !ok || c < -maxMagnitude || c > maxMagnitude {
 		return linear{}, 0, fmt.Errorf("%w: constant %v", ErrTooLarge, t.Const)
@@ -201,11 +224,10 @@ func abs(x int64) int64 {
 	return x
 }
 
-// negate returns −a·x.
+// negate turns a·x into −a·x, in place.
 func (l linear) negate() linear {
-	out := linear{vars: l.vars, coefs: make([]int64, len(l.coefs))}
 	for i, c := range l.coefs {
-		out.coefs[i] = -c
+		l.coefs[i] = -c
 	}
-	return out
+	return l
 }

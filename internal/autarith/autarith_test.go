@@ -32,7 +32,7 @@ func itoa(n int64) string {
 // leqAtom builds Σ coefs[i]·vars[i] ≤ bound under a fresh budget.
 func leqAtom(t *testing.T, vars []string, coefs []int64, bound int64) *DFA {
 	t.Helper()
-	d, err := (&budget{}).linearAtom(linear{vars: vars, coefs: coefs}, bound, false)
+	d, err := newBudget(nil).linearAtom(linear{vars: vars, coefs: coefs}, bound, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func leqAtom(t *testing.T, vars []string, coefs []int64, bound int64) *DFA {
 // dvdAtom builds d | Σ coefs[i]·vars[i] + c under a fresh budget.
 func dvdAtom(t *testing.T, vars []string, coefs []int64, c, d int64) *DFA {
 	t.Helper()
-	out, err := (&budget{}).dvdAtom(linear{vars: vars, coefs: coefs}, c, d)
+	out, err := newBudget(nil).dvdAtom(linear{vars: vars, coefs: coefs}, c, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestComplementAndProduct(t *testing.T) {
 	// ¬(x ≤ 3) ∧ (x ≤ 5) ⟺ x ∈ {4, 5}.
 	le3 := leqAtom(t, []string{"x"}, []int64{1}, 3)
 	le5 := leqAtom(t, []string{"x"}, []int64{1}, 5)
-	d, err := (&budget{}).aligned(complement(le3), le5, and)
+	d, err := newBudget(nil).aligned(complement(le3), le5, and)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestCylindrifyAlignment(t *testing.T) {
 	// (x ≤ 2) ∧ (y ≤ 1) over merged tracks.
 	dx := leqAtom(t, []string{"x"}, []int64{1}, 2)
 	dy := leqAtom(t, []string{"y"}, []int64{1}, 1)
-	d, err := (&budget{}).aligned(dx, dy, and)
+	d, err := newBudget(nil).aligned(dx, dy, and)
 	if err != nil {
 		t.Fatal(err)
 	}

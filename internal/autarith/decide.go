@@ -43,15 +43,20 @@ func Compile(ctx context.Context, f *logic.Formula) (*DFA, error) {
 	return d, err
 }
 
-// compileFree builds f's automaton over its free variables and returns
-// the cells its construction charged.
+// compileFree builds f's automaton over its free variables, copied out of
+// the construction's scratch, and returns the cells its construction
+// charged.
 func compileFree(ctx context.Context, f *logic.Formula) (*DFA, int, error) {
-	b := &budget{ctx: ctx}
+	b := newBudget(ctx)
+	defer b.release()
 	d, err := b.compile(f)
 	if err == nil {
 		d, err = b.cylindrify(d, f.FreeVars())
 	}
-	return d, b.cells, err
+	if err != nil {
+		return nil, b.cells, err
+	}
+	return d.clone(), b.cells, nil
 }
 
 func (b *budget) compile(f *logic.Formula) (*DFA, error) {
@@ -138,7 +143,7 @@ func (b *budget) compileAtom(f *logic.Formula) (*DFA, error) {
 			return nil, err
 		}
 		// x − y = a·v + c.
-		a, c, err := fromLinear(x.Sub(y))
+		a, c, err := b.fromLinear(x.Sub(y))
 		if err != nil {
 			return nil, err
 		}
@@ -175,7 +180,7 @@ func (b *budget) compileAtom(f *logic.Formula) (*DFA, error) {
 		if err != nil {
 			return nil, err
 		}
-		a, c, err := fromLinear(t)
+		a, c, err := b.fromLinear(t)
 		if err != nil {
 			return nil, err
 		}
@@ -194,7 +199,9 @@ func Decide(ctx context.Context, sentence *logic.Formula) (bool, error) {
 	if fv := sentence.FreeVars(); len(fv) != 0 {
 		return false, fmt.Errorf("autarith: Decide on open formula (free vars %v)", fv)
 	}
-	d, err := (&budget{ctx: ctx}).compile(sentence)
+	b := newBudget(ctx)
+	defer b.release()
+	d, err := b.compile(sentence)
 	if err != nil {
 		return false, err
 	}

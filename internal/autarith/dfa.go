@@ -20,6 +20,18 @@
 // check once: the answer is finite iff the count is. Every construction is
 // bounded (MaxCells) and cancellable, so a formula whose automaton is too
 // large is refused and answered by Cooper instead.
+//
+// One Compile or Decide builds every automaton of its construction — the
+// atoms, cylindrifications, products and subset constructions — in one
+// scratch taken from a sync.Pool: their transition rows and acceptance
+// bits are appended to one arena, the subsets of a projection are sorted
+// runs in another, and the index of states by key and the work queue are
+// reused from one automaton to the next. Compile copies the automaton it
+// returns out of the scratch before putting the scratch back, so no DFA a
+// caller holds aliases pooled memory. The scratch needs no bound of its
+// own: MaxCells caps the cells and subset members one construction may
+// charge, and with them what a pooled scratch holds. Count takes its work
+// slices from the same pool.
 package autarith
 
 import (
@@ -28,7 +40,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/obs"
 )
@@ -113,24 +126,37 @@ func (d *DFA) Runs(vals []int64) (bool, error) {
 // live states reachable from the initial one.
 func (d *DFA) Count() (n int64, infinite bool) {
 	states, syms := d.NumStates(), d.symbols()
+	// A hand-built automaton past the cap gets its own slices, which the
+	// pool must not keep.
+	var w *scratch
+	if len(d.Trans) <= MaxCells {
+		w = scratches.Get().(*scratch)
+		defer scratches.Put(w)
+	} else {
+		w = new(scratch)
+	}
 	// Predecessor lists, flat: pred[start[t]:start[t+1]] are the states
 	// with a transition into t.
-	start := make([]int32, states+1)
+	w.start = zeroed(w.start, states+1)
+	start := w.start
 	for _, t := range d.Trans {
 		start[t+1]++
 	}
 	for t := 0; t < states; t++ {
 		start[t+1] += start[t]
 	}
-	pred := make([]int32, len(d.Trans))
-	fill := append([]int32(nil), start[:states]...)
+	w.pred = zeroed(w.pred, len(d.Trans))
+	pred := w.pred
+	w.fill = append(w.fill[:0], start[:states]...)
+	fill := w.fill
 	for i, t := range d.Trans {
 		pred[fill[t]] = int32(i / syms)
 		fill[t]++
 	}
 	// live: backward closure of the states with a non-zero transition into
 	// an accepting state. fill is reused as the work queue.
-	live := make([]bool, states)
+	w.live = zeroed(w.live, states)
+	live := w.live
 	queue := fill[:0]
 	for s := 0; s < states; s++ {
 		for _, t := range d.row(s)[1:] {
@@ -165,10 +191,10 @@ func (d *DFA) Count() (n int64, infinite bool) {
 		open
 		done
 	)
-	color := make([]uint8, states)
-	paths := make([]int64, states)
-	type frame struct{ s, sym int }
-	stack := []frame{{d.Initial, 0}}
+	w.color = zeroed(w.color, states)
+	w.paths = zeroed(w.paths, states)
+	color, paths := w.color, w.paths
+	stack := append(w.frames[:0], frame{d.Initial, 0})
 	color[d.Initial] = open
 	for len(stack) > 0 {
 		top := &stack[len(stack)-1]
@@ -181,6 +207,7 @@ func (d *DFA) Count() (n int64, infinite bool) {
 		if live[t] {
 			switch color[t] {
 			case open:
+				w.frames = stack[:0]
 				return math.MaxInt64, true
 			case unseen:
 				// Come back to this symbol once t is done.
@@ -195,8 +222,13 @@ func (d *DFA) Count() (n int64, infinite bool) {
 		}
 		top.sym++
 	}
+	w.frames = stack
 	return satAdd(n, paths[d.Initial]), false
 }
+
+// frame is a step of Count's depth-first walk: a state and the next
+// symbol to follow from it.
+type frame struct{ s, sym int }
 
 // satAdd adds two non-negative counts, saturating at math.MaxInt64.
 func satAdd(a, b int64) int64 {
@@ -222,10 +254,142 @@ const maxTracks = 16 // log2(MaxCells)
 var ErrTooLarge = errors.New("autarith: automaton exceeds the size bound")
 
 // budget meters one construction against MaxCells and polls its context
-// (nil means never cancelled) as the cells accumulate.
+// (nil means never cancelled) as the cells accumulate. Every automaton
+// the construction builds lives in its scratch.
 type budget struct {
 	ctx   context.Context
 	cells int
+	*scratch
+}
+
+// newBudget starts a construction on a scratch from the pool; release
+// puts the scratch back, after which no automaton the construction built
+// may be read.
+func newBudget(ctx context.Context) *budget {
+	s := scratches.Get().(*scratch)
+	s.trans, s.accept = s.trans[:0], s.accept[:0]
+	return &budget{ctx: ctx, scratch: s}
+}
+
+func (b *budget) release() {
+	scratches.Put(b.scratch)
+	b.scratch = nil
+}
+
+// scratches holds the scratch of constructions and counts that have
+// ended.
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+// scratch is the storage of one construction, reused by the next. Its
+// cells and subset members are charged to the construction's budget, so
+// MaxCells bounds what it holds; the index has under four slots per
+// state of the largest automaton it indexed, and 64 at least.
+type scratch struct {
+	// trans and accept are the arena: every automaton's rows and
+	// acceptance bits, one automaton after another.
+	trans  []int
+	accept []bool
+	// The index of the automaton being built: keys[i] is state i's key,
+	// and slots is an open-addressing table of the states by key (see
+	// lookup).
+	keys  []uint64
+	slots []uint64
+	epoch uint32
+	// The subsets of a projection: subset i holds the sorted states
+	// members[runs[i]:runs[i+1]], and its key is their hash.
+	members, runs []int32
+	// stamp[s] == gen marks state s as already in the subset being built.
+	stamp []int
+	gen   int
+	// ints, flags and dots are a construction's per-symbol or per-state
+	// work: cylindrify's symbol map, the padding closure's verdicts and
+	// walk, an atom's a·β per symbol.
+	ints  []int
+	flags []uint8
+	dots  []int64
+	coefs []int64
+	// Count's work.
+	start, pred, fill []int32
+	live              []bool
+	color             []uint8
+	paths             []int64
+	frames            []frame
+}
+
+// resetIndex empties the index for the next automaton. A slot holds
+// epoch<<32 | state+1 and is empty unless its epoch is the index's, so a
+// new epoch empties every slot at once: reusing the index costs nothing
+// however large an earlier automaton grew it.
+func (s *scratch) resetIndex() {
+	s.keys = s.keys[:0]
+	if s.epoch++; s.epoch == 0 || s.slots == nil {
+		s.slots = zeroed(s.slots, max(len(s.slots), 64))
+		s.epoch = 1
+	}
+}
+
+// lookup finds the state whose key is key and for which same, unless nil,
+// holds. Without one it returns −1 and the slot insert takes.
+func (s *scratch) lookup(key uint64, same func(state int) bool) (state, slot int) {
+	mask := len(s.slots) - 1
+	for i := s.home(key); ; i = (i + 1) & mask {
+		v := s.slots[i]
+		if uint32(v>>32) != s.epoch {
+			return -1, i
+		}
+		if st := int(uint32(v)) - 1; s.keys[st] == key && (same == nil || same(st)) {
+			return st, i
+		}
+	}
+}
+
+// insert adds the next state, keyed key, at the slot a failed lookup
+// returned, and keeps the table at most half full.
+func (s *scratch) insert(key uint64, slot int) {
+	s.keys = append(s.keys, key)
+	s.slots[slot] = uint64(s.epoch)<<32 | uint64(len(s.keys))
+	if 2*len(s.keys) <= len(s.slots) {
+		return
+	}
+	s.slots = make([]uint64, 2*len(s.slots))
+	mask := len(s.slots) - 1
+	for st, k := range s.keys {
+		i := s.home(k)
+		for uint32(s.slots[i]>>32) == s.epoch {
+			i = (i + 1) & mask
+		}
+		s.slots[i] = uint64(s.epoch)<<32 | uint64(st+1)
+	}
+}
+
+// home is where key's probe sequence starts: the top bits of a
+// multiplicative hash.
+func (s *scratch) home(key uint64) int {
+	return int((key * 0x9e3779b97f4a7c15) >> (64 - bits.Len(uint(len(s.slots)-1))))
+}
+
+// zeroed returns buf resized to n zero elements, reusing its storage when
+// it is large enough.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// extend appends n zero elements to an arena slice, which grows
+// geometrically but to at most MaxCells elements: the budget charges
+// every state at least one cell before it is appended, so no
+// construction needs more.
+func extend[T any](arena []T, n int) []T {
+	if need := len(arena) + n; need > cap(arena) {
+		grown := make([]T, len(arena), max(min(2*cap(arena)+256, MaxCells), need))
+		copy(grown, arena)
+		arena = grown
+	}
+	return append(arena, make([]T, n)...)
 }
 
 // pollShift spaces the context polls: one per 2^pollShift cells built.
@@ -244,52 +408,56 @@ func (b *budget) charge(n int) error {
 	return nil
 }
 
-// builder accumulates one automaton's states, charging each state's row
-// to the construction's budget before allocating it.
+// builder appends one automaton's states to the arena, charging each
+// state's row to the construction's budget before appending it.
 type builder struct {
-	b      *budget
-	vars   []string
-	trans  []int
-	accept []bool
+	b    *budget
+	vars []string
+	// cell and state are where the automaton starts in the arena; trans
+	// and accept are its part, resliced as states are added.
+	cell, state int
+	trans       []int
+	accept      []bool
 }
 
-func (b *budget) newBuilder(vars []string) (*builder, error) {
+func (b *budget) newBuilder(vars []string) (builder, error) {
 	if len(vars) > maxTracks {
-		return nil, ErrTooLarge
+		return builder{}, ErrTooLarge
 	}
-	return &builder{b: b, vars: vars}, nil
+	return builder{b: b, vars: vars, cell: len(b.trans), state: len(b.accept)}, nil
 }
 
 // add appends a state whose transitions are all 0, to be filled in by
 // the caller, and returns its index.
 func (bl *builder) add(accepting bool) (int, error) {
 	syms := 1 << len(bl.vars)
-	if err := bl.b.charge(syms); err != nil {
+	b := bl.b
+	if err := b.charge(syms); err != nil {
 		return 0, err
 	}
-	bl.trans = append(bl.trans, make([]int, syms)...)
-	bl.accept = append(bl.accept, accepting)
+	b.trans = extend(b.trans, syms)
+	b.accept = extend(b.accept, 1)
+	b.accept[len(b.accept)-1] = accepting
+	bl.trans, bl.accept = b.trans[bl.cell:], b.accept[bl.state:]
 	return len(bl.accept) - 1, nil
 }
 
+// build returns the automaton, whose table and acceptance alias the
+// arena.
 func (bl *builder) build(initial int) *DFA {
 	mDFAStatesBuilt.Add(int64(len(bl.accept)))
-	return &DFA{Vars: bl.vars, Trans: bl.trans, Accept: bl.accept, Initial: initial}
+	return &DFA{Vars: bl.vars, Trans: bl.trans[:len(bl.trans):len(bl.trans)],
+		Accept: bl.accept[:len(bl.accept):len(bl.accept)], Initial: initial}
+}
+
+// clone copies an automaton out of the arena.
+func (d *DFA) clone() *DFA {
+	return &DFA{Vars: d.Vars, Trans: slices.Clone(d.Trans), Accept: slices.Clone(d.Accept), Initial: d.Initial}
 }
 
 // MergeVars returns the sorted union of two track lists.
 func MergeVars(a, b []string) []string {
-	set := map[string]bool{}
-	for _, v := range a {
-		set[v] = true
-	}
-	for _, v := range b {
-		set[v] = true
-	}
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
+	out := append(append(make([]string, 0, len(a)+len(b)), a...), b...)
+	slices.Sort(out)
+	return slices.Compact(out)
 }

@@ -6,10 +6,9 @@ package autarith
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/logic"
@@ -33,12 +32,14 @@ func Minimize(d *DFA) *DFA {
 			}
 		}
 	}
-	renum := map[int]int{}
+	renum := make([]int, d.NumStates())
 	for i, s := range reach {
 		renum[s] = i
 	}
 
-	// Moore refinement: start from the accept/reject split.
+	// Moore refinement: start from the accept/reject split. A state's
+	// signature is its class and its successors' classes; classes are
+	// renumbered in order of their signatures' first appearance.
 	class := make([]int, len(reach))
 	for i, s := range reach {
 		if d.Accept[s] {
@@ -46,31 +47,27 @@ func Minimize(d *DFA) *DFA {
 		}
 	}
 	numClasses := 2
+	next := make([]int, len(reach))
+	var key []byte
 	for {
-		sig := map[string][]int{}
-		order := []string{}
+		sig := map[string]int{}
 		for i, s := range reach {
-			var b strings.Builder
-			b.WriteString(strconv.Itoa(class[i]))
+			key = binary.AppendUvarint(key[:0], uint64(class[i]))
 			for _, t := range d.row(s) {
-				b.WriteByte(':')
-				b.WriteString(strconv.Itoa(class[renum[t]]))
+				key = binary.AppendUvarint(key, uint64(class[renum[t]]))
 			}
-			key := b.String()
-			if _, ok := sig[key]; !ok {
-				order = append(order, key)
+			c, ok := sig[string(key)]
+			if !ok {
+				c = len(sig)
+				sig[string(key)] = c
 			}
-			sig[key] = append(sig[key], i)
+			next[i] = c
 		}
 		if len(sig) == numClasses {
 			break
 		}
 		numClasses = len(sig)
-		for ci, key := range order {
-			for _, i := range sig[key] {
-				class[i] = ci
-			}
-		}
+		class, next = next, class
 	}
 
 	// Build the quotient.
@@ -135,7 +132,8 @@ func Isomorphic(a, b *DFA) bool {
 // assignment over ℕ, by compiling, aligning tracks, minimizing, and
 // checking isomorphism. The two constructions share one MaxCells cap.
 func Equivalent(f, g *logic.Formula) (bool, error) {
-	b := &budget{}
+	b := newBudget(nil)
+	defer b.release()
 	df, err := b.compile(f)
 	if err != nil {
 		return false, err

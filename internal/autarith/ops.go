@@ -11,14 +11,14 @@ import (
 
 // complement flips acceptance. Because the package maintains
 // zero-stability (every encoding of a tuple is accepted or every one
-// rejected), language complement is relation complement. The transition
-// table is shared, not copied.
+// rejected), language complement is relation complement. Each automaton a
+// construction builds has one consumer, the construction of its parent
+// formula, so d is flipped in place and returned.
 func complement(d *DFA) *DFA {
-	accept := make([]bool, len(d.Accept))
 	for i, a := range d.Accept {
-		accept[i] = !a
+		d.Accept[i] = !a
 	}
-	return &DFA{Vars: d.Vars, Trans: d.Trans, Accept: accept, Initial: d.Initial}
+	return d
 }
 
 // cylindrify extends the automaton to a superset of tracks: new tracks are
@@ -32,7 +32,8 @@ func (b *budget) cylindrify(d *DFA, vars []string) (*DFA, error) {
 		return nil, err
 	}
 	// oldSym[sym] is the symbol over d's tracks that sym projects to.
-	oldSym := make([]int, 1<<len(vars))
+	b.ints = zeroed(b.ints, 1<<len(vars))
+	oldSym := b.ints
 	for i, v := range d.Vars {
 		p := slices.Index(vars, v)
 		if p < 0 {
@@ -66,19 +67,18 @@ func (b *budget) product(x, y *DFA, combine func(bool, bool) bool) (*DFA, error)
 		return nil, err
 	}
 	k := len(x.Vars)
-	index := map[uint64]int{}
-	var pairs []uint64
+	b.resetIndex()
 	state := func(p, q int) (int, error) {
 		key := uint64(p)<<32 | uint64(q)
-		if i, ok := index[key]; ok {
+		i, slot := b.lookup(key, nil)
+		if i >= 0 {
 			return i, nil
 		}
 		i, err := bl.add(combine(x.Accept[p], y.Accept[q]))
 		if err != nil {
 			return 0, err
 		}
-		index[key] = i
-		pairs = append(pairs, key)
+		b.insert(key, slot)
 		return i, nil
 	}
 	init, err := state(x.Initial, y.Initial)
@@ -86,8 +86,8 @@ func (b *budget) product(x, y *DFA, combine func(bool, bool) bool) (*DFA, error)
 		return nil, err
 	}
 	syms := 1 << k
-	for i := 0; i < len(pairs); i++ {
-		p, q := int(pairs[i]>>32), int(uint32(pairs[i]))
+	for i := 0; i < len(b.keys); i++ {
+		p, q := int(b.keys[i]>>32), int(uint32(b.keys[i]))
 		for sym := 0; sym < syms; sym++ {
 			ni, err := state(x.Trans[p<<k|sym], y.Trans[q<<k|sym])
 			if err != nil {
@@ -141,63 +141,67 @@ func (b *budget) exists(d *DFA, v string) (*DFA, error) {
 	}
 	k := len(d.Vars)
 
-	// Each subset of d's states is kept sorted and encoded as its members'
-	// little-endian uint32 bytes; that string is both the subset's index
-	// key and its storage.
-	index := map[string]int{}
-	var sets []string
-	var key []byte
-	intern := func(members []int32) (int, error) {
-		slices.Sort(members)
-		key = key[:0]
-		for _, m := range members {
-			key = append(key, byte(m), byte(m>>8), byte(m>>16), byte(m>>24))
-		}
-		if i, ok := index[string(key)]; ok {
+	// Each subset of d's states is a sorted run of the members arena,
+	// found through the index by its hash. A candidate subset is built at
+	// the arena's end and kept there only if it is new.
+	b.resetIndex()
+	b.members, b.runs = b.members[:0], append(b.runs[:0], 0)
+	intern := func(start int) (int, error) {
+		run := b.members[start:]
+		slices.Sort(run)
+		h := hashRun(run)
+		i, slot := b.lookup(h, func(j int) bool {
+			return slices.Equal(b.members[b.runs[j]:b.runs[j+1]], run)
+		})
+		if i >= 0 {
+			b.members = b.members[:start]
 			return i, nil
 		}
 		// A new subset is charged its members too, which bounds the
 		// memory the subsets take along with the table.
-		if err := b.charge(len(members)); err != nil {
+		if err := b.charge(len(run)); err != nil {
 			return 0, err
 		}
 		i, err := bl.add(false) // acceptance is set by the padding closure
 		if err != nil {
 			return 0, err
 		}
-		set := string(key)
-		index[set] = i
-		sets = append(sets, set)
+		b.insert(h, slot)
+		b.runs = append(b.runs, int32(len(b.members)))
 		return i, nil
 	}
-	init, err := intern([]int32{int32(d.Initial)})
+	b.members = append(b.members, int32(d.Initial))
+	init, err := intern(0)
 	if err != nil {
 		return nil, err
 	}
-	// stamp[s] == gen marks s as already in the subset being built.
-	stamp := make([]int, d.NumStates())
-	gen := 0
-	var members []int32
+	// stamp[s] == gen marks s as already in the subset being built; the
+	// stamps of earlier constructions are all below gen.
+	if n := d.NumStates(); cap(b.stamp) < n {
+		b.stamp = make([]int, n)
+	} else {
+		b.stamp = b.stamp[:n]
+	}
+	stamp := b.stamp
 	syms := 1 << len(rest)
 	low := 1<<track - 1
-	for i := 0; i < len(sets); i++ {
-		set := sets[i]
+	for i := 0; i < len(b.runs)-1; i++ {
 		for sym := 0; sym < syms; sym++ {
 			// Insert a 0 or a 1 bit for the projected track.
 			s0 := sym&low | (sym&^low)<<1
 			s1 := s0 | 1<<track
-			gen++
-			members = members[:0]
-			for j := 0; j < len(set); j += 4 {
-				s := member(set, j)
+			b.gen++
+			start := len(b.members)
+			for j := b.runs[i]; j < b.runs[i+1]; j++ {
+				s := int(b.members[j])
 				for _, t := range [2]int{d.Trans[s<<k|s0], d.Trans[s<<k|s1]} {
-					if stamp[t] != gen {
-						stamp[t] = gen
-						members = append(members, int32(t))
+					if stamp[t] != b.gen {
+						stamp[t] = b.gen
+						b.members = append(b.members, int32(t))
 					}
 				}
 			}
-			ni, err := intern(members)
+			ni, err := intern(start)
 			if err != nil {
 				return nil, err
 			}
@@ -215,17 +219,19 @@ func (b *budget) exists(d *DFA, v string) (*DFA, error) {
 		no
 		walking
 	)
-	verdict := make([]uint8, len(sets))
-	for i, set := range sets {
-		for j := 0; j < len(set); j += 4 {
-			if d.Accept[member(set, j)] {
+	sets := len(b.runs) - 1
+	b.flags = zeroed(b.flags, sets)
+	verdict := b.flags
+	for i := range verdict {
+		for _, m := range b.members[b.runs[i]:b.runs[i+1]] {
+			if d.Accept[m] {
 				verdict[i] = yes
 				break
 			}
 		}
 	}
-	var path []int
-	for i := range sets {
+	path := b.ints[:0]
+	for i := range verdict {
 		s := i
 		path = path[:0]
 		for verdict[s] == unknown {
@@ -241,15 +247,20 @@ func (b *budget) exists(d *DFA, v string) (*DFA, error) {
 			verdict[p] = v
 		}
 	}
+	b.ints = path[:0]
 	for i, v := range verdict {
 		bl.accept[i] = v == yes
 	}
 	return bl.build(init), nil
 }
 
-// member decodes the state at byte offset j of an encoded subset.
-func member(set string, j int) int {
-	return int(uint32(set[j]) | uint32(set[j+1])<<8 | uint32(set[j+2])<<16 | uint32(set[j+3])<<24)
+// hashRun hashes a subset's sorted members (FNV-1a over their words).
+func hashRun(run []int32) uint64 {
+	h := uint64(14695981039346656037)
+	for _, m := range run {
+		h = (h ^ uint64(uint32(m))) * 1099511628211
+	}
+	return h
 }
 
 // forall is ¬∃¬.

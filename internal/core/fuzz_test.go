@@ -19,7 +19,8 @@ import (
 // whenever the automaton compiles and Cooper under a small size guard
 // decides the criterion, the two verdicts agree, and neither panics. The
 // seeds are the benchmark's four safety templates, the bench table's E4
-// queries and a join the automaton's cap refuses.
+// queries, a join the automaton's cap refuses, and three divisibility
+// atoms whose moduli only the residual atom keeps within the cap.
 func FuzzRelativeSafety(f *testing.F) {
 	for _, src := range []string{
 		"R(x) | lt(x, 500)",
@@ -31,6 +32,9 @@ func FuzzRelativeSafety(f *testing.F) {
 		"R(x) & R(y) & lt(x, y)",
 		"R(a) & R(b) & R(c) & R(d) & R(e) & R(g) & R(h) & R(i) & R(j)",
 		"exists y. (S(x, y) | dvd(3, add(x, y)))",
+		"dvd(2500, x)",
+		"dvd(10000, x)",
+		"dvd(40000, x)",
 	} {
 		f.Add(src)
 	}

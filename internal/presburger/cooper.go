@@ -241,21 +241,9 @@ func (e Eliminator) cooper(x string, f *qf) (*qf, error) {
 	})
 	uniq := bset
 	if !e.NoBoundDedup {
-		uniq = uniq[:0:0]
-		for _, r := range bset {
-			if err := e.checkCtx(); err != nil {
-				return nil, err
-			}
-			dup := false
-			for _, u := range uniq {
-				if u.Equal(r) {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				uniq = append(uniq, r)
-			}
+		var err error
+		if uniq, err = e.dedupBounds(bset); err != nil {
+			return nil, err
 		}
 	}
 
@@ -298,6 +286,52 @@ func (e Eliminator) cooper(x string, f *qf) (*qf, error) {
 		stage.Arg("nodes", int64(out.nodes()))
 	}
 	return out, nil
+}
+
+// keyedBounds is the boundary-set size above which dedupBounds finds
+// repeated terms through a map of their encodings, as logic.Simplify keys
+// wide junctions. Comparing each term with every kept one is quadratic:
+// the finitization criterion of lt(x, 9) & dvd(65537, x) spent 16 s in
+// it. Narrower sets keep the pairwise loop, which allocates nothing and
+// costs at most ~10⁴ comparisons here; keyed from 32 terms, the 49- and
+// 68-term sets of the E4 join's criterion cost 28 more objects.
+const keyedBounds = 128
+
+// dedupBounds drops the repeated terms of a boundary set, keeping first
+// occurrences in order, and polls the context once per term.
+func (e Eliminator) dedupBounds(bset []LinearTerm) ([]LinearTerm, error) {
+	uniq := bset[:0:0]
+	if len(bset) > keyedBounds {
+		seen := make(map[string]struct{}, len(bset))
+		var key []byte
+		for _, r := range bset {
+			if err := e.checkCtx(); err != nil {
+				return nil, err
+			}
+			key = r.appendKey(key[:0])
+			if _, dup := seen[string(key)]; !dup {
+				seen[string(key)] = struct{}{}
+				uniq = append(uniq, r)
+			}
+		}
+		return uniq, nil
+	}
+	for _, r := range bset {
+		if err := e.checkCtx(); err != nil {
+			return nil, err
+		}
+		dup := false
+		for _, u := range uniq {
+			if u.Equal(r) {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			uniq = append(uniq, r)
+		}
+	}
+	return uniq, nil
 }
 
 // canonicalize converts an NNF quantifier-free logic formula into the

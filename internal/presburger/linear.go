@@ -18,6 +18,7 @@
 package presburger
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -185,6 +186,18 @@ func (t LinearTerm) Equal(u LinearTerm) bool {
 		}
 	}
 	return true
+}
+
+// appendKey appends an encoding of t to buf that two terms share iff they
+// are Equal: the number of coefficients, each variable with its length
+// and its coefficient, then the constant.
+func (t LinearTerm) appendKey(buf []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(t.Coeffs)))
+	for _, c := range t.Coeffs {
+		buf = binary.AppendUvarint(buf, uint64(len(c.Var)))
+		buf = c.K.appendKey(append(buf, c.Var...))
+	}
+	return t.Const.appendKey(buf)
 }
 
 // Eval evaluates the term under an integer environment; every variable must

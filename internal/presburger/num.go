@@ -2,6 +2,7 @@ package presburger
 
 import (
 	"cmp"
+	"encoding/binary"
 	"math"
 	"math/big"
 	"strconv"
@@ -125,6 +126,16 @@ func (a Num) Mod(c Num) Num {
 		return Num{n: r}
 	}
 	return numFromBig(new(big.Int).Mod(a.big(), c.big()))
+}
+
+// appendKey appends an encoding of a that no other value shares: a tag
+// and the int64 as a varint, or, past an int64, a tag and the hex digits
+// up to a zero byte.
+func (a Num) appendKey(buf []byte) []byte {
+	if a.b == nil {
+		return binary.AppendVarint(append(buf, 0), a.n)
+	}
+	return append(a.b.Append(append(buf, 1), 16), 0)
 }
 
 // String renders a in decimal.

@@ -3,6 +3,7 @@ package presburger
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -420,5 +421,44 @@ func TestDomainInterp(t *testing.T) {
 	}
 	if d.Element(7).Key() != "7" {
 		t.Errorf("Element wrong")
+	}
+}
+
+// TestDedupBoundsKeyed: past keyedBounds terms, the keyed deduplication
+// keeps exactly the terms the pairwise comparison keeps, in the same
+// order, on sets that repeat terms with small and big coefficients and
+// with variables whose names run together.
+func TestDedupBoundsKeyed(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	big, _ := parseNum("-92233720368547758080")
+	nums := []Num{NumOf(0), NumOf(1), NumOf(-1), NumOf(1 << 40), big}
+	pool := make([]LinearTerm, 60)
+	for i := range pool {
+		var cs []Coeff
+		for _, v := range []string{"x", "xy", "y"} {
+			if k := nums[rng.Intn(len(nums))]; k.Sign() != 0 {
+				cs = append(cs, Coeff{Var: v, K: k})
+			}
+		}
+		pool[i] = LinearTerm{Coeffs: cs, Const: nums[rng.Intn(len(nums))]}
+	}
+	for trial := 0; trial < 50; trial++ {
+		bset := make([]LinearTerm, keyedBounds+1+rng.Intn(100))
+		for i := range bset {
+			bset[i] = pool[rng.Intn(len(pool))]
+		}
+		got, err := Eliminator{}.dedupBounds(bset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []LinearTerm
+		for _, r := range bset {
+			if !slices.ContainsFunc(want, r.Equal) {
+				want = append(want, r)
+			}
+		}
+		if !slices.EqualFunc(got, want, LinearTerm.Equal) {
+			t.Fatalf("keyed dedup kept %v, pairwise %v", got, want)
+		}
 	}
 }

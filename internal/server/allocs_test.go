@@ -63,9 +63,9 @@ func TestPointRequestAllocs(t *testing.T) {
 }
 
 // safetyAllocCeiling bounds the objects one relative-safety request
-// allocates end to end: measured at 419 with Go 1.24.0, with the same
+// allocates end to end: measured at 191 with Go 1.24.0, with the same
 // 1.23 ratio as pointAllocCeiling. Lower it when a change earns it.
-const safetyAllocCeiling = 515
+const safetyAllocCeiling = 234
 
 // TestSafetyRequestAllocs is the safety path's allocation ceiling: one
 // request shaped like the benchmark's safety workload, exists y. (R(y) &
