@@ -45,6 +45,7 @@ import (
 	"repro/internal/autarith"
 	"repro/internal/core"
 	"repro/internal/deccache"
+	"repro/internal/domain"
 	"repro/internal/loadgen"
 	"repro/internal/obs"
 	"repro/internal/obs/logctx"
@@ -106,9 +107,9 @@ var rows = []row{
 	}), Query: "F(x, y) & exists z. (F(y, z) & ~(z = x))", Expect: expect{Rows: 8}},
 	// Sparse E1: membership in every fourth natural below 128. Each row's
 	// probe scan decides again the failing candidates before it, the
-	// repeated ground decisions the decision cache memoizes. Over nless
-	// the §1.1 loop asks the Cooper decider; over presburger the plan
-	// compiler answers.
+	// repeated ground decisions the decision cache memoizes. The nless
+	// cells pin the §1.1 loop to the Cooper decider (newOp); over
+	// presburger the plan compiler answers.
 	{Name: "e1-sparse-nless", Domain: "nless", State: sparseE1, Query: "exists y. (R(y) & x = y)",
 		Op: "enumerate", Budget: &finq.EnumerationBudget{Rows: 42, Probe: 1 << 16}, Expect: expect{Rows: 32}},
 	{Name: "e1-sparse", Domain: "presburger", State: sparseE1, Query: "exists y. (R(y) & x = y)",
@@ -133,10 +134,10 @@ var rows = []row{
 	// amortizes.
 	{Name: "e1-corpus", Corpus: "testdata/corpus/e1.json"},
 	// An infinite answer stopped by its row budget: rows must stream
-	// while the evaluation runs, not after it. Over nless each row costs
-	// Cooper decisions; over presburger the automaton finds the rows in
+	// while the evaluation runs, not after it. Over zless each row costs
+	// Cooper decisions; over ℕ the automaton finds the rows in
 	// microseconds, and the request's fixed costs would decide the share.
-	{Name: "stream", Domain: "nless", State: `{"relations": {"R": [["3"], ["7"], ["12"], ["20"]]}}`,
+	{Name: "stream", Domain: "zless", State: `{"relations": {"R": [["3"], ["7"], ["12"], ["20"]]}}`,
 		Query: "~R(x)", Op: "enumerate", Budget: &finq.EnumerationBudget{Rows: 64, Probe: 1 << 20},
 		Expect: expect{Rows: 64, Stopped: "budget"}},
 
@@ -549,11 +550,18 @@ func newOp(t testing.TB, r row, p string, window time.Duration) func() (any, err
 	if r.Op == "" {
 		return func() (any, error) { return query.EvalActiveCtx(ctx, d.Domain, st, f) }
 	}
-	// A fresh decision cache per op: the cache postures measure the
-	// memoization within one enumeration, never hits an earlier op left.
-	en := d.Domain.(query.Enumerable)
+	// The §1.1 loop as the paper states it, on the domain's decider: the
+	// capability that lets the automaton answer over ℕ is hidden, and each
+	// op gets a fresh decision cache over the uncached decider, so the
+	// cache postures measure the memoization within one enumeration, never
+	// hits an earlier op left.
+	var en query.Enumerable = struct{ query.Enumerable }{d.Domain.(query.Enumerable)}
+	inner := d.Decider
+	if n, ok := d.Domain.(domain.Naturals); ok {
+		inner = presburger.Rewritten{Dom: n}
+	}
 	return func() (any, error) {
-		dec := deccache.WrapDomain(d.Name, d.Decider, deccache.DefaultCapacity)
+		dec := deccache.WrapDomain(d.Name, inner, deccache.DefaultCapacity)
 		return query.EnumerationAnswerSinkCtx(ctx, en, dec, st, f, *r.Budget, nil)
 	}
 }

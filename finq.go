@@ -505,27 +505,26 @@ func SafeRange(scheme *Scheme, f *Formula) SafeRangeReport {
 func Finitize(f *Formula) *Formula { return core.Finitize(f) }
 
 // RelativeSafety decides (or semi-decides) whether f's answer is finite in
-// state st over the domain: decidable for eq, nless, presburger, and nsucc;
-// a budgeted semi-decision for traces (Theorem 3.3 makes a decider
-// impossible). It takes no context yet, so its decisions run under one
-// that is never done.
+// state st over the domain: decidable for every domain that is Presburger
+// arithmetic over ℕ under a rewrite (nless, presburger, wordlex; Theorem
+// 2.5), and for eq, zless and nsucc; a budgeted semi-decision for traces
+// (Theorem 3.3 makes a decider impossible). It takes no context yet, so
+// its decisions run under one that is never done.
 func RelativeSafety(d DomainInfo, st *State, f *Formula) (Verdict, error) {
 	ctx := context.TODO()
+	if n, ok := d.Domain.(domain.Naturals); ok {
+		finite, err := core.RelativeSafetyPresburger(ctx, n, st, f)
+		return boolVerdict(finite), err
+	}
 	switch d.Name {
 	case "eq":
 		finite, err := core.RelativeSafetyEq(ctx, st, f)
-		return boolVerdict(finite), err
-	case "nless", "presburger":
-		finite, err := core.RelativeSafetyPresburger(ctx, st, f)
 		return boolVerdict(finite), err
 	case "nsucc":
 		finite, err := core.RelativeSafetyNsucc(ctx, st, f)
 		return boolVerdict(finite), err
 	case "zless":
 		finite, err := core.RelativeSafetyIntegers(ctx, st, f)
-		return boolVerdict(finite), err
-	case "wordlex":
-		finite, err := core.RelativeSafetyWordlex(ctx, st, f)
 		return boolVerdict(finite), err
 	case "traces":
 		return core.RelativeSafetyTraces(st, f, core.DefaultTracesBudget)

@@ -87,6 +87,34 @@ func TestFacadeEnumerate(t *testing.T) {
 	}
 }
 
+// TestEmptyRelationKeepsFreeVariables: with R empty, ¬R(x) is the whole
+// domain in every registered domain. Relative safety must not call it
+// finite (the traces semi-decision may answer unknown), and the §1.1
+// enumeration must answer rows over x until its budget stops it, not a
+// boolean: translating R(x) to false must not erase x.
+func TestEmptyRelationKeepsFreeVariables(t *testing.T) {
+	for _, d := range Domains() {
+		st := NewState(MustScheme(map[string]int{"R": 1}))
+		f, err := d.Parse("~R(x)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := RelativeSafety(d, st, f)
+		if err != nil || v == Holds || (v == Unknown && d.Name != "traces") {
+			t.Errorf("%s: relative safety of ~R(x) over an empty R: %v %v, want fails", d.Name, v, err)
+		}
+		res, err := Eval(context.Background(), Request{Domain: d.Name, State: st, Formula: f, Mode: ModeEnumerate,
+			Budget: &EnumerationBudget{Rows: 5, Probe: 1 << 10}})
+		if err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
+		if ans := res.Answer; fmt.Sprint(ans.Vars) != "[x]" || ans.Rows.Len() != 5 || res.Stopped != "budget" {
+			t.Errorf("%s: enumeration of ~R(x) over an empty R: vars %v, %d rows, stopped %q; want [x], 5, budget",
+				d.Name, ans.Vars, ans.Rows.Len(), res.Stopped)
+		}
+	}
+}
+
 // TestEnumerateDoesNotCompileClosure: the §1.1 loop can only use an
 // algebra-tier plan, so enumerating a formula outside that tier must not
 // compile its closure program. The first active-domain evaluation compiles

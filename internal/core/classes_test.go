@@ -115,7 +115,7 @@ func TestClassSeparations(t *testing.T) {
 		if got := isDomainIndependentProbe(t, st, p.f); got != p.domInd {
 			t.Errorf("%s: domain-independent probe = %v, want %v", p.name, got, p.domInd)
 		}
-		finite, err := RelativeSafetyPresburger(context.Background(), st, p.f)
+		finite, err := RelativeSafetyPresburger(context.Background(), presburger.Domain{}, st, p.f)
 		if err != nil {
 			t.Fatalf("%s: relative safety: %v", p.name, err)
 		}

@@ -41,7 +41,7 @@ func TestFinitizeZ(t *testing.T) {
 	}
 	// The same query over ℕ is finite (the contrast that forces the
 	// modification).
-	finiteNat, err := RelativeSafetyPresburger(context.Background(), st, below)
+	finiteNat, err := RelativeSafetyPresburger(context.Background(), presburger.Domain{}, st, below)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/autarith"
@@ -15,12 +16,14 @@ import (
 // FuzzRelativeSafety: Theorem 2.5 over ℕ has two engines, the automaton of
 // the pure translation (finite iff its tuple count is) and the
 // finitization criterion on Cooper. For any formula the parser accepts,
-// translated in a fixed state with R = {1, 4, 9, 16} and S = {(1, 4)},
-// whenever the automaton compiles and Cooper under a small size guard
-// decides the criterion, the two verdicts agree, and neither panics. The
-// seeds are the benchmark's four safety templates, the bench table's E4
-// queries, a join the automaton's cap refuses, and three divisibility
-// atoms whose moduli only the residual atom keeps within the cap.
+// translated in a fixed state with R = {1, 4, 9, 16}, S = {(1, 4)} and
+// T = ∅, the translation keeps the formula's free variables, and whenever
+// the automaton compiles and Cooper under a small size guard decides the
+// criterion, the two verdicts agree, and neither panics. The seeds are the
+// benchmark's four safety templates, the bench table's E4 queries, a join
+// the automaton's cap refuses, three divisibility atoms whose moduli only
+// the residual atom keeps within the cap, and the complement of the empty
+// relation.
 func FuzzRelativeSafety(f *testing.F) {
 	for _, src := range []string{
 		"R(x) | lt(x, 500)",
@@ -35,10 +38,11 @@ func FuzzRelativeSafety(f *testing.F) {
 		"dvd(2500, x)",
 		"dvd(10000, x)",
 		"dvd(40000, x)",
+		"~T(x)",
 	} {
 		f.Add(src)
 	}
-	st := db.NewState(db.MustScheme(map[string]int{"R": 1, "S": 2}))
+	st := db.NewState(db.MustScheme(map[string]int{"R": 1, "S": 2, "T": 1}))
 	for _, v := range []int64{1, 4, 9, 16} {
 		if err := st.Insert("R", domain.Int(v)); err != nil {
 			f.Fatal(err)
@@ -60,6 +64,9 @@ func FuzzRelativeSafety(f *testing.F) {
 		pure, err := query.Translate(presburger.Domain{}, st, g)
 		if err != nil {
 			return
+		}
+		if got, want := pure.FreeVars(), g.FreeVars(); !slices.Equal(got, want) {
+			t.Fatalf("%s: translated free variables %v, want %v", src, got, want)
 		}
 		ctx := context.Background()
 		d, err := autarith.Compile(ctx, pure)

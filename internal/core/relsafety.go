@@ -9,7 +9,6 @@ import (
 	"repro/internal/domain"
 	"repro/internal/domains/eqdom"
 	"repro/internal/domains/nsucc"
-	"repro/internal/domains/wordlex"
 	"repro/internal/logic"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
@@ -55,45 +54,44 @@ func observeSafety(finite bool, err error) (bool, error) {
 // (Theorem 2.6), and for the pure-equality domain; undecidable for the
 // trace domain T (Theorem 3.3), where only a budgeted semi-decision exists.
 
-// RelativeSafetyPresburger decides relative safety over ℕ with the
-// Presburger signature (a decidable extension of N<, so Theorem 2.5
-// applies): is the answer of the query's pure translation finite? It asks
-// the translation's automaton, falling back to Theorem 2.5's criterion on
-// Cooper (finiteOverN).
+// RelativeSafetyPresburger decides relative safety over a domain that is
+// Presburger arithmetic over ℕ under a rewrite (domain.Naturals:
+// presburger, nless, and words under the shortlex isomorphism, the paper's
+// "the same ideas can be carried out … for strings with lexicographical
+// ordering"). Each is a decidable extension of N<, so Theorem 2.5
+// applies: is the answer of the Presburger image of the query's pure
+// translation finite? That answer is a regular relation, so finiteness is
+// a cycle check on its automaton (autarith's Count). An image the
+// automaton refuses — past its size cap, with magnitudes its residue
+// arithmetic does not take, or with terms it does not compile — is
+// decided by FinitizationCriterion instead, as the §1.1 enumeration falls
+// back to the decider, so inputs both engines refuse keep Cooper's error.
+// A symbol outside the domain's signature is an error. The span records
+// which engine answered.
 //
 // This and the other boolean relative-safety procedures decide under ctx
-// and stop with its error once it is done.
-func RelativeSafetyPresburger(ctx context.Context, st *db.State, f *logic.Formula) (bool, error) {
-	sp := obs.StartSpan("safety.relative", "domain=presburger")
+// and stop with its error once it is done; then Cooper does not run.
+func RelativeSafetyPresburger(ctx context.Context, dom domain.Naturals, st *db.State, f *logic.Formula) (bool, error) {
+	sp := obs.StartSpan("safety.relative", "domain="+dom.Name())
 	defer sp.End()
-	pure, err := query.Translate(presburger.Domain{}, st, f)
+	pure, err := query.Translate(dom, st, f)
 	if err != nil {
 		return false, err
 	}
-	return observeSafety(finiteOverN(ctx, sp, pure))
-}
-
-// finiteOverN decides whether the answer of a Presburger formula over ℕ is
-// finite. That answer is a regular relation, so finiteness is a cycle
-// check on its automaton (autarith's Count). A formula the automaton
-// refuses — past its size cap, with magnitudes its residue arithmetic
-// does not take, or with terms it does not compile — is decided by
-// FinitizationCriterion instead, as the §1.1 enumeration falls back to
-// Cooper's decider, so inputs both engines refuse keep Cooper's error.
-// Once ctx is done its error is returned as it is, and Cooper does not
-// run. The span records which engine answered.
-func finiteOverN(ctx context.Context, sp *obs.Span, pure *logic.Formula) (bool, error) {
+	if pure, err = dom.ToPresburger(pure); err != nil {
+		return false, err
+	}
 	d, err := autarith.Compile(ctx, pure)
 	switch {
 	case ctx.Err() != nil:
-		return false, ctx.Err()
+		return observeSafety(false, ctx.Err())
 	case err == nil:
 		sp.ArgStr("engine", "automaton")
 		_, infinite := d.Count()
-		return !infinite, nil
+		return observeSafety(!infinite, nil)
 	}
 	sp.ArgStr("engine", "cooper")
-	return FinitizationCriterion(ctx, pure)
+	return observeSafety(FinitizationCriterion(ctx, pure))
 }
 
 // FinitizationCriterion decides Theorem 2.5's criterion over ℕ on Cooper's
@@ -185,7 +183,9 @@ func RelativeSafetyNsucc(ctx context.Context, st *db.State, f *logic.Formula) (b
 	if err != nil {
 		return false, err
 	}
-	freeVars := qf.FreeVars()
+	// The query's free variables: elimination may drop one the answer
+	// still ranges over (x = x becomes true).
+	freeVars := pure.FreeVars()
 	if len(freeVars) == 0 {
 		return observeSafety(true, nil)
 	}
@@ -263,24 +263,6 @@ func pinnedVars(clause []*logic.Formula) (map[string]bool, error) {
 		}
 	}
 	return out, nil
-}
-
-// RelativeSafetyWordlex decides relative safety over ({a,b}*, <shortlex)
-// by carrying the query across the shortlex isomorphism to N< and deciding
-// it there as RelativeSafetyPresburger does — the paper's "the same ideas
-// can be carried out … for strings with lexicographical ordering".
-func RelativeSafetyWordlex(ctx context.Context, st *db.State, f *logic.Formula) (bool, error) {
-	sp := obs.StartSpan("safety.relative", "domain=wordlex")
-	defer sp.End()
-	pure, err := query.Translate(wordlex.Domain{}, st, f)
-	if err != nil {
-		return false, err
-	}
-	nf, err := wordlex.ToNless(pure)
-	if err != nil {
-		return false, err
-	}
-	return observeSafety(finiteOverN(ctx, sp, nf))
 }
 
 // TracesBudget bounds the semi-decision procedures over the trace domain.

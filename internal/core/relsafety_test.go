@@ -267,7 +267,7 @@ func TestRelativeSafetyEnginesAgree(t *testing.T) {
 	for i := 0; i < n; i++ {
 		st := randSafetyState(t, rng)
 		f := randSafetyQuery(rng)
-		got, err := RelativeSafetyPresburger(ctx, st, f)
+		got, err := RelativeSafetyPresburger(ctx, presburger.Domain{}, st, f)
 		if err != nil {
 			t.Fatalf("%v in %v: %v", f, st, err)
 		}
@@ -320,7 +320,7 @@ func TestRelativeSafetyCancelled(t *testing.T) {
 	cancel()
 	elims := obs.NewCounter("qe.presburger.eliminations")
 	before := elims.Value()
-	_, err := RelativeSafetyPresburger(ctx, natState(t, "R", 1, 4), logic.Not(logic.Atom("R", logic.Var("x"))))
+	_, err := RelativeSafetyPresburger(ctx, presburger.Domain{}, natState(t, "R", 1, 4), logic.Not(logic.Atom("R", logic.Var("x"))))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled relative safety: %v, want context.Canceled", err)
 	}
@@ -348,7 +348,7 @@ func TestRelativeSafetyNamesEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if finite, err := RelativeSafetyPresburger(context.Background(), st, f); err != nil || !finite {
+		if finite, err := RelativeSafetyPresburger(context.Background(), presburger.Domain{}, st, f); err != nil || !finite {
 			t.Fatalf("%s: finite=%v %v, want finite", c.src, finite, err)
 		}
 		var engine string

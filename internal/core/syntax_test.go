@@ -8,6 +8,7 @@ import (
 	"repro/internal/domain"
 	"repro/internal/domains/eqdom"
 	"repro/internal/domains/nsucc"
+	"repro/internal/domains/wordlex"
 	"repro/internal/logic"
 	"repro/internal/presburger"
 	"repro/internal/query"
@@ -221,7 +222,7 @@ func TestFinitizationSyntaxMembersFinite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		finite, err := RelativeSafetyPresburger(context.Background(), st, member)
+		finite, err := RelativeSafetyPresburger(context.Background(), presburger.Domain{}, st, member)
 		if err != nil {
 			t.Fatalf("member %d (%v): %v", i, member, err)
 		}
@@ -360,8 +361,8 @@ func TestCorollary24OrderedExtension(t *testing.T) {
 	}
 }
 
-// TestRelativeSafetyWordlexDirect exercises the shortlex relative-safety
-// decider end to end (Theorem 2.5 carried across the isomorphism).
+// TestRelativeSafetyWordlexDirect exercises relative safety over shortlex
+// words end to end (Theorem 2.5 carried across the isomorphism).
 func TestRelativeSafetyWordlexDirect(t *testing.T) {
 	st := db.NewState(db.MustScheme(map[string]int{"R": 1}))
 	for _, w := range []string{"ab", "ba"} {
@@ -372,14 +373,14 @@ func TestRelativeSafetyWordlexDirect(t *testing.T) {
 	finiteQ := logic.Exists("y", logic.And(
 		logic.Atom("R", logic.Var("y")),
 		logic.Atom(presburger.PredLt, logic.Var("x"), logic.Var("y"))))
-	finite, err := RelativeSafetyWordlex(context.Background(), st, finiteQ)
+	finite, err := RelativeSafetyPresburger(context.Background(), wordlex.Domain{}, st, finiteQ)
 	if err != nil {
-		t.Fatalf("RelativeSafetyWordlex: %v", err)
+		t.Fatalf("RelativeSafetyPresburger: %v", err)
 	}
 	if !finite {
 		t.Errorf("words below a stored word are finitely many")
 	}
-	infinite, err := RelativeSafetyWordlex(context.Background(), st, logic.Not(logic.Atom("R", logic.Var("x"))))
+	infinite, err := RelativeSafetyPresburger(context.Background(), wordlex.Domain{}, st, logic.Not(logic.Atom("R", logic.Var("x"))))
 	if err != nil {
 		t.Fatal(err)
 	}

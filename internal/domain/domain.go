@@ -14,6 +14,8 @@
 //
 // The §1.1 query-answering algorithm additionally needs constants for all
 // elements (Namer) and a recursive enumeration of the universe (Enumerator).
+// A domain that is Presburger arithmetic over ℕ under a rewrite says so
+// (Naturals).
 package domain
 
 import (
@@ -131,6 +133,21 @@ type Eliminator interface {
 // the rows of a finite answer.
 type Enumerator interface {
 	Element(i int) Value
+}
+
+// Naturals is a domain that is Presburger arithmetic over ℕ under a
+// rewrite: an extension of (ℕ, <) within Presburger's signature (Theorem
+// 2.5), or words under the shortlex isomorphism. ToPresburger rewrites a
+// pure formula into Presburger arithmetic whose values are the domain's
+// enumeration indices: Element(i₁), …, Element(iₖ) satisfy f iff i₁, …, iₖ
+// satisfy the image. A symbol outside the domain's signature is an error.
+// It is the one place that says which domains the automaton
+// (internal/autarith) serves: their §1.1 enumeration, their relative
+// safety, and their decider all work on the image.
+type Naturals interface {
+	Domain
+	Enumerator
+	ToPresburger(f *logic.Formula) (*logic.Formula, error)
 }
 
 // Verdict is the result of a budgeted semi-decision.

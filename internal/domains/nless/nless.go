@@ -50,8 +50,10 @@ func (d Domain) Pred(name string, args []domain.Value) (bool, error) {
 // Element implements domain.Enumerator.
 func (d Domain) Element(i int) domain.Value { return d.full.Element(i) }
 
-// CheckSignature verifies that f uses only <, =, numerals, and variables.
-func CheckSignature(f *logic.Formula) error {
+// ToPresburger implements domain.Naturals: an N< formula, one that uses
+// only <, =, numerals, and variables, is its own Presburger image; any
+// other symbol is an error.
+func (Domain) ToPresburger(f *logic.Formula) (*logic.Formula, error) {
 	var err error
 	f.Walk(func(g *logic.Formula) {
 		if g.Kind != logic.FAtom || err != nil {
@@ -67,7 +69,10 @@ func CheckSignature(f *logic.Formula) error {
 			}
 		}
 	})
-	return err
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // Eliminator performs quantifier elimination for N< formulas, rejecting
@@ -76,23 +81,12 @@ type Eliminator struct{}
 
 // Eliminate implements domain.Eliminator.
 func (Eliminator) Eliminate(ctx context.Context, f *logic.Formula) (*logic.Formula, error) {
-	if err := CheckSignature(f); err != nil {
+	g, err := Domain{}.ToPresburger(f)
+	if err != nil {
 		return nil, err
 	}
-	return presburger.Eliminator{}.Eliminate(ctx, f)
-}
-
-// deciderT decides N< sentences with Cooper's elimination, which stops
-// with the context's error at its next poll inside a step.
-type deciderT struct{}
-
-// Decide implements domain.Decider.
-func (deciderT) Decide(ctx context.Context, f *logic.Formula) (bool, error) {
-	if err := CheckSignature(f); err != nil {
-		return false, err
-	}
-	return presburger.Eliminator{}.Decide(ctx, f)
+	return presburger.Eliminator{}.Eliminate(ctx, g)
 }
 
 // Decider returns the decision procedure for N<.
-func Decider() domain.Decider { return deciderT{} }
+func Decider() domain.Decider { return presburger.DeciderOf(Domain{}) }

@@ -4,9 +4,10 @@
 // universe is {a,b}* ordered by shortlex (length first, then
 // lexicographically), which is a discrete order with least element ε —
 // order-isomorphic to (ℕ, <). The decision procedure, finitization, and
-// relative safety all transfer along the isomorphism: formulas are decided
-// by translating their word constants to shortlex indices and delegating to
-// the N< engine (Cooper's algorithm).
+// relative safety all transfer along the isomorphism: a formula's word
+// constants become shortlex indices (ToPresburger), and the N< image is
+// decided by Cooper's algorithm, or answered by the automaton where the
+// §1.1 enumeration and relative safety ask it (domain.Naturals).
 package wordlex
 
 import (
@@ -111,11 +112,11 @@ func (Domain) Pred(name string, args []domain.Value) (bool, error) {
 // exactly the word with Index i — the enumeration IS the isomorphism.
 func (Domain) Element(i int) domain.Value { return domain.Word(WordAt(int64(i))) }
 
-// ToNless maps a wordlex formula to an N< formula by replacing word
-// constants with their indices; variables, =, and lt pass through. It is
-// the formula side of the shortlex isomorphism, used by the decision
-// procedure here and by the relative-safety decider in internal/core.
-func ToNless(f *logic.Formula) (*logic.Formula, error) {
+// ToPresburger implements domain.Naturals: it maps a wordlex formula to an
+// N< formula by replacing word constants with their indices; variables,
+// =, and lt pass through. It is the formula side of the shortlex
+// isomorphism, and the first step of the eliminator.
+func (Domain) ToPresburger(f *logic.Formula) (*logic.Formula, error) {
 	var firstErr error
 	g := f.Map(func(h *logic.Formula) *logic.Formula {
 		if h.Kind != logic.FAtom || firstErr != nil {
@@ -189,7 +190,7 @@ type Eliminator struct{}
 // arithmetic residue is returned unchanged (it still decides correctly
 // through Decider, which works on the N< side throughout).
 func (Eliminator) Eliminate(ctx context.Context, f *logic.Formula) (*logic.Formula, error) {
-	g, err := ToNless(f)
+	g, err := Domain{}.ToPresburger(f)
 	if err != nil {
 		return nil, err
 	}
@@ -203,19 +204,5 @@ func (Eliminator) Eliminate(ctx context.Context, f *logic.Formula) (*logic.Formu
 	return qf, nil
 }
 
-// deciderT decides wordlex sentences through the isomorphism: Cooper's
-// elimination of the N< image stops with the context's error at its next
-// poll inside a step.
-type deciderT struct{}
-
-// Decide implements domain.Decider.
-func (deciderT) Decide(ctx context.Context, f *logic.Formula) (bool, error) {
-	g, err := ToNless(f)
-	if err != nil {
-		return false, err
-	}
-	return presburger.Eliminator{}.Decide(ctx, g)
-}
-
 // Decider returns the decision procedure for ({a,b}*, <shortlex).
-func Decider() domain.Decider { return deciderT{} }
+func Decider() domain.Decider { return presburger.DeciderOf(Domain{}) }

@@ -238,9 +238,32 @@ func (Domain) Pred(name string, args []domain.Value) (bool, error) {
 // Element implements domain.Enumerator: 0, 1, 2, …
 func (Domain) Element(i int) domain.Value { return domain.Int(i) }
 
+// ToPresburger implements domain.Naturals: the identity, since a value is
+// its own enumeration index.
+func (Domain) ToPresburger(f *logic.Formula) (*logic.Formula, error) { return f, nil }
+
 // Decider returns the decision procedure for ℕ with the Presburger
-// signature, memoized behind a bounded decision cache (a no-op pass-through
-// when caching is disabled; see internal/deccache).
-func Decider() domain.Decider {
-	return deccache.WrapDomain("presburger", Eliminator{}, deccache.DefaultCapacity)
+// signature.
+func Decider() domain.Decider { return DeciderOf(Domain{}) }
+
+// Rewritten decides the sentences of a domain that is Presburger
+// arithmetic under a rewrite: Cooper's elimination decides the sentence's
+// image, and stops with the context's error at its next poll inside a
+// step. A sentence outside the domain's signature is an error.
+type Rewritten struct{ Dom domain.Naturals }
+
+// Decide implements domain.Decider.
+func (r Rewritten) Decide(ctx context.Context, f *logic.Formula) (bool, error) {
+	g, err := r.Dom.ToPresburger(f)
+	if err != nil {
+		return false, err
+	}
+	return Eliminator{}.Decide(ctx, g)
+}
+
+// DeciderOf returns dom's decision procedure, Rewritten, memoized behind a
+// bounded decision cache under dom's name (a no-op pass-through when
+// caching is disabled; see internal/deccache).
+func DeciderOf(dom domain.Naturals) domain.Decider {
+	return deccache.WrapDomain(dom.Name(), Rewritten{dom}, deccache.DefaultCapacity)
 }

@@ -29,7 +29,8 @@ func (s slowDecider) Decide(ctx context.Context, f *logic.Formula) (bool, error)
 // TestEnumerationCtxCancelMidRun cancels the context while the §1.1 loop
 // is between rows: the partial answer found so far must come back with
 // Complete=false and the context's error — from the automaton over
-// Presburger arithmetic and from a slow decider over N<.
+// Presburger arithmetic and from a slow decider over N<, its capability
+// hidden so the decider answers.
 func TestEnumerationCtxCancelMidRun(t *testing.T) {
 	st := db.NewState(db.MustScheme(map[string]int{"R": 1}))
 	if err := st.Insert("R", domain.Int(5)); err != nil {
@@ -42,7 +43,7 @@ func TestEnumerationCtxCancelMidRun(t *testing.T) {
 		dec domain.Decider
 	}{
 		{presburger.Domain{}, presburger.Decider()},
-		{nless.Domain{}, slowDecider{inner: nless.Decider(), delay: 2 * time.Millisecond}},
+		{struct{ Enumerable }{nless.Domain{}}, slowDecider{inner: nless.Decider(), delay: 2 * time.Millisecond}},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 		t0 := time.Now()

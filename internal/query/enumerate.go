@@ -9,7 +9,6 @@ import (
 	"repro/internal/domain"
 	"repro/internal/logic"
 	"repro/internal/obs"
-	"repro/internal/presburger"
 )
 
 // EnumerationBudget bounds the §1.1 algorithm: Rows caps the number of
@@ -77,10 +76,11 @@ func deliverRow(sink RowSink, vars []string, row db.Tuple) error {
 //
 // The loop's two questions are answered by a rowSource, tried in order:
 // an algebra-tier plan's materialized answer when the planner has one
-// (tableSource), then for Presburger arithmetic the automaton of φ'
-// (dfaSource), then the domain's decider (decideSource). The table and the
-// automaton answer by count and by membership, deciding nothing; all three
-// give the same rows, order, and budget accounting.
+// (tableSource), then for a domain that is Presburger arithmetic under a
+// rewrite (domain.Naturals: presburger, nless, wordlex) the automaton of
+// the image of φ' (dfaSource), then the domain's decider (decideSource). The
+// table and the automaton answer by count and by membership, deciding
+// nothing; all three give the same rows, order, and budget accounting.
 //
 // The context is polled before every existential decision, handed to the
 // decider and to the automaton's construction (so a cancellation can also
@@ -128,20 +128,24 @@ func EnumerationAnswerSinkCtx(ctx context.Context, dom Enumerable, dec domain.De
 	return enumerate(ctx, sp, dom, src, vars, budget, sink)
 }
 
-// pureSource picks the source for φ' when no plan table applies: the
-// automaton for Presburger arithmetic, unless its construction fails (the
-// size cap refused it, or φ' is outside what it compiles), and the decider
-// otherwise. Only a cancellation is an error.
+// pureSource picks the source for φ' when no plan table applies: for a
+// domain.Naturals, the automaton of the Presburger image of φ', unless the
+// rewrite refuses φ' (a symbol outside the domain's signature) or the
+// construction fails (the size cap refused it, or the image is outside
+// what it compiles); the decider otherwise, which answers or errs as the
+// domain's theory says. Only a cancellation is an error.
 func pureSource(ctx context.Context, dom Enumerable, dec domain.Decider, vars []string,
 	pure *logic.Formula) (rowSource, error) {
 
-	if _, ok := dom.(presburger.Domain); ok {
-		d, err := autarith.Compile(ctx, pure)
-		if err == nil {
-			return newDFASource(d), nil
-		}
-		if canceledErr(err) {
-			return nil, err
+	if n, ok := dom.(domain.Naturals); ok {
+		if image, err := n.ToPresburger(pure); err == nil {
+			d, err := autarith.Compile(ctx, image)
+			if err == nil {
+				return newDFASource(d), nil
+			}
+			if canceledErr(err) {
+				return nil, err
+			}
 		}
 	}
 	return &decideSource{dom: dom, dec: dec, vars: vars, pure: pure, remaining: pure}, nil
@@ -213,10 +217,11 @@ func enumerate(ctx context.Context, sp *obs.Span, dom Enumerable, src rowSource,
 
 // rowSource answers the two questions the §1.1 loop asks — is there a row
 // beyond the n found so far, and is this candidate a row? — and is told
-// of each row found.
+// of each row found. A candidate comes as its tuple and as its elements'
+// enumeration indices.
 type rowSource interface {
 	more(ctx context.Context, rsp *obs.Span, n int) (bool, error)
-	member(ctx context.Context, tuple db.Tuple) (bool, error)
+	member(ctx context.Context, tuple db.Tuple, idx []int) (bool, error)
 	found(row db.Tuple)
 	// name is the source's trace label: table, automaton or decider.
 	name() string
@@ -249,7 +254,7 @@ func (s *decideSource) more(ctx context.Context, rsp *obs.Span, _ int) (bool, er
 	return s.dec.Decide(ctx, logic.ExistsAll(s.vars, s.remaining))
 }
 
-func (s *decideSource) member(ctx context.Context, tuple db.Tuple) (bool, error) {
+func (s *decideSource) member(ctx context.Context, tuple db.Tuple, _ []int) (bool, error) {
 	ground := s.pure
 	for j, name := range s.vars {
 		ground = logic.Subst(ground, name, logic.Const(s.dom.ConstName(tuple[j])))
@@ -272,11 +277,13 @@ func (s *decideSource) found(row db.Tuple) {
 	s.remaining = logic.And(s.remaining, logic.Not(logic.And(eqs...)))
 }
 
-// dfaSource answers the loop's questions from one automaton for φ'
-// (internal/autarith), built once per enumeration: membership is a walk
-// over the candidate's bits, and there is a row beyond the n found iff
-// the automaton's tuple count exceeds n — every found row is a member, so
-// that is the decider's ∃x̄ (φ'(x̄) ∧ x̄ ∉ found). It decides nothing.
+// dfaSource answers the loop's questions from one automaton for the
+// Presburger image of φ' (internal/autarith), built once per enumeration:
+// membership is a walk over the bits of the candidate's enumeration
+// indices, which the image's values are, and there is a row beyond the n
+// found iff the automaton's tuple count exceeds n — every found row is a
+// member, so that is the decider's ∃x̄ (φ'(x̄) ∧ x̄ ∉ found). It decides
+// nothing.
 type dfaSource struct {
 	dfa      *autarith.DFA
 	count    int64
@@ -300,12 +307,8 @@ func (s *dfaSource) more(ctx context.Context, _ *obs.Span, n int) (bool, error) 
 	return s.infinite || int64(n) < s.count, nil
 }
 
-func (s *dfaSource) member(_ context.Context, tuple db.Tuple) (bool, error) {
-	for i, v := range tuple {
-		n, ok := v.(domain.Int)
-		if !ok {
-			return false, fmt.Errorf("query: non-integer candidate %v", v)
-		}
+func (s *dfaSource) member(_ context.Context, _ db.Tuple, idx []int) (bool, error) {
+	for i, n := range idx {
 		s.vals[i] = int64(n)
 	}
 	return s.dfa.Runs(s.vals)
@@ -378,7 +381,7 @@ func nextRow(ctx context.Context, dom Enumerable, src rowSource,
 		if found[string(key)] {
 			continue
 		}
-		ok, err := src.member(ctx, tuple)
+		ok, err := src.member(ctx, tuple, idx)
 		if err != nil {
 			return nil, i + 1, err
 		}

@@ -63,11 +63,8 @@ func planAnswer(ctx context.Context, sp *obs.Span, dom domain.Domain, st *db.Sta
 	if cfg, _ := runcfg.From(ctx); cfg.NoPlan {
 		return nil, nil
 	}
-	// A sentence's verdict comes from the domain decider; and a variable
-	// occurring only in empty-relation atoms would vanish from the
-	// translated formula, changing the answer shape — both go the generic
-	// way.
-	if len(f.FreeVars()) == 0 || mentionsEmptyRelation(st, f) {
+	// A sentence's verdict comes from the domain decider.
+	if len(f.FreeVars()) == 0 {
 		return nil, nil
 	}
 	p := plan.For(ctx, st.Scheme(), dom.Name(), "", f)
@@ -94,30 +91,10 @@ func (s tableSource) more(ctx context.Context, _ *obs.Span, n int) (bool, error)
 	return n < s.rows.Len(), nil
 }
 
-func (s tableSource) member(_ context.Context, tuple db.Tuple) (bool, error) {
+func (s tableSource) member(_ context.Context, tuple db.Tuple, _ []int) (bool, error) {
 	return s.rows.Has(tuple), nil
 }
 
 func (tableSource) found(db.Tuple) {}
 
 func (tableSource) name() string { return "table" }
-
-// mentionsEmptyRelation reports whether any database atom of the formula
-// scans an empty relation in this state.
-func mentionsEmptyRelation(st *db.State, f *logic.Formula) bool {
-	empty := false
-	scheme := st.Scheme()
-	f.Walk(func(g *logic.Formula) {
-		if empty || g.Kind != logic.FAtom {
-			return
-		}
-		if _, ok := scheme.Relations[g.Pred]; !ok {
-			return
-		}
-		rel, err := st.Relation(g.Pred)
-		if err != nil || rel.Len() == 0 {
-			empty = true
-		}
-	})
-	return empty
-}

@@ -57,12 +57,16 @@ func canceledErr(err error) bool {
 // a state: every database relation atom R(t̄) becomes the disjunction over
 // R's rows of the pointwise equalities ("we can replace each occurrence of
 // R(x, y) with ((x=a1 ∧ y=b1) ∨ … ∨ (x=ar ∧ y=br))"), and every database
-// constant becomes the domain constant naming its value.
+// constant becomes the domain constant naming its value. The pure formula
+// keeps the query's free variables: an atom over an empty relation becomes
+// false, and a free variable that occurred only in such atoms is conjoined
+// as x = x, so it still ranges over the whole domain.
 func Translate(dom domain.Domain, st *db.State, f *logic.Formula) (*logic.Formula, error) {
 	mTranslateCalls.Inc()
 	scheme := st.Scheme()
 	var firstErr error
 	atoms := int64(0)
+	emptied := false
 	g := f.Map(func(h *logic.Formula) *logic.Formula {
 		if h.Kind != logic.FAtom || firstErr != nil {
 			return h
@@ -81,6 +85,7 @@ func Translate(dom domain.Domain, st *db.State, f *logic.Formula) (*logic.Formul
 			firstErr = err
 			return h
 		}
+		emptied = emptied || rel.Len() == 0
 		var rows []*logic.Formula
 		for _, tuple := range rel.Tuples() {
 			conj := make([]*logic.Formula, arity)
@@ -94,6 +99,14 @@ func Translate(dom domain.Domain, st *db.State, f *logic.Formula) (*logic.Formul
 	mTranslateAtoms.Add(atoms)
 	if firstErr != nil {
 		return nil, firstErr
+	}
+	if emptied {
+		kept := g.FreeVars()
+		for _, v := range f.FreeVars() {
+			if !slices.Contains(kept, v) {
+				g = logic.And(g, logic.Eq(logic.Var(v), logic.Var(v)))
+			}
+		}
 	}
 	// Database constants become domain constants for their state values.
 	for _, cname := range scheme.Constants {

@@ -66,6 +66,12 @@ func TestErrorEnvelopeEverywhere(t *testing.T) {
 			`{"domain": "presburger", "formula": "dvd(9223372036854775808, x)"}`, 422, apiv1.CodeEvalFailed},
 		{"enumerate modulus beyond int64", http.MethodPost, "/v1/eval",
 			`{"domain": "presburger", "mode": "enumerate", "formula": "dvd(9223372036854775808, x)"}`, 422, apiv1.CodeEvalFailed},
+		// N<'s signature has no divisibility: relative safety refuses it as
+		// the enumeration does.
+		{"safety outside N<'s signature", http.MethodPost, "/v1/safety",
+			`{"domain": "nless", "formula": "dvd(2, x)"}`, 422, apiv1.CodeEvalFailed},
+		{"enumerate outside N<'s signature", http.MethodPost, "/v1/eval",
+			`{"domain": "nless", "mode": "enumerate", "formula": "dvd(2, x)"}`, 422, apiv1.CodeEvalFailed},
 		{"missing capture", http.MethodGet, "/debug/profiles?id=nope", "", 404, apiv1.CodeNotFound},
 		{"bad stats key", http.MethodGet, "/v1/stats/queries?by=bogus", "", 400, apiv1.CodeBadRequest},
 		{"stream on active", http.MethodPost, "/v1/eval?stream=1", `{"domain": "eq", "formula": "x = x"}`, 400, apiv1.CodeBadRequest},

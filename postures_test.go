@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/deccache"
 	"repro/internal/domains/nless"
 	"repro/internal/query"
 	"repro/internal/runcfg"
@@ -71,13 +70,17 @@ func TestPosturesAgreeConcurrently(t *testing.T) {
 			return outcome{strings.Join(seq, ";"), res.Answer.Rows.Len(), res.Answer.Complete, res.Stopped}, nil
 		}
 	}
-	// decided is the §1.1 loop over N<, asking one decision cache shared
-	// by every goroutine (the registry's N< decider has none), or with the
-	// planner on, a plan's table when one applies.
-	cache := deccache.WrapDomain("nless", nless.Decider(), 0)
-	decided := func(src string) func(context.Context) (outcome, error) {
+	// decided is the §1.1 loop over N<, with the planner on a plan's table
+	// when one applies, and otherwise the automaton, or with the domain's
+	// capability hidden (pinned), the decider: one N< decision cache
+	// shared by every goroutine.
+	cache := nless.Decider()
+	decided := func(src string, pinned bool) func(context.Context) (outcome, error) {
 		d, st, f := parse("nless", src)
 		en := d.Domain.(query.Enumerable)
+		if pinned {
+			en = struct{ query.Enumerable }{en}
+		}
 		return func(ctx context.Context) (outcome, error) {
 			var seq []string
 			ans, err := query.EnumerationAnswerSinkCtx(ctx, en, cache, st, f, DefaultBudget, func(_ []string, row Tuple) error {
@@ -100,8 +103,9 @@ func TestPosturesAgreeConcurrently(t *testing.T) {
 		{"enum/automaton", served("exists y. (R(y) & lt(x, y))", ModeEnumerate, nil)},
 		{"enum/budget", served("~R(x)", ModeEnumerate, &EnumerationBudget{Rows: 12, Probe: 1 << 10})},
 		{"enum/sentence", served("exists y. (R(y) & lt(y, 4))", ModeEnumerate, nil)},
-		{"enum/nless-table", decided("R(x) & lt(x, 9)")},
-		{"enum/nless-decider", decided("exists y. (R(y) & lt(x, y)) & lt(x, 7)")},
+		{"enum/nless-table", decided("R(x) & lt(x, 9)", false)},
+		{"enum/nless-automaton", decided("exists y. (R(y) & lt(x, y)) & lt(x, 7)", false)},
+		{"enum/nless-decider", decided("exists y. (R(y) & lt(x, y)) & lt(x, 7)", true)},
 	}
 	postures := []runcfg.Config{{}, {NoPlan: true}, {NoCache: true}, {NoPlan: true, NoCache: true}}
 	want := make([]outcome, len(queries))

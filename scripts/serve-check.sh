@@ -97,11 +97,11 @@ echo "serve-check: GET /v1/stats/queries 200 with aggregates"
 # well over the 2ms objective) push the eval latency burn past the trip
 # threshold; the server must capture a CPU+heap profile pair on its own,
 # list it on /debug/profiles, and serve the CPU payload by id as a
-# profile `go tool pprof` accepts. The body is over nless, where the
+# profile `go tool pprof` accepts. The body is over zless, where the
 # section 1.1 loop asks the Cooper decider for every row (tens of
-# milliseconds a request); over presburger one automaton answers it in
-# about a millisecond, under the objective.
-slow_body='{"domain": "nless", "state": {"relations": {"R": [["5"]]}}, "formula": "~R(x)", "mode": "enumerate", "budget": {"rows": 60, "probe": 1073741824}}'
+# milliseconds a request); over presburger, nless or wordlex one automaton
+# answers it in about a millisecond, under the objective.
+slow_body='{"domain": "zless", "state": {"relations": {"R": [["5"]]}}, "formula": "~R(x)", "mode": "enumerate", "budget": {"rows": 60, "probe": 1073741824}}'
 i=0
 while [ "$i" -lt 24 ]; do
     curl -s -o /dev/null -d "$slow_body" "http://$addr/v1/eval"
